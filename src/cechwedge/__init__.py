@@ -31,9 +31,8 @@ from .hilton import (BondingMap, StabilizationReport, WedgeDecomposition,
                      earring_formula, relative_cech, stabilization_report,
                      weight_summand)
 from .elements import (CoherenceReport, CoherentElement, ElementFormatError,
-                       FiniteSupport, IncompatibleOracleError,
-                       LevelCoordinates, MinLetterFamilies, RawLevelStream,
-                       SubgroupForms, VerificationReport, Weight2Family,
+                       LevelCoordinates, RawLevelStream, SubgroupForms,
+                       VerificationReport,
                        check_coherence, composition_realization,
                        finite_support_element, materialize_levels,
                        min_letter_element, min_letter_subgroup_expr,

@@ -29,12 +29,13 @@ import sys
 from .elements import (check_coherence, composition_realization,
                        parse_element_file, random_min_letter_element,
                        random_sparse_epsilon, verify_composition_additivity,
-                       verify_weight2_realization, weight_one_part_vanishes,
-                       weight_two_element, MinLetterFamilies, Weight2Family)
+                       verify_weight2_realization, weight2_realization,
+                       weight_one_part_vanishes, weight_two_element)
 from .groups import render_text, to_machine
-from .hall import GradingSequence, generate, height, necklace_count
+from .hall import (GradingSequence, StratumSizeError, generate, height,
+                   necklace_count)
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
-                     stabilization_report, weight_summand)
+                     stabilization_report, weight_range, weight_summand)
 from .spheres import load_table
 from .whitehead import project_level
 
@@ -52,13 +53,17 @@ def _table(args):
         raise CommandError(str(exc)) from None
 
 
+def _parse_grading(spec: str) -> GradingSequence:
+    try:
+        return GradingSequence.parse(spec)
+    except Exception as exc:
+        raise CommandError("bad grading %r: %s" % (spec, exc)) from None
+
+
 def _grading_of(args) -> GradingSequence:
     spec = getattr(args, "grading", None)
     if spec:
-        try:
-            return GradingSequence.parse(spec)
-        except Exception as exc:
-            raise CommandError("bad grading %r: %s" % (spec, exc)) from None
+        return _parse_grading(spec)
     m = getattr(args, "m", None)
     if m is None:
         raise CommandError("need -m or --grading")
@@ -94,13 +99,11 @@ def cmd_cech_earring(args) -> int:
     trivial = args.n <= args.m - 1
     lines = [_formula_line(expr, trivial)]
     if args.annotate:
-        j = 1
-        while (args.m - 1) * j <= args.n - 1:
+        for j in weight_range(args.n, args.m):
             q = (args.m - 1) * j + 1
             lines.append("weight %d: pi_%d(S^%d) per stage, %s"
                          % (j, args.n, q,
                             render_text(weight_summand(args.n, args.m, j, table))))
-            j += 1
     _emit(lines, to_machine(expr), args.format)
     return 0
 
@@ -123,7 +126,7 @@ def cmd_cech_wedge(args) -> int:
 def cmd_hall(args) -> int:
     if args.k < 1 or args.J < 1:
         raise CommandError("need k >= 1 and J >= 1")
-    grading = (GradingSequence.parse(args.grading) if args.grading
+    grading = (_parse_grading(args.grading) if args.grading
                else GradingSequence.constant(1))
     hs = generate(args.k, args.J)
     rows = [(w, w.length, height(w, grading)) for w in hs]
@@ -185,6 +188,12 @@ def _emit_verdict(ok: bool, detail: dict, failures, args) -> int:
     return 0 if ok else 1
 
 
+def _need_positive(args, *names):
+    for name in names:
+        if getattr(args, name) < 1:
+            raise CommandError("--%s must be >= 1" % name)
+
+
 def _element_from_file(path, table):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -200,16 +209,19 @@ def _element_from_file(path, table):
 def cmd_verify_edge(args) -> int:
     if args.m < 2:
         raise CommandError("sphere dimension must be >= 2")
+    _need_positive(args, "levels", "count")
     table = _table(args)
     failures = []
     runs = 0
     if args.file:
         e = _element_from_file(args.file, table)
-        if not isinstance(e.oracle, Weight2Family):
+        try:
+            eps = weight2_realization(e).eps
+        except TypeError:
             raise CommandError("element file must describe a pure weight-2 "
-                               "family (eps lines only)")
+                               "family (eps lines only)") from None
         runs = 1
-        rep = verify_weight2_realization(e.oracle.eps, e.m, args.levels, table)
+        rep = verify_weight2_realization(eps, e.m, args.levels, table)
         failures.extend(rep.failures)
     elif args.random:
         rng = random.Random(args.seed)
@@ -236,22 +248,22 @@ def cmd_verify_edge(args) -> int:
 def cmd_verify_theta(args) -> int:
     if args.n < 2 or args.m < 2:
         raise CommandError("need n >= 2 and m >= 2")
+    _need_positive(args, "levels", "count")
     table = _table(args)
     failures = []
     runs = 0
     if args.file:
         e = _element_from_file(args.file, table)
-        if not isinstance(e.oracle, MinLetterFamilies):
-            raise CommandError("element file must describe a pure least-letter "
-                               "family (gtuple lines only)")
+        try:
+            expr = composition_realization(e)
+        except TypeError:
+            raise CommandError("element file must describe a least-letter "
+                               "family (no eps lines, no weight-1 words)") from None
         runs = 1
-        expr = composition_realization(e)
         for k in range(1, args.levels + 1):
             if project_level(expr, k, table) != e.level(k).coords:
                 failures.append("level %d: realization disagrees with "
                                 "coordinates" % k)
-        if not weight_one_part_vanishes(e, args.levels):
-            failures.append("weight-1 part does not vanish")
     elif args.random:
         rng = random.Random(args.seed)
         for t in range(args.count):
@@ -271,6 +283,7 @@ def cmd_verify_theta(args) -> int:
 
 
 def cmd_verify_coherence(args) -> int:
+    _need_positive(args, "levels")
     table = _table(args)
     if not args.file:
         raise CommandError("need --file")
@@ -422,7 +435,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, StratumSizeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -1,15 +1,15 @@
 """Coherent families of Hilton coordinates across all finite stages.
 
 An element of the limit group is a compatible choice of coordinates at
-every finite wedge stage.  Three finitary descriptions are supported,
-each coherent by construction:
+every finite wedge stage.  Every element here is one finitary,
+coherent-by-construction description:
 
-  * FiniteSupport: finitely many words carry a fixed coordinate;
-  * Weight2Family: every pair i < j carries eps_{i,j} times the
+  * coords: finitely many Hall words carry a fixed coordinate.  Words
+    of weight >= 2 grouped by least letter are the input tuples of the
+    composition sum; weight-1 words are the product-of-spheres part;
+  * eps (optional): every pair i < j carries eps_{i,j} times the
     degree-one class on the weight-2 word [a_i, a_j] (an upper
-    triangular matrix realized by one infinite bracket sum);
-  * MinLetterFamilies: finitely many coordinates per least letter on
-    words of weight >= 2 (the input tuples of the composition sum).
+    triangular matrix realized by one infinite bracket sum).
 
 Levels are plain Hilton coordinates, so the bonding maps of the tower
 act on them; check_coherence replays those maps against the stream.
@@ -26,43 +26,17 @@ from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    dimension_truncation, height, letter)
-from .hilton import apply_bonding, bonding, sphere_group_expr
+from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
 from .whitehead import (CompositionInfiniteSum, EpsilonOracle, SparseEpsilon,
-                        UnresolvedGroupError, Weight2InfiniteSum, parse_word,
+                        UnresolvedGroupError, Weight2InfiniteSum,
+                        add_coordinates, coordinate_tuple, parse_word,
                         project_level)
-
-
-class IncompatibleOracleError(ValueError):
-    """No supported representation for the requested sum of streams."""
 
 
 class ElementFormatError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__("line %d: %s" % (lineno, message))
         self.lineno = lineno
-
-
-@dataclass(frozen=True)
-class FiniteSupport:
-    entries: tuple[tuple[HallWord, GroupElement], ...] = ()
-
-
-@dataclass(frozen=True)
-class Weight2Family:
-    eps: EpsilonOracle
-
-
-@dataclass(frozen=True)
-class MinLetterFamilies:
-    families: tuple[tuple[int, tuple[tuple[HallWord, GroupElement], ...]], ...] = ()
-
-
-@dataclass(frozen=True)
-class CompositeSupport:
-    """Internal: a finite correction on top of an infinite family."""
-
-    finite: FiniteSupport
-    infinite: Weight2Family | MinLetterFamilies
 
 
 @dataclass
@@ -73,13 +47,21 @@ class LevelCoordinates:
 
 @dataclass(frozen=True)
 class CoherentElement:
+    """Finitely many word coordinates plus an optional weight-2 matrix.
+
+    coords is kept canonical (sorted by word, no zero values), so equal
+    data gives equal elements.
+    """
+
     n: int
     m: int
-    oracle: FiniteSupport | Weight2Family | MinLetterFamilies | CompositeSupport
+    coords: tuple[tuple[HallWord, GroupElement], ...] = ()
+    eps: EpsilonOracle | None = None
 
     def __post_init__(self):
         if self.n < 2 or self.m < 2:
             raise ValueError("need n >= 2 and m >= 2")
+        object.__setattr__(self, "coords", coordinate_tuple(self.coords))
 
     def grading(self) -> GradingSequence:
         return GradingSequence.constant(self.m - 1)
@@ -87,118 +69,34 @@ class CoherentElement:
     def level(self, k: int) -> LevelCoordinates:
         if k < 1:
             raise ValueError("levels start at 1")
-        return LevelCoordinates(k, _oracle_level(self.oracle, self.m, k))
+        matrix = {}
+        if self.eps is not None:
+            for i in range(1, k + 1):
+                for j in range(i + 1, k + 1):
+                    c = self.eps.value(i, j)
+                    if c:
+                        matrix[bracket(letter(i), letter(j))] = integer_element(c)
+        return LevelCoordinates(k, add_coordinates(
+            matrix, [(w, f) for w, f in self.coords if w.max_letter <= k]))
 
     def __add__(self, other: "CoherentElement") -> "CoherentElement":
         if not isinstance(other, CoherentElement):
             return NotImplemented
         if (other.n, other.m) != (self.n, self.m):
             raise ValueError("cannot add elements of different (n, m)")
-        return CoherentElement(self.n, self.m,
-                               _add_oracles(self.oracle, other.oracle))
+        if self.eps is None or other.eps is None:
+            eps = other.eps if self.eps is None else self.eps
+        else:
+            eps = self.eps + other.eps
+        return CoherentElement(self.n, self.m, self.coords + other.coords, eps)
 
     def __neg__(self) -> "CoherentElement":
-        return CoherentElement(self.n, self.m, _negate_oracle(self.oracle))
+        return CoherentElement(self.n, self.m,
+                               tuple((w, -f) for w, f in self.coords),
+                               None if self.eps is None else self.eps.scale(-1))
 
     def __sub__(self, other: "CoherentElement") -> "CoherentElement":
         return self + (-other)
-
-
-def _oracle_level(oracle, m: int, k: int) -> dict[HallWord, GroupElement]:
-    if isinstance(oracle, FiniteSupport):
-        return {w: f for w, f in oracle.entries if w.max_letter <= k}
-    if isinstance(oracle, Weight2Family):
-        out = {}
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                c = oracle.eps.value(i, j)
-                if c:
-                    out[bracket(letter(i), letter(j))] = integer_element(c)
-        return out
-    if isinstance(oracle, MinLetterFamilies):
-        out = {}
-        for _, row in oracle.families:
-            for w, f in row:
-                if w.max_letter <= k:
-                    out[w] = f
-        return out
-    if isinstance(oracle, CompositeSupport):
-        out = _oracle_level(oracle.infinite, m, k)
-        for w, f in _oracle_level(oracle.finite, m, k).items():
-            out[w] = (out[w] + f) if w in out else f
-        return {w: f for w, f in out.items() if not f.is_zero()}
-    raise TypeError("not an element oracle: %r" % (oracle,))
-
-
-def _merge_finite(a: FiniteSupport, b: FiniteSupport) -> FiniteSupport:
-    acc = dict(a.entries)
-    for w, f in b.entries:
-        acc[w] = (acc[w] + f) if w in acc else f
-    return FiniteSupport(tuple(sorted(((w, f) for w, f in acc.items()
-                                       if not f.is_zero()),
-                                      key=lambda wf: wf[0].key)))
-
-
-def _merge_families(a: MinLetterFamilies, b: MinLetterFamilies) -> MinLetterFamilies:
-    acc: dict[int, dict[HallWord, GroupElement]] = {}
-    for fam in (a, b):
-        for i, row in fam.families:
-            tgt = acc.setdefault(i, {})
-            for w, f in row:
-                tgt[w] = (tgt[w] + f) if w in tgt else f
-    rows = []
-    for i in sorted(acc):
-        row = tuple(sorted(((w, f) for w, f in acc[i].items() if not f.is_zero()),
-                           key=lambda wf: wf[0].key))
-        if row:
-            rows.append((i, row))
-    return MinLetterFamilies(tuple(rows))
-
-
-def _split(oracle):
-    if isinstance(oracle, CompositeSupport):
-        return oracle.finite, oracle.infinite
-    if isinstance(oracle, FiniteSupport):
-        return oracle, None
-    return FiniteSupport(), oracle
-
-
-def _rebuild(finite: FiniteSupport, infinite):
-    if infinite is None:
-        return finite
-    if not finite.entries:
-        return infinite
-    return CompositeSupport(finite, infinite)
-
-
-def _add_oracles(a, b):
-    fa, ia = _split(a)
-    fb, ib = _split(b)
-    finite = _merge_finite(fa, fb)
-    if ia is None:
-        infinite = ib
-    elif ib is None:
-        infinite = ia
-    elif isinstance(ia, Weight2Family) and isinstance(ib, Weight2Family):
-        infinite = Weight2Family(ia.eps + ib.eps)
-    elif isinstance(ia, MinLetterFamilies) and isinstance(ib, MinLetterFamilies):
-        infinite = _merge_families(ia, ib)
-    else:
-        raise IncompatibleOracleError(
-            "cannot add a weight-2 family to a least-letter family")
-    return _rebuild(finite, infinite)
-
-
-def _negate_oracle(oracle):
-    if isinstance(oracle, FiniteSupport):
-        return FiniteSupport(tuple((w, -f) for w, f in oracle.entries))
-    if isinstance(oracle, Weight2Family):
-        return Weight2Family(oracle.eps.scale(-1))
-    if isinstance(oracle, MinLetterFamilies):
-        return MinLetterFamilies(tuple((i, tuple((w, -f) for w, f in row))
-                                       for i, row in oracle.families))
-    return CompositeSupport(_negate_oracle(oracle.finite),
-                            _negate_oracle(oracle.infinite))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +123,7 @@ def _resolve_group(n: int, q: int, table, what: str):
 
 
 def zero_element(n: int, m: int) -> CoherentElement:
-    return CoherentElement(n, m, FiniteSupport())
+    return CoherentElement(n, m)
 
 
 def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
@@ -236,7 +134,7 @@ def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
     Words whose sphere group is trivial only admit the zero value.
     """
     grading = GradingSequence.constant(m - 1)
-    acc: dict[HallWord, GroupElement] = {}
+    coords = []
     for w, val in entries:
         if isinstance(w, str):
             w = parse_word(w)
@@ -244,13 +142,8 @@ def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
             raise ValueError("support word %s is not a Hall word" % w)
         q = height(w, grading) + 1
         group = _resolve_group(n, q, table, "support word %s" % w)
-        f = _as_element(group, val)
-        if f.is_zero():
-            continue
-        acc[w] = (acc[w] + f) if w in acc else f
-    cleaned = tuple(sorted(((w, f) for w, f in acc.items() if not f.is_zero()),
-                           key=lambda wf: wf[0].key))
-    return CoherentElement(n, m, FiniteSupport(cleaned))
+        coords.append((w, _as_element(group, val)))
+    return CoherentElement(n, m, tuple(coords))
 
 
 def weight_two_element(m: int, eps, n: int | None = None) -> CoherentElement:
@@ -269,7 +162,7 @@ def weight_two_element(m: int, eps, n: int | None = None) -> CoherentElement:
     if n != expected:
         raise ValueError("weight-2 families live in degree 2m - 1 = %d, not %d"
                          % (expected, n))
-    return CoherentElement(n, m, Weight2Family(eps))
+    return CoherentElement(n, m, eps=eps)
 
 
 def min_letter_element(n: int, m: int, families, table) -> CoherentElement:
@@ -278,31 +171,18 @@ def min_letter_element(n: int, m: int, families, table) -> CoherentElement:
     `families` maps a letter index i to (word, value) pairs where each
     word has weight >= 2 and least letter i.
     """
-    grading = GradingSequence.constant(m - 1)
-    rows = []
+    entries = []
     for i in sorted(families):
-        acc: dict[HallWord, GroupElement] = {}
         for w, val in families[i]:
             if isinstance(w, str):
                 w = parse_word(w)
-            if not _hall_conditions(w):
-                raise ValueError("word %s is not a Hall word" % w)
             if w.length < 2:
                 raise ValueError("least-letter families need weight >= 2, got %s" % w)
             if w.min_letter != i:
                 raise ValueError("word %s has least letter a%d, filed under a%d"
                                  % (w, w.min_letter, i))
-            q = height(w, grading) + 1
-            group = _resolve_group(n, q, table, "word %s" % w)
-            f = _as_element(group, val)
-            if f.is_zero():
-                continue
-            acc[w] = (acc[w] + f) if w in acc else f
-        row = tuple(sorted(((w, f) for w, f in acc.items() if not f.is_zero()),
-                           key=lambda wf: wf[0].key))
-        if row:
-            rows.append((i, row))
-    return CoherentElement(n, m, MinLetterFamilies(tuple(rows)))
+            entries.append((w, val))
+    return finite_support_element(n, m, entries, table)
 
 
 def weight_one_element(n: int, m: int, coords, table) -> CoherentElement:
@@ -315,8 +195,7 @@ def weight_one_element(n: int, m: int, coords, table) -> CoherentElement:
 
 def weight_one_coordinates(e) -> dict[int, GroupElement]:
     """Per-letter projection to the product of spheres."""
-    fs, _ = _split(e.oracle)
-    return {w.letter_index: f for w, f in fs.entries if w.is_letter}
+    return {w.letter_index: f for w, f in e.coords if w.is_letter}
 
 
 def weight_one_part_vanishes(e, kmax: int) -> bool:
@@ -395,11 +274,12 @@ class VerificationReport:
 
 
 def weight2_realization(e, m: int | None = None) -> Weight2InfiniteSum:
-    """The infinite bracket sum realizing a weight-2 family."""
+    """The infinite bracket sum realizing a weight-2 family: an element
+    with eps set and no other coordinates (TypeError otherwise)."""
     if isinstance(e, CoherentElement):
-        if not isinstance(e.oracle, Weight2Family):
+        if e.eps is None or e.coords:
             raise TypeError("element is not a pure weight-2 family")
-        return Weight2InfiniteSum(e.m, e.oracle.eps)
+        return Weight2InfiniteSum(e.m, e.eps)
     if isinstance(e, dict):
         e = SparseEpsilon.from_dict(e)
     if m is None:
@@ -443,11 +323,12 @@ def _render_coords(coords) -> str:
 
 
 def composition_realization(e: CoherentElement) -> CompositionInfiniteSum:
-    """The infinite sum of word-compositions realizing a least-letter
-    family."""
-    if not isinstance(e.oracle, MinLetterFamilies):
+    """The infinite sum of word-compositions realizing an element with
+    no eps and all coordinates on words of weight >= 2 (TypeError
+    otherwise)."""
+    if e.eps is not None or any(w.is_letter for w, _ in e.coords):
         raise TypeError("element is not a pure least-letter family")
-    return CompositionInfiniteSum(e.n, e.m, e.oracle.families)
+    return CompositionInfiniteSum(e.n, e.m, e.coords)
 
 
 def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
@@ -464,10 +345,7 @@ def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
     for k in range(1, kmax + 1):
         p1 = project_level(x1, k, table)
         p2 = project_level(x2, k, table)
-        want = dict(p1)
-        for w, f in p2.items():
-            want[w] = (want[w] + f) if w in want else f
-        want = {w: f for w, f in want.items() if not f.is_zero()}
+        want = add_coordinates(p1, p2)
         if project_level(xsum, k, table) != want:
             failures.append("level %d: added expressions disagree" % k)
         if project_level(xs, k, table) != want:
@@ -497,11 +375,8 @@ def min_letter_subgroup_expr(n: int, m: int, table) -> SubgroupForms:
     """
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
-    blocks = []
-    j = 2
-    while (m - 1) * j <= n - 1:
-        blocks.append(SumN(sphere_group_expr(n, (m - 1) * j + 1, table)))
-        j += 1
+    blocks = [SumN(sphere_group_expr(n, (m - 1) * j + 1, table))
+              for j in weight_range(n, m, start=2)]
     if not blocks:
         return SubgroupForms(ZERO, ZERO, True)
     per_letter = normalize(ProdN(DirectSum(tuple(blocks))))
@@ -524,8 +399,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
         eps <i> <j> = <c>
         gtuple <i> <word> = <c1,c2,...>
 
-    support/eps and support/gtuple lines may be mixed; eps and gtuple
-    lines may not (no supported representation for that sum).
+    Any directives may be mixed: the element is the sum of all of them.
     """
     n = m = None
     support: list[tuple[HallWord, tuple[int, ...]]] = []
@@ -561,9 +435,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
             raise ElementFormatError(lineno, str(exc)) from None
     if n is None or m is None:
         raise ElementFormatError(0, "missing 'element n=<n> m=<m>' header")
-    out = zero_element(n, m)
-    if support:
-        out = out + finite_support_element(n, m, support, table)
+    out = finite_support_element(n, m, support, table)
     if eps:
         out = out + weight_two_element(m, SparseEpsilon.from_dict(eps), n=n)
     if families:
@@ -583,21 +455,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def render_element_file(e: CoherentElement) -> str:
-    """Inverse of parse_element_file for elements built here."""
+    """Inverse of parse_element_file for elements built here: one support
+    line per coordinate, then the eps entries."""
     lines = ["element n=%d m=%d" % (e.n, e.m)]
-    fs, inf = _split(e.oracle)
-    for w, f in fs.entries:
+    for w, f in e.coords:
         lines.append("support %s = %s" % (w, ",".join(str(c) for c in f.coordinates())))
-    if isinstance(inf, Weight2Family):
-        if not isinstance(inf.eps, SparseEpsilon):
+    if e.eps is not None:
+        if not isinstance(e.eps, SparseEpsilon):
             raise ValueError("only sparse epsilon families have a file form")
-        for i, j, c in inf.eps.entries:
+        for i, j, c in e.eps.entries:
             lines.append("eps %d %d = %d" % (i, j, c))
-    elif isinstance(inf, MinLetterFamilies):
-        for i, row in inf.families:
-            for w, f in row:
-                lines.append("gtuple %d %s = %s"
-                             % (i, w, ",".join(str(c) for c in f.coordinates())))
     return "\n".join(lines) + "\n"
 
 

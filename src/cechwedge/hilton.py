@@ -127,15 +127,22 @@ def cech_decompose(n: int, grading: GradingSequence, table) -> GroupExpr:
     return normalize(DirectSum(tuple(parts)))
 
 
+def weight_range(n: int, m: int, start: int = 1) -> range:
+    """The weights j >= start of the closed form's blocks: those with
+    (m - 1) j <= n - 1."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    return range(start, (n - 1) // (m - 1) + 1)
+
+
 def earring_formula(n: int, m: int, table) -> GroupExpr:
     """Closed form for the shrinking wedge of m-spheres in degree n:
     one countable power of pi_n(S^{m j - j + 1}) per weight j with
     (m - 1) j <= n - 1.  Independent of cech_decompose by design."""
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
-    parts = []
-    for j in range(1, (n - 1) // (m - 1) + 1):
-        parts.append(ProdN(sphere_group_expr(n, (m - 1) * j + 1, table)))
+    parts = [ProdN(sphere_group_expr(n, (m - 1) * j + 1, table))
+             for j in weight_range(n, m)]
     return normalize(DirectSum(tuple(parts)))
 
 
@@ -143,7 +150,7 @@ def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
     """The weight-j block of the closed form; Zero beyond the range."""
     if j < 1:
         raise ValueError("weights start at 1")
-    if (m - 1) * j > n - 1:
+    if j not in weight_range(n, m):
         return ZERO
     return normalize(ProdN(sphere_group_expr(n, (m - 1) * j + 1, table)))
 
@@ -151,11 +158,7 @@ def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
 def relative_cech(n: int, m: int, table) -> GroupExpr:
     """Everything the product of spheres does not see: the blocks of
     weight >= 2."""
-    parts = []
-    j = 2
-    while (m - 1) * j <= n - 1:
-        parts.append(weight_summand(n, m, j, table))
-        j += 1
+    parts = [weight_summand(n, m, j, table) for j in weight_range(n, m, start=2)]
     return normalize(DirectSum(tuple(parts)))
 
 

@@ -224,11 +224,22 @@ class FormalSum:
     def scale(self, c: int) -> "FormalSum":
         return FormalSum({m: c * k for m, k in self._terms.items()})
 
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, 0) + c
+    @classmethod
+    def sum_of(cls, parts) -> "FormalSum":
+        """Sum of any number of FormalSums, built in one pass."""
+        return cls(mc for s in parts for mc in s._terms.items())
+
+    def bracket(self, other: "FormalSum") -> "FormalSum":
+        """Bilinear bracket: [sum c_x x, sum c_y y] = sum c_x c_y [x, y]."""
+        acc: dict[BracketMonomial, int] = {}
+        for mx, cx in self._terms.items():
+            for my, cy in other._terms.items():
+                mono = monomial_bracket(mx, my)
+                acc[mono] = acc.get(mono, 0) + cx * cy
         return FormalSum(acc)
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return FormalSum.sum_of((self, other))
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + other.scale(-1)
@@ -264,72 +275,12 @@ class FormalSum:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-# ---------------------------------------------------------------------------
-# Composite bracket expressions and their multilinear expansion
-
-
-class BracketExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class GenTerm(BracketExpr):
-    letter: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class ZeroTerm(BracketExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class ScaledTerm(BracketExpr):
-    coeff: int
-    body: BracketExpr
-
-
-@dataclass(frozen=True)
-class SumTerm(BracketExpr):
-    terms: tuple[BracketExpr, ...]
-
-
-@dataclass(frozen=True)
-class BracketTerm(BracketExpr):
-    x: BracketExpr
-    y: BracketExpr
-
-
 def expand(e) -> FormalSum:
-    """Multilinear expansion into a FormalSum of pure monomials.
-
-    Zero leaves kill their monomials, integer multiples distribute, and
-    brackets expand bilinearly.  FormalSums and monomials pass through.
-    """
+    """A FormalSum as it is, or a single monomial as a one-term sum."""
     if isinstance(e, FormalSum):
         return e
     if isinstance(e, BracketMonomial):
         return FormalSum.single(e)
-    if isinstance(e, ZeroTerm):
-        return FormalSum.zero()
-    if isinstance(e, GenTerm):
-        return FormalSum.single(generator_monomial(e.letter, e.degree))
-    if isinstance(e, ScaledTerm):
-        return expand(e.body).scale(e.coeff)
-    if isinstance(e, SumTerm):
-        acc = FormalSum.zero()
-        for t in e.terms:
-            acc = acc + expand(t)
-        return acc
-    if isinstance(e, BracketTerm):
-        lx = expand(e.x)
-        ly = expand(e.y)
-        acc = {}
-        for mx, cx in lx.items():
-            for my, cy in ly.items():
-                mono = monomial_bracket(mx, my)
-                acc[mono] = acc.get(mono, 0) + cx * cy
-        return FormalSum(acc)
     raise TypeError("cannot expand %r" % (e,))
 
 
@@ -516,41 +467,41 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self, degrees):
+    def expr(self, degrees) -> FormalSum:
         terms = [self.term(degrees)]
         while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
             _, op = self.take("sym")
             t = self.term(degrees)
-            terms.append(ScaledTerm(-1, t) if op == "-" else t)
-        return terms[0] if len(terms) == 1 else SumTerm(tuple(terms))
+            terms.append(-t if op == "-" else t)
+        return FormalSum.sum_of(terms)
 
-    def term(self, degrees):
+    def term(self, degrees) -> FormalSum:
         kind, val = self.peek()
         if kind == "sym" and val == "-":
             self.take()
-            return ScaledTerm(-1, self.term(degrees))
+            return -self.term(degrees)
         if kind == "int":
             self.take()
             if self.peek() == ("sym", "*"):
                 self.take()
-                return ScaledTerm(val, self.atom(degrees))
+                return self.atom(degrees).scale(val)
             if val == 0:
-                return ZeroTerm()
+                return FormalSum.zero()
             raise ValueError("bare integer %d (only 0 stands alone)" % val)
         return self.atom(degrees)
 
-    def atom(self, degrees):
+    def atom(self, degrees) -> FormalSum:
         kind, val = self.peek()
         if kind == "letter":
             self.take()
-            return GenTerm(val, _degree_of(degrees, val))
+            return FormalSum.single(generator_monomial(val, _degree_of(degrees, val)))
         if kind == "sym" and val == "[":
             self.take()
             x = self.expr(degrees)
             self.take("sym", ",")
             y = self.expr(degrees)
             self.take("sym", "]")
-            return BracketTerm(x, y)
+            return x.bracket(y)
         if kind == "sym" and val == "(":
             self.take()
             e = self.expr(degrees)
@@ -559,8 +510,9 @@ class _Parser:
         raise ValueError("expected a letter, bracket, or 0, got %r" % (val,))
 
 
-def parse_bracket_expr(text: str, degrees) -> BracketExpr:
-    """Parse the CLI bracket syntax: a<i>, [x,y], c*x, x + y, -x, 0."""
+def parse_bracket_expr(text: str, degrees) -> FormalSum:
+    """Parse the bracket syntax a<i>, [x,y], c*x, x + y, -x, 0 and expand
+    it by bilinearity into a FormalSum of monomials."""
     parser = _Parser(_tokenize(text))
     e = parser.expr(degrees)
     if parser.peek()[0] is not None:
@@ -709,45 +661,44 @@ class Weight2InfiniteSum:
         return Weight2InfiniteSum(self.m, self.eps.scale(-1))
 
 
+def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
+    """Add coordinate maps word -> group element, each given as a dict or
+    as (word, value) pairs; words whose sum is zero drop out."""
+    acc: dict[HallWord, GroupElement] = {}
+    for part in parts:
+        for w, f in (part.items() if isinstance(part, dict) else part):
+            acc[w] = (acc[w] + f) if w in acc else f
+    return {w: f for w, f in acc.items() if not f.is_zero()}
+
+
+def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
+    """The canonical form of a sum of coordinate maps: (word, value)
+    pairs sorted by word, no zero values."""
+    return tuple(sorted(add_coordinates(*parts).items(), key=lambda wf: wf[0].key))
+
+
 @dataclass(frozen=True)
 class CompositionInfiniteSum:
-    """Symbolic infinite sum sum_i sum_w l_w o f_{i,w} over Hall words w
-    of weight >= 2 with least letter i."""
+    """Symbolic infinite sum sum_w l_w o f_w of word-compositions over
+    Hall words w of weight >= 2, grouped in the paper per least letter.
+    coords holds the pairs (w, f_w) in canonical form."""
 
     n: int
     m: int
-    families: tuple[tuple[int, tuple[tuple[HallWord, GroupElement], ...]], ...]
+    coords: tuple[tuple[HallWord, GroupElement], ...]
 
-    @classmethod
-    def from_mapping(cls, n: int, m: int, families) -> "CompositionInfiniteSum":
-        rows = []
-        for i in sorted(families):
-            row = [(w, f) for (w, f) in sorted(families[i], key=lambda wf: wf[0].key)
-                   if not f.is_zero()]
-            if row:
-                rows.append((i, tuple(row)))
-        return cls(n, m, tuple(rows))
-
-    def as_mapping(self) -> dict[int, dict[HallWord, GroupElement]]:
-        return {i: dict(row) for i, row in self.families}
+    def __post_init__(self):
+        object.__setattr__(self, "coords", coordinate_tuple(self.coords))
 
     def __add__(self, other: "CompositionInfiniteSum") -> "CompositionInfiniteSum":
         if (not isinstance(other, CompositionInfiniteSum)
                 or (other.n, other.m) != (self.n, self.m)):
             raise ValueError("can only add composition sums of matching (n, m)")
-        merged = self.as_mapping()
-        for i, row in other.families:
-            tgt = merged.setdefault(i, {})
-            for w, f in row:
-                tgt[w] = (tgt[w] + f) if w in tgt else f
-        cleaned = {i: {w: f for w, f in row.items() if not f.is_zero()}
-                   for i, row in merged.items()}
-        return CompositionInfiniteSum.from_mapping(
-            self.n, self.m, {i: tuple(row.items()) for i, row in cleaned.items() if row})
+        return CompositionInfiniteSum(self.n, self.m, self.coords + other.coords)
 
     def __neg__(self):
-        flipped = {i: tuple((w, -f) for w, f in row) for i, row in self.families}
-        return CompositionInfiniteSum.from_mapping(self.n, self.m, flipped)
+        return CompositionInfiniteSum(self.n, self.m,
+                                      tuple((w, -f) for w, f in self.coords))
 
 
 def project_level(expr, k: int, table) -> dict[HallWord, GroupElement]:
@@ -765,10 +716,10 @@ def project_level(expr, k: int, table) -> dict[HallWord, GroupElement]:
         m, n = expr.m, expr.n
         rows = []
         for i in range(1, k):
-            tail = tuple(ScaledTerm(expr.eps.value(i, j), GenTerm(j, m))
-                         for j in range(i + 1, k + 1))
-            rows.append(BracketTerm(GenTerm(i, m), SumTerm(tail)))
-        hall, residual = hall_normalize(expand(SumTerm(tuple(rows))))
+            tail = FormalSum((generator_monomial(j, m), expr.eps.value(i, j))
+                             for j in range(i + 1, k + 1))
+            rows.append(FormalSum.single(generator_monomial(i, m)).bracket(tail))
+        hall, residual = hall_normalize(FormalSum.sum_of(rows))
         if residual:
             raise ResidualBracketError("projection left non-Hall monomials: %s"
                                        % residual)
@@ -785,10 +736,5 @@ def project_level(expr, k: int, table) -> dict[HallWord, GroupElement]:
                 coords[w] = integer_element(c)
         return coords
     if isinstance(expr, CompositionInfiniteSum):
-        coords = {}
-        for _, row in expr.families:
-            for w, f in row:
-                if w.max_letter <= k and not f.is_zero():
-                    coords[w] = (coords[w] + f) if w in coords else f
-        return {w: f for w, f in coords.items() if not f.is_zero()}
+        return {w: f for w, f in expr.coords if w.max_letter <= k}
     raise TypeError("not a symbolic infinite sum: %r" % (expr,))

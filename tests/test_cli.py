@@ -132,6 +132,18 @@ def test_verify_theta_file(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "theta", "--n", "4", "--m", "2",
                      "--file", str(p))
     assert rc == 0 and out == "PASS\n"
+    # support lines on deep words are the same kind of coordinates
+    p.write_text("element n=4 m=2\nsupport [a1,[a1,a2]] = 2\n"
+                 "support [a2,[a2,a3]] = -1\n")
+    rc, out, _ = run(capsys, "verify", "theta", "--n", "4", "--m", "2",
+                     "--file", str(p))
+    assert rc == 0 and out == "PASS\n"
+    # a weight-1 coordinate or a matrix is not a least-letter family
+    for extra in ("support a1 = 1\n", "eps 1 2 = 1\n"):
+        p.write_text("element n=3 m=2\ngtuple 1 [a1,a2] = 1\n" + extra)
+        rc, _, err = run(capsys, "verify", "theta", "--n", "3", "--m", "2",
+                         "--file", str(p))
+        assert rc == 2 and err.startswith("error:")
 
 
 def test_verify_coherence_file(capsys, tmp_path):
@@ -140,6 +152,9 @@ def test_verify_coherence_file(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "coherence", "--file", str(p),
                      "--levels", "5")
     assert rc == 0 and out == "PASS\n"
+    rc, out, err = run(capsys, "verify", "coherence", "--file", str(p),
+                       "--levels", "0")
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 def test_verify_stabilize(capsys):
@@ -183,6 +198,14 @@ def test_verify_stabilize_failure(capsys):
     ("verify", "stabilize", "-s", "1", "--m-range", "6..3"),
     ("verify", "stabilize", "-s", "-1", "--m-range", "3..4"),
     ("hm", "-n", "4", "-k", "2"),
+    ("hall", "-k", "2", "-J", "3", "--grading", "x"),
+    ("verify", "edge", "--m", "2", "--random", "--levels", "0"),
+    ("verify", "edge", "--m", "2", "--random", "--count", "0"),
+    ("verify", "theta", "--n", "4", "--m", "2", "--random", "--levels", "0"),
+    ("verify", "theta", "--n", "4", "--m", "2", "--random", "--count", "-1"),
+    ("cech", "wedge", "--grading", "1,1,1,1;2", "-n", "13"),
+    ("hall", "-k", "40", "-J", "6"),
+    ("hm", "-n", "60", "-k", "3", "-m", "2"),
 ])
 def test_usage_errors(capsys, argv):
     rc, out, err = run(capsys, *argv)

@@ -6,9 +6,7 @@ import pytest
 
 from cechwedge.groups import (CYCLIC_2, FGAbelianGroup, GroupElement, ZERO,
                               integer_element, render_text)
-from cechwedge.elements import (CoherentElement, FiniteSupport,
-                                IncompatibleOracleError, MinLetterFamilies,
-                                RawLevelStream, Weight2Family,
+from cechwedge.elements import (CoherentElement, RawLevelStream,
                                 check_coherence, composition_realization,
                                 finite_support_element, materialize_levels,
                                 min_letter_element, min_letter_subgroup_expr,
@@ -77,11 +75,12 @@ def test_constructors_validate_words():
 
 def test_constructors_drop_zero_values():
     e = finite_support_element(4, 2, [("a1", (0,)), ("[a1,a2]", (1,))], TABLE)
-    assert isinstance(e.oracle, FiniteSupport)
-    assert [str(w) for w, _ in e.oracle.entries] == ["[a1,a2]"]
+    assert e.eps is None
+    assert [str(w) for w, _ in e.coords] == ["[a1,a2]"]
     # pi_4(S^2) = Z/2, so a doubled coordinate vanishes
     e2 = finite_support_element(4, 2, [("a1", (1,)), ("a1", (1,))], TABLE)
-    assert e2.oracle.entries == ()
+    assert e2.coords == ()
+    assert e2 == zero_element(4, 2)
 
 
 def test_value_coercion():
@@ -101,12 +100,7 @@ def test_add_is_levelwise():
     for _ in range(20):
         e1 = random_element(rng, 3, 2, TABLE)
         e2 = random_element(rng, 3, 2, TABLE)
-        try:
-            s = e1 + e2
-        except IncompatibleOracleError:
-            assert isinstance(e1.oracle, (Weight2Family,)) or \
-                isinstance(e2.oracle, (Weight2Family,))
-            continue
+        s = e1 + e2
         for k in range(1, 7):
             want = dict(e1.level(k).coords)
             for w, f in e2.level(k).coords.items():
@@ -119,17 +113,27 @@ def test_add_weight2_families_adds_matrices():
     a = weight_two_element(2, {(1, 2): 1, (1, 3): 2})
     b = weight_two_element(2, {(1, 2): 2})
     s = a + b
-    assert isinstance(s.oracle, Weight2Family)
-    assert s.oracle.eps.value(1, 2) == 3
-    assert s.oracle.eps.value(1, 3) == 2
+    assert s.coords == ()
+    assert s.eps.value(1, 2) == 3
+    assert s.eps.value(1, 3) == 2
 
 
-def test_add_incompatible_kinds():
+def test_add_eps_and_gtuple_is_levelwise():
     w2 = weight_two_element(2, {(1, 2): 1})
     gt = min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE)
-    with pytest.raises(IncompatibleOracleError):
-        w2 + gt
-    # but finite support combines with either
+    w12 = parse_word("[a1,a2]")
+    s = w2 + gt
+    assert s.level(1).coords == {}
+    for k in (2, 4):
+        assert s.level(k).coords == {w12: integer_element(2)}
+    # a gtuple coordinate cancels the matrix entry on the same word
+    assert (w2 - gt).level(4).coords == {}
+    wide = weight_two_element(2, {(2, 3): 2}) + min_letter_element(
+        3, 2, {1: [("[a1,a3]", 1)]}, TABLE)
+    assert (s + wide).level(3).coords == {
+        w12: integer_element(2), parse_word("[a1,a3]"): integer_element(1),
+        parse_word("[a2,a3]"): integer_element(2)}
+    # finite support combines with either
     fs = finite_support_element(3, 2, [("a1", 1)], TABLE)
     assert (fs + w2).level(2).coords == {
         parse_word("a1"): integer_element(1),
@@ -156,8 +160,8 @@ def test_gtuple_cancellation_drops_pairs():
     a = min_letter_element(3, 2, {1: [("[a1,a2]", g)]}, TABLE)
     b = min_letter_element(3, 2, {1: [("[a1,a2]", -g)]}, TABLE)
     s = a + b
-    assert isinstance(s.oracle, MinLetterFamilies)
-    assert s.oracle.families == ()
+    assert s.coords == ()
+    assert s == zero_element(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +319,10 @@ def test_element_file_gtuple_round_trip():
         "gtuple 2 [a2,[a2,a3]] = -1\n"
     )
     e = parse_element_file(text, TABLE)
-    assert isinstance(e.oracle, MinLetterFamilies)
+    assert e.eps is None and [str(w) for w, _ in e.coords] == [
+        "[a1,[a1,a2]]", "[a2,[a2,a3]]"]
     again = parse_element_file(render_element_file(e), TABLE)
-    assert again.oracle == e.oracle
+    assert again == e
 
 
 def test_element_file_errors():
@@ -329,9 +334,17 @@ def test_element_file_errors():
         parse_element_file("element n=3 m=2\nwhatever\n", TABLE)
     with pytest.raises(ValueError, match="line 2"):
         parse_element_file("element n=3 m=2\nsupport a1\n", TABLE)
-    with pytest.raises(IncompatibleOracleError):
-        parse_element_file(
-            "element n=3 m=2\neps 1 2 = 1\ngtuple 1 [a1,a2] = 1\n", TABLE)
+
+
+def test_element_file_mixes_eps_and_gtuple():
+    e = parse_element_file("element n=3 m=2\neps 1 2 = 1\neps 1 3 = 2\n"
+                           "gtuple 1 [a1,a2] = 1\n", TABLE)
+    w12, w13 = parse_word("[a1,a2]"), parse_word("[a1,a3]")
+    assert e.level(2).coords == {w12: integer_element(2)}
+    assert e.level(3).coords == {w12: integer_element(2),
+                                 w13: integer_element(2)}
+    assert e == (weight_two_element(2, {(1, 2): 1, (1, 3): 2})
+                 + min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE))
 
 
 def test_multi_coordinate_values():
@@ -349,6 +362,6 @@ def test_multi_coordinate_values():
 def test_random_generators_are_seed_deterministic():
     a = random_element(random.Random(42), 4, 2, TABLE)
     b = random_element(random.Random(42), 4, 2, TABLE)
-    assert type(a.oracle) is type(b.oracle)
+    assert a == b
     for k in range(1, 6):
         assert a.level(k).coords == b.level(k).coords

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from cechwedge.groups import Z, integer_element
 from cechwedge.hall import GradingSequence, bracket, letter
 from cechwedge.spheres import seed_table
-from cechwedge.whitehead import (BandEpsilon, BracketTerm, CompositionInfiniteSum,
-                                 FormalSum, GenTerm, ResidualBracketError,
-                                 ScaledTerm, SizeLimitError, SparseEpsilon,
-                                 SumTerm, Weight2InfiniteSum, WeightLimitError,
-                                 ZeroTerm, expand, generator_monomial,
+from cechwedge.whitehead import (BandEpsilon, CompositionInfiniteSum,
+                                 FormalSum, ResidualBracketError,
+                                 SizeLimitError, SparseEpsilon,
+                                 Weight2InfiniteSum, WeightLimitError,
+                                 expand, generator_monomial,
                                  graded_swap, hall_normalize, monomial_bracket,
                                  monomial_of_word, parse_bracket_expr,
                                  parse_word, project_level, substitute_zero,
@@ -76,17 +76,18 @@ def test_tensor_size_guards():
 # expand / substitute_zero / graded_swap
 
 
+DEG2 = {1: 2, 2: 2, 3: 2}
+
+
 def test_expand_bilinearity():
-    e = BracketTerm(GenTerm(1, 2),
-                    SumTerm((ScaledTerm(2, GenTerm(2, 2)), GenTerm(3, 2))))
-    s = expand(e)
+    s = expand(parse_bracket_expr("[a1, 2*a2 + a3]", DEG2))
     assert s == (FormalSum.single(_br(_gen(1), _gen(2))).scale(2)
                  + FormalSum.single(_br(_gen(1), _gen(3))))
 
 
 def test_expand_zero_annihilates():
-    assert expand(BracketTerm(GenTerm(1, 2), ZeroTerm())) == FormalSum.zero()
-    e = BracketTerm(ScaledTerm(3, GenTerm(1, 2)), ScaledTerm(-1, GenTerm(2, 2)))
+    assert expand(parse_bracket_expr("[a1, 0]", DEG2)) == FormalSum.zero()
+    e = parse_bracket_expr("[3*a1, -a2]", DEG2)
     assert expand(e) == FormalSum.single(_br(_gen(1), _gen(2))).scale(-3)
 
 
@@ -298,10 +299,10 @@ def test_composition_sum_algebra():
     t = seed_table()
     g = integer_element(1)
     w = parse_word("[a1,a2]")
-    a = CompositionInfiniteSum.from_mapping(3, 2, {1: [(w, g)]})
-    b = CompositionInfiniteSum.from_mapping(3, 2, {1: [(w, -g)]})
-    assert (a + b).families == ()
-    assert (-a).as_mapping()[1][w] == -g
+    a = CompositionInfiniteSum(3, 2, ((w, g),))
+    b = CompositionInfiniteSum(3, 2, ((w, -g),))
+    assert (a + b).coords == ()
+    assert (-a).coords == ((w, -g),)
 
 
 def test_project_level_weight2():
@@ -328,7 +329,7 @@ def test_project_level_weight2_collects_coefficients():
 def test_project_level_theta():
     table = seed_table()
     w = parse_word("[a1,a2]")
-    expr = CompositionInfiniteSum.from_mapping(3, 2, {1: [(w, integer_element(1))]})
+    expr = CompositionInfiniteSum(3, 2, ((w, integer_element(1)),))
     assert project_level(expr, 1, table) == {}
     assert project_level(expr, 2, table) == {w: integer_element(1)}
 
