@@ -206,6 +206,16 @@ def _element_from_file(path, table):
         raise CommandError("bad element file %s: %s" % (path, exc)) from None
 
 
+def _check_header(e, args, *names):
+    """Refuse a file whose header disagrees with the flags: the verdict
+    reports the flags, so they must be what was checked."""
+    for name in names:
+        declared, flag = getattr(e, name), getattr(args, name)
+        if declared != flag:
+            raise CommandError("element file %s declares %s=%d but --%s is %d"
+                               % (args.file, name, declared, name, flag))
+
+
 def cmd_verify_edge(args) -> int:
     if args.m < 2:
         raise CommandError("sphere dimension must be >= 2")
@@ -215,6 +225,7 @@ def cmd_verify_edge(args) -> int:
     runs = 0
     if args.file:
         e = _element_from_file(args.file, table)
+        _check_header(e, args, "m")
         try:
             eps = weight2_realization(e).eps
         except TypeError:
@@ -254,6 +265,7 @@ def cmd_verify_theta(args) -> int:
     runs = 0
     if args.file:
         e = _element_from_file(args.file, table)
+        _check_header(e, args, "n", "m")
         try:
             expr = composition_realization(e)
         except TypeError:

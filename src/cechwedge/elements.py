@@ -67,17 +67,43 @@ class CoherentElement:
         return GradingSequence.constant(self.m - 1)
 
     def level(self, k: int) -> LevelCoordinates:
+        """Coordinates at the k-sphere stage, in a fresh dict.
+
+        Level k merges parts 1..k, where part c is the eps column
+        {[a_i, a_c]: eps_{i,c} : i < c} plus the coordinates on words
+        whose maximal letter is c.  Parts are disjoint and computed once
+        per element, up to the largest k asked for, so walking up the
+        tower costs each part once.  The returned dict is new on every
+        call, so callers may change it.
+        """
         if k < 1:
             raise ValueError("levels start at 1")
-        matrix = {}
-        if self.eps is not None:
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    c = self.eps.value(i, j)
-                    if c:
-                        matrix[bracket(letter(i), letter(j))] = integer_element(c)
-        return LevelCoordinates(k, add_coordinates(
-            matrix, [(w, f) for w, f in self.coords if w.max_letter <= k]))
+        coords: dict[HallWord, GroupElement] = {}
+        for part in self._parts(k)[:k]:
+            coords.update(part)
+        return LevelCoordinates(k, coords)
+
+    def _parts(self, k: int) -> list[dict[HallWord, GroupElement]]:
+        """The per-letter parts 1..k (at least), kept on the instance in
+        a plain attribute so equality, hash and repr ignore them."""
+        cache = self.__dict__.get("_part_cache")
+        if cache is None:
+            by_letter: dict[int, list] = {}
+            for w, f in self.coords:
+                by_letter.setdefault(w.max_letter, []).append((w, f))
+            cache = ([], by_letter)
+            object.__setattr__(self, "_part_cache", cache)
+        parts, by_letter = cache
+        for c in range(len(parts) + 1, k + 1):
+            column = []
+            if self.eps is not None:
+                for i in range(1, c):
+                    v = self.eps.value(i, c)
+                    if v:
+                        column.append((bracket(letter(i), letter(c)),
+                                       integer_element(v)))
+            parts.append(add_coordinates(column, by_letter.get(c, ())))
+        return parts
 
     def __add__(self, other: "CoherentElement") -> "CoherentElement":
         if not isinstance(other, CoherentElement):
@@ -293,20 +319,20 @@ def verify_weight2_realization(eps, m: int, kmax: int, table) -> VerificationRep
     elem = weight_two_element(m, eps if not isinstance(eps, dict)
                               else SparseEpsilon.from_dict(eps))
     expr = weight2_realization(elem)
-    failures = []
+    diagonal = _DiagonalOnlyTable()
+    failures, table_failures = [], []
     for k in range(1, kmax + 1):
-        got = project_level(expr, k, _DiagonalOnlyTable())
         want = elem.level(k).coords
+        got = project_level(expr, k, diagonal)
         if got != want:
             failures.append("level %d: projection %r != coordinates %r"
                             % (k, _render_coords(got), _render_coords(want)))
-    if table is not None:
         # same check against the caller's table resolution
-        for k in range(1, kmax + 1):
-            if project_level(expr, k, table) != elem.level(k).coords:
-                failures.append("level %d: table-resolved projection differs" % k)
-    return VerificationReport(ok=not failures, checked_levels=kmax,
-                              failures=tuple(failures))
+        if table is not None and project_level(expr, k, table) != want:
+            table_failures.append("level %d: table-resolved projection differs" % k)
+    return VerificationReport(ok=not (failures or table_failures),
+                              checked_levels=kmax,
+                              failures=tuple(failures + table_failures))
 
 
 class _DiagonalOnlyTable:

@@ -210,6 +210,14 @@ def generate(k: int, max_weight: int,
     letter is the new one are generated, sorted, and appended after the
     existing stratum contents.  This realizes the nesting property by
     construction.
+
+    Appending by maximal letter makes the words of each lighter stratum
+    whose maximal letter is the new letter c a contiguous suffix of that
+    stratum.  A bracket [x, y] has maximal letter c exactly when x or y
+    lies in such a suffix, so each step pairs only (suffix x whole
+    stratum) and (older prefix x suffix) instead of every pair of
+    words.  Since a Hall word [x, y] has x < y, and lighter words come
+    first, x never comes from the heavier stratum.
     """
     if k < 1:
         raise ValueError("need at least one letter")
@@ -223,19 +231,22 @@ def generate(k: int, max_weight: int,
                 % (j, k, predicted, max_stratum_size))
     strata: list[list[HallWord]] = [[] for _ in range(max_weight + 1)]
     for c in range(1, k + 1):
+        # start[j]: where the words of weight j with maximal letter c begin
+        start = [len(s) for s in strata]
         strata[1].append(letter(c))
         for m in range(2, max_weight + 1):
             fresh = []
-            for i in range(1, m):
-                for x in strata[i]:
-                    for y in strata[m - i]:
-                        if max(x.max_letter, y.max_letter) != c:
-                            continue
-                        if not x < y:
-                            continue
-                        if not y.is_letter and not y.left <= x:
-                            continue
-                        fresh.append(bracket(x, y))
+            for i in range(1, m // 2 + 1):
+                xs, ys = strata[i], strata[m - i]
+                pairs = itertools.chain(
+                    itertools.product(xs[start[i]:], ys),
+                    itertools.product(xs[:start[i]], ys[start[m - i]:]))
+                for x, y in pairs:
+                    if not x < y:
+                        continue
+                    if not y.is_letter and not y.left <= x:
+                        continue
+                    fresh.append(bracket(x, y))
             fresh.sort(key=lambda w: w.key)
             strata[m].extend(fresh)
     return HallSet(letters=k, max_weight=max_weight,
@@ -347,6 +358,8 @@ class GradingSequence:
 
 def height(w: HallWord, grading: GradingSequence) -> int:
     """h(w) = sum of r(i) over the letter occurrences of w."""
+    if w.min_letter > len(grading.prefix):
+        return grading.tail * w.length
     return sum(grading.r(i) for i in w.iter_letters())
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
-                     ZERO, normalize, render_text)
+                     SumN, ZERO, normalize, render_text)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census)
 
@@ -181,7 +181,7 @@ def _has_symbol(e: GroupExpr) -> bool:
         return True
     if isinstance(e, DirectSum):
         return any(_has_symbol(p) for p in e.parts)
-    if isinstance(e, (Pow, ProdN)):
+    if isinstance(e, (Pow, ProdN, SumN)):
         return _has_symbol(e.base)
     return False
 

@@ -585,6 +585,11 @@ class SparseEpsilon(EpsilonOracle):
     def __post_init__(self):
         for i, j, _ in self.entries:
             _check_pair(i, j)
+        # A plain attribute, not a field: equality, hash and repr still
+        # see only the entries.  Built in reverse so that, as in a scan,
+        # the first entry for a repeated pair wins.
+        object.__setattr__(self, "_by_pair",
+                           {(i, j): c for i, j, c in reversed(self.entries)})
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
@@ -595,10 +600,7 @@ class SparseEpsilon(EpsilonOracle):
 
     def value(self, i, j):
         _check_pair(i, j)
-        for a, b, c in self.entries:
-            if (a, b) == (i, j):
-                return c
-        return 0
+        return self._by_pair.get((i, j), 0)
 
     def scale(self, c):
         if c == 0:
@@ -723,15 +725,20 @@ def project_level(expr, k: int, table) -> dict[HallWord, GroupElement]:
         if residual:
             raise ResidualBracketError("projection left non-Hall monomials: %s"
                                        % residual)
+        grading = GradingSequence.constant(m - 1)
+        checked: set[int] = set()
         coords: dict[HallWord, GroupElement] = {}
         for w, c in hall.items():
-            q = height(w, GradingSequence.constant(m - 1)) + 1
-            group = table.lookup(n, q)
-            if group is None:
-                raise UnresolvedGroupError("pi_%d(S^%d) is not in the table" % (n, q))
-            if group != Z:
-                raise ResidualBracketError(
-                    "weight-2 coordinates live in Z, got %s" % group)
+            q = height(w, grading) + 1
+            if q not in checked:
+                group = table.lookup(n, q)
+                if group is None:
+                    raise UnresolvedGroupError("pi_%d(S^%d) is not in the table"
+                                               % (n, q))
+                if group != Z:
+                    raise ResidualBracketError(
+                        "weight-2 coordinates live in Z, got %s" % group)
+                checked.add(q)
             if c:
                 coords[w] = integer_element(c)
         return coords

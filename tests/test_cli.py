@@ -146,6 +146,24 @@ def test_verify_theta_file(capsys, tmp_path):
         assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("header,argv,names", [
+    ("element n=5 m=3\neps 1 2 = 1\n",
+     ("verify", "edge", "--m", "2"), ("m=3", "--m is 2")),
+    ("element n=4 m=2\ngtuple 1 [a1,[a1,a2]] = 1\n",
+     ("verify", "theta", "--n", "7", "--m", "5"), ("n=4", "--n is 7")),
+    ("element n=4 m=2\ngtuple 1 [a1,[a1,a2]] = 1\n",
+     ("verify", "theta", "--n", "4", "--m", "3"), ("m=2", "--m is 3")),
+])
+def test_verify_file_header_must_match_flags(capsys, tmp_path, header, argv,
+                                             names):
+    p = tmp_path / "e.txt"
+    p.write_text(header)
+    rc, out, err = run(capsys, *argv, "--file", str(p), "--format", "json")
+    assert rc == 2 and out == "" and err.startswith("error:")
+    for name in names:
+        assert name in err
+
+
 def test_verify_coherence_file(capsys, tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("element n=3 m=2\nsupport a1 = 2\neps 1 2 = 1\neps 2 4 = -3\n")

@@ -19,8 +19,9 @@ from cechwedge.elements import (CoherentElement, RawLevelStream,
                                 weight_one_coordinates, weight_one_element,
                                 weight_one_part_vanishes, weight_two_element,
                                 zero_element)
+from cechwedge.hall import bracket, letter
 from cechwedge.spheres import seed_table
-from cechwedge.whitehead import (BandEpsilon, SparseEpsilon,
+from cechwedge.whitehead import (BandEpsilon, SparseEpsilon, SumEpsilon,
                                  UnresolvedGroupError, parse_word,
                                  project_level)
 
@@ -89,6 +90,83 @@ def test_value_coercion():
     assert e.level(1).coords[parse_word("a1")].coordinates() == (1,)
     with pytest.raises(ValueError):
         finite_support_element(3, 2, [("a1", GroupElement.zero(CYCLIC_2))], TABLE)
+
+
+# ---------------------------------------------------------------------------
+# Level parts
+
+
+def _level_from_scratch(e, k):
+    """Level k by its definition: eps_{i,j} on [a_i, a_j] for i < j <= k
+    plus every coordinate on letters up to k, summed."""
+    acc = {}
+    if e.eps is not None:
+        for j in range(2, k + 1):
+            for i in range(1, j):
+                if e.eps.value(i, j):
+                    acc[bracket(letter(i), letter(j))] = integer_element(
+                        e.eps.value(i, j))
+    for w, f in e.coords:
+        if w.max_letter <= k:
+            acc[w] = acc[w] + f if w in acc else f
+    return {w: f for w, f in acc.items() if not f.is_zero()}
+
+
+def _level_cases():
+    rng = random.Random(23)
+    cases = [random_element(rng, 3, 2, TABLE, kind=kind)
+             for kind in ("finite", "gtuple", "weight2") for _ in range(4)]
+    cases += [random_element(rng, 4, 2, TABLE) for _ in range(4)]
+    band = weight_two_element(2, BandEpsilon(2, 3))
+    mixed = weight_two_element(2, BandEpsilon(-1, 2) + SparseEpsilon.from_dict(
+        {(1, 3): 1, (2, 7): 4}))
+    assert isinstance(mixed.eps, SumEpsilon)
+    cancel = finite_support_element(3, 2, [("[a1,a3]", -1), ("a2", 1)],
+                                    TABLE)
+    return cases + [band, mixed, band + cancel, mixed - band + cancel]
+
+
+def test_levels_out_of_order_match_definition():
+    for e in _level_cases():
+        for k in (8, 2, 5, 1, 8, 3):
+            assert e.level(k).coords == _level_from_scratch(e, k), (e, k)
+
+
+def test_level_returns_a_fresh_dict():
+    e = weight_two_element(2, BandEpsilon(1, 2)) + finite_support_element(
+        3, 2, [("a3", 1)], TABLE)
+    first = e.level(4).coords
+    want = dict(first)
+    first.clear()
+    e.level(3).coords[parse_word("[a1,a2]")] = integer_element(7)
+    assert e.level(4).coords == want == _level_from_scratch(e, 4)
+    assert e.level(3).coords == _level_from_scratch(e, 3)
+
+
+def test_levelled_elements_keep_equality_and_hash():
+    for e in _level_cases():
+        twin = CoherentElement(e.n, e.m, e.coords, e.eps)
+        e.level(6)
+        assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+
+
+def test_sparse_epsilon_value_matches_scan():
+    def scan(eps, i, j):
+        for a, b, c in eps.entries:
+            if (a, b) == (i, j):
+                return c
+        return 0
+
+    rng = random.Random(4)
+    repeated = SparseEpsilon(((1, 2, 5), (1, 2, -3), (2, 4, 1)))
+    for eps in [repeated] + [random_sparse_epsilon(rng, 7) for _ in range(10)]:
+        for j in range(2, 9):
+            for i in range(1, j):
+                assert eps.value(i, j) == scan(eps, i, j)
+        assert eps == SparseEpsilon(eps.entries)
+        assert repr(eps) == "SparseEpsilon(entries=%r)" % (eps.entries,)
+    with pytest.raises(ValueError):
+        repeated.value(2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,35 @@ def test_generate_matches_brute_force(k, j):
     assert [_as_tuple(w) for w in hs.stratum(j)] == _brute_stratum(k, j)
 
 
+def _all_pairs_generate(k, max_weight):
+    """Reference: for each new letter c, try every pair of words of the
+    right weights and keep the Hall brackets whose maximal letter is c."""
+    strata = [[] for _ in range(max_weight + 1)]
+    for c in range(1, k + 1):
+        strata[1].append(letter(c))
+        for m in range(2, max_weight + 1):
+            fresh = []
+            for i in range(1, m):
+                for x in strata[i]:
+                    for y in strata[m - i]:
+                        if max(x.max_letter, y.max_letter) != c:
+                            continue
+                        if not x < y:
+                            continue
+                        if not y.is_letter and not y.left <= x:
+                            continue
+                        fresh.append(bracket(x, y))
+            fresh.sort(key=lambda w: w.key)
+            strata[m].extend(fresh)
+    return [str(w) for s in strata[1:] for w in s]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
+def test_generate_matches_all_pairs_reference(k, J):
+    assert [str(w) for w in generate(k, J)] == _all_pairs_generate(k, J)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_stratum_sizes_are_necklace_counts(k):
     hs = generate(k, 7)
@@ -190,6 +219,20 @@ def test_height_examples():
     assert height(bracket(a1, bracket(a1, a2)), g) == 4
     assert height(bracket(a1, bracket(a2, a3)), g) == 7
     assert height(a3, g) == 4
+
+
+_WORDS = st.recursive(
+    st.integers(1, 8).map(letter),
+    lambda sub: st.tuples(sub, sub).map(lambda xy: bracket(*xy)),
+    max_leaves=8)
+
+
+@given(w=_WORDS, prefix=st.lists(st.integers(1, 5), max_size=4),
+       tail=st.integers(1, 6))
+def test_height_is_the_letter_walk(w, prefix, tail):
+    prefix = tuple(sorted(prefix))
+    g = GradingSequence(prefix, max((tail,) + prefix))
+    assert height(w, g) == sum(g.r(i) for i in w.iter_letters())
 
 
 def test_dimension_truncation_examples():

@@ -2,13 +2,14 @@
 
 import pytest
 
-from cechwedge.groups import (CYCLIC_2, Finite, ProdN, SphereSymbol, Z, ZERO,
-                              normalize, render_text)
+from cechwedge.groups import (CYCLIC_2, DirectSum, Finite, Pow, ProdN,
+                              SphereSymbol, SumN, Z, ZERO, normalize,
+                              render_text)
 from cechwedge.hall import GradingSequence, dimension_truncation
-from cechwedge.hilton import (SupportError, apply_bonding, bonding,
-                              cech_decompose, decompose_wedge, earring_formula,
-                              relative_cech, stabilization_report,
-                              weight_summand)
+from cechwedge.hilton import (SupportError, _has_symbol, apply_bonding,
+                              bonding, cech_decompose, decompose_wedge,
+                              earring_formula, relative_cech,
+                              stabilization_report, weight_summand)
 from cechwedge.spheres import seed_table
 from cechwedge.whitehead import parse_word
 
@@ -204,3 +205,12 @@ def test_stabilization_validation():
         stabilization_report(1, [], TABLE)
     with pytest.raises(ValueError):
         stabilization_report(1, [1, 3], TABLE)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda e: e, SumN, ProdN, lambda e: Pow(e, 2),
+    lambda e: DirectSum((Finite(Z), e)), lambda e: ProdN(SumN(e)),
+])
+def test_has_symbol_sees_every_shape(wrap):
+    assert _has_symbol(wrap(SphereSymbol(9, 3)))
+    assert not _has_symbol(wrap(Finite(Z)))
