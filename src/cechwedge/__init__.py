@@ -5,7 +5,7 @@ The pieces, bottom to top:
   hall      Hall words, canonical coherent ordering, gradings, censuses
   groups    finitely generated abelian groups, elements, group shapes
   spheres   homotopy-group lookup tables with built-in rules
-  whitehead bracket rewriting, twisted tensor oracle, infinite sums
+  whitehead bracket rewriting, twisted tensor oracle, level projection
   hilton    wedge decompositions, bonding tower, closed limit formulas
   elements  coherent coordinate families and their verifications
   cli       the cechwedge command
@@ -21,8 +21,7 @@ from .hall import (COUNTABLY_INFINITE, GradingSequence, HallSet, HallWord,
                    necklace_count)
 from .spheres import (SphereGroupTable, load_table, parse_group, parse_table,
                       render_table, seed_table)
-from .whitehead import (BandEpsilon, CompositionInfiniteSum, FormalSum,
-                        SparseEpsilon, Weight2InfiniteSum, expand,
+from .whitehead import (BandEpsilon, FormalSum, SparseEpsilon, expand,
                         graded_swap, hall_normalize, parse_bracket_expr,
                         parse_word, project_level, substitute_zero,
                         tensor_expansion)
@@ -30,18 +29,15 @@ from .hilton import (BondingMap, StabilizationReport, WedgeDecomposition,
                      apply_bonding, bonding, cech_decompose, decompose_wedge,
                      earring_formula, relative_cech, stabilization_report,
                      weight_summand)
-from .elements import (CoherenceReport, CoherentElement, ElementFormatError,
-                       LevelCoordinates, RawLevelStream, SubgroupForms,
-                       VerificationReport,
-                       check_coherence, composition_realization,
-                       finite_support_element, materialize_levels,
-                       min_letter_element, min_letter_subgroup_expr,
-                       parse_element_file, random_element,
-                       random_sparse_epsilon, render_element_file,
-                       verify_composition_additivity,
-                       verify_weight2_realization, weight2_realization,
-                       weight_one_coordinates, weight_one_element,
-                       weight_one_part_vanishes, weight_two_element,
-                       zero_element)
+from .elements import (CoherentElement, ElementFormatError, LevelCoordinates,
+                       RawLevelStream, SubgroupForms, VerificationReport,
+                       check_coherence, finite_support_element,
+                       materialize_levels, min_letter_element,
+                       min_letter_subgroup_expr, parse_element_file,
+                       random_element, random_sparse_epsilon,
+                       render_element_file, verify_composition_additivity,
+                       verify_weight2_realization, weight_one_coordinates,
+                       weight_one_element, weight_one_part_vanishes,
+                       weight_two_element, zero_element)
 
 __version__ = "0.1.0"

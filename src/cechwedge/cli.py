@@ -26,18 +26,18 @@ import json
 import random
 import sys
 
-from .elements import (check_coherence, composition_realization,
-                       parse_element_file, random_min_letter_element,
-                       random_sparse_epsilon, verify_composition_additivity,
-                       verify_weight2_realization, weight2_realization,
-                       weight_one_part_vanishes, weight_two_element)
+from .elements import (check_coherence, parse_element_file,
+                       random_min_letter_element, random_sparse_epsilon,
+                       verify_composition_additivity,
+                       verify_weight2_realization, weight_one_part_vanishes,
+                       weight_two_element)
 from .groups import render_text, to_machine
 from .hall import (GradingSequence, StratumSizeError, generate, height,
                    necklace_count)
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_range, weight_summand)
 from .spheres import load_table
-from .whitehead import project_level
+from .whitehead import add_coordinates, project_level
 
 
 class CommandError(Exception):
@@ -226,13 +226,11 @@ def cmd_verify_edge(args) -> int:
     if args.file:
         e = _element_from_file(args.file, table)
         _check_header(e, args, "m")
-        try:
-            eps = weight2_realization(e).eps
-        except TypeError:
+        if e.eps is None or e.coords:
             raise CommandError("element file must describe a pure weight-2 "
-                               "family (eps lines only)") from None
+                               "family (eps lines only)")
         runs = 1
-        rep = verify_weight2_realization(eps, e.m, args.levels, table)
+        rep = verify_weight2_realization(e.eps, e.m, args.levels, table)
         failures.extend(rep.failures)
     elif args.random:
         rng = random.Random(args.seed)
@@ -243,11 +241,15 @@ def cmd_verify_edge(args) -> int:
             rep = verify_weight2_realization(eps, args.m, args.levels, table)
             if not rep.ok:
                 failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-            added = (weight_two_element(args.m, eps)
-                     + weight_two_element(args.m, delta))
-            combined = weight_two_element(args.m, eps + delta)
+            # eps's levels plus delta's projected bracket sum must give
+            # the levels of eps + delta; only the right side adds oracles.
+            e_eps = weight_two_element(args.m, eps)
+            e_delta = weight_two_element(args.m, delta)
+            e_sum = weight_two_element(args.m, eps + delta)
             for k in range(1, args.levels + 1):
-                if added.level(k).coords != combined.level(k).coords:
+                if (add_coordinates(e_eps.level(k).coords,
+                                    project_level(e_delta, k, table))
+                        != e_sum.level(k).coords):
                     failures.append("run %d: additivity fails at level %d" % (t, k))
     else:
         raise CommandError("need --file or --random")
@@ -266,14 +268,12 @@ def cmd_verify_theta(args) -> int:
     if args.file:
         e = _element_from_file(args.file, table)
         _check_header(e, args, "n", "m")
-        try:
-            expr = composition_realization(e)
-        except TypeError:
+        if e.eps is not None or any(w.is_letter for w, _ in e.coords):
             raise CommandError("element file must describe a least-letter "
-                               "family (no eps lines, no weight-1 words)") from None
+                               "family (no eps lines, no weight-1 words)")
         runs = 1
         for k in range(1, args.levels + 1):
-            if project_level(expr, k, table) != e.level(k).coords:
+            if project_level(e, k, table) != e.level(k).coords:
                 failures.append("level %d: realization disagrees with "
                                 "coordinates" % k)
     elif args.random:

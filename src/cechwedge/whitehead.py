@@ -545,7 +545,7 @@ def parse_word(text: str) -> HallWord:
 
 
 # ---------------------------------------------------------------------------
-# Epsilon oracles and symbolic infinite sums
+# Epsilon oracles and the projection of an element to one level
 
 
 class EpsilonOracle:
@@ -638,31 +638,6 @@ class SumEpsilon(EpsilonOracle):
         return SumEpsilon(tuple(p.scale(c) for p in self.parts))
 
 
-@dataclass(frozen=True)
-class Weight2InfiniteSum:
-    """Symbolic infinite sum sum_i [l_i, sum_{j>i} eps_{i,j} l_j] of
-    degree-m generators; its class lives in degree n = 2m - 1."""
-
-    m: int
-    eps: EpsilonOracle
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("sphere dimension must be >= 2")
-
-    @property
-    def n(self) -> int:
-        return 2 * self.m - 1
-
-    def __add__(self, other: "Weight2InfiniteSum") -> "Weight2InfiniteSum":
-        if not isinstance(other, Weight2InfiniteSum) or other.m != self.m:
-            raise ValueError("can only add weight-2 sums of the same dimension")
-        return Weight2InfiniteSum(self.m, self.eps + other.eps)
-
-    def __neg__(self):
-        return Weight2InfiniteSum(self.m, self.eps.scale(-1))
-
-
 def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
     """Add coordinate maps word -> group element, each given as a dict or
     as (word, value) pairs; words whose sum is zero drop out."""
@@ -679,69 +654,43 @@ def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
     return tuple(sorted(add_coordinates(*parts).items(), key=lambda wf: wf[0].key))
 
 
-@dataclass(frozen=True)
-class CompositionInfiniteSum:
-    """Symbolic infinite sum sum_w l_w o f_w of word-compositions over
-    Hall words w of weight >= 2, grouped in the paper per least letter.
-    coords holds the pairs (w, f_w) in canonical form."""
+def project_level(e, k: int, table) -> dict[HallWord, GroupElement]:
+    """Push an element's two infinite sums down to the k-sphere wedge.
 
-    n: int
-    m: int
-    coords: tuple[tuple[HallWord, GroupElement], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", coordinate_tuple(self.coords))
-
-    def __add__(self, other: "CompositionInfiniteSum") -> "CompositionInfiniteSum":
-        if (not isinstance(other, CompositionInfiniteSum)
-                or (other.n, other.m) != (self.n, self.m)):
-            raise ValueError("can only add composition sums of matching (n, m)")
-        return CompositionInfiniteSum(self.n, self.m, self.coords + other.coords)
-
-    def __neg__(self):
-        return CompositionInfiniteSum(self.n, self.m,
-                                      tuple((w, -f) for w, f in self.coords))
-
-
-def project_level(expr, k: int, table) -> dict[HallWord, GroupElement]:
-    """Push a symbolic infinite sum down to the k-sphere wedge.
-
-    Letters beyond k map to zero, the finite remainder expands by
-    bilinearity, weight-2 output is hall-normalized, and coefficients
-    land in the resolved sphere groups.  Composition sums need no
-    rewriting: a term survives exactly when its word avoids the
-    trivialized letters.
+    Works for anything with fields n, m, coords and eps, such as a
+    CoherentElement.  Letters beyond k map to zero.  The eps part is
+    the bracket sum sum_i [l_i, sum_{j>i} eps_{i,j} l_j]: its finite
+    remainder expands by bilinearity, is hall-normalized, and its
+    coefficients land in the resolved sphere groups.  The coords part
+    is the composition sum sum_w l_w o f_w, which needs no rewriting: a
+    term survives exactly when its word avoids the trivialized letters.
     """
     if k < 1:
         raise ValueError("levels start at 1")
-    if isinstance(expr, Weight2InfiniteSum):
-        m, n = expr.m, expr.n
-        rows = []
-        for i in range(1, k):
-            tail = FormalSum((generator_monomial(j, m), expr.eps.value(i, j))
-                             for j in range(i + 1, k + 1))
-            rows.append(FormalSum.single(generator_monomial(i, m)).bracket(tail))
-        hall, residual = hall_normalize(FormalSum.sum_of(rows))
-        if residual:
-            raise ResidualBracketError("projection left non-Hall monomials: %s"
-                                       % residual)
-        grading = GradingSequence.constant(m - 1)
-        checked: set[int] = set()
-        coords: dict[HallWord, GroupElement] = {}
-        for w, c in hall.items():
-            q = height(w, grading) + 1
-            if q not in checked:
-                group = table.lookup(n, q)
-                if group is None:
-                    raise UnresolvedGroupError("pi_%d(S^%d) is not in the table"
-                                               % (n, q))
-                if group != Z:
-                    raise ResidualBracketError(
-                        "weight-2 coordinates live in Z, got %s" % group)
-                checked.add(q)
-            if c:
-                coords[w] = integer_element(c)
+    coords = {w: f for w, f in e.coords if w.max_letter <= k}
+    if e.eps is None:
         return coords
-    if isinstance(expr, CompositionInfiniteSum):
-        return {w: f for w, f in expr.coords if w.max_letter <= k}
-    raise TypeError("not a symbolic infinite sum: %r" % (expr,))
+    rows = []
+    for i in range(1, k):
+        tail = FormalSum((generator_monomial(j, e.m), e.eps.value(i, j))
+                         for j in range(i + 1, k + 1))
+        rows.append(FormalSum.single(generator_monomial(i, e.m)).bracket(tail))
+    hall, residual = hall_normalize(FormalSum.sum_of(rows))
+    if residual:
+        raise ResidualBracketError("projection left non-Hall monomials: %s"
+                                   % residual)
+    grading = GradingSequence.constant(e.m - 1)
+    checked: set[int] = set()
+    for w in hall:
+        q = height(w, grading) + 1
+        if q not in checked:
+            group = table.lookup(e.n, q)
+            if group is None:
+                raise UnresolvedGroupError("pi_%d(S^%d) is not in the table"
+                                           % (e.n, q))
+            if group != Z:
+                raise ResidualBracketError(
+                    "weight-2 coordinates live in Z, got %s" % group)
+            checked.add(q)
+    return add_coordinates(coords, ((w, integer_element(c))
+                                    for w, c in hall.items()))

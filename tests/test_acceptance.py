@@ -10,14 +10,12 @@ import random
 from contextlib import contextmanager
 
 from cechwedge.cli import main
-from cechwedge.elements import (check_coherence, composition_realization,
-                                materialize_levels, random_element,
-                                random_min_letter_element,
+from cechwedge.elements import (check_coherence, materialize_levels,
+                                random_element, random_min_letter_element,
                                 random_sparse_epsilon,
                                 verify_composition_additivity,
                                 verify_weight2_realization,
-                                weight2_realization, weight_one_part_vanishes,
-                                weight_two_element)
+                                weight_one_part_vanishes, weight_two_element)
 from cechwedge.groups import integer_element
 from cechwedge.hall import GradingSequence, generate, necklace_count
 from cechwedge.hilton import (cech_decompose, earring_formula,
@@ -208,9 +206,9 @@ def test_criterion_6_edge_realization(request):
                 beta = random_sparse_epsilon(rng, max_index=6, bound=3)
                 assert verify_weight2_realization(alpha, m, 6, TABLE).ok, \
                     (m, alpha)
-                fa = weight2_realization(alpha, m)
-                fb = weight2_realization(beta, m)
-                fab = weight2_realization(alpha + beta, m)
+                fa = weight_two_element(m, alpha)
+                fb = weight_two_element(m, beta)
+                fab = weight_two_element(m, alpha + beta)
                 for k in range(1, 7):
                     want = dict(project_level(fa, k, TABLE))
                     for w, f in project_level(fb, k, TABLE).items():
@@ -235,9 +233,8 @@ def test_criterion_7_composition_monomorphism(request):
             elems = [random_min_letter_element(rng, n, m, TABLE)
                      for _ in range(50)]
             for e in elems:
-                expr = composition_realization(e)
                 for k in range(1, 6):
-                    assert project_level(expr, k, TABLE) == e.level(k).coords
+                    assert project_level(e, k, TABLE) == e.level(k).coords
                 assert weight_one_part_vanishes(e, 6)
                 total += 1
             for e1, e2 in zip(elems[::2], elems[1::2]):

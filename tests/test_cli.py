@@ -8,6 +8,7 @@ from cechwedge.cli import main
 from cechwedge.groups import parse_machine, to_machine
 from cechwedge.hilton import earring_formula
 from cechwedge.spheres import seed_table
+from cechwedge.whitehead import SparseEpsilon
 
 
 def run(capsys, *argv):
@@ -108,6 +109,18 @@ def test_verify_edge_random(capsys):
     assert rc == 0 and out == "PASS\n" and err == ""
 
 
+def test_verify_edge_random_catches_a_lossy_matrix_sum(capsys, monkeypatch):
+    add = SparseEpsilon.__add__
+
+    def lossy_add(self, other):
+        return SparseEpsilon(add(self, other).entries[1:])
+
+    monkeypatch.setattr(SparseEpsilon, "__add__", lossy_add)
+    rc, out, err = run(capsys, "verify", "edge", "--random", "--seed", "7",
+                       "--m", "2", "--levels", "6")
+    assert rc == 1 and out == "FAIL\n" and "additivity fails" in err
+
+
 def test_verify_theta_random(capsys):
     rc, out, err = run(capsys, "verify", "theta", "--random", "--seed", "3",
                        "--n", "4", "--m", "2", "--count", "10")
@@ -120,9 +133,13 @@ def test_verify_edge_file(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "edge", "--m", "2", "--file", str(p))
     assert rc == 0 and out == "PASS\n"
     # support lines make it a mixed element, which edge cannot take
-    p.write_text("element n=3 m=2\nsupport a1 = 1\neps 1 2 = 2\n")
-    rc, _, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p))
-    assert rc == 2 and err.startswith("error:")
+    for text in ("element n=3 m=2\nsupport a1 = 1\neps 1 2 = 2\n",
+                 "element n=3 m=2\nsupport [a1,a2] = 1\n"):
+        p.write_text(text)
+        rc, _, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p))
+        assert rc == 2
+        assert err == ("error: element file must describe a pure weight-2 "
+                       "family (eps lines only)\n")
 
 
 def test_verify_theta_file(capsys, tmp_path):
@@ -143,7 +160,9 @@ def test_verify_theta_file(capsys, tmp_path):
         p.write_text("element n=3 m=2\ngtuple 1 [a1,a2] = 1\n" + extra)
         rc, _, err = run(capsys, "verify", "theta", "--n", "3", "--m", "2",
                          "--file", str(p))
-        assert rc == 2 and err.startswith("error:")
+        assert rc == 2
+        assert err == ("error: element file must describe a least-letter "
+                       "family (no eps lines, no weight-1 words)\n")
 
 
 @pytest.mark.parametrize("header,argv,names", [

@@ -7,7 +7,7 @@ import pytest
 from cechwedge.groups import (CYCLIC_2, FGAbelianGroup, GroupElement, ZERO,
                               integer_element, render_text)
 from cechwedge.elements import (CoherentElement, RawLevelStream,
-                                check_coherence, composition_realization,
+                                check_coherence,
                                 finite_support_element, materialize_levels,
                                 min_letter_element, min_letter_subgroup_expr,
                                 parse_element_file, random_element,
@@ -15,7 +15,7 @@ from cechwedge.elements import (CoherentElement, RawLevelStream,
                                 random_min_letter_element, random_sparse_epsilon,
                                 random_weight_two_element, render_element_file,
                                 verify_composition_additivity,
-                                verify_weight2_realization, weight2_realization,
+                                verify_weight2_realization,
                                 weight_one_coordinates, weight_one_element,
                                 weight_one_part_vanishes, weight_two_element,
                                 zero_element)
@@ -268,6 +268,21 @@ def test_coherence_negative_control():
     assert all(word == w for _, word in rep.failures)
 
 
+def test_coherence_asks_each_level_once(monkeypatch):
+    e = weight_two_element(2, {(1, 2): 1, (2, 3): 2})
+    stream = materialize_levels(e, 6)
+    w12, w23 = parse_word("[a1,a2]"), parse_word("[a2,a3]")
+    stream.levels[2][w12] = integer_element(0)
+    stream.levels[4].update({w23: integer_element(5), w12: integer_element(7)})
+    asked = []
+    read = RawLevelStream.level
+    monkeypatch.setattr(RawLevelStream, "level",
+                        lambda self, k: asked.append(k) or read(self, k))
+    rep = check_coherence(stream, 6)
+    assert asked == [1, 2, 3, 4, 5, 6]
+    assert rep.failures == ((2, w12), (3, w12), (3, w23), (4, w12), (4, w23))
+
+
 def test_raw_stream_matches_source():
     e = finite_support_element(4, 2, [("[a1,a2]", 1)], TABLE)
     stream = materialize_levels(e, 4)
@@ -313,9 +328,8 @@ def test_weight2_realization_projection():
 
 def test_weight2_realization_zero_matrix():
     e = weight_two_element(2, {})
-    expr = weight2_realization(e)
     for k in range(1, 5):
-        assert project_level(expr, k, TABLE) == {}
+        assert project_level(e, k, TABLE) == {}
 
 
 def test_weight2_realization_random_sweep():
@@ -334,12 +348,11 @@ def test_composition_additivity():
         assert verify_composition_additivity(e1, e2, 5, TABLE).ok
 
 
-def test_composition_realization_requires_pure_family():
-    fs = finite_support_element(3, 2, [("a1", 1)], TABLE)
-    with pytest.raises(TypeError):
-        composition_realization(fs)
-    with pytest.raises(TypeError):
-        weight2_realization(fs)
+def test_realization_additivity_takes_mixed_elements():
+    fs = finite_support_element(3, 2, [("a1", 1), ("[a1,a2]", 2)], TABLE)
+    w2 = weight_two_element(2, {(1, 2): -2, (2, 4): 1})
+    rep = verify_composition_additivity(fs, w2, 5, TABLE)
+    assert rep.ok and rep.checked_levels == 5
 
 
 def test_distinct_gtuples_separate():

@@ -5,13 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cechwedge.elements import CoherentElement, weight_two_element
 from cechwedge.groups import Z, integer_element
 from cechwedge.hall import GradingSequence, bracket, letter
 from cechwedge.spheres import seed_table
-from cechwedge.whitehead import (BandEpsilon, CompositionInfiniteSum,
-                                 FormalSum, ResidualBracketError,
+from cechwedge.whitehead import (BandEpsilon, FormalSum, ResidualBracketError,
                                  SizeLimitError, SparseEpsilon,
-                                 Weight2InfiniteSum, WeightLimitError,
+                                 WeightLimitError,
                                  expand, generator_monomial,
                                  graded_swap, hall_normalize, monomial_bracket,
                                  monomial_of_word, parse_bracket_expr,
@@ -286,28 +286,27 @@ def test_band_and_sum_epsilon():
 
 
 def test_weight2_sum_algebra():
-    a = Weight2InfiniteSum(2, SparseEpsilon.from_dict({(1, 2): 1}))
-    b = Weight2InfiniteSum(2, SparseEpsilon.from_dict({(1, 2): 2, (1, 3): 1}))
+    a = weight_two_element(2, {(1, 2): 1})
+    b = weight_two_element(2, {(1, 2): 2, (1, 3): 1})
     assert (a + b).eps.value(1, 2) == 3
     assert (-a).eps.value(1, 2) == -1
     assert a.n == 3
     with pytest.raises(ValueError):
-        a + Weight2InfiniteSum(3, SparseEpsilon())
+        a + weight_two_element(3, SparseEpsilon())
 
 
 def test_composition_sum_algebra():
-    t = seed_table()
     g = integer_element(1)
     w = parse_word("[a1,a2]")
-    a = CompositionInfiniteSum(3, 2, ((w, g),))
-    b = CompositionInfiniteSum(3, 2, ((w, -g),))
+    a = CoherentElement(3, 2, ((w, g),))
+    b = CoherentElement(3, 2, ((w, -g),))
     assert (a + b).coords == ()
     assert (-a).coords == ((w, -g),)
 
 
 def test_project_level_weight2():
     table = seed_table()
-    expr = Weight2InfiniteSum(2, SparseEpsilon.from_dict({(1, 2): 1}))
+    expr = weight_two_element(2, {(1, 2): 1})
     w12 = parse_word("[a1,a2]")
     assert project_level(expr, 1, table) == {}
     for k in (2, 3, 4):
@@ -317,8 +316,7 @@ def test_project_level_weight2():
 def test_project_level_weight2_collects_coefficients():
     table = seed_table()
     # [a1, a2 + a3] and [a2, a3] pieces at k=3
-    expr = Weight2InfiniteSum(
-        2, SparseEpsilon.from_dict({(1, 2): 2, (1, 3): -1, (2, 3): 5}))
+    expr = weight_two_element(2, {(1, 2): 2, (1, 3): -1, (2, 3): 5})
     got = project_level(expr, 3, table)
     assert got == {parse_word("[a1,a2]"): integer_element(2),
                    parse_word("[a1,a3]"): integer_element(-1),
@@ -329,17 +327,37 @@ def test_project_level_weight2_collects_coefficients():
 def test_project_level_theta():
     table = seed_table()
     w = parse_word("[a1,a2]")
-    expr = CompositionInfiniteSum(3, 2, ((w, integer_element(1)),))
+    expr = CoherentElement(3, 2, ((w, integer_element(1)),))
     assert project_level(expr, 1, table) == {}
     assert project_level(expr, 2, table) == {w: integer_element(1)}
 
 
 def test_project_level_band_rule():
     table = seed_table()
-    expr = Weight2InfiniteSum(2, BandEpsilon(1, 1))
+    expr = weight_two_element(2, BandEpsilon(1, 1))
     got = project_level(expr, 3, table)
     assert got == {parse_word("[a1,a2]"): integer_element(1),
                    parse_word("[a2,a3]"): integer_element(1)}
+
+
+def test_project_level_adds_both_sums():
+    table = seed_table()
+    w12, deep = parse_word("[a1,a2]"), parse_word("[a1,[a1,a3]]")
+    e = CoherentElement(3, 2, ((w12, integer_element(4)),
+                               (deep, integer_element(1))),
+                        SparseEpsilon.from_dict({(1, 2): -4, (2, 3): 1}))
+    assert project_level(e, 2, table) == {}
+    assert project_level(e, 3, table) == {parse_word("[a2,a3]"): integer_element(1),
+                                          deep: integer_element(1)}
+    for k in range(1, 6):
+        assert project_level(e, k, table) == e.level(k).coords
+
+
+def test_project_level_resolves_brackets_in_the_elements_degree():
+    # [a_i, a_j] of 2-spheres lives in pi_4(S^3) = Z/2 when n = 4
+    e = CoherentElement(4, 2, eps=SparseEpsilon.from_dict({(1, 2): 1}))
+    with pytest.raises(ResidualBracketError):
+        project_level(e, 2, seed_table())
 
 
 # ---------------------------------------------------------------------------
