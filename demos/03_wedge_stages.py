@@ -26,18 +26,20 @@ dec3 = decompose_wedge(4, 3, g1, table)
 print("\nsame degree over three spheres: %d summands (was %d)"
       % (len(dec3.summands), len(dec.summands)))
 
-b = bonding(4, 2, g1)
+killed = [w for w in dec3.words() if w.max_letter > 2]
 print("\ncollapsing the third sphere kills %d words, keeps %d:"
-      % (len(b.killed), len(b.kept)))
-for w in b.killed:
+      % (len(killed), len(dec3.summands) - len(killed)))
+for w in killed:
     print("  killed  %s" % w)
 
-# Bonding maps act on coordinate vectors by dropping the killed words.
-# Push a level-3 coordinate assignment down to level 2:
+# Bonding maps act on coordinate vectors by dropping the killed words,
+# those that mention the collapsed letter.  Push a level-3 coordinate
+# assignment down to level 2:
 
 coords = {parse_word("[a1,a2]"): integer_element(5),
           parse_word("[a1,a3]"): integer_element(1),
           parse_word("[a2,[a1,a3]]"): integer_element(-2)}
+b = bonding(4, 2, g1)
 pushed = apply_bonding(b, coords)
 print("\npushing a level-3 coordinate set through the collapse:")
 for w, f in sorted(coords.items(), key=lambda wf: wf[0].key):

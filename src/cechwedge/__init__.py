@@ -17,25 +17,23 @@ from .groups import (FGAbelianGroup, GroupElement, Z, CYCLIC_2, ZERO,
                      parse_machine, render_machine, render_text)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallSet, HallWord,
                    bracket, dimension_truncation, generate, height,
-                   height_class_census, is_hall, letter, min_letter_partition,
-                   necklace_count)
+                   height_class_census, is_hall, letter, necklace_count)
 from .spheres import (SphereGroupTable, load_table, parse_group, parse_table,
                       render_table, seed_table)
 from .whitehead import (BandEpsilon, FormalSum, SparseEpsilon, expand,
                         graded_swap, hall_normalize, parse_bracket_expr,
-                        parse_word, project_level, substitute_zero,
-                        tensor_expansion)
+                        parse_word, project_level, tensor_expansion)
 from .hilton import (BondingMap, StabilizationReport, WedgeDecomposition,
                      apply_bonding, bonding, cech_decompose, decompose_wedge,
                      earring_formula, relative_cech, stabilization_report,
                      weight_summand)
-from .elements import (CoherentElement, ElementFormatError, LevelCoordinates,
-                       RawLevelStream, SubgroupForms, VerificationReport,
-                       check_coherence, finite_support_element,
-                       materialize_levels, min_letter_element,
-                       min_letter_subgroup_expr, parse_element_file,
-                       random_element, random_sparse_epsilon,
-                       render_element_file, verify_composition_additivity,
+from .elements import (CoherentElement, ElementFormatError, RawLevelStream,
+                       SubgroupForms, VerificationReport, check_coherence,
+                       finite_support_element, materialize_levels,
+                       min_letter_element, min_letter_subgroup_expr,
+                       parse_element_file, random_element,
+                       random_sparse_epsilon, render_element_file,
+                       verify_composition_additivity,
                        verify_weight2_realization, weight_one_coordinates,
                        weight_one_element, weight_one_part_vanishes,
                        weight_two_element, zero_element)

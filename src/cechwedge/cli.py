@@ -230,7 +230,7 @@ def cmd_verify_edge(args) -> int:
             raise CommandError("element file must describe a pure weight-2 "
                                "family (eps lines only)")
         runs = 1
-        rep = verify_weight2_realization(e.eps, e.m, args.levels, table)
+        rep = verify_weight2_realization(e, args.levels)
         failures.extend(rep.failures)
     elif args.random:
         rng = random.Random(args.seed)
@@ -238,18 +238,17 @@ def cmd_verify_edge(args) -> int:
             eps = random_sparse_epsilon(rng, max_index=6, bound=3)
             delta = random_sparse_epsilon(rng, max_index=6, bound=3)
             runs += 1
-            rep = verify_weight2_realization(eps, args.m, args.levels, table)
+            e_eps = weight_two_element(args.m, eps)
+            rep = verify_weight2_realization(e_eps, args.levels)
             if not rep.ok:
                 failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
             # eps's levels plus delta's projected bracket sum must give
             # the levels of eps + delta; only the right side adds oracles.
-            e_eps = weight_two_element(args.m, eps)
             e_delta = weight_two_element(args.m, delta)
             e_sum = weight_two_element(args.m, eps + delta)
             for k in range(1, args.levels + 1):
-                if (add_coordinates(e_eps.level(k).coords,
-                                    project_level(e_delta, k, table))
-                        != e_sum.level(k).coords):
+                if (add_coordinates(e_eps.level(k), project_level(e_delta, k))
+                        != e_sum.level(k)):
                     failures.append("run %d: additivity fails at level %d" % (t, k))
     else:
         raise CommandError("need --file or --random")
@@ -273,7 +272,7 @@ def cmd_verify_theta(args) -> int:
                                "family (no eps lines, no weight-1 words)")
         runs = 1
         for k in range(1, args.levels + 1):
-            if project_level(e, k, table) != e.level(k).coords:
+            if project_level(e, k) != e.level(k):
                 failures.append("level %d: realization disagrees with "
                                 "coordinates" % k)
     elif args.random:
@@ -282,7 +281,7 @@ def cmd_verify_theta(args) -> int:
             e1 = random_min_letter_element(rng, args.n, args.m, table)
             e2 = random_min_letter_element(rng, args.n, args.m, table)
             runs += 1
-            rep = verify_composition_additivity(e1, e2, args.levels, table)
+            rep = verify_composition_additivity(e1, e2, args.levels)
             if not rep.ok:
                 failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
             if not weight_one_part_vanishes(e1 + e2, args.levels):

@@ -27,9 +27,12 @@ from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SumN, ZERO,
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    dimension_truncation, height, letter)
 from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
-from .whitehead import (EpsilonOracle, SparseEpsilon, UnresolvedGroupError,
-                        add_coordinates, coordinate_tuple, parse_word,
-                        project_level)
+from .whitehead import (EpsilonOracle, SparseEpsilon, add_coordinates,
+                        coordinate_tuple, parse_word, project_level)
+
+
+class UnresolvedGroupError(LookupError):
+    """A needed sphere group is not in the table."""
 
 
 class ElementFormatError(ValueError):
@@ -38,18 +41,13 @@ class ElementFormatError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
-class LevelCoordinates:
-    level: int
-    coords: dict[HallWord, GroupElement]
-
-
 @dataclass(frozen=True)
 class CoherentElement:
     """Finitely many word coordinates plus an optional weight-2 matrix.
 
     coords is kept canonical (sorted by word, no zero values), so equal
-    data gives equal elements.
+    data gives equal elements.  An element with eps lives in degree
+    n = 2m - 1, where the weight-2 sphere groups are infinite cyclic.
     """
 
     n: int
@@ -60,12 +58,12 @@ class CoherentElement:
     def __post_init__(self):
         if self.n < 2 or self.m < 2:
             raise ValueError("need n >= 2 and m >= 2")
+        if self.eps is not None and self.n != 2 * self.m - 1:
+            raise ValueError("weight-2 families live in degree 2m - 1 = %d, "
+                             "not %d" % (2 * self.m - 1, self.n))
         object.__setattr__(self, "coords", coordinate_tuple(self.coords))
 
-    def grading(self) -> GradingSequence:
-        return GradingSequence.constant(self.m - 1)
-
-    def level(self, k: int) -> LevelCoordinates:
+    def level(self, k: int) -> dict[HallWord, GroupElement]:
         """Coordinates at the k-sphere stage, in a fresh dict.
 
         Level k merges parts 1..k, where part c is the eps column
@@ -80,7 +78,7 @@ class CoherentElement:
         coords: dict[HallWord, GroupElement] = {}
         for part in self._parts(k)[:k]:
             coords.update(part)
-        return LevelCoordinates(k, coords)
+        return coords
 
     def _parts(self, k: int) -> list[dict[HallWord, GroupElement]]:
         """The per-letter parts 1..k (at least), kept on the instance in
@@ -181,13 +179,7 @@ def weight_two_element(m: int, eps, n: int | None = None) -> CoherentElement:
         eps = SparseEpsilon.from_dict(eps)
     if not isinstance(eps, EpsilonOracle):
         raise TypeError("eps must be an EpsilonOracle or a dict")
-    expected = 2 * m - 1
-    if n is None:
-        n = expected
-    if n != expected:
-        raise ValueError("weight-2 families live in degree 2m - 1 = %d, not %d"
-                         % (expected, n))
-    return CoherentElement(n, m, eps=eps)
+    return CoherentElement(2 * m - 1 if n is None else n, m, eps=eps)
 
 
 def min_letter_element(n: int, m: int, families, table) -> CoherentElement:
@@ -252,15 +244,16 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     bonding map must reproduce the level-k coordinates exactly.  Works
     for any object with fields n, m and a level(k) method, so raw
     (possibly corrupted) coordinate streams can be checked too.  Each
-    level is asked for once.
+    level is asked for once, and the bonding maps test each word's
+    membership directly, so no Hall set is listed.
     """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
     grading = GradingSequence.constant(e.m - 1)
     failures = []
-    actual = e.level(1).coords
+    actual = e.level(1)
     for k in range(1, kmax):
-        upper = e.level(k + 1).coords
+        upper = e.level(k + 1)
         pushed = apply_bonding(bonding(e.n, k, grading), upper)
         for w in sorted(set(pushed) | set(actual), key=lambda w: w.key):
             if pushed.get(w) != actual.get(w):
@@ -279,29 +272,28 @@ class RawLevelStream:
     m: int
     levels: dict[int, dict[HallWord, GroupElement]]
 
-    def level(self, k: int) -> LevelCoordinates:
+    def level(self, k: int) -> dict[HallWord, GroupElement]:
         if k not in self.levels:
             raise ValueError("no stored level %d" % k)
-        return LevelCoordinates(k, dict(self.levels[k]))
+        return dict(self.levels[k])
 
 
 def materialize_levels(e: CoherentElement, kmax: int) -> RawLevelStream:
     return RawLevelStream(e.n, e.m,
-                          {k: dict(e.level(k).coords) for k in range(1, kmax + 1)})
+                          {k: e.level(k) for k in range(1, kmax + 1)})
 
 
 # ---------------------------------------------------------------------------
 # Realization maps and their verifiers
 
 
-def verify_weight2_realization(eps, m: int, kmax: int, table) -> VerificationReport:
+def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationReport:
     """Check that projecting the bracket sum reproduces the family's own
     coordinates (the double sum of eps_{i,j} [a_i, a_j]) at each level."""
-    elem = weight_two_element(m, eps)
     failures = []
     for k in range(1, kmax + 1):
-        want = elem.level(k).coords
-        got = project_level(elem, k, table)
+        want = e.level(k)
+        got = project_level(e, k)
         if got != want:
             failures.append("level %d: projection %r != coordinates %r"
                             % (k, _render_coords(got), _render_coords(want)))
@@ -315,7 +307,7 @@ def _render_coords(coords) -> str:
 
 
 def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
-                                  kmax: int, table) -> VerificationReport:
+                                  kmax: int) -> VerificationReport:
     """Check additivity of the realization level by level: the projection
     of the sum and the sum's own coordinates must both equal the sum of
     the two projections."""
@@ -324,11 +316,10 @@ def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
     s = e1 + e2
     failures = []
     for k in range(1, kmax + 1):
-        want = add_coordinates(project_level(e1, k, table),
-                               project_level(e2, k, table))
-        if project_level(s, k, table) != want:
+        want = add_coordinates(project_level(e1, k), project_level(e2, k))
+        if project_level(s, k) != want:
             failures.append("level %d: projection of the sum disagrees" % k)
-        if s.level(k).coords != want:
+        if s.level(k) != want:
             failures.append("level %d: element coordinates disagree" % k)
     return VerificationReport(ok=not failures, checked_levels=kmax,
                               failures=tuple(failures))

@@ -94,10 +94,6 @@ class FGAbelianGroup:
     def from_cyclic(cls, rank: int, orders) -> "FGAbelianGroup":
         return cls(rank, invariant_factors(orders))
 
-    def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        return FGAbelianGroup.from_cyclic(self.rank + other.rank,
-                                          self.torsion + other.torsion)
-
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
 
@@ -337,26 +333,6 @@ def normalize(e: GroupExpr) -> GroupExpr:
         flat.sort(key=_sort_key)
         return DirectSum(tuple(flat))
     raise TypeError("not a group shape: %r" % (e,))
-
-
-def resolve(e: GroupExpr, table) -> GroupExpr:
-    """Replace every SphereSymbol the table knows by its group.
-
-    `table` only needs a lookup(n, q) method returning FGAbelianGroup
-    or None.  Unknown symbols survive unchanged.
-    """
-    if isinstance(e, SphereSymbol):
-        known = table.lookup(e.n, e.q)
-        return e if known is None else Finite(known)
-    if isinstance(e, DirectSum):
-        return DirectSum(tuple(resolve(p, table) for p in e.parts))
-    if isinstance(e, Pow):
-        return Pow(resolve(e.base, table), e.exponent)
-    if isinstance(e, SumN):
-        return SumN(resolve(e.base, table))
-    if isinstance(e, ProdN):
-        return ProdN(resolve(e.base, table))
-    return e
 
 
 def distribute_product_over_sum(e: GroupExpr) -> GroupExpr:

@@ -112,12 +112,6 @@ class HallWord:
             yield from self._left.iter_letters()
             yield from self._right.iter_letters()
 
-    def multiplicity(self, i):
-        return sum(1 for c in self.iter_letters() if c == i)
-
-    def multiplicities(self):
-        return Counter(self.iter_letters())
-
     def __eq__(self, other):
         if not isinstance(other, HallWord):
             return NotImplemented
@@ -379,13 +373,6 @@ def dimension_truncation(k: int, n: int,
         return ()
     words = generate(k, max_w)
     return tuple(w for w in words if height(w, grading) + 1 <= n)
-
-
-def min_letter_partition(i: int, j: int, k: int) -> list[HallWord]:
-    """Hall words of weight j on k letters whose least letter is a_i."""
-    if j < 2:
-        raise ValueError("partition by least letter needs weight >= 2")
-    return [w for w in generate(k, j).stratum(j) if w.min_letter == i]
 
 
 class _CountablyInfinite:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
                      SumN, ZERO, normalize, render_text)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
-                   dimension_truncation, height, height_class_census)
+                   dimension_truncation, height, height_class_census, is_hall)
 
 
 class SupportError(ValueError):
@@ -80,11 +80,6 @@ class BondingMap:
     n: int
     k: int
     grading: GradingSequence
-    kept: tuple[HallWord, ...]
-    killed: tuple[HallWord, ...]
-
-    def domain(self) -> frozenset[HallWord]:
-        return frozenset(self.kept) | frozenset(self.killed)
 
 
 def bonding(n: int, k: int, grading: GradingSequence) -> BondingMap:
@@ -92,21 +87,23 @@ def bonding(n: int, k: int, grading: GradingSequence) -> BondingMap:
     on words avoiding the new letter, zero on words using it."""
     if k < 1:
         raise ValueError("stages start at 1")
-    kept, killed = [], []
-    for w in dimension_truncation(k + 1, n, grading):
-        (kept if w.max_letter <= k else killed).append(w)
-    return BondingMap(n, k, grading, tuple(kept), tuple(killed))
+    if n < 2:
+        raise ValueError("degree must be >= 2")
+    return BondingMap(n, k, grading)
 
 
 def apply_bonding(b: BondingMap, coords: dict) -> dict:
-    """Push level-(k+1) coordinates down to level k."""
-    domain = b.domain()
+    """Push level-(k+1) coordinates down to level k.
+
+    Every word must index a summand of the (k+1)-stage, i.e. be a Hall
+    word on k + 1 letters with height + 1 <= n; membership is tested
+    directly, without listing the stage's Hall set.
+    """
     for w in coords:
-        if w not in domain:
+        if not (is_hall(w, b.k + 1) and height(w, b.grading) + 1 <= b.n):
             raise SupportError("word %s is not a degree-%d summand at stage %d"
                                % (w, b.n, b.k + 1))
-    killed = frozenset(b.killed)
-    return {w: f for w, f in coords.items() if w not in killed}
+    return {w: f for w, f in coords.items() if w.max_letter <= b.k}
 
 
 def cech_decompose(n: int, grading: GradingSequence, table) -> GroupExpr:

@@ -79,16 +79,6 @@ class SphereGroupTable:
             return forced
         return self.entries.get((n, q))
 
-    def add(self, n: int, q: int, group: FGAbelianGroup, source: str = ""):
-        forced = builtin_rule(n, q)
-        if forced is not None and forced != group:
-            raise TableConsistencyError(0, _rule_name(n, q),
-                                        "pi_%d(S^%d) = %s contradicts a built-in rule"
-                                        % (n, q, group.render(" + ")))
-        self.entries[(n, q)] = group
-        if source:
-            self.provenance[(n, q)] = source
-
 
 _TERM_RE = re.compile(
     r"^(?:Z(?:\^(?P<rexp>\d+))?|Z/(?P<t1>\d+)|\(Z/(?P<t2>\d+)\)\^(?P<texp>\d+))$")

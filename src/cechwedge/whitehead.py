@@ -31,8 +31,8 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .groups import GroupElement, integer_element, Z
-from .hall import (GradingSequence, HallWord, bracket, height, letter,
+from .groups import GroupElement, integer_element
+from .hall import (GradingSequence, HallWord, bracket, letter,
                    _hall_conditions)
 
 
@@ -46,10 +46,6 @@ class SizeLimitError(RuntimeError):
 
 class ResidualBracketError(ValueError):
     """A projection ran into a monomial the engine cannot normalize."""
-
-
-class UnresolvedGroupError(LookupError):
-    """A needed sphere group is not in the table."""
 
 
 @dataclass(frozen=True)
@@ -282,16 +278,6 @@ def expand(e) -> FormalSum:
     if isinstance(e, BracketMonomial):
         return FormalSum.single(e)
     raise TypeError("cannot expand %r" % (e,))
-
-
-def substitute_zero(w: HallWord, i: int, degrees) -> FormalSum:
-    """Image of the word w under killing the letter a_i.
-
-    Zero when a_i occurs in w, otherwise the monomial of w itself.
-    """
-    if w.multiplicity(i):
-        return FormalSum.zero()
-    return FormalSum.single(monomial_of_word(w, degrees))
 
 
 def graded_swap(m: BracketMonomial) -> tuple[int, BracketMonomial]:
@@ -654,14 +640,15 @@ def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
     return tuple(sorted(add_coordinates(*parts).items(), key=lambda wf: wf[0].key))
 
 
-def project_level(e, k: int, table) -> dict[HallWord, GroupElement]:
+def project_level(e, k: int) -> dict[HallWord, GroupElement]:
     """Push an element's two infinite sums down to the k-sphere wedge.
 
     Works for anything with fields n, m, coords and eps, such as a
     CoherentElement.  Letters beyond k map to zero.  The eps part is
     the bracket sum sum_i [l_i, sum_{j>i} eps_{i,j} l_j]: its finite
     remainder expands by bilinearity, is hall-normalized, and its
-    coefficients land in the resolved sphere groups.  The coords part
+    coefficients land in Z, the group of every weight-2 word in the
+    degree n = 2m - 1 that an element with eps has.  The coords part
     is the composition sum sum_w l_w o f_w, which needs no rewriting: a
     term survives exactly when its word avoids the trivialized letters.
     """
@@ -679,18 +666,5 @@ def project_level(e, k: int, table) -> dict[HallWord, GroupElement]:
     if residual:
         raise ResidualBracketError("projection left non-Hall monomials: %s"
                                    % residual)
-    grading = GradingSequence.constant(e.m - 1)
-    checked: set[int] = set()
-    for w in hall:
-        q = height(w, grading) + 1
-        if q not in checked:
-            group = table.lookup(e.n, q)
-            if group is None:
-                raise UnresolvedGroupError("pi_%d(S^%d) is not in the table"
-                                           % (e.n, q))
-            if group != Z:
-                raise ResidualBracketError(
-                    "weight-2 coordinates live in Z, got %s" % group)
-            checked.add(q)
     return add_coordinates(coords, ((w, integer_element(c))
                                     for w, c in hall.items()))

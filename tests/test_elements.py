@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from cechwedge.groups import (CYCLIC_2, FGAbelianGroup, GroupElement, ZERO,
+from cechwedge.groups import (CYCLIC_2, GroupElement, ZERO,
                               integer_element, render_text)
 from cechwedge.elements import (CoherentElement, RawLevelStream,
-                                check_coherence,
+                                UnresolvedGroupError, check_coherence,
                                 finite_support_element, materialize_levels,
                                 min_letter_element, min_letter_subgroup_expr,
                                 parse_element_file, random_element,
@@ -19,11 +19,11 @@ from cechwedge.elements import (CoherentElement, RawLevelStream,
                                 weight_one_coordinates, weight_one_element,
                                 weight_one_part_vanishes, weight_two_element,
                                 zero_element)
+from cechwedge import elements as elements_module, hall, hilton
 from cechwedge.hall import bracket, letter
-from cechwedge.spheres import seed_table
+from cechwedge.spheres import parse_table, seed_table
 from cechwedge.whitehead import (BandEpsilon, SparseEpsilon, SumEpsilon,
-                                 UnresolvedGroupError, parse_word,
-                                 project_level)
+                                 parse_word, project_level)
 
 TABLE = seed_table()
 
@@ -34,27 +34,27 @@ TABLE = seed_table()
 
 def test_finite_support_level_filters_by_letter():
     e = finite_support_element(3, 2, [("[a1,a3]", 2)], TABLE)
-    assert e.level(2).coords == {}
-    assert e.level(3).coords == {parse_word("[a1,a3]"): integer_element(2)}
+    assert e.level(2) == {}
+    assert e.level(3) == {parse_word("[a1,a3]"): integer_element(2)}
 
 
 def test_weight2_band_level():
     e = weight_two_element(2, BandEpsilon(1, 1))
-    assert e.level(3).coords == {parse_word("[a1,a2]"): integer_element(1),
-                                 parse_word("[a2,a3]"): integer_element(1)}
-    assert e.level(1).coords == {}
+    assert e.level(3) == {parse_word("[a1,a2]"): integer_element(1),
+                          parse_word("[a2,a3]"): integer_element(1)}
+    assert e.level(1) == {}
 
 
 def test_gtuple_level_needs_both_letters():
     e = min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE)
-    assert e.level(1).coords == {}
-    assert e.level(2).coords == {parse_word("[a1,a2]"): integer_element(1)}
+    assert e.level(1) == {}
+    assert e.level(2) == {parse_word("[a1,a2]"): integer_element(1)}
 
 
 def test_zero_element_levels():
     e = zero_element(4, 2)
     for k in (1, 3, 6):
-        assert e.level(k).coords == {}
+        assert e.level(k) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_constructors_drop_zero_values():
 def test_value_coercion():
     g = TABLE.lookup(4, 2)
     e = finite_support_element(4, 2, [("a1", GroupElement(g, (), (1,)))], TABLE)
-    assert e.level(1).coords[parse_word("a1")].coordinates() == (1,)
+    assert e.level(1)[parse_word("a1")].coordinates() == (1,)
     with pytest.raises(ValueError):
         finite_support_element(3, 2, [("a1", GroupElement.zero(CYCLIC_2))], TABLE)
 
@@ -129,18 +129,18 @@ def _level_cases():
 def test_levels_out_of_order_match_definition():
     for e in _level_cases():
         for k in (8, 2, 5, 1, 8, 3):
-            assert e.level(k).coords == _level_from_scratch(e, k), (e, k)
+            assert e.level(k) == _level_from_scratch(e, k), (e, k)
 
 
 def test_level_returns_a_fresh_dict():
     e = weight_two_element(2, BandEpsilon(1, 2)) + finite_support_element(
         3, 2, [("a3", 1)], TABLE)
-    first = e.level(4).coords
+    first = e.level(4)
     want = dict(first)
     first.clear()
-    e.level(3).coords[parse_word("[a1,a2]")] = integer_element(7)
-    assert e.level(4).coords == want == _level_from_scratch(e, 4)
-    assert e.level(3).coords == _level_from_scratch(e, 3)
+    e.level(3)[parse_word("[a1,a2]")] = integer_element(7)
+    assert e.level(4) == want == _level_from_scratch(e, 4)
+    assert e.level(3) == _level_from_scratch(e, 3)
 
 
 def test_levelled_elements_keep_equality_and_hash():
@@ -180,11 +180,11 @@ def test_add_is_levelwise():
         e2 = random_element(rng, 3, 2, TABLE)
         s = e1 + e2
         for k in range(1, 7):
-            want = dict(e1.level(k).coords)
-            for w, f in e2.level(k).coords.items():
+            want = dict(e1.level(k))
+            for w, f in e2.level(k).items():
                 want[w] = (want[w] + f) if w in want else f
             want = {w: f for w, f in want.items() if not f.is_zero()}
-            assert s.level(k).coords == want
+            assert s.level(k) == want
 
 
 def test_add_weight2_families_adds_matrices():
@@ -201,22 +201,22 @@ def test_add_eps_and_gtuple_is_levelwise():
     gt = min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE)
     w12 = parse_word("[a1,a2]")
     s = w2 + gt
-    assert s.level(1).coords == {}
+    assert s.level(1) == {}
     for k in (2, 4):
-        assert s.level(k).coords == {w12: integer_element(2)}
+        assert s.level(k) == {w12: integer_element(2)}
     # a gtuple coordinate cancels the matrix entry on the same word
-    assert (w2 - gt).level(4).coords == {}
+    assert (w2 - gt).level(4) == {}
     wide = weight_two_element(2, {(2, 3): 2}) + min_letter_element(
         3, 2, {1: [("[a1,a3]", 1)]}, TABLE)
-    assert (s + wide).level(3).coords == {
+    assert (s + wide).level(3) == {
         w12: integer_element(2), parse_word("[a1,a3]"): integer_element(1),
         parse_word("[a2,a3]"): integer_element(2)}
     # finite support combines with either
     fs = finite_support_element(3, 2, [("a1", 1)], TABLE)
-    assert (fs + w2).level(2).coords == {
+    assert (fs + w2).level(2) == {
         parse_word("a1"): integer_element(1),
         parse_word("[a1,a2]"): integer_element(1)}
-    assert (fs + gt).level(2).coords == (fs + w2).level(2).coords
+    assert (fs + gt).level(2) == (fs + w2).level(2)
 
 
 def test_add_requires_same_degrees():
@@ -230,7 +230,7 @@ def test_negation_cancels():
         e = random_element(rng, 3, 2, TABLE)
         z = e + (-e)
         for k in range(1, 7):
-            assert z.level(k).coords == {}
+            assert z.level(k) == {}
 
 
 def test_gtuple_cancellation_drops_pairs():
@@ -283,6 +283,29 @@ def test_coherence_asks_each_level_once(monkeypatch):
     assert rep.failures == ((2, w12), (3, w12), (3, w23), (4, w12), (4, w23))
 
 
+def test_coherence_lists_no_hall_set(monkeypatch):
+    # Bonding maps test membership word by word, so walking the tower
+    # never enumerates a Hall set.  dimension_truncation is cached, so it
+    # is refused too: a cached stage would hide an enumeration.
+    elements = [
+        finite_support_element(3, 2, [("a1", 1), ("[a1,a3]", 2),
+                                      ("[a4,a7]", -1)], TABLE),
+        min_letter_element(5, 2, {1: [("[a1,[a1,a2]]", 1)],
+                                  3: [("[a3,[a3,a6]]", 1)]}, TABLE),
+        weight_two_element(2, {(1, 2): 1, (2, 3): -2, (4, 9): 3}),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tower walk listed a Hall set")
+
+    monkeypatch.setattr(hall, "generate", refuse)
+    for module in (hall, hilton, elements_module):
+        monkeypatch.setattr(module, "dimension_truncation", refuse)
+    for e in elements:
+        rep = check_coherence(e, 10)
+        assert rep.ok and rep.checked_levels == 10, e
+
+
 def test_raw_stream_matches_source():
     e = finite_support_element(4, 2, [("[a1,a2]", 1)], TABLE)
     stream = materialize_levels(e, 4)
@@ -301,14 +324,14 @@ def test_weight_one_round_trip():
               4: GroupElement.from_coordinates(g, (-2,))}
     e = weight_one_element(3, 2, coords, TABLE)
     assert weight_one_coordinates(e) == coords
-    assert e.level(2).coords == {parse_word("a1"): coords[1]}
+    assert e.level(2) == {parse_word("a1"): coords[1]}
     assert not weight_one_part_vanishes(e, 6)
     assert weight_one_part_vanishes(e + (-e), 6)
 
 
 def test_weight_one_empty_gives_zero():
     e = weight_one_element(3, 2, {}, TABLE)
-    assert e.level(5).coords == {}
+    assert e.level(5) == {}
 
 
 def test_kernel_membership_by_kind():
@@ -322,14 +345,14 @@ def test_kernel_membership_by_kind():
 
 
 def test_weight2_realization_projection():
-    rep = verify_weight2_realization({(1, 2): 1}, 2, 4, TABLE)
+    rep = verify_weight2_realization(weight_two_element(2, {(1, 2): 1}), 4)
     assert rep.ok and rep.checked_levels == 4
 
 
 def test_weight2_realization_zero_matrix():
     e = weight_two_element(2, {})
     for k in range(1, 5):
-        assert project_level(e, k, TABLE) == {}
+        assert project_level(e, k) == {}
 
 
 def test_weight2_realization_random_sweep():
@@ -337,7 +360,7 @@ def test_weight2_realization_random_sweep():
     for _ in range(10):
         for m in (2, 3):
             eps = random_sparse_epsilon(rng)
-            assert verify_weight2_realization(eps, m, 6, TABLE).ok
+            assert verify_weight2_realization(weight_two_element(m, eps), 6).ok
 
 
 def test_composition_additivity():
@@ -345,20 +368,20 @@ def test_composition_additivity():
     for _ in range(10):
         e1 = random_min_letter_element(rng, 4, 2, TABLE)
         e2 = random_min_letter_element(rng, 4, 2, TABLE)
-        assert verify_composition_additivity(e1, e2, 5, TABLE).ok
+        assert verify_composition_additivity(e1, e2, 5).ok
 
 
 def test_realization_additivity_takes_mixed_elements():
     fs = finite_support_element(3, 2, [("a1", 1), ("[a1,a2]", 2)], TABLE)
     w2 = weight_two_element(2, {(1, 2): -2, (2, 4): 1})
-    rep = verify_composition_additivity(fs, w2, 5, TABLE)
+    rep = verify_composition_additivity(fs, w2, 5)
     assert rep.ok and rep.checked_levels == 5
 
 
 def test_distinct_gtuples_separate():
     a = min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE)
     b = min_letter_element(3, 2, {1: [("[a1,a3]", 1)]}, TABLE)
-    assert any(a.level(k).coords != b.level(k).coords for k in range(1, 6))
+    assert any(a.level(k) != b.level(k) for k in range(1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +416,13 @@ def test_element_file_round_trip():
     )
     e = parse_element_file(text, TABLE)
     assert e.n == 3 and e.m == 2
-    assert e.level(3).coords == {
+    assert e.level(3) == {
         parse_word("a1"): integer_element(2),
         parse_word("[a1,a2]"): integer_element(-1),
         parse_word("[a1,a3]"): integer_element(4)}
     again = parse_element_file(render_element_file(e), TABLE)
     for k in range(1, 7):
-        assert again.level(k).coords == e.level(k).coords
+        assert again.level(k) == e.level(k)
 
 
 def test_element_file_gtuple_round_trip():
@@ -431,18 +454,17 @@ def test_element_file_mixes_eps_and_gtuple():
     e = parse_element_file("element n=3 m=2\neps 1 2 = 1\neps 1 3 = 2\n"
                            "gtuple 1 [a1,a2] = 1\n", TABLE)
     w12, w13 = parse_word("[a1,a2]"), parse_word("[a1,a3]")
-    assert e.level(2).coords == {w12: integer_element(2)}
-    assert e.level(3).coords == {w12: integer_element(2),
-                                 w13: integer_element(2)}
+    assert e.level(2) == {w12: integer_element(2)}
+    assert e.level(3) == {w12: integer_element(2),
+                          w13: integer_element(2)}
     assert e == (weight_two_element(2, {(1, 2): 1, (1, 3): 2})
                  + min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE))
 
 
 def test_multi_coordinate_values():
-    table = seed_table()
-    table.add(7, 4, FGAbelianGroup.from_cyclic(1, [12]), source="test")
+    table = parse_table("pi 7 4 = Z + Z/12\n")
     e = parse_element_file("element n=7 m=2\nsupport [a1,[a1,a2]] = 2,7\n", table)
-    f = e.level(2).coords[parse_word("[a1,[a1,a2]]")]
+    f = e.level(2)[parse_word("[a1,[a1,a2]]")]
     assert f.coordinates() == (2, 7)
 
 
@@ -455,4 +477,4 @@ def test_random_generators_are_seed_deterministic():
     b = random_element(random.Random(42), 4, 2, TABLE)
     assert a == b
     for k in range(1, 6):
-        assert a.level(k).coords == b.level(k).coords
+        assert a.level(k) == b.level(k)

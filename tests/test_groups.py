@@ -11,8 +11,7 @@ from cechwedge.groups import (CYCLIC_2, AmbientMismatchError, DirectSum,
                               ProdN, SphereSymbol, SumN, Z, ZERO, Zero,
                               distribute_product_over_sum, integer_element,
                               invariant_factors, normalize, parse_machine,
-                              render_machine, render_text, resolve,
-                              to_machine)
+                              render_machine, render_text, to_machine)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +89,6 @@ def test_group_validation():
         FGAbelianGroup(0, (3, 4))
     with pytest.raises(ValueError):
         FGAbelianGroup(-1, ())
-
-
-def test_direct_sum_renormalizes():
-    a = FGAbelianGroup(0, (2,))
-    b = FGAbelianGroup(1, (3,))
-    s = a.direct_sum(b)
-    assert s.rank == 1 and s.torsion == (6,)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +254,3 @@ def test_distribute_product_over_sum():
     assert out == normalize(DirectSum((ProdN(SumN(z2)), ProdN(SumN(z)))))
     # anything else passes through normalized
     assert distribute_product_over_sum(ProdN(z)) == ProdN(z)
-
-
-def test_resolve_sphere_symbols():
-    class _Table:
-        def lookup(self, n, q):
-            return Z if (n, q) == (3, 2) else None
-
-    e = DirectSum((ProdN(SphereSymbol(3, 2)), ProdN(SphereSymbol(9, 2))))
-    r = resolve(e, _Table())
-    assert r == normalize(DirectSum((ProdN(Finite(Z)), ProdN(SphereSymbol(9, 2)))))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                             StratumSizeError, bracket, dimension_truncation,
                             generate, height, height_class_census, is_hall,
-                            letter, min_letter_partition, necklace_count)
+                            letter, necklace_count)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +251,6 @@ def test_truncation_compatible_with_letter_restriction(k, n):
     small = dimension_truncation(k, n, g)
     big = dimension_truncation(k + 1, n, g)
     assert tuple(w for w in big if w.max_letter <= k) == small
-
-
-def test_min_letter_partition():
-    blocks = {i: min_letter_partition(i, 2, 3) for i in (1, 2, 3)}
-    assert [str(w) for w in blocks[1]] == ["[a1,a2]", "[a1,a3]"]
-    assert [str(w) for w in blocks[2]] == ["[a2,a3]"]
-    assert blocks[3] == []
-    assert sum(len(b) for b in blocks.values()) == necklace_count(3, 2)
-    with pytest.raises(ValueError):
-        min_letter_partition(1, 1, 3)
 
 
 def test_stratum_size_guard():

@@ -5,7 +5,8 @@ import pytest
 from cechwedge.groups import (CYCLIC_2, DirectSum, Finite, Pow, ProdN,
                               SphereSymbol, SumN, Z, ZERO, normalize,
                               render_text)
-from cechwedge.hall import GradingSequence, dimension_truncation
+from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
+                            generate, letter)
 from cechwedge.hilton import (SupportError, _has_symbol, apply_bonding,
                               bonding, cech_decompose, decompose_wedge,
                               earring_formula, relative_cech,
@@ -66,13 +67,50 @@ def test_decompose_wedge_symbol_passthrough():
 
 
 def test_bonding_partitions_truncation():
-    b = bonding(4, 2, G1)
-    assert {str(w) for w in b.killed} == {
+    # the 3-stage summands split into the 2-stage ones, which are kept,
+    # and the words on a3, which are killed
+    top = dimension_truncation(3, 4, G1)
+    pushed = apply_bonding(bonding(4, 2, G1), {w: 1 for w in top})
+    assert list(pushed) == list(dimension_truncation(2, 4, G1))
+    assert {str(w) for w in top if w not in pushed} == {
         "a3", "[a1,a3]", "[a2,a3]",
         "[a1,[a1,a3]]", "[a2,[a1,a3]]", "[a2,[a2,a3]]",
         "[a3,[a1,a2]]", "[a3,[a1,a3]]", "[a3,[a2,a3]]"}
-    assert set(b.kept) | set(b.killed) == set(dimension_truncation(3, 4, G1))
-    assert all(w.max_letter <= 2 for w in b.kept)
+
+
+def _bracket_trees(letters, weight):
+    """Every bracket tree over a1..a<letters> of exactly this weight,
+    Hall or not."""
+    if weight == 1:
+        return [letter(i) for i in range(1, letters + 1)]
+    return [bracket(x, y) for i in range(1, weight)
+            for x in _bracket_trees(letters, i)
+            for y in _bracket_trees(letters, weight - i)]
+
+
+@pytest.mark.parametrize("spec", ["1", "2", "1;2", "1,1;3", "1,2;2"])
+def test_bonding_membership_matches_enumeration(spec):
+    g = GradingSequence.parse(spec)
+    for n in range(2, 7):
+        for k in (1, 2, 3):
+            b = bonding(n, k, g)
+            domain = dimension_truncation(k + 1, n, g)
+            # candidates: the Hall words one letter and one weight past
+            # the domain, and every tree of weight <= 3, Hall or not
+            max_w = (n - 1) // g.r(1) + 1
+            candidates = set(generate(k + 2, max_w))
+            for j in (1, 2, 3):
+                candidates.update(_bracket_trees(k + 2, j))
+            accepted = set()
+            for w in candidates:
+                try:
+                    apply_bonding(b, {w: 1})
+                except SupportError:
+                    continue
+                accepted.add(w)
+            assert accepted == set(domain), (spec, n, k)
+            pushed = apply_bonding(b, {w: 1 for w in domain})
+            assert list(pushed) == list(dimension_truncation(k, n, g))
 
 
 def test_apply_bonding_examples():
@@ -90,6 +128,10 @@ def test_apply_bonding_rejects_unknown_words():
         apply_bonding(b, {parse_word("[a1,a4]"): 1})   # beyond level 3
     with pytest.raises(SupportError):
         apply_bonding(b, {parse_word("[a1,[a1,a2]]"): 1})  # height too big
+    b4 = bonding(4, 2, G1)   # heights fit, the bracket order does not
+    for text in ("[a2,a1]", "[[a1,a2],a1]"):
+        with pytest.raises(SupportError):
+            apply_bonding(b4, {parse_word(text): 1})
 
 
 def test_bonding_composition_matches_direct_kill():

@@ -108,11 +108,3 @@ def test_load_table_specs(tmp_path, monkeypatch):
 
     with pytest.raises(OSError):
         load_table(str(tmp_path / "missing.table"))
-
-
-def test_add_entry_checks():
-    t = seed_table()
-    t.add(8, 3, CYCLIC_2, source="test")
-    assert t.lookup(8, 3) == CYCLIC_2
-    with pytest.raises(TableConsistencyError):
-        t.add(2, 9, Z, source="test")

@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cechwedge.elements import CoherentElement, weight_two_element
 from cechwedge.groups import Z, integer_element
 from cechwedge.hall import GradingSequence, bracket, letter
-from cechwedge.spheres import seed_table
-from cechwedge.whitehead import (BandEpsilon, FormalSum, ResidualBracketError,
-                                 SizeLimitError, SparseEpsilon,
-                                 WeightLimitError,
-                                 expand, generator_monomial,
-                                 graded_swap, hall_normalize, monomial_bracket,
+from cechwedge.whitehead import (BandEpsilon, FormalSum, SizeLimitError,
+                                 SparseEpsilon, WeightLimitError, expand,
+                                 generator_monomial, graded_swap,
+                                 hall_normalize, monomial_bracket,
                                  monomial_of_word, parse_bracket_expr,
-                                 parse_word, project_level, substitute_zero,
-                                 tensor_expansion, word_of_monomial)
+                                 parse_word, project_level, tensor_expansion,
+                                 word_of_monomial)
 
 
 def _gen(i, d=2):
@@ -73,7 +71,7 @@ def test_tensor_size_guards():
 
 
 # ---------------------------------------------------------------------------
-# expand / substitute_zero / graded_swap
+# expand / graded_swap
 
 
 DEG2 = {1: 2, 2: 2, 3: 2}
@@ -89,15 +87,6 @@ def test_expand_zero_annihilates():
     assert expand(parse_bracket_expr("[a1, 0]", DEG2)) == FormalSum.zero()
     e = parse_bracket_expr("[3*a1, -a2]", DEG2)
     assert expand(e) == FormalSum.single(_br(_gen(1), _gen(2))).scale(-3)
-
-
-def test_substitute_zero():
-    g = GradingSequence.constant(1)
-    w = bracket(letter(1), bracket(letter(1), letter(2)))
-    assert substitute_zero(w, 1, g) == FormalSum.zero()
-    kept = substitute_zero(bracket(letter(1), letter(2)), 3, g)
-    assert kept == FormalSum.single(_br(_gen(1), _gen(2)))
-    assert substitute_zero(letter(2), 2, g) == FormalSum.zero()
 
 
 def test_graded_swap_signs():
@@ -305,59 +294,58 @@ def test_composition_sum_algebra():
 
 
 def test_project_level_weight2():
-    table = seed_table()
     expr = weight_two_element(2, {(1, 2): 1})
     w12 = parse_word("[a1,a2]")
-    assert project_level(expr, 1, table) == {}
+    assert project_level(expr, 1) == {}
     for k in (2, 3, 4):
-        assert project_level(expr, k, table) == {w12: integer_element(1)}
+        assert project_level(expr, k) == {w12: integer_element(1)}
 
 
 def test_project_level_weight2_collects_coefficients():
-    table = seed_table()
     # [a1, a2 + a3] and [a2, a3] pieces at k=3
     expr = weight_two_element(2, {(1, 2): 2, (1, 3): -1, (2, 3): 5})
-    got = project_level(expr, 3, table)
+    got = project_level(expr, 3)
     assert got == {parse_word("[a1,a2]"): integer_element(2),
                    parse_word("[a1,a3]"): integer_element(-1),
                    parse_word("[a2,a3]"): integer_element(5)}
-    assert project_level(expr, 2, table) == {parse_word("[a1,a2]"): integer_element(2)}
+    assert project_level(expr, 2) == {parse_word("[a1,a2]"): integer_element(2)}
 
 
 def test_project_level_theta():
-    table = seed_table()
     w = parse_word("[a1,a2]")
     expr = CoherentElement(3, 2, ((w, integer_element(1)),))
-    assert project_level(expr, 1, table) == {}
-    assert project_level(expr, 2, table) == {w: integer_element(1)}
+    assert project_level(expr, 1) == {}
+    assert project_level(expr, 2) == {w: integer_element(1)}
 
 
 def test_project_level_band_rule():
-    table = seed_table()
     expr = weight_two_element(2, BandEpsilon(1, 1))
-    got = project_level(expr, 3, table)
+    got = project_level(expr, 3)
     assert got == {parse_word("[a1,a2]"): integer_element(1),
                    parse_word("[a2,a3]"): integer_element(1)}
 
 
 def test_project_level_adds_both_sums():
-    table = seed_table()
     w12, deep = parse_word("[a1,a2]"), parse_word("[a1,[a1,a3]]")
     e = CoherentElement(3, 2, ((w12, integer_element(4)),
                                (deep, integer_element(1))),
                         SparseEpsilon.from_dict({(1, 2): -4, (2, 3): 1}))
-    assert project_level(e, 2, table) == {}
-    assert project_level(e, 3, table) == {parse_word("[a2,a3]"): integer_element(1),
-                                          deep: integer_element(1)}
+    assert project_level(e, 2) == {}
+    assert project_level(e, 3) == {parse_word("[a2,a3]"): integer_element(1),
+                                   deep: integer_element(1)}
     for k in range(1, 6):
-        assert project_level(e, k, table) == e.level(k).coords
+        assert project_level(e, k) == e.level(k)
 
 
 def test_project_level_resolves_brackets_in_the_elements_degree():
-    # [a_i, a_j] of 2-spheres lives in pi_4(S^3) = Z/2 when n = 4
-    e = CoherentElement(4, 2, eps=SparseEpsilon.from_dict({(1, 2): 1}))
-    with pytest.raises(ResidualBracketError):
-        project_level(e, 2, seed_table())
+    # [a_i, a_j] of 2-spheres lives in pi_3(S^3) = Z in degree n = 2m - 1
+    e = CoherentElement(3, 2, eps=SparseEpsilon.from_dict({(1, 2): 1}))
+    got = project_level(e, 2)
+    assert got == {parse_word("[a1,a2]"): integer_element(1)}
+    assert all(f.group == Z for f in got.values())
+    # and in pi_4(S^3) = Z/2 when n = 4: such an element is refused
+    with pytest.raises(ValueError, match="2m - 1 = 3, not 4"):
+        CoherentElement(4, 2, eps=SparseEpsilon.from_dict({(1, 2): 1}))
 
 
 # ---------------------------------------------------------------------------
