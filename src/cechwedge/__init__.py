@@ -5,7 +5,8 @@ The pieces, bottom to top:
   hall      Hall words, canonical coherent ordering, gradings, censuses
   groups    finitely generated abelian groups, elements, group shapes
   spheres   homotopy-group lookup tables with built-in rules
-  whitehead bracket rewriting, twisted tensor oracle, level projection
+  whitehead bracket monomials (Hall words with letter degrees), one
+            Hall rewriting loop, twisted tensor oracle, level projection
   hilton    wedge decompositions, bonding tower, closed limit formulas
   elements  coherent coordinate families and their verifications
   cli       the cechwedge command
@@ -21,8 +22,8 @@ from .hall import (COUNTABLY_INFINITE, GradingSequence, HallSet, HallWord,
 from .spheres import (SphereGroupTable, load_table, parse_group, parse_table,
                       render_table, seed_table)
 from .whitehead import (BandEpsilon, FormalSum, SparseEpsilon, expand,
-                        graded_swap, hall_normalize, parse_bracket_expr,
-                        parse_word, project_level, tensor_expansion)
+                        hall_normalize, parse_bracket_expr, parse_word,
+                        project_level, tensor_expansion)
 from .hilton import (BondingMap, StabilizationReport, WedgeDecomposition,
                      apply_bonding, bonding, cech_decompose, decompose_wedge,
                      earring_formula, relative_cech, stabilization_report,

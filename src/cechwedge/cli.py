@@ -143,7 +143,12 @@ def cmd_count(args) -> int:
     if args.k < 1 or args.j < 1:
         raise CommandError("need k >= 1 and j >= 1")
     c = necklace_count(args.k, args.j)
-    _emit([str(c)], {"k": args.k, "weight": args.j, "count": c}, args.format)
+    try:
+        text = str(c)  # json.dumps renders the int the same way
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise CommandError("the count has more than %d digits, too many to print"
+                           % sys.get_int_max_str_digits()) from None
+    _emit([text], {"k": args.k, "weight": args.j, "count": c}, args.format)
     return 0
 
 

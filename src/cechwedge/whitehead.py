@@ -1,17 +1,21 @@
 """Integer-linear algebra of graded bracket monomials.
 
-A monomial is a nested bracket whose leaves are generators a_i of
-spherical degree d_i >= 2; a bracket of degrees p and q has degree
-p + q - 1.  The relations the rewriting engine is allowed to use are,
-for degrees p, q, r >= 2:
+A monomial is a bracket word whose letters a_i carry spherical degrees
+d_i >= 2; a bracket of degrees p and q has degree p + q - 1.  The
+relations the rewriting engine is allowed to use are, for degrees
+p, q, r >= 2:
 
     [x, 0] = 0 and bilinearity,
     [x, y] = (-1)**(p*q) [y, x],
     (-1)**(p*r) [[x,y],z] + (-1)**(p*q) [[y,z],x] + (-1)**(r*q) [[z,x],y] = 0.
 
-Self-brackets [a_i, a_i] are deliberately never rewritten: the engine
-returns them (and any monomial containing one) untouched as a residual
-part, because the relations above do not determine them.
+Rewriting normalizes both factors of a bracket and then fixes its root
+by two moves: a swap when x > y, and Jacobi when [x, [u, v]] has u > x.
+It reaches the Hall basis for every weight up to MAX_TENSOR_WEIGHT, the
+weight to which the tensor oracle below certifies it.  Self-brackets
+[x, x] of any word are deliberately never rewritten: the engine returns
+them (and any monomial containing one) untouched as a residual part,
+because the relations above do not determine them.
 
 The tensor expansion gives an independent check of every rewrite.  It
 embeds monomials into the free associative ring on the generators by
@@ -30,14 +34,18 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import GroupElement, integer_element
 from .hall import (GradingSequence, HallWord, bracket, letter,
                    _hall_conditions)
 
+MAX_TENSOR_WEIGHT = 4
+MAX_TENSOR_LETTERS = 3
+
 
 class WeightLimitError(ValueError):
-    """Bracket rewriting is only implemented up to weight 3."""
+    """Bracket rewriting is only implemented up to MAX_TENSOR_WEIGHT."""
 
 
 class SizeLimitError(RuntimeError):
@@ -48,123 +56,42 @@ class ResidualBracketError(ValueError):
     """A projection ran into a monomial the engine cannot normalize."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A wedge-sphere generator: letter index and spherical degree."""
+def _sign(e: int) -> int:
+    return -1 if e % 2 else 1
 
-    letter: int
-    degree: int
 
-    def __post_init__(self):
-        if self.letter < 1:
-            raise ValueError("letter indices start at 1")
-        if self.degree < 2:
-            raise ValueError("generator degrees must be >= 2")
+class BracketMonomial(NamedTuple):
+    """A bracket word and the degree of each of its letter occurrences,
+    left to right."""
+
+    word: HallWord
+    degrees: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return sum(self.degrees) - len(self.degrees) + 1
+
+    def factors(self) -> tuple["BracketMonomial", "BracketMonomial"]:
+        w, cut = self.word, self.word.left.length
+        return (BracketMonomial(w.left, self.degrees[:cut]),
+                BracketMonomial(w.right, self.degrees[cut:]))
+
+    def bracket(self, other: "BracketMonomial") -> "BracketMonomial":
+        return BracketMonomial(bracket(self.word, other.word),
+                               self.degrees + other.degrees)
+
+    def has_square(self) -> bool:
+        """Whether some sub-bracket is a self-bracket [x, x]."""
+        return _has_square(self.word)
 
     def __str__(self):
-        return "a%d" % self.letter
-
-
-class BracketMonomial:
-    """Immutable bracket tree over Generator leaves."""
-
-    __slots__ = ("_gen", "_left", "_right", "_weight", "_degree",
-                 "_max_letter", "_has_square", "_key", "_hash")
-
-    def __init__(self, gen=None, left=None, right=None):
-        if gen is not None:
-            self._gen = gen
-            self._left = None
-            self._right = None
-            self._weight = 1
-            self._degree = gen.degree
-            self._max_letter = gen.letter
-            self._has_square = False
-            self._key = (1, gen.letter, gen.degree)
-        else:
-            if left is None or right is None:
-                raise ValueError("a bracket needs two factors")
-            self._gen = None
-            self._left = left
-            self._right = right
-            self._weight = left._weight + right._weight
-            self._degree = left._degree + right._degree - 1
-            self._max_letter = max(left._max_letter, right._max_letter)
-            square_here = (left.is_generator and right.is_generator
-                           and left.generator.letter == right.generator.letter)
-            self._has_square = (square_here or left._has_square
-                                or right._has_square)
-            self._key = (self._weight, left._key, right._key)
-        self._hash = hash(self._key)
-
-    @property
-    def is_generator(self):
-        return self._gen is not None
-
-    @property
-    def generator(self):
-        if self._gen is None:
-            raise ValueError("%s is not a single generator" % self)
-        return self._gen
-
-    @property
-    def left(self):
-        return self._left
-
-    @property
-    def right(self):
-        return self._right
-
-    @property
-    def weight(self):
-        return self._weight
-
-    @property
-    def degree(self):
-        return self._degree
-
-    @property
-    def max_letter(self):
-        return self._max_letter
-
-    def has_square(self):
-        """Whether some sub-bracket is [a_i, a_i] on equal letters."""
-        return self._has_square
-
-    def iter_generators(self):
-        if self._gen is not None:
-            yield self._gen
-        else:
-            yield from self._left.iter_generators()
-            yield from self._right.iter_generators()
-
-    @property
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        if not isinstance(other, BracketMonomial):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        if self._gen is not None:
-            return str(self._gen)
-        return "[%s,%s]" % (self._left, self._right)
-
-    __repr__ = __str__
+        return str(self.word)
 
 
 @functools.lru_cache(maxsize=None)
-def generator_monomial(letter_index: int, degree: int) -> BracketMonomial:
-    return BracketMonomial(gen=Generator(letter_index, degree))
-
-
-def monomial_bracket(x: BracketMonomial, y: BracketMonomial) -> BracketMonomial:
-    return BracketMonomial(left=x, right=y)
+def _has_square(w: HallWord) -> bool:
+    return not w.is_letter and (w.left == w.right or _has_square(w.left)
+                                or _has_square(w.right))
 
 
 def _degree_of(degrees, i: int) -> int:
@@ -176,16 +103,10 @@ def _degree_of(degrees, i: int) -> int:
 def monomial_of_word(w: HallWord, degrees) -> BracketMonomial:
     """Attach degrees to a bare word; degrees is a GradingSequence or a
     mapping from letter index to degree."""
-    if w.is_letter:
-        return generator_monomial(w.letter_index, _degree_of(degrees, w.letter_index))
-    return monomial_bracket(monomial_of_word(w.left, degrees),
-                            monomial_of_word(w.right, degrees))
-
-
-def word_of_monomial(m: BracketMonomial) -> HallWord:
-    if m.is_generator:
-        return letter(m.generator.letter)
-    return bracket(word_of_monomial(m.left), word_of_monomial(m.right))
+    ds = tuple(_degree_of(degrees, i) for i in w.iter_letters())
+    if min(ds) < 2:
+        raise ValueError("generator degrees must be >= 2")
+    return BracketMonomial(w, ds)
 
 
 class FormalSum:
@@ -212,7 +133,8 @@ class FormalSum:
         return cls({mono: c})
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda mc: mc[0].key)
+        return sorted(self._terms.items(),
+                      key=lambda mc: (mc[0].word.key, mc[0].degrees))
 
     def coefficient(self, mono: BracketMonomial) -> int:
         return self._terms.get(mono, 0)
@@ -230,7 +152,7 @@ class FormalSum:
         acc: dict[BracketMonomial, int] = {}
         for mx, cx in self._terms.items():
             for my, cy in other._terms.items():
-                mono = monomial_bracket(mx, my)
+                mono = mx.bracket(my)
                 acc[mono] = acc.get(mono, 0) + cx * cy
         return FormalSum(acc)
 
@@ -280,55 +202,44 @@ def expand(e) -> FormalSum:
     raise TypeError("cannot expand %r" % (e,))
 
 
-def graded_swap(m: BracketMonomial) -> tuple[int, BracketMonomial]:
-    """Swap the top bracket: [x, y] = sign * [y, x] with
-    sign = (-1)**(deg x * deg y)."""
-    if m.is_generator:
-        raise ValueError("cannot swap a single generator")
-    sign = -1 if (m.left.degree * m.right.degree) % 2 else 1
-    return sign, monomial_bracket(m.right, m.left)
-
-
 @functools.lru_cache(maxsize=None)
-def _reduce(mono: BracketMonomial) -> FormalSum:
-    """Rewrite one monomial of weight <= 3 into Hall monomials, leaving
-    anything containing a self-bracket untouched."""
-    if mono.has_square():
-        return FormalSum.single(mono)
-    if mono.is_generator:
-        return FormalSum.single(mono)
-    x, y = mono.left, mono.right
-    if mono.weight == 2:
-        if x.generator.letter < y.generator.letter:
-            return FormalSum.single(mono)
-        sign, swapped = graded_swap(mono)
-        return FormalSum.single(swapped, sign)
-    if mono.weight != 3:
-        raise WeightLimitError("no rewriting above weight 3: %s" % mono)
-    if x.weight == 2:
-        sign, swapped = graded_swap(mono)
-        return _reduce(swapped).scale(sign)
-    # x is a generator and y = [u, v] with u, v generators
-    u, v = y.left, y.right
-    if u.generator.letter > v.generator.letter:
-        sign = -1 if (u.degree * v.degree) % 2 else 1
-        return _reduce(monomial_bracket(x, monomial_bracket(v, u))).scale(sign)
-    if u.generator.letter <= x.generator.letter:
-        return FormalSum.single(mono)  # already a Hall monomial
-    # Here x < u < v: apply the Jacobi relation to [[u,v],x] with
-    # alpha = u, beta = v, gamma = x, then reduce the two new shapes.
-    p, q, r = u.degree, v.degree, x.degree
-    s_root = -1 if (r * (p + q - 1)) % 2 else 1       # [x,[u,v]] -> [[u,v],x]
-    s1 = -(-1 if (p * q + p * r) % 2 else 1)          # on [[v,x],u]
-    s2 = -(-1 if (r * q + p * r) % 2 else 1)          # on [[x,u],v]
-    t1 = monomial_bracket(monomial_bracket(v, x), u)
-    t2 = monomial_bracket(monomial_bracket(x, u), v)
-    return (_reduce(t1).scale(s_root * s1)
-            + _reduce(t2).scale(s_root * s2))
+def _reduce(mono: BracketMonomial) -> tuple[tuple[BracketMonomial, int], ...]:
+    """Rewrite one monomial into Hall monomials, leaving anything that
+    contains a self-bracket untouched."""
+    if mono.word.is_letter or mono.has_square():
+        return ((mono, 1),)
+    xs, ys = (_reduce(f) for f in mono.factors())
+    acc: dict[BracketMonomial, int] = {}
+    for x, cx in xs:
+        for y, cy in ys:
+            for m, c in _reduce_root(x, y):
+                acc[m] = acc.get(m, 0) + cx * cy * c
+    assert all(m.has_square() or _hall_conditions(m.word) for m in acc), \
+        "reduction produced a non-Hall word"
+    return tuple((m, c) for m, c in acc.items() if c)
+
+
+def _reduce_root(x: BracketMonomial, y: BracketMonomial):
+    """Rewrite [x, y] whose factors are already rewritten."""
+    m = x.bracket(y)
+    if m.has_square():
+        return ((m, 1),)
+    if x.word > y.word:
+        sign = _sign(x.degree * y.degree)
+        return tuple((t, sign * c) for t, c in _reduce_root(y, x))
+    if y.word.is_letter or y.word.left <= x.word:
+        return ((m, 1),)
+    # Jacobi on [x, [u, v]] with u > x
+    u, v = y.factors()
+    p, q = x.degree, u.degree
+    jacobi = ((x.bracket(u).bracket(v), _sign(p + 1)),
+              (u.bracket(x.bracket(v)), _sign((p + 1) * (q + 1))))
+    return tuple((t, s * c) for j, s in jacobi for t, c in _reduce(j))
 
 
 def hall_normalize(s, letters: int | None = None):
-    """Split a weight <= 3 combination into Hall coordinates and a residual.
+    """Split a combination of weight <= MAX_TENSOR_WEIGHT into Hall
+    coordinates and a residual.
 
     Returns (hall, residual) where hall maps HallWord -> int and
     residual is a FormalSum of monomials containing a self-bracket.
@@ -337,26 +248,25 @@ def hall_normalize(s, letters: int | None = None):
     """
     s = expand(s)
     degree_by_letter: dict[int, int] = {}
-    for mono, _ in s.items():
-        if mono.weight > 3:
-            raise WeightLimitError("no rewriting above weight 3: %s" % mono)
-        if letters is not None and mono.max_letter > letters:
+    for mono in s._terms:
+        if mono.word.length > MAX_TENSOR_WEIGHT:
+            raise WeightLimitError("no rewriting above weight %d: %s"
+                                   % (MAX_TENSOR_WEIGHT, mono))
+        if letters is not None and mono.word.max_letter > letters:
             raise ValueError("monomial %s uses letters beyond a%d" % (mono, letters))
-        for g in mono.iter_generators():
-            seen = degree_by_letter.setdefault(g.letter, g.degree)
-            if seen != g.degree:
+        for i, d in zip(mono.word.iter_letters(), mono.degrees):
+            seen = degree_by_letter.setdefault(i, d)
+            if seen != d:
                 raise ValueError("letter a%d carries degrees %d and %d"
-                                 % (g.letter, seen, g.degree))
+                                 % (i, seen, d))
     hall: dict[HallWord, int] = {}
     residual: dict[BracketMonomial, int] = {}
-    for mono, c in s.items():
-        for m2, c2 in _reduce(mono).items():
+    for mono, c in s._terms.items():
+        for m2, c2 in _reduce(mono):
             if m2.has_square():
                 residual[m2] = residual.get(m2, 0) + c * c2
             else:
-                w = word_of_monomial(m2)
-                assert _hall_conditions(w), "reduction produced a non-Hall word"
-                hall[w] = hall.get(w, 0) + c * c2
+                hall[m2.word] = hall.get(m2.word, 0) + c * c2
     hall = {w: c for w, c in hall.items() if c}
     return hall, FormalSum(residual)
 
@@ -364,19 +274,17 @@ def hall_normalize(s, letters: int | None = None):
 # ---------------------------------------------------------------------------
 # Tensor expansion oracle
 
-MAX_TENSOR_WEIGHT = 4
-MAX_TENSOR_LETTERS = 3
-
 
 @functools.lru_cache(maxsize=None)
 def _tensor_of_monomial(m: BracketMonomial):
-    if m.is_generator:
-        return {(m.generator,): 1}
-    a = _tensor_of_monomial(m.left)
-    b = _tensor_of_monomial(m.right)
-    p, q = m.left.degree, m.right.degree
-    twist = -1 if p % 2 else 1
-    koszul = -1 if ((p - 1) * (q - 1)) % 2 else 1
+    if m.word.is_letter:
+        return {((m.word.letter_index, m.degrees[0]),): 1}
+    x, y = m.factors()
+    a = _tensor_of_monomial(x)
+    b = _tensor_of_monomial(y)
+    p, q = x.degree, y.degree
+    twist = _sign(p)
+    koszul = _sign((p - 1) * (q - 1))
     out: dict[tuple, int] = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -390,17 +298,17 @@ def _tensor_of_monomial(m: BracketMonomial):
 def tensor_expansion(s) -> dict[tuple, int]:
     """Expand a FormalSum into the free associative ring.
 
-    Keys are tuples of Generators.  Guarded to weight <= 4 and at most
-    3 distinct letters per monomial; inputs beyond that raise
-    SizeLimitError.
+    Keys are tuples of (letter, degree) generators.  Guarded to weight
+    <= MAX_TENSOR_WEIGHT and at most MAX_TENSOR_LETTERS distinct letters
+    per monomial; inputs beyond that raise SizeLimitError.
     """
     s = expand(s)
     acc: dict[tuple, int] = {}
     for mono, c in s.items():
-        if mono.weight > MAX_TENSOR_WEIGHT:
+        if mono.word.length > MAX_TENSOR_WEIGHT:
             raise SizeLimitError("tensor expansion capped at weight %d"
                                  % MAX_TENSOR_WEIGHT)
-        if len({g.letter for g in mono.iter_generators()}) > MAX_TENSOR_LETTERS:
+        if len(set(mono.word.iter_letters())) > MAX_TENSOR_LETTERS:
             raise SizeLimitError("tensor expansion capped at %d distinct letters"
                                  % MAX_TENSOR_LETTERS)
         for word, k in _tensor_of_monomial(mono).items():
@@ -480,7 +388,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "letter":
             self.take()
-            return FormalSum.single(generator_monomial(val, _degree_of(degrees, val)))
+            return FormalSum.single(monomial_of_word(letter(val), degrees))
         if kind == "sym" and val == "[":
             self.take()
             x = self.expr(degrees)
@@ -646,23 +554,23 @@ def project_level(e, k: int) -> dict[HallWord, GroupElement]:
     Works for anything with fields n, m, coords and eps, such as a
     CoherentElement.  Letters beyond k map to zero.  The eps part is
     the bracket sum sum_i [l_i, sum_{j>i} eps_{i,j} l_j]: its finite
-    remainder expands by bilinearity, is hall-normalized, and its
-    coefficients land in Z, the group of every weight-2 word in the
-    degree n = 2m - 1 that an element with eps has.  The coords part
-    is the composition sum sum_w l_w o f_w, which needs no rewriting: a
-    term survives exactly when its word avoids the trivialized letters.
+    remainder expands by bilinearity into the monomials
+    eps_{i,j} [l_i, l_j], is hall-normalized, and its coefficients land
+    in Z, the group of every weight-2 word in the degree n = 2m - 1
+    that an element with eps has.  The coords part is the composition
+    sum sum_w l_w o f_w, which needs no rewriting: a term survives
+    exactly when its word avoids the trivialized letters.
     """
     if k < 1:
         raise ValueError("levels start at 1")
     coords = {w: f for w, f in e.coords if w.max_letter <= k}
     if e.eps is None:
         return coords
-    rows = []
-    for i in range(1, k):
-        tail = FormalSum((generator_monomial(j, e.m), e.eps.value(i, j))
-                         for j in range(i + 1, k + 1))
-        rows.append(FormalSum.single(generator_monomial(i, e.m)).bracket(tail))
-    hall, residual = hall_normalize(FormalSum.sum_of(rows))
+    gens = {i: BracketMonomial(letter(i), (e.m,)) for i in range(1, k + 1)}
+    entries = ((i, j, e.eps.value(i, j))
+               for i in range(1, k) for j in range(i + 1, k + 1))
+    hall, residual = hall_normalize(FormalSum((gens[i].bracket(gens[j]), c)
+                                              for i, j, c in entries if c))
     if residual:
         raise ResidualBracketError("projection left non-Hall monomials: %s"
                                    % residual)

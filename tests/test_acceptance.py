@@ -17,13 +17,13 @@ from cechwedge.elements import (check_coherence, materialize_levels,
                                 verify_weight2_realization,
                                 weight_one_part_vanishes, weight_two_element)
 from cechwedge.groups import integer_element
-from cechwedge.hall import GradingSequence, generate, necklace_count
+from cechwedge.hall import (GradingSequence, bracket, generate, is_hall,
+                            letter, necklace_count)
 from cechwedge.hilton import (cech_decompose, earring_formula,
                               stabilization_report)
 from cechwedge.spheres import seed_table
-from cechwedge.whitehead import (FormalSum, generator_monomial, graded_swap,
-                                 hall_normalize, monomial_bracket,
-                                 monomial_of_word, parse_word, project_level,
+from cechwedge.whitehead import (FormalSum, hall_normalize, monomial_of_word,
+                                 parse_bracket_expr, parse_word, project_level,
                                  tensor_expansion)
 
 TABLE = seed_table()
@@ -248,74 +248,61 @@ def test_criterion_7_composition_monomorphism(request):
 # 8. Rewriting soundness against the tensor-algebra oracle.
 
 
-def _shapes(letters, weight):
-    if weight == 1:
-        return [(i,) for i in letters]
-    out = []
-    for a in range(1, weight):
-        for lx in _shapes(letters, a):
-            for ly in _shapes(letters, weight - a):
-                out.append((lx, ly))
-    return out
-
-
-def _shape_letters(shape):
-    if len(shape) == 1:
-        return {shape[0]}
-    return _shape_letters(shape[0]) | _shape_letters(shape[1])
-
-
-def _shape_monomial(shape, degree_of):
-    if len(shape) == 1:
-        return generator_monomial(shape[0], degree_of[shape[0]])
-    return monomial_bracket(_shape_monomial(shape[0], degree_of),
-                            _shape_monomial(shape[1], degree_of))
+def _t_word(t):
+    if isinstance(t, int):
+        return letter(t)
+    return bracket(_t_word(t[0]), _t_word(t[1]))
 
 
 def test_criterion_8_rewriting_soundness(request):
     with _criterion(request, 8, "bracket rewriting is exhaustively sound "
-                                "in the tensor ring; swap and Jacobi hold"):
+                                "and idempotent through weight 4; swap "
+                                "and Jacobi hold in the tensor ring"):
         checked = 0
-        for weight in (1, 2, 3):
-            for shape in _shapes((1, 2, 3), weight):
-                used = sorted(_shape_letters(shape))
-                for degs in itertools.product((2, 3, 4), repeat=len(used)):
+        # Every sign depends only on degree parity, so degrees 2 and 3
+        # cover weight 4; the lighter weights also try degree 4.
+        for weight, degree_choices in ((1, (2, 3, 4)), (2, (2, 3, 4)),
+                                       (3, (2, 3, 4)), (4, (2, 3))):
+            for tree in _trees(3, weight):
+                word = _t_word(tree)
+                used = sorted(set(word.iter_letters()))
+                for degs in itertools.product(degree_choices, repeat=len(used)):
                     degree_of = dict(zip(used, degs))
-                    mono = _shape_monomial(shape, degree_of)
-                    hall, residual = hall_normalize(FormalSum.single(mono))
-                    back = residual
-                    for w, c in hall.items():
-                        back = back + FormalSum.single(
-                            monomial_of_word(w, degree_of)).scale(c)
-                    assert tensor_expansion(FormalSum.single(mono)) == \
-                        tensor_expansion(back), (shape, degree_of)
+                    mono = monomial_of_word(word, degree_of)
+                    hall, residual = hall_normalize(mono)
+                    if mono.has_square():
+                        assert (hall, residual) == ({}, FormalSum.single(mono))
+                    assert all(is_hall(w, 3) for w in hall), (word, degree_of)
+                    assert all(m.has_square() for m, _ in residual.items())
+                    rebuilt = FormalSum({monomial_of_word(w, degree_of): c
+                                         for w, c in hall.items()})
+                    assert tensor_expansion(mono) == \
+                        tensor_expansion(rebuilt + residual), (word, degree_of)
+                    assert hall_normalize(rebuilt) == (hall, FormalSum.zero()), \
+                        (word, degree_of)
                     checked += 1
-        assert checked >= 200
+        assert checked >= 3000
 
         rng = random.Random(8)
         sgn = lambda e: -1 if e % 2 else 1
+        w12 = parse_word("[a1,a2]")
         for _ in range(30):
             p, q = rng.randint(2, 5), rng.randint(2, 5)
-            m = monomial_bracket(generator_monomial(1, p),
-                                 generator_monomial(2, q))
-            s1, m1 = graded_swap(m)
-            s2, m2 = graded_swap(m1)
-            assert m2 == m and s1 * s2 == 1
-            lhs = tensor_expansion(FormalSum.single(m))
-            rhs = tensor_expansion(FormalSum.single(m1).scale(s1))
-            assert lhs == rhs
+            degree_of = {1: p, 2: q}
+            swapped = parse_bracket_expr("[a2,a1]", degree_of)
+            hall, residual = hall_normalize(swapped)
+            assert hall == {w12: sgn(p * q)} and not residual
+            assert tensor_expansion(swapped) == tensor_expansion(
+                parse_bracket_expr("[a1,a2]", degree_of).scale(sgn(p * q)))
 
         for _ in range(30):
             p, q, r = (rng.randint(2, 5) for _ in range(3))
-            x = generator_monomial(1, p)
-            y = generator_monomial(2, q)
-            z = generator_monomial(3, r)
-            jac = (FormalSum.single(
-                       monomial_bracket(monomial_bracket(x, y), z)).scale(sgn(p * r))
-                   + FormalSum.single(
-                       monomial_bracket(monomial_bracket(y, z), x)).scale(sgn(p * q))
-                   + FormalSum.single(
-                       monomial_bracket(monomial_bracket(z, x), y)).scale(sgn(r * q)))
+            degree_of = {1: p, 2: q, 3: r}
+            jac = FormalSum.sum_of(
+                parse_bracket_expr(text, degree_of).scale(c)
+                for text, c in (("[[a1,a2],a3]", sgn(p * r)),
+                                ("[[a2,a3],a1]", sgn(p * q)),
+                                ("[[a3,a1],a2]", sgn(r * q))))
             assert tensor_expansion(jac) == {}, (p, q, r)
 
 

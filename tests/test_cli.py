@@ -243,6 +243,8 @@ def test_verify_stabilize_failure(capsys):
     ("cech", "wedge", "--grading", "1,1,1,1;2", "-n", "13"),
     ("hall", "-k", "40", "-J", "6"),
     ("hm", "-n", "60", "-k", "3", "-m", "2"),
+    ("count", "-k", "7", "-j", "1000000"),
+    ("count", "-k", "100000", "-j", "100000", "--format", "json"),
 ])
 def test_usage_errors(capsys, argv):
     rc, out, err = run(capsys, *argv)

@@ -1,7 +1,5 @@
 """Bracket rewriting against the tensor-algebra oracle."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,19 +8,20 @@ from cechwedge.groups import Z, integer_element
 from cechwedge.hall import GradingSequence, bracket, letter
 from cechwedge.whitehead import (BandEpsilon, FormalSum, SizeLimitError,
                                  SparseEpsilon, WeightLimitError, expand,
-                                 generator_monomial, graded_swap,
-                                 hall_normalize, monomial_bracket,
-                                 monomial_of_word, parse_bracket_expr,
-                                 parse_word, project_level, tensor_expansion,
-                                 word_of_monomial)
+                                 hall_normalize, monomial_of_word,
+                                 parse_bracket_expr, parse_word,
+                                 project_level, tensor_expansion)
 
 
-def _gen(i, d=2):
-    return generator_monomial(i, d)
+DEG2 = {1: 2, 2: 2, 3: 2}
 
 
-def _br(x, y):
-    return monomial_bracket(x, y)
+def _mono(text, degrees=DEG2):
+    return monomial_of_word(parse_word(text), degrees)
+
+
+def _single(text, degrees=DEG2):
+    return FormalSum.single(_mono(text, degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -32,80 +31,74 @@ def _br(x, y):
 @given(p=st.integers(2, 5), q=st.integers(2, 5))
 @settings(max_examples=30)
 def test_tensor_kills_graded_symmetry(p, q):
-    x, y = _gen(1, p), _gen(2, q)
+    d = {1: p, 2: q}
     sign = -1 if (p * q) % 2 else 1
-    s = FormalSum.single(_br(x, y)) - FormalSum.single(_br(y, x)).scale(sign)
+    s = _single("[a1,a2]", d) - _single("[a2,a1]", d).scale(sign)
     assert tensor_expansion(s) == {}
 
 
 @given(p=st.integers(2, 5), q=st.integers(2, 5), r=st.integers(2, 5))
 @settings(max_examples=60)
 def test_tensor_kills_graded_jacobi(p, q, r):
-    x, y, z = _gen(1, p), _gen(2, q), _gen(3, r)
+    d = {1: p, 2: q, 3: r}
     sgn = lambda e: -1 if e % 2 else 1
-    s = (FormalSum.single(_br(_br(x, y), z)).scale(sgn(p * r))
-         + FormalSum.single(_br(_br(y, z), x)).scale(sgn(p * q))
-         + FormalSum.single(_br(_br(z, x), y)).scale(sgn(r * q)))
+    s = (_single("[[a1,a2],a3]", d).scale(sgn(p * r))
+         + _single("[[a2,a3],a1]", d).scale(sgn(p * q))
+         + _single("[[a3,a1],a2]", d).scale(sgn(r * q)))
     assert tensor_expansion(s) == {}
 
 
 def test_tensor_golden_weight_two():
     # even degrees make the bracket symmetric, so its image must be too:
     # twist +1, Koszul sign -1 gives xy + yx
-    t = tensor_expansion(FormalSum.single(_br(_gen(1), _gen(2))))
-    g1, g2 = _gen(1).generator, _gen(2).generator
-    assert t == {(g1, g2): 1, (g2, g1): 1}
+    t = tensor_expansion(_single("[a1,a2]"))
+    assert t == {((1, 2), (2, 2)): 1, ((2, 2), (1, 2)): 1}
     # odd-degree pair: twist -1, Koszul +1 gives yx - xy
-    t2 = tensor_expansion(FormalSum.single(_br(_gen(1, 3), _gen(2, 3))))
-    h1, h2 = _gen(1, 3).generator, _gen(2, 3).generator
-    assert t2 == {(h1, h2): -1, (h2, h1): 1}
+    t2 = tensor_expansion(_single("[a1,a2]", {1: 3, 2: 3}))
+    assert t2 == {((1, 3), (2, 3)): -1, ((2, 3), (1, 3)): 1}
+    # a letter of two degrees is two generators
+    both = _single("a1", {1: 2}) + _single("a1", {1: 3})
+    assert tensor_expansion(both) == {((1, 2),): 1, ((1, 3),): 1}
 
 
 def test_tensor_size_guards():
-    deep = _br(_br(_gen(1), _gen(2)), _br(_gen(3), _gen(3)))
     with pytest.raises(SizeLimitError):
-        tensor_expansion(FormalSum.single(_br(deep, _gen(1))))
-    wide = _br(_gen(1), _br(_gen(2), _br(_gen(3), _gen(4))))
+        tensor_expansion(_single("[[[a1,a2],[a3,a3]],a1]"))
     with pytest.raises(SizeLimitError):
-        tensor_expansion(FormalSum.single(wide))
+        tensor_expansion(_single("[a1,[a2,[a3,a4]]]", {1: 2, 2: 2, 3: 2, 4: 2}))
 
 
 # ---------------------------------------------------------------------------
-# expand / graded_swap
-
-
-DEG2 = {1: 2, 2: 2, 3: 2}
+# expand / the graded swap
 
 
 def test_expand_bilinearity():
     s = expand(parse_bracket_expr("[a1, 2*a2 + a3]", DEG2))
-    assert s == (FormalSum.single(_br(_gen(1), _gen(2))).scale(2)
-                 + FormalSum.single(_br(_gen(1), _gen(3))))
+    assert s == _single("[a1,a2]").scale(2) + _single("[a1,a3]")
 
 
 def test_expand_zero_annihilates():
     assert expand(parse_bracket_expr("[a1, 0]", DEG2)) == FormalSum.zero()
     e = parse_bracket_expr("[3*a1, -a2]", DEG2)
-    assert expand(e) == FormalSum.single(_br(_gen(1), _gen(2))).scale(-3)
+    assert expand(e) == _single("[a1,a2]").scale(-3)
 
 
 def test_graded_swap_signs():
-    assert graded_swap(_br(_gen(2, 2), _gen(1, 2)))[0] == 1
-    assert graded_swap(_br(_gen(2, 3), _gen(1, 3)))[0] == -1
-    assert graded_swap(_br(_gen(1, 2), _gen(2, 3)))[0] == 1
-    sign, m = graded_swap(_br(_gen(2), _gen(1)))
-    assert m == _br(_gen(1), _gen(2))
-    with pytest.raises(ValueError):
-        graded_swap(_gen(1))
+    # [a2, a1] = (-1)**(p*q) [a1, a2]
+    w12 = parse_word("[a1,a2]")
+    for p, q, sign in ((2, 2, 1), (3, 3, -1), (2, 3, 1), (3, 2, 1)):
+        hall, residual = hall_normalize(_mono("[a2,a1]", {1: p, 2: q}))
+        assert hall == {w12: sign} and not residual
 
 
 @given(p=st.integers(2, 5), q=st.integers(2, 5))
 @settings(max_examples=30)
 def test_graded_swap_involution(p, q):
-    m = _br(_gen(1, p), _gen(2, q))
-    s1, m1 = graded_swap(m)
-    s2, m2 = graded_swap(m1)
-    assert m2 == m and s1 * s2 == 1
+    w12 = parse_word("[a1,a2]")
+    s_pq = hall_normalize(_mono("[a2,a1]", {1: p, 2: q}))[0][w12]
+    s_qp = hall_normalize(_mono("[a2,a1]", {1: q, 2: p}))[0][w12]
+    assert s_pq == s_qp and s_pq * s_qp == 1
+    assert hall_normalize(_mono("[a1,a2]", {1: p, 2: q}))[0] == {w12: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -113,91 +106,59 @@ def test_graded_swap_involution(p, q):
 
 
 def test_normalize_swap_golden():
-    hall, residual = hall_normalize(FormalSum.single(_br(_gen(2), _gen(1))))
+    hall, residual = hall_normalize(_single("[a2,a1]"))
     assert hall == {bracket(letter(1), letter(2)): 1}
     assert not residual
 
 
 def test_normalize_jacobi_golden():
     # all degrees even: [a1,[a2,a3]] -> -[a2,[a1,a3]] - [a3,[a1,a2]]
-    hall, residual = hall_normalize(
-        FormalSum.single(_br(_gen(1), _br(_gen(2), _gen(3)))))
+    hall, residual = hall_normalize(_single("[a1,[a2,a3]]"))
     a1, a2, a3 = letter(1), letter(2), letter(3)
     assert hall == {bracket(a2, bracket(a1, a3)): -1,
                     bracket(a3, bracket(a1, a2)): -1}
     assert not residual
 
 
+def test_normalize_weight_four_golden():
+    # Jacobi on [a1,[a2,[a1,a2]]] yields the self-bracket [[a1,a2],[a1,a2]]
+    for d, c in ((2, -1), (3, 1)):
+        degrees = {1: d, 2: d}
+        hall, residual = hall_normalize(_mono("[a1,[a2,[a1,a2]]]", degrees))
+        assert hall == {parse_word("[a2,[a1,[a1,a2]]]"): c}
+        square = _mono("[[a1,a2],[a1,a2]]", degrees)
+        assert square.has_square()
+        assert residual == FormalSum.single(square, c)
+    hall, residual = hall_normalize(_single("[[a1,a2],[a1,a3]]"))
+    assert hall == {parse_word("[[a1,a2],[a1,a3]]"): 1} and not residual
+
+
 def test_normalize_square_residual():
-    hall, residual = hall_normalize(FormalSum.single(_br(_gen(1), _gen(1))))
-    assert hall == {}
-    assert residual == FormalSum.single(_br(_gen(1), _gen(1)))
+    for text in ("[a1,a1]", "[[a1,a2],[a1,a2]]", "[a3,[a2,a2]]",
+                 "[[a2,a1],[a3,a3]]"):
+        hall, residual = hall_normalize(_single(text))
+        assert hall == {}
+        assert residual == _single(text)
 
 
 def test_normalize_weight_guard():
-    deep = _br(_br(_gen(1), _gen(2)), _br(_gen(1), _gen(3)))
     with pytest.raises(WeightLimitError):
-        hall_normalize(FormalSum.single(deep))
+        hall_normalize(_single("[[a1,a2],[a1,[a1,a3]]]"))
 
 
 def test_normalize_letter_guard():
     with pytest.raises(ValueError):
-        hall_normalize(FormalSum.single(_br(_gen(1), _gen(4))), letters=3)
+        hall_normalize(_single("[a1,a4]", {1: 2, 4: 2}), letters=3)
 
 
 def test_normalize_rejects_mixed_degrees():
-    s = (FormalSum.single(_br(_gen(1, 2), _gen(2, 2)))
-         + FormalSum.single(_br(_gen(1, 3), _gen(2, 3))))
+    s = _single("[a1,a2]", {1: 2, 2: 2}) + _single("[a1,a2]", {1: 3, 2: 3})
     with pytest.raises(ValueError):
         hall_normalize(s)
 
 
-def _all_monomials(letters, weight):
-    if weight == 1:
-        return [(i,) for i in letters]
-    shapes = []
-    for a in range(1, weight):
-        for lx in _all_monomials(letters, a):
-            for ly in _all_monomials(letters, weight - a):
-                shapes.append((lx, ly))
-    return shapes
-
-
-def _build(shape, degree_of):
-    if len(shape) == 1:
-        return _gen(shape[0], degree_of[shape[0]])
-    return _br(_build(shape[0], degree_of), _build(shape[1], degree_of))
-
-
-def _letters_of(shape):
-    if len(shape) == 1:
-        return {shape[0]}
-    return _letters_of(shape[0]) | _letters_of(shape[1])
-
-
-def test_normalize_sound_against_tensor_exhaustive():
-    """input = hall part + residual, certified in the tensor ring."""
-    checked = 0
-    for weight in (1, 2, 3):
-        for shape in _all_monomials((1, 2, 3), weight):
-            used = sorted(_letters_of(shape))
-            for degs in itertools.product((2, 3, 4), repeat=len(used)):
-                degree_of = dict(zip(used, degs))
-                mono = _build(shape, degree_of)
-                hall, residual = hall_normalize(FormalSum.single(mono))
-                back = residual
-                for w, c in hall.items():
-                    back = back + FormalSum.single(
-                        monomial_of_word(w, degree_of)).scale(c)
-                assert tensor_expansion(FormalSum.single(mono)) == \
-                    tensor_expansion(back), "failed on %s with %s" % (mono, degree_of)
-                checked += 1
-    assert checked > 200
-
-
 def test_normalize_idempotent_on_hall_output():
-    mono = _br(_gen(1), _br(_gen(2), _gen(3)))
-    hall, _ = hall_normalize(FormalSum.single(mono))
+    hall, _ = hall_normalize(_single("[a1,[a2,a3]]"))
     acc = FormalSum.zero()
     for w, c in hall.items():
         acc = acc + FormalSum.single(
@@ -207,9 +168,9 @@ def test_normalize_idempotent_on_hall_output():
 
 
 def test_degree_preserved_by_normalization():
-    mono = _br(_gen(1, 3), _br(_gen(2, 2), _gen(3, 4)))
-    hall, _ = hall_normalize(FormalSum.single(mono))
     degree_of = {1: 3, 2: 2, 3: 4}
+    mono = _mono("[a1,[a2,a3]]", degree_of)
+    hall, _ = hall_normalize(mono)
     for w in hall:
         assert monomial_of_word(w, degree_of).degree == mono.degree
 
@@ -222,10 +183,9 @@ def test_parse_bracket_expr():
     g = GradingSequence.constant(1)
     e = parse_bracket_expr("2*[a1,[a1,a2]] + a3 - a1", g)
     s = expand(e)
-    w = _br(_gen(1), _br(_gen(1), _gen(2)))
-    assert s.coefficient(w) == 2
-    assert s.coefficient(_gen(3)) == 1
-    assert s.coefficient(_gen(1)) == -1
+    assert s.coefficient(_mono("[a1,[a1,a2]]", g)) == 2
+    assert s.coefficient(_mono("a3", g)) == 1
+    assert s.coefficient(_mono("a1", g)) == -1
     assert expand(parse_bracket_expr("0", g)) == FormalSum.zero()
 
 
@@ -352,9 +312,8 @@ def test_project_level_resolves_brackets_in_the_elements_degree():
 # FormalSum laws
 
 
-_monos = st.sampled_from([
-    _gen(1), _gen(2), _br(_gen(1), _gen(2)),
-    _br(_gen(1), _br(_gen(1), _gen(2))), _br(_gen(2), _br(_gen(1), _gen(2)))])
+_monos = st.sampled_from([_mono(text) for text in (
+    "a1", "a2", "[a1,a2]", "[a1,[a1,a2]]", "[a2,[a1,a2]]")])
 _sums = st.builds(
     lambda pairs: FormalSum({m: c for m, c in pairs if c}),
     st.lists(st.tuples(_monos, st.integers(-5, 5)), max_size=4))
