@@ -14,29 +14,27 @@ The pieces, bottom to top:
 
 from .groups import (FGAbelianGroup, GroupElement, Z, CYCLIC_2, ZERO,
                      DirectSum, Finite, Pow, ProdN, SphereSymbol, SumN, Zero,
-                     integer_element, invariant_factors, normalize,
-                     parse_machine, render_machine, render_text)
-from .hall import (COUNTABLY_INFINITE, GradingSequence, HallSet, HallWord,
-                   bracket, dimension_truncation, generate, height,
+                     integer_element, normalize, parse_machine, render_machine,
+                     render_text)
+from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord, bracket,
+                   dimension_truncation, generate, height,
                    height_class_census, is_hall, letter, necklace_count)
 from .spheres import (SphereGroupTable, load_table, parse_group, parse_table,
-                      render_table, seed_table)
+                      seed_table)
 from .whitehead import (BandEpsilon, FormalSum, SparseEpsilon, expand,
                         hall_normalize, parse_bracket_expr, parse_word,
                         project_level, tensor_expansion)
-from .hilton import (BondingMap, StabilizationReport, WedgeDecomposition,
-                     apply_bonding, bonding, cech_decompose, decompose_wedge,
-                     earring_formula, relative_cech, stabilization_report,
-                     weight_summand)
+from .hilton import (BondingMap, WedgeDecomposition, apply_bonding, bonding,
+                     cech_decompose, decompose_wedge, earring_formula,
+                     stabilization_report, weight_summand)
 from .elements import (CoherentElement, ElementFormatError, RawLevelStream,
                        SubgroupForms, VerificationReport, check_coherence,
                        finite_support_element, materialize_levels,
                        min_letter_element, min_letter_subgroup_expr,
-                       parse_element_file, random_element,
-                       random_sparse_epsilon, render_element_file,
-                       verify_composition_additivity,
+                       parse_element_file, random_sparse_epsilon,
+                       render_element_file, verify_composition_additivity,
                        verify_weight2_realization, weight_one_coordinates,
                        weight_one_element, weight_one_part_vanishes,
-                       weight_two_element, zero_element)
+                       weight_two_element)
 
 __version__ = "0.1.0"

@@ -14,15 +14,18 @@ Every computation the library offers, with deterministic output:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 The default formula output is a single bare line so scripts can consume
-it; --annotate adds the per-summand breakdown, --format json switches
-to the machine encoding.  Identical flags and seed give byte-identical
-output.
+it; --format json switches to the machine encoding.  Only `cech
+earring`, `hm` and `verify stabilize` take --annotate, which adds their
+per-summand (or per-dimension) lines.  `verify stabilize` needs at least
+two dimensions m >= s + 2 in the m-range.  Identical flags and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -72,12 +75,15 @@ def _grading_of(args) -> GradingSequence:
     return GradingSequence.for_wedge_of_fixed_dimension(m)
 
 
-def _emit(text_lines, machine, fmt):
-    if fmt == "json":
-        print(json.dumps(machine, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit_json(machine) -> int:
+    print(json.dumps(machine, sort_keys=True))
+    return 0
+
+
+def _emit_lines(lines) -> int:
+    for line in lines:
+        print(line)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +102,16 @@ def cmd_cech_earring(args) -> int:
         raise CommandError("need n >= 2 and m >= 2")
     table = _table(args)
     expr = earring_formula(args.n, args.m, table)
-    trivial = args.n <= args.m - 1
-    lines = [_formula_line(expr, trivial)]
+    if args.format == "json":
+        return _emit_json(to_machine(expr))
+    lines = [_formula_line(expr, args.n <= args.m - 1)]
     if args.annotate:
         for j in weight_range(args.n, args.m):
             q = (args.m - 1) * j + 1
             lines.append("weight %d: pi_%d(S^%d) per stage, %s"
                          % (j, args.n, q,
                             render_text(weight_summand(args.n, args.m, j, table))))
-    _emit(lines, to_machine(expr), args.format)
-    return 0
+    return _emit_lines(lines)
 
 
 def cmd_cech_wedge(args) -> int:
@@ -114,9 +120,9 @@ def cmd_cech_wedge(args) -> int:
     grading = _grading_of(args)
     table = _table(args)
     expr = cech_decompose(args.n, grading, table)
-    trivial = args.n <= grading.r(1)
-    _emit([_formula_line(expr, trivial)], to_machine(expr), args.format)
-    return 0
+    if args.format == "json":
+        return _emit_json(to_machine(expr))
+    return _emit_lines([_formula_line(expr, args.n <= grading.r(1))])
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +134,36 @@ def cmd_hall(args) -> int:
         raise CommandError("need k >= 1 and J >= 1")
     grading = (_parse_grading(args.grading) if args.grading
                else GradingSequence.constant(1))
-    hs = generate(args.k, args.J)
-    rows = [(w, w.length, height(w, grading)) for w in hs]
-    lines = ["%s\t%d\t%d" % (str(w), j, h) for w, j, h in rows]
-    machine = {"k": args.k, "max_weight": args.J,
-               "grading": grading.spec_string(),
-               "words": [{"word": str(w), "weight": j, "height": h}
-                         for w, j, h in rows]}
-    _emit(lines, machine, args.format)
-    return 0
+    rows = [(str(w), w.length, height(w, grading))
+            for w in generate(args.k, args.J)]
+    if args.format == "json":
+        return _emit_json({"k": args.k, "max_weight": args.J,
+                           "grading": grading.spec_string(),
+                           "words": [{"word": w, "weight": j, "height": h}
+                                     for w, j, h in rows]})
+    return _emit_lines("%s\t%d\t%d" % row for row in rows)
 
 
 def cmd_count(args) -> int:
     if args.k < 1 or args.j < 1:
         raise CommandError("need k >= 1 and j >= 1")
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    too_long = CommandError("the count has more than %d digits, too many "
+                            "to print" % limit)
+    # For k >= 2 the count is at least k**j / (2j), so it has more than
+    # j log10(k) - log10(2j) digits; refuse before computing it when
+    # that bound alone passes the interpreter's int-to-str digit limit.
+    if (limit and args.k >= 2 and args.j * math.log10(args.k)
+            - math.log10(2 * args.j) > limit * (1 + 1e-9)):
+        raise too_long
     c = necklace_count(args.k, args.j)
     try:
         text = str(c)  # json.dumps renders the int the same way
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        raise CommandError("the count has more than %d digits, too many to print"
-                           % sys.get_int_max_str_digits()) from None
-    _emit([text], {"k": args.k, "weight": args.j, "count": c}, args.format)
-    return 0
+    except ValueError:  # the narrow band the bound above cannot decide
+        raise too_long from None
+    if args.format == "json":
+        return _emit_json({"k": args.k, "weight": args.j, "count": c})
+    return _emit_lines([text])
 
 
 def cmd_hm(args) -> int:
@@ -158,22 +172,21 @@ def cmd_hm(args) -> int:
     grading = _grading_of(args)
     table = _table(args)
     dec = decompose_wedge(args.n, args.k, grading, table)
+    rows = [(str(w), height(w, grading) + 1, g) for w, g in dec.summands]
+    if args.format == "json":
+        return _emit_json({
+            "n": args.n, "k": args.k, "grading": grading.spec_string(),
+            "trivial_by_connectivity": dec.trivial_by_connectivity,
+            "summands": [{"word": w, "sphere": q, "group": to_machine(g)}
+                         for w, q, g in rows],
+            "total": to_machine(dec.total())})
     if dec.trivial_by_connectivity:
-        lines = ["0 (trivial by connectivity)"]
-    else:
-        lines = ["%s\tpi_%d(S^%d)\t%s"
-                 % (str(w), args.n, height(w, grading) + 1, render_text(g))
-                 for w, g in dec.summands]
-        if args.annotate:
-            lines.append("total\t%s" % render_text(dec.total()))
-    machine = {"n": args.n, "k": args.k, "grading": grading.spec_string(),
-               "trivial_by_connectivity": dec.trivial_by_connectivity,
-               "summands": [{"word": str(w),
-                             "sphere": height(w, grading) + 1,
-                             "group": to_machine(g)} for w, g in dec.summands],
-               "total": to_machine(dec.total())}
-    _emit(lines, machine, args.format)
-    return 0
+        return _emit_lines(["0 (trivial by connectivity)"])
+    lines = ["%s\tpi_%d(S^%d)\t%s" % (w, args.n, q, render_text(g))
+             for w, q, g in rows]
+    if args.annotate:
+        lines.append("total\t%s" % render_text(dec.total()))
+    return _emit_lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +373,9 @@ def _add_common(p, table=True):
         p.add_argument("--table", default=None,
                        help="sphere table file, or 'seed' (default: "
                             "$CECHWEDGE_TABLE, else seed)")
+
+
+def _add_annotate(p):
     p.add_argument("--annotate", action="store_true",
                    help="add per-summand detail lines")
 
@@ -378,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("-m", type=int, required=True, help="sphere dimension")
     pe.add_argument("-n", type=int, required=True, help="homotopy degree")
     _add_common(pe)
+    _add_annotate(pe)
     pe.set_defaults(func=cmd_cech_earring)
     pw = cech_sub.add_parser("wedge", help="general shrinking wedge by grading")
     pw.add_argument("--grading", required=True, help="p1,...,pk;t")
@@ -405,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("-m", type=int, default=None)
     pm.add_argument("--grading", default=None)
     _add_common(pm)
+    _add_annotate(pm)
     pm.set_defaults(func=cmd_hm)
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -441,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("-s", type=int, required=True, help="degree offset")
     vs.add_argument("--m-range", required=True, help="lo..hi")
     _add_common(vs)
+    _add_annotate(vs)
     vs.set_defaults(func=cmd_verify_stabilize)
 
     return ap

@@ -145,10 +145,6 @@ def _resolve_group(n: int, q: int, table, what: str):
     return group
 
 
-def zero_element(n: int, m: int) -> CoherentElement:
-    return CoherentElement(n, m)
-
-
 def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
     """Element supported on finitely many Hall words.
 

@@ -27,11 +27,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-DEFAULT_STRATUM_CAP = 10**6
+STRATUM_CAP = 10**6
 
 
 class StratumSizeError(RuntimeError):
-    """A requested weight stratum would exceed the configured cap."""
+    """A requested weight stratum would hold more than STRATUM_CAP words."""
 
 
 class HallWord:
@@ -196,8 +196,7 @@ class HallSet:
 
 
 @functools.lru_cache(maxsize=256)
-def generate(k: int, max_weight: int,
-             max_stratum_size: int = DEFAULT_STRATUM_CAP) -> HallSet:
+def generate(k: int, max_weight: int) -> HallSet:
     """Generate the Hall words on k letters up to the given weight.
 
     Letters are introduced one at a time; the words whose maximal
@@ -219,10 +218,10 @@ def generate(k: int, max_weight: int,
         raise ValueError("need at least weight 1")
     for j in range(1, max_weight + 1):
         predicted = necklace_count(k, j)
-        if predicted > max_stratum_size:
+        if predicted > STRATUM_CAP:
             raise StratumSizeError(
                 "stratum %d on %d letters holds %d words, cap is %d"
-                % (j, k, predicted, max_stratum_size))
+                % (j, k, predicted, STRATUM_CAP))
     strata: list[list[HallWord]] = [[] for _ in range(max_weight + 1)]
     for c in range(1, k + 1):
         # start[j]: where the words of weight j with maximal letter c begin
@@ -345,10 +344,6 @@ class GradingSequence:
             return self.prefix[i - 1]
         return self.tail
 
-    def sphere_dimension(self, i: int) -> int:
-        """Dimension of the i-th wedge sphere: r(i) + 1."""
-        return self.r(i) + 1
-
 
 def height(w: HallWord, grading: GradingSequence) -> int:
     """h(w) = sum of r(i) over the letter occurrences of w."""
@@ -393,56 +388,34 @@ class _CountablyInfinite:
 COUNTABLY_INFINITE = _CountablyInfinite()
 
 
-def height_class_census(n: int, grading: GradingSequence, letters=None):
+def height_class_census(n: int, grading: GradingSequence):
     """Cardinality of each height class of Hall words below degree n.
 
     Returns a map from h in [r(1), n - 1] to the number of Hall words
-    of height h, on the full infinite alphabet when letters is None and
-    on the first `letters` letters otherwise.  Infinite classes map to
+    of height h on the full infinite alphabet.  Infinite classes map to
     COUNTABLY_INFINITE.
 
     A class is infinite exactly when some multiset of letters of total
     grading h uses at least one letter from the constant tail: the tail
     letter can then be varied over the infinitely many letters beyond
     the prefix, and every multiset that is not a single repeated letter
-    supports at least one Hall word.
+    supports at least one Hall word.  Every other class holds only
+    prefix letters with r(i) <= n - 1, which are the first ones, so it
+    is counted on the Hall words over those letters.
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
-    lo = grading.r(1)
-    domain = range(lo, n)
-    if letters is not None:
-        tally = Counter(height(w, grading)
-                        for w in dimension_truncation(letters, n, grading))
-        return {h: tally.get(h, 0) for h in domain}
-    if lo > n - 1:
-        return {}
-    p = len(grading.prefix)
-    census = {}
-    if grading.tail <= n - 1:
-        values = set(grading.prefix) | {grading.tail}
-        reachable = [False] * n
-        reachable[0] = True
-        for v in values:
-            for s in range(v, n):
-                if reachable[s - v]:
-                    reachable[s] = True
-        finite_tally = Counter()
-        if p >= 1:
-            finite_tally = Counter(height(w, grading)
-                                   for w in dimension_truncation(p, n, grading))
-        for h in domain:
-            if h >= grading.tail and reachable[h - grading.tail]:
-                census[h] = COUNTABLY_INFINITE
-            else:
-                census[h] = finite_tally.get(h, 0)
-    else:
-        # Only the prefix letters with r(i) <= n - 1 can appear at all.
-        usable = sum(1 for i in range(1, p + 1) if grading.r(i) <= n - 1)
-        tally = Counter()
-        if usable >= 1:
-            tally = Counter(height(w, grading)
-                            for w in dimension_truncation(usable, n, grading))
-        for h in domain:
-            census[h] = tally.get(h, 0)
-    return census
+    usable = sum(1 for r in grading.prefix if r <= n - 1)
+    tally = Counter(height(w, grading)
+                    for w in (dimension_truncation(usable, n, grading)
+                              if usable else ()))
+    # reachable[s]: some multiset of grading values sums to s
+    reachable = [True] + [False] * (n - 1)
+    for v in set(grading.prefix) | {grading.tail}:
+        for s in range(v, n):
+            if reachable[s - v]:
+                reachable[s] = True
+    return {h: (COUNTABLY_INFINITE
+                if h >= grading.tail and reachable[h - grading.tail]
+                else tally.get(h, 0))
+            for h in range(grading.r(1), n)}

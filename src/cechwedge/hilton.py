@@ -152,13 +152,6 @@ def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
     return normalize(ProdN(sphere_group_expr(n, (m - 1) * j + 1, table)))
 
 
-def relative_cech(n: int, m: int, table) -> GroupExpr:
-    """Everything the product of spheres does not see: the blocks of
-    weight >= 2."""
-    parts = [weight_summand(n, m, j, table) for j in weight_range(n, m, start=2)]
-    return normalize(DirectSum(tuple(parts)))
-
-
 @dataclass(frozen=True)
 class StabilizationReport:
     """Closed-form values of degree m + s across a range of m."""
@@ -188,8 +181,9 @@ def stabilization_report(s: int, m_range, table) -> StabilizationReport:
 
     Once m >= s + 2 only the weight-1 block survives and its group is a
     stable one, so all those entries should agree; the verdict records
-    whether they do.  Unresolved table entries are reported as warnings
-    rather than errors.
+    whether they do, and m_range must hold at least two such m.
+    Unresolved table entries are reported as warnings rather than
+    errors.
     """
     if s < 0:
         raise ValueError("offset must be >= 0")
@@ -205,7 +199,10 @@ def stabilization_report(s: int, m_range, table) -> StabilizationReport:
                             % (m + s, m))
         entries.append((m, expr))
     in_range = [expr for m, expr in entries if m >= s + 2]
-    stable = bool(in_range) and all(expr == in_range[0] for expr in in_range)
+    if len(in_range) < 2:
+        raise ValueError("need at least two dimensions m >= s + 2 = %d to "
+                         "compare" % (s + 2))
+    stable = all(expr == in_range[0] for expr in in_range)
     stable_value = in_range[0] if stable else None
     return StabilizationReport(offset=s, entries=tuple(entries), stable=stable,
                                stable_value=stable_value, warnings=tuple(warnings))

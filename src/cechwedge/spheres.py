@@ -140,13 +140,6 @@ def parse_table(text: str, source: str = "table") -> SphereGroupTable:
     return table
 
 
-def render_table(table: SphereGroupTable) -> str:
-    lines = []
-    for (n, q) in sorted(table.entries):
-        lines.append("pi %d %d = %s" % (n, q, table.entries[(n, q)].render(" + ")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 _SEED_VALUES = (
     # (n, q, group, provenance)
     (3, 2, Z, "seed: pi_3(S^2), degree of the Hopf class"),

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .groups import GroupElement, integer_element
-from .hall import (GradingSequence, HallWord, bracket, letter,
-                   _hall_conditions)
+from .hall import HallWord, bracket, letter, _hall_conditions
 
 MAX_TENSOR_WEIGHT = 4
 MAX_TENSOR_LETTERS = 3
@@ -94,16 +93,10 @@ def _has_square(w: HallWord) -> bool:
                                 or _has_square(w.right))
 
 
-def _degree_of(degrees, i: int) -> int:
-    if isinstance(degrees, GradingSequence):
-        return degrees.sphere_dimension(i)
-    return degrees[i]
-
-
 def monomial_of_word(w: HallWord, degrees) -> BracketMonomial:
-    """Attach degrees to a bare word; degrees is a GradingSequence or a
-    mapping from letter index to degree."""
-    ds = tuple(_degree_of(degrees, i) for i in w.iter_letters())
+    """Attach degrees to a bare word; degrees maps letter index to
+    degree."""
+    ds = tuple(degrees[i] for i in w.iter_letters())
     if min(ds) < 2:
         raise ValueError("generator degrees must be >= 2")
     return BracketMonomial(w, ds)
@@ -237,7 +230,7 @@ def _reduce_root(x: BracketMonomial, y: BracketMonomial):
     return tuple((t, s * c) for j, s in jacobi for t, c in _reduce(j))
 
 
-def hall_normalize(s, letters: int | None = None):
+def hall_normalize(s):
     """Split a combination of weight <= MAX_TENSOR_WEIGHT into Hall
     coordinates and a residual.
 
@@ -252,8 +245,6 @@ def hall_normalize(s, letters: int | None = None):
         if mono.word.length > MAX_TENSOR_WEIGHT:
             raise WeightLimitError("no rewriting above weight %d: %s"
                                    % (MAX_TENSOR_WEIGHT, mono))
-        if letters is not None and mono.word.max_letter > letters:
-            raise ValueError("monomial %s uses letters beyond a%d" % (mono, letters))
         for i, d in zip(mono.word.iter_letters(), mono.degrees):
             seen = degree_by_letter.setdefault(i, d)
             if seen != d:

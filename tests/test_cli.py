@@ -1,9 +1,11 @@
 """End-to-end command-line checks, run in process."""
 
 import json
+import sys
 
 import pytest
 
+from cechwedge import cli
 from cechwedge.cli import main
 from cechwedge.groups import parse_machine, to_machine
 from cechwedge.hilton import earring_formula
@@ -77,6 +79,31 @@ def test_hall_with_grading(capsys):
 def test_count(capsys):
     rc, out, _ = run(capsys, "count", "-k", "3", "-j", "3")
     assert rc == 0 and out == "8\n"
+
+
+@pytest.fixture
+def default_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_count_at_the_digit_limit(capsys, default_digit_limit):
+    rc, out, _ = run(capsys, "count", "-k", "10", "-j", "4303")
+    assert rc == 0 and len(out.strip()) == 4300
+
+
+def test_count_refuses_before_computing(capsys, monkeypatch,
+                                        default_digit_limit):
+    def boom(k, j):
+        raise AssertionError("necklace_count was called")
+
+    monkeypatch.setattr(cli, "necklace_count", boom)
+    rc, out, err = run(capsys, "count", "-k", "7", "-j", "10000000")
+    assert rc == 2 and out == ""
+    assert err == ("error: the count has more than 4300 digits, too many "
+                   "to print\n")
 
 
 def test_hm_decomposition(capsys):
@@ -245,11 +272,28 @@ def test_verify_stabilize_failure(capsys):
     ("hm", "-n", "60", "-k", "3", "-m", "2"),
     ("count", "-k", "7", "-j", "1000000"),
     ("count", "-k", "100000", "-j", "100000", "--format", "json"),
+    # --annotate exists only on cech earring, hm and verify stabilize
+    ("cech", "wedge", "--grading", "1;2", "-n", "3", "--annotate"),
+    ("hall", "-k", "2", "-J", "3", "--annotate"),
+    ("count", "-k", "3", "-j", "3", "--annotate"),
+    ("verify", "edge", "--m", "2", "--random", "--annotate"),
+    ("verify", "theta", "--n", "4", "--m", "2", "--random", "--annotate"),
+    ("verify", "coherence", "--file", "e.txt", "--annotate"),
+    # fewer than two dimensions m >= s + 2 leave nothing to compare
+    ("verify", "stabilize", "-s", "1", "--m-range", "3..3"),
+    ("verify", "stabilize", "-s", "1", "--m-range", "2..3"),
+    ("verify", "stabilize", "-s", "5", "--m-range", "2..3"),
+    ("count", "-k", "10", "-j", "4304"),
 ])
-def test_usage_errors(capsys, argv):
-    rc, out, err = run(capsys, *argv)
+def test_usage_errors(capsys, default_digit_limit, argv):
+    if "--annotate" in argv:    # argparse rejects the unknown flag itself
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        rc, prefix = exc.value.code, "usage:"
+    else:
+        rc, prefix = main(list(argv)), "error:"
     assert rc == 2
-    assert err.startswith("error:")
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_unknown_command_exits_2(capsys):

@@ -17,8 +17,7 @@ from cechwedge.elements import (CoherentElement, RawLevelStream,
                                 verify_composition_additivity,
                                 verify_weight2_realization,
                                 weight_one_coordinates, weight_one_element,
-                                weight_one_part_vanishes, weight_two_element,
-                                zero_element)
+                                weight_one_part_vanishes, weight_two_element)
 from cechwedge import elements as elements_module, hall, hilton
 from cechwedge.hall import bracket, letter
 from cechwedge.spheres import parse_table, seed_table
@@ -52,7 +51,7 @@ def test_gtuple_level_needs_both_letters():
 
 
 def test_zero_element_levels():
-    e = zero_element(4, 2)
+    e = CoherentElement(4, 2)
     for k in (1, 3, 6):
         assert e.level(k) == {}
 
@@ -81,7 +80,7 @@ def test_constructors_drop_zero_values():
     # pi_4(S^2) = Z/2, so a doubled coordinate vanishes
     e2 = finite_support_element(4, 2, [("a1", (1,)), ("a1", (1,))], TABLE)
     assert e2.coords == ()
-    assert e2 == zero_element(4, 2)
+    assert e2 == CoherentElement(4, 2)
 
 
 def test_value_coercion():
@@ -221,7 +220,7 @@ def test_add_eps_and_gtuple_is_levelwise():
 
 def test_add_requires_same_degrees():
     with pytest.raises(ValueError):
-        zero_element(3, 2) + zero_element(4, 2)
+        CoherentElement(3, 2) + CoherentElement(4, 2)
 
 
 def test_negation_cancels():
@@ -239,7 +238,7 @@ def test_gtuple_cancellation_drops_pairs():
     b = min_letter_element(3, 2, {1: [("[a1,a2]", -g)]}, TABLE)
     s = a + b
     assert s.coords == ()
-    assert s == zero_element(3, 2)
+    assert s == CoherentElement(3, 2)
 
 
 # ---------------------------------------------------------------------------

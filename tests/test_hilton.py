@@ -3,14 +3,13 @@
 import pytest
 
 from cechwedge.groups import (CYCLIC_2, DirectSum, Finite, Pow, ProdN,
-                              SphereSymbol, SumN, Z, ZERO, normalize,
+                              SphereSymbol, SumN, Z, ZERO,
                               render_text)
 from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
                             generate, letter)
 from cechwedge.hilton import (SupportError, _has_symbol, apply_bonding,
                               bonding, cech_decompose, decompose_wedge,
-                              earring_formula, relative_cech,
-                              stabilization_report, weight_summand)
+                              earring_formula, stabilization_report, weight_summand)
 from cechwedge.spheres import seed_table
 from cechwedge.whitehead import parse_word
 
@@ -190,18 +189,6 @@ def test_weight_summand():
         weight_summand(3, 2, 0, TABLE)
 
 
-def test_relative_cech():
-    assert render_text(relative_cech(4, 2, TABLE)) == "(Z/2)^N (+) Z^N"
-    assert relative_cech(3, 3, TABLE) == ZERO
-    # relative part plus the weight-1 block is the whole group
-    for m in (2, 3):
-        for n in range(2, 8):
-            from cechwedge.groups import DirectSum
-            total = normalize(DirectSum((relative_cech(n, m, TABLE),
-                                         weight_summand(n, m, 1, TABLE))))
-            assert total == earring_formula(n, m, TABLE)
-
-
 def test_unresolved_groups_stay_symbolic():
     expr = earring_formula(9, 2, TABLE)
     assert "pi_9(S^2)" in render_text(expr)
@@ -247,6 +234,9 @@ def test_stabilization_validation():
         stabilization_report(1, [], TABLE)
     with pytest.raises(ValueError):
         stabilization_report(1, [1, 3], TABLE)
+    # one dimension with m >= s + 2 leaves nothing to compare
+    with pytest.raises(ValueError):
+        stabilization_report(1, range(2, 4), TABLE)
 
 
 @pytest.mark.parametrize("wrap", [
