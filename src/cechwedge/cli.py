@@ -253,8 +253,8 @@ def cmd_verify_edge(args) -> int:
     elif args.random:
         rng = random.Random(args.seed)
         for t in range(args.count):
-            eps = random_sparse_epsilon(rng, max_index=6, bound=3)
-            delta = random_sparse_epsilon(rng, max_index=6, bound=3)
+            eps = random_sparse_epsilon(rng)
+            delta = random_sparse_epsilon(rng)
             runs += 1
             e_eps = weight_two_element(args.m, eps)
             rep = verify_weight2_realization(e_eps, args.levels)

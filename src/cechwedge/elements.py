@@ -20,13 +20,13 @@ table when the element is built, so levels never need the table again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    dimension_truncation, height, letter)
 from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
+from .records import Frozen, Record
 from .whitehead import (EpsilonOracle, SparseEpsilon, add_coordinates,
                         coordinate_tuple, parse_word, project_level)
 
@@ -41,8 +41,7 @@ class ElementFormatError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class CoherentElement:
+class CoherentElement(Frozen):
     """Finitely many word coordinates plus an optional weight-2 matrix.
 
     coords is kept canonical (sorted by word, no zero values), so equal
@@ -50,18 +49,22 @@ class CoherentElement:
     n = 2m - 1, where the weight-2 sphere groups are infinite cyclic.
     """
 
-    n: int
-    m: int
-    coords: tuple[tuple[HallWord, GroupElement], ...] = ()
-    eps: EpsilonOracle | None = None
+    __slots__ = ("n", "m", "coords", "eps", "_part_cache")
+    _fields = ("n", "m", "coords", "eps")
 
-    def __post_init__(self):
-        if self.n < 2 or self.m < 2:
+    def __init__(self, n: int, m: int,
+                 coords: tuple[tuple[HallWord, GroupElement], ...] = (),
+                 eps: EpsilonOracle | None = None):
+        if n < 2 or m < 2:
             raise ValueError("need n >= 2 and m >= 2")
-        if self.eps is not None and self.n != 2 * self.m - 1:
+        if eps is not None and n != 2 * m - 1:
             raise ValueError("weight-2 families live in degree 2m - 1 = %d, "
-                             "not %d" % (2 * self.m - 1, self.n))
-        object.__setattr__(self, "coords", coordinate_tuple(self.coords))
+                             "not %d" % (2 * m - 1, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coords", coordinate_tuple(coords))
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "_part_cache", None)
 
     def level(self, k: int) -> dict[HallWord, GroupElement]:
         """Coordinates at the k-sphere stage, in a fresh dict.
@@ -82,8 +85,9 @@ class CoherentElement:
 
     def _parts(self, k: int) -> list[dict[HallWord, GroupElement]]:
         """The per-letter parts 1..k (at least), kept on the instance in
-        a plain attribute so equality, hash and repr ignore them."""
-        cache = self.__dict__.get("_part_cache")
+        a slot that is not a field, so equality, hash and repr ignore
+        them."""
+        cache = self._part_cache
         if cache is None:
             by_letter: dict[int, list] = {}
             for w, f in self.coords:
@@ -220,14 +224,16 @@ def weight_one_part_vanishes(e, kmax: int) -> bool:
 # Coherence
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Verdict of a level-by-level check.  failures holds (level, word)
     pairs for check_coherence and messages for the realization checks."""
 
-    ok: bool
-    checked_levels: int
-    failures: tuple = ()
+    __slots__ = _fields = ("ok", "checked_levels", "failures")
+
+    def __init__(self, ok: bool, checked_levels: int, failures: tuple = ()):
+        self.ok = ok
+        self.checked_levels = checked_levels
+        self.failures = failures
 
     def __bool__(self):
         return self.ok
@@ -259,14 +265,17 @@ def check_coherence(e, kmax: int) -> VerificationReport:
                               failures=tuple(failures))
 
 
-@dataclass
-class RawLevelStream:
+class RawLevelStream(Record):
     """Explicit per-level coordinates; the test double for streams that
     did not come from one of the coherent descriptions."""
 
-    n: int
-    m: int
-    levels: dict[int, dict[HallWord, GroupElement]]
+    __slots__ = _fields = ("n", "m", "levels")
+
+    def __init__(self, n: int, m: int,
+                 levels: dict[int, dict[HallWord, GroupElement]]):
+        self.n = n
+        self.m = m
+        self.levels = levels
 
     def level(self, k: int) -> dict[HallWord, GroupElement]:
         if k not in self.levels:
@@ -321,13 +330,16 @@ def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
                               failures=tuple(failures))
 
 
-@dataclass
-class SubgroupForms:
+class SubgroupForms(Record):
     """The least-letter subgroup shape, before and after regrouping."""
 
-    per_letter: GroupExpr
-    weight_split: GroupExpr
-    equal: bool
+    __slots__ = _fields = ("per_letter", "weight_split", "equal")
+
+    def __init__(self, per_letter: GroupExpr, weight_split: GroupExpr,
+                 equal: bool):
+        self.per_letter = per_letter
+        self.weight_split = weight_split
+        self.equal = equal
 
 
 def min_letter_subgroup_expr(n: int, m: int, table) -> SubgroupForms:
@@ -437,13 +449,12 @@ def render_element_file(e: CoherentElement) -> str:
 # Seeded random fixtures (shared by the CLI and the test suite)
 
 
-def random_sparse_epsilon(rng: random.Random, max_index: int = 6,
-                          bound: int = 3, density: float = 0.5) -> SparseEpsilon:
+def random_sparse_epsilon(rng: random.Random) -> SparseEpsilon:
     entries = {}
-    for i in range(1, max_index):
-        for j in range(i + 1, max_index + 1):
-            if rng.random() < density:
-                c = rng.randint(-bound, bound)
+    for i in range(1, 6):
+        for j in range(i + 1, 7):
+            if rng.random() < 0.5:
+                c = rng.randint(-3, 3)
                 if c:
                     entries[(i, j)] = c
     return SparseEpsilon.from_dict(entries)
@@ -468,28 +479,25 @@ def _resolvable_words(n: int, m: int, table, max_letter: int,
     return out
 
 
-def random_finite_support_element(rng: random.Random, n: int, m: int, table,
-                                  max_letter: int = 6,
-                                  max_terms: int = 3) -> CoherentElement:
-    pool = _resolvable_words(n, m, table, max_letter)
+def random_finite_support_element(rng: random.Random, n: int, m: int,
+                                  table) -> CoherentElement:
+    pool = _resolvable_words(n, m, table, 6)
     entries = []
-    for w in (rng.sample(pool, min(len(pool), rng.randint(0, max_terms))) if pool else []):
+    for w in (rng.sample(pool, min(len(pool), rng.randint(0, 3))) if pool else []):
         group = table.lookup(n, height(w, GradingSequence.constant(m - 1)) + 1)
         entries.append((w, random_group_element(rng, group)))
     return finite_support_element(n, m, entries, table)
 
 
-def random_weight_two_element(rng: random.Random, m: int, max_index: int = 6,
-                              bound: int = 3) -> CoherentElement:
-    return weight_two_element(m, random_sparse_epsilon(rng, max_index, bound))
+def random_weight_two_element(rng: random.Random, m: int) -> CoherentElement:
+    return weight_two_element(m, random_sparse_epsilon(rng))
 
 
-def random_min_letter_element(rng: random.Random, n: int, m: int, table,
-                              max_letter: int = 4,
-                              max_terms: int = 3) -> CoherentElement:
-    pool = _resolvable_words(n, m, table, max_letter, min_weight=2)
+def random_min_letter_element(rng: random.Random, n: int, m: int,
+                              table) -> CoherentElement:
+    pool = _resolvable_words(n, m, table, 4, min_weight=2)
     families: dict[int, list] = {}
-    for w in (rng.sample(pool, min(len(pool), rng.randint(0, max_terms))) if pool else []):
+    for w in (rng.sample(pool, min(len(pool), rng.randint(0, 3))) if pool else []):
         group = table.lookup(n, height(w, GradingSequence.constant(m - 1)) + 1)
         families.setdefault(w.min_letter, []).append(
             (w, random_group_element(rng, group)))

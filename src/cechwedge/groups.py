@@ -20,7 +20,8 @@ summand is part of the answer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .records import Frozen
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -62,21 +63,21 @@ def invariant_factors(orders) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Frozen):
     """rank copies of Z plus cyclic groups of the invariant factors."""
 
-    rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int = 0, torsion: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("rank must be >= 0")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion orders must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def zero(cls) -> "FGAbelianGroup":
@@ -220,57 +221,67 @@ def integer_element(c: int) -> GroupElement:
 # Group shapes
 
 
-class GroupExpr:
-    """Base class for group shapes; subclasses are frozen dataclasses."""
+class GroupExpr(Frozen):
+    """Base class for group shapes: frozen records compared by class and
+    fields."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Zero(GroupExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Finite(GroupExpr):
-    group: FGAbelianGroup
+    __slots__ = _fields = ("group",)
+
+    def __init__(self, group: FGAbelianGroup):
+        object.__setattr__(self, "group", group)
 
 
-@dataclass(frozen=True)
 class SphereSymbol(GroupExpr):
     """Unresolved symbol for the degree-n homotopy group of a q-sphere."""
 
-    n: int
-    q: int
+    __slots__ = _fields = ("n", "q")
+
+    def __init__(self, n: int, q: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
 class DirectSum(GroupExpr):
-    parts: tuple[GroupExpr, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[GroupExpr, ...]):
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
 class Pow(GroupExpr):
-    base: GroupExpr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 1:
+    def __init__(self, base: GroupExpr, exponent: int):
+        if exponent < 1:
             raise ValueError("finite powers need exponent >= 1")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class SumN(GroupExpr):
     """Countable direct sum of copies of the base shape."""
 
-    base: GroupExpr
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: GroupExpr):
+        object.__setattr__(self, "base", base)
 
 
-@dataclass(frozen=True)
 class ProdN(GroupExpr):
     """Countable direct product of copies of the base shape."""
 
-    base: GroupExpr
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: GroupExpr):
+        object.__setattr__(self, "base", base)
 
 
 ZERO = Zero()

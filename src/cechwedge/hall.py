@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+
+from .records import Frozen
 
 STRATUM_CAP = 10**6
 
@@ -170,8 +171,7 @@ def _hall_conditions(w: HallWord) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HallSet:
+class HallSet(Frozen):
     """Hall words on `letters` letters up to weight `max_weight`.
 
     Strata are stored in canonical order, so iteration is the canonical
@@ -179,9 +179,13 @@ class HallSet:
     for k + 1 letters.
     """
 
-    letters: int
-    max_weight: int
-    strata: tuple[tuple[HallWord, ...], ...]
+    __slots__ = _fields = ("letters", "max_weight", "strata")
+
+    def __init__(self, letters: int, max_weight: int,
+                 strata: tuple[tuple[HallWord, ...], ...]):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "strata", strata)
 
     def stratum(self, j: int) -> tuple[HallWord, ...]:
         if not 1 <= j <= self.max_weight:
@@ -283,28 +287,31 @@ def necklace_count(k: int, j: int) -> int:
     """
     if k < 1 or j < 1:
         raise ValueError("necklace_count needs k >= 1 and j >= 1")
+    if k == 1:
+        # the sum of mobius(d) over d | j is 1 for j = 1 and 0 beyond
+        return 1 if j == 1 else 0
     total = sum(_mobius(d) * k ** (j // d) for d in _divisors(j))
     assert total % j == 0
     return total // j
 
 
-@dataclass(frozen=True)
-class GradingSequence:
+class GradingSequence(Frozen):
     """Monotone sequence r1 <= r2 <= ... with an eventually constant tail.
 
     r(i) is prefix[i-1] for i <= len(prefix) and tail beyond.  The word
     a_i contributes r(i) to the height of every word containing it.
     """
 
-    prefix: tuple[int, ...] = ()
-    tail: int = 1
+    __slots__ = _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        if self.tail < 1 or any(p < 1 for p in self.prefix):
+    def __init__(self, prefix: tuple[int, ...] = (), tail: int = 1):
+        if tail < 1 or any(p < 1 for p in prefix):
             raise ValueError("grading entries must be >= 1")
-        seq = self.prefix + (self.tail,)
+        seq = prefix + (tail,)
         if any(a > b for a, b in zip(seq, seq[1:])):
             raise ValueError("grading must be monotone nondecreasing")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
 
     @classmethod
     def constant(cls, r: int) -> "GradingSequence":

@@ -19,12 +19,11 @@ as separate code paths so they can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
                      SumN, ZERO, normalize, render_text)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census, is_hall)
+from .records import Frozen
 
 
 class SupportError(ValueError):
@@ -36,15 +35,21 @@ def sphere_group_expr(n: int, q: int, table) -> GroupExpr:
     return SphereSymbol(n, q) if group is None else Finite(group)
 
 
-@dataclass(frozen=True)
-class WedgeDecomposition:
+class WedgeDecomposition(Frozen):
     """Degree-n homotopy of a k-sphere wedge, summand by summand."""
 
-    n: int
-    k: int
-    grading: GradingSequence
-    summands: tuple[tuple[HallWord, GroupExpr], ...]
-    trivial_by_connectivity: bool = False
+    __slots__ = _fields = ("n", "k", "grading", "summands",
+                           "trivial_by_connectivity")
+
+    def __init__(self, n: int, k: int, grading: GradingSequence,
+                 summands: tuple[tuple[HallWord, GroupExpr], ...],
+                 trivial_by_connectivity: bool = False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "trivial_by_connectivity",
+                           trivial_by_connectivity)
 
     def words(self) -> list[HallWord]:
         return [w for w, _ in self.summands]
@@ -73,13 +78,15 @@ def decompose_wedge(n: int, k: int, grading: GradingSequence,
     return WedgeDecomposition(n, k, grading, tuple(summands))
 
 
-@dataclass(frozen=True)
-class BondingMap:
+class BondingMap(Frozen):
     """Coordinate action of dropping sphere k + 1 from a (k+1)-wedge."""
 
-    n: int
-    k: int
-    grading: GradingSequence
+    __slots__ = _fields = ("n", "k", "grading")
+
+    def __init__(self, n: int, k: int, grading: GradingSequence):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "grading", grading)
 
 
 def bonding(n: int, k: int, grading: GradingSequence) -> BondingMap:
@@ -152,15 +159,20 @@ def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
     return normalize(ProdN(sphere_group_expr(n, (m - 1) * j + 1, table)))
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(Frozen):
     """Closed-form values of degree m + s across a range of m."""
 
-    offset: int
-    entries: tuple[tuple[int, GroupExpr], ...]
-    stable: bool
-    stable_value: GroupExpr | None
-    warnings: tuple[str, ...] = field(default=())
+    __slots__ = _fields = ("offset", "entries", "stable", "stable_value",
+                           "warnings")
+
+    def __init__(self, offset: int, entries: tuple[tuple[int, GroupExpr], ...],
+                 stable: bool, stable_value: GroupExpr | None,
+                 warnings: tuple[str, ...] = ()):
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "stable_value", stable_value)
+        object.__setattr__(self, "warnings", warnings)
 
     def render_stable_value(self) -> str:
         return render_text(self.stable_value) if self.stable_value is not None else "0"

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 
 from .groups import FGAbelianGroup, Z, CYCLIC_2
+from .records import Record
 
 ENV_TABLE_VAR = "CECHWEDGE_TABLE"
 
@@ -66,12 +66,15 @@ def _rule_name(n: int, q: int) -> str:
     return _RULE_NAMES["circle"]
 
 
-@dataclass
-class SphereGroupTable:
+class SphereGroupTable(Record):
     """Exact values for pi_n(S^q) beyond the built-in rules."""
 
-    entries: dict[tuple[int, int], FGAbelianGroup] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], str] = field(default_factory=dict)
+    __slots__ = _fields = ("entries", "provenance")
+
+    def __init__(self, entries: dict[tuple[int, int], FGAbelianGroup] | None = None,
+                 provenance: dict[tuple[int, int], str] | None = None):
+        self.entries = {} if entries is None else entries
+        self.provenance = {} if provenance is None else provenance
 
     def lookup(self, n: int, q: int) -> FGAbelianGroup | None:
         forced = builtin_rule(n, q)

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .groups import GroupElement, integer_element
 from .hall import HallWord, bracket, letter, _hall_conditions
+from .records import Frozen
 
 MAX_TENSOR_WEIGHT = 4
 MAX_TENSOR_LETTERS = 3
@@ -433,7 +433,7 @@ def parse_word(text: str) -> HallWord:
 # Epsilon oracles and the projection of an element to one level
 
 
-class EpsilonOracle:
+class EpsilonOracle(Frozen):
     """Upper-triangular integer matrix (epsilon_{i,j})_{i<j}, total."""
 
     __slots__ = ()
@@ -461,20 +461,21 @@ def _check_pair(i, j):
         raise ValueError("epsilon entries need 1 <= i < j, got (%d, %d)" % (i, j))
 
 
-@dataclass(frozen=True)
 class SparseEpsilon(EpsilonOracle):
     """Finitely many explicit entries; everything else is zero."""
 
-    entries: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("entries", "_by_pair")
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        for i, j, _ in self.entries:
+    def __init__(self, entries: tuple[tuple[int, int, int], ...] = ()):
+        for i, j, _ in entries:
             _check_pair(i, j)
-        # A plain attribute, not a field: equality, hash and repr still
-        # see only the entries.  Built in reverse so that, as in a scan,
-        # the first entry for a repeated pair wins.
+        object.__setattr__(self, "entries", entries)
+        # A slot, not a field: equality, hash and repr still see only
+        # the entries.  Built in reverse so that, as in a scan, the
+        # first entry for a repeated pair wins.
         object.__setattr__(self, "_by_pair",
-                           {(i, j): c for i, j, c in reversed(self.entries)})
+                           {(i, j): c for i, j, c in reversed(entries)})
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
@@ -493,16 +494,16 @@ class SparseEpsilon(EpsilonOracle):
         return SparseEpsilon(tuple((i, j, c * k) for i, j, k in self.entries))
 
 
-@dataclass(frozen=True)
 class BandEpsilon(EpsilonOracle):
     """Constant value on the band j - i <= width, zero beyond it."""
 
-    coeff: int
-    width: int
+    __slots__ = _fields = ("coeff", "width")
 
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, coeff: int, width: int):
+        if width < 1:
             raise ValueError("band width must be >= 1")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "width", width)
 
     def value(self, i, j):
         _check_pair(i, j)
@@ -512,9 +513,11 @@ class BandEpsilon(EpsilonOracle):
         return BandEpsilon(c * self.coeff, self.width)
 
 
-@dataclass(frozen=True)
 class SumEpsilon(EpsilonOracle):
-    parts: tuple[EpsilonOracle, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[EpsilonOracle, ...]):
+        object.__setattr__(self, "parts", parts)
 
     def value(self, i, j):
         return sum(p.value(i, j) for p in self.parts)

@@ -202,8 +202,8 @@ def test_criterion_6_edge_realization(request):
         runs = 0
         for m in (2, 3):
             for _ in range(50):
-                alpha = random_sparse_epsilon(rng, max_index=6, bound=3)
-                beta = random_sparse_epsilon(rng, max_index=6, bound=3)
+                alpha = random_sparse_epsilon(rng)
+                beta = random_sparse_epsilon(rng)
                 fa = weight_two_element(m, alpha)
                 assert verify_weight2_realization(fa, 6).ok, (m, alpha)
                 fb = weight_two_element(m, beta)

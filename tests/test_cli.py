@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cechwedge import cli
+from cechwedge import cli, hall
 from cechwedge.cli import main
 from cechwedge.groups import parse_machine, to_machine
 from cechwedge.hilton import earring_formula
@@ -104,6 +104,18 @@ def test_count_refuses_before_computing(capsys, monkeypatch,
     assert rc == 2 and out == ""
     assert err == ("error: the count has more than 4300 digits, too many "
                    "to print\n")
+
+
+def test_count_one_letter_without_factoring(capsys, monkeypatch):
+    def boom(n):
+        raise AssertionError("j was factored")
+
+    monkeypatch.setattr(hall, "_divisors", boom)
+    monkeypatch.setattr(hall, "_mobius", boom)
+    rc, out, _ = run(capsys, "count", "-k", "1", "-j", "1000000000000000000")
+    assert rc == 0 and out == "0\n"
+    rc, out, _ = run(capsys, "count", "-k", "1", "-j", "1")
+    assert rc == 0 and out == "1\n"
 
 
 def test_hm_decomposition(capsys):

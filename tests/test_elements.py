@@ -158,7 +158,7 @@ def test_sparse_epsilon_value_matches_scan():
 
     rng = random.Random(4)
     repeated = SparseEpsilon(((1, 2, 5), (1, 2, -3), (2, 4, 1)))
-    for eps in [repeated] + [random_sparse_epsilon(rng, 7) for _ in range(10)]:
+    for eps in [repeated] + [random_sparse_epsilon(rng) for _ in range(10)]:
         for j in range(2, 9):
             for i in range(1, j):
                 assert eps.value(i, j) == scan(eps, i, j)

@@ -186,6 +186,9 @@ def test_normalize_collapses_trivial_wrappers():
 def test_normalize_keeps_sum_and_product_distinct():
     z2 = Finite(CYCLIC_2)
     assert normalize(SumN(z2)) != normalize(ProdN(z2))
+    # same field, different class
+    assert ProdN(Finite(Z)) != SumN(Finite(Z))
+    assert Zero() == ZERO and hash(Zero()) == hash(ZERO)
 
 
 def test_normalize_does_not_merge_countable_powers():

@@ -182,6 +182,10 @@ def test_grading_parse_and_render():
     assert GradingSequence.parse("2").tail == 2
     assert GradingSequence.parse("2").prefix == ()
     assert GradingSequence.constant(4) == GradingSequence.parse("4")
+    assert hash(GradingSequence.constant(4)) == hash(GradingSequence.parse("4"))
+    assert repr(g) == "GradingSequence(prefix=(1, 2), tail=3)"
+    with pytest.raises(AttributeError):
+        g.tail = 4
     assert GradingSequence.for_wedge_of_fixed_dimension(3) == GradingSequence.constant(2)
 
 

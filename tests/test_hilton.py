@@ -45,6 +45,8 @@ def test_decompose_wedge_trivial_by_connectivity():
     assert dec.trivial_by_connectivity
     assert dec.summands == ()
     assert dec.total() == ZERO
+    assert dec == decompose_wedge(2, 3, GradingSequence.constant(2), TABLE)
+    assert dec != decompose_wedge(2, 3, GradingSequence.constant(1), TABLE)
 
 
 def test_decompose_wedge_summand_count_matches_truncation():

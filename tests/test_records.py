@@ -1,0 +1,156 @@
+"""Record classes: the import set of the CLI and the value semantics of
+every record (equality by class and fields, hashing, immutability and
+repr)."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from cechwedge.elements import (CoherentElement, RawLevelStream,
+                                SubgroupForms, VerificationReport)
+from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Finite,
+                              Pow, ProdN, SphereSymbol, SumN, Z, ZERO, Zero)
+from cechwedge.hall import GradingSequence, HallSet, letter
+from cechwedge.hilton import BondingMap, StabilizationReport, WedgeDecomposition
+from cechwedge.spheres import SphereGroupTable
+from cechwedge.whitehead import BandEpsilon, SparseEpsilon, SumEpsilon
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # a fresh interpreter: pytest itself has imported both modules here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = ("import sys, cechwedge.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+G = GradingSequence((1, 2), 3)
+
+# name -> (build a fresh record, its repr); each call builds a new object
+# from new field values, so equality is never identity.
+HASHABLE = {
+    "FGAbelianGroup": (lambda: FGAbelianGroup(1, (2, 12)),
+                       "FGAbelianGroup(rank=1, torsion=(2, 12))"),
+    "Zero": (lambda: Zero(), "Zero()"),
+    "Finite": (lambda: Finite(FGAbelianGroup(0, (2,))),
+               "Finite(group=FGAbelianGroup(rank=0, torsion=(2,)))"),
+    "SphereSymbol": (lambda: SphereSymbol(4, 3), "SphereSymbol(n=4, q=3)"),
+    "DirectSum": (lambda: DirectSum((SphereSymbol(5, 2), Zero())),
+                  "DirectSum(parts=(SphereSymbol(n=5, q=2), Zero()))"),
+    "Pow": (lambda: Pow(SphereSymbol(5, 2), 3),
+            "Pow(base=SphereSymbol(n=5, q=2), exponent=3)"),
+    "SumN": (lambda: SumN(SphereSymbol(5, 2)),
+             "SumN(base=SphereSymbol(n=5, q=2))"),
+    "ProdN": (lambda: ProdN(SphereSymbol(5, 2)),
+              "ProdN(base=SphereSymbol(n=5, q=2))"),
+    "HallSet": (lambda: HallSet(1, 2, ((letter(1),), ())),
+                "HallSet(letters=1, max_weight=2, strata=((a1,), ()))"),
+    "GradingSequence": (lambda: GradingSequence((1, 2), 3),
+                        "GradingSequence(prefix=(1, 2), tail=3)"),
+    "WedgeDecomposition": (
+        lambda: WedgeDecomposition(2, 1, G, ((letter(1), Finite(Z)),)),
+        "WedgeDecomposition(n=2, k=1, grading=GradingSequence(prefix=(1, 2), "
+        "tail=3), summands=((a1, Finite(group=FGAbelianGroup(rank=1, "
+        "torsion=()))),), trivial_by_connectivity=False)"),
+    "BondingMap": (lambda: BondingMap(4, 2, G),
+                   "BondingMap(n=4, k=2, grading=GradingSequence(prefix=(1, 2), "
+                   "tail=3))"),
+    "StabilizationReport": (
+        lambda: StabilizationReport(1, ((3, ZERO),), True, ZERO),
+        "StabilizationReport(offset=1, entries=((3, Zero()),), stable=True, "
+        "stable_value=Zero(), warnings=())"),
+    "SparseEpsilon": (lambda: SparseEpsilon(((1, 2, 3),)),
+                      "SparseEpsilon(entries=((1, 2, 3),))"),
+    "BandEpsilon": (lambda: BandEpsilon(2, 1), "BandEpsilon(coeff=2, width=1)"),
+    "SumEpsilon": (lambda: SumEpsilon((BandEpsilon(2, 1), SparseEpsilon())),
+                   "SumEpsilon(parts=(BandEpsilon(coeff=2, width=1), "
+                   "SparseEpsilon(entries=())))"),
+    "CoherentElement": (lambda: CoherentElement(3, 2, eps=BandEpsilon(1, 1)),
+                        "CoherentElement(n=3, m=2, coords=(), "
+                        "eps=BandEpsilon(coeff=1, width=1))"),
+}
+
+UNHASHABLE = {
+    "SphereGroupTable": (lambda: SphereGroupTable({(4, 2): CYCLIC_2},
+                                                  {(4, 2): "seed"}),
+                         "SphereGroupTable(entries={(4, 2): FGAbelianGroup("
+                         "rank=0, torsion=(2,))}, provenance={(4, 2): 'seed'})"),
+    "VerificationReport": (lambda: VerificationReport(False, 3, ("level 1",)),
+                           "VerificationReport(ok=False, checked_levels=3, "
+                           "failures=('level 1',))"),
+    "RawLevelStream": (lambda: RawLevelStream(3, 2, {1: {}}),
+                       "RawLevelStream(n=3, m=2, levels={1: {}})"),
+    "SubgroupForms": (lambda: SubgroupForms(ZERO, ZERO, True),
+                      "SubgroupForms(per_letter=Zero(), weight_split=Zero(), "
+                      "equal=True)"),
+}
+
+RECORDS = {**HASHABLE, **UNHASHABLE}
+
+
+def test_every_record_class_is_covered():
+    assert len(RECORDS) == 21
+    assert all(type(build()).__name__ == name
+               for name, (build, _) in RECORDS.items())
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equal_fields_equal_records(name):
+    build, text = RECORDS[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert repr(a) == repr(b) == text
+    assert a != object() and a != text
+
+
+@pytest.mark.parametrize("name", sorted(HASHABLE))
+def test_frozen_records_hash_and_refuse_assignment(name):
+    build, _ = HASHABLE[name]
+    a, b = build(), build()
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    for field in type(a)._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_mutable_records_are_unhashable(name):
+    build, _ = UNHASHABLE[name]
+    a = build()
+    with pytest.raises(TypeError):
+        hash(a)
+    field = type(a)._fields[0]
+    setattr(a, field, None)
+    assert getattr(a, field) is None and a != build()
+
+
+def test_fields_and_class_decide_equality():
+    # ProdN against SumN and Zero() against ZERO: test_groups
+    assert SphereSymbol(4, 3) != SphereSymbol(4, 2)
+    assert FGAbelianGroup(1, (2,)) != FGAbelianGroup(1, (4,))
+    assert CoherentElement(3, 2) != CoherentElement(3, 2, eps=SparseEpsilon())
+
+    class Renamed(SphereSymbol):
+        __slots__ = ()
+
+    assert Renamed(4, 3) != SphereSymbol(4, 3)
+    assert SphereSymbol(4, 3) != Renamed(4, 3)
+
