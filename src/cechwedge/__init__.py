@@ -23,7 +23,7 @@ from .spheres import (SphereGroupTable, load_table, parse_group, parse_table,
                       seed_table)
 from .whitehead import (BandEpsilon, FormalSum, SparseEpsilon, expand,
                         hall_normalize, parse_bracket_expr, parse_word,
-                        project_level, tensor_expansion)
+                        project_level, project_levels, tensor_expansion)
 from .hilton import (BondingMap, WedgeDecomposition, apply_bonding, bonding,
                      cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_summand)

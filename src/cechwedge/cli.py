@@ -30,7 +30,7 @@ import random
 import sys
 
 from .elements import (check_coherence, parse_element_file,
-                       random_min_letter_element, random_sparse_epsilon,
+                       random_min_letter_elements, random_sparse_epsilon,
                        verify_composition_additivity,
                        verify_weight2_realization, weight_one_part_vanishes,
                        weight_two_element)
@@ -40,7 +40,7 @@ from .hall import (GradingSequence, StratumSizeError, generate, height,
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_range, weight_summand)
 from .spheres import load_table
-from .whitehead import add_coordinates, project_level
+from .whitehead import add_coordinates, project_levels
 
 
 class CommandError(Exception):
@@ -264,8 +264,9 @@ def cmd_verify_edge(args) -> int:
             # the levels of eps + delta; only the right side adds oracles.
             e_delta = weight_two_element(args.m, delta)
             e_sum = weight_two_element(args.m, eps + delta)
-            for k in range(1, args.levels + 1):
-                if (add_coordinates(e_eps.level(k), project_level(e_delta, k))
+            walk = project_levels(e_delta, args.levels)
+            for k, delta_level in enumerate(walk, start=1):
+                if (add_coordinates(e_eps.level(k), delta_level)
                         != e_sum.level(k)):
                     failures.append("run %d: additivity fails at level %d" % (t, k))
     else:
@@ -289,15 +290,15 @@ def cmd_verify_theta(args) -> int:
             raise CommandError("element file must describe a least-letter "
                                "family (no eps lines, no weight-1 words)")
         runs = 1
-        for k in range(1, args.levels + 1):
-            if project_level(e, k) != e.level(k):
+        for k, got in enumerate(project_levels(e, args.levels), start=1):
+            if got != e.level(k):
                 failures.append("level %d: realization disagrees with "
                                 "coordinates" % k)
     elif args.random:
-        rng = random.Random(args.seed)
+        draws = random_min_letter_elements(random.Random(args.seed),
+                                           args.n, args.m, table)
         for t in range(args.count):
-            e1 = random_min_letter_element(rng, args.n, args.m, table)
-            e2 = random_min_letter_element(rng, args.n, args.m, table)
+            e1, e2 = next(draws), next(draws)
             runs += 1
             rep = verify_composition_additivity(e1, e2, args.levels)
             if not rep.ok:

@@ -28,7 +28,7 @@ from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
 from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
 from .records import Frozen, Record
 from .whitehead import (EpsilonOracle, SparseEpsilon, add_coordinates,
-                        coordinate_tuple, parse_word, project_level)
+                        coordinate_tuple, parse_word, project_levels)
 
 
 class UnresolvedGroupError(LookupError):
@@ -296,9 +296,8 @@ def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationRep
     """Check that projecting the bracket sum reproduces the family's own
     coordinates (the double sum of eps_{i,j} [a_i, a_j]) at each level."""
     failures = []
-    for k in range(1, kmax + 1):
+    for k, got in enumerate(project_levels(e, kmax), start=1):
         want = e.level(k)
-        got = project_level(e, k)
         if got != want:
             failures.append("level %d: projection %r != coordinates %r"
                             % (k, _render_coords(got), _render_coords(want)))
@@ -320,9 +319,11 @@ def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
         raise ValueError("cannot compare elements of different (n, m)")
     s = e1 + e2
     failures = []
-    for k in range(1, kmax + 1):
-        want = add_coordinates(project_level(e1, k), project_level(e2, k))
-        if project_level(s, k) != want:
+    walks = zip(project_levels(e1, kmax), project_levels(e2, kmax),
+                project_levels(s, kmax))
+    for k, (p1, p2, got) in enumerate(walks, start=1):
+        want = add_coordinates(p1, p2)
+        if got != want:
             failures.append("level %d: projection of the sum disagrees" % k)
         if s.level(k) != want:
             failures.append("level %d: element coordinates disagree" % k)
@@ -466,8 +467,11 @@ def random_group_element(rng: random.Random, group, bound: int = 3) -> GroupElem
     return GroupElement(group, free, torsion)
 
 
-def _resolvable_words(n: int, m: int, table, max_letter: int,
-                      min_weight: int = 1) -> list[HallWord]:
+def _resolvable_pool(n: int, m: int, table, max_letter: int,
+                     min_weight: int = 1) -> list:
+    """The Hall words on letters 1..max_letter of weight >= min_weight
+    whose sphere group resolves to a nonzero group, each with that
+    group."""
     grading = GradingSequence.constant(m - 1)
     out = []
     for w in dimension_truncation(max_letter, n, grading):
@@ -475,33 +479,38 @@ def _resolvable_words(n: int, m: int, table, max_letter: int,
             continue
         group = table.lookup(n, height(w, grading) + 1)
         if group is not None and not group.is_zero():
-            out.append(w)
+            out.append((w, group))
     return out
+
+
+def _draw(rng: random.Random, pool) -> list[tuple[HallWord, GroupElement]]:
+    """Up to three distinct pool words, each with a random value."""
+    picked = rng.sample(pool, min(len(pool), rng.randint(0, 3))) if pool else []
+    return [(w, random_group_element(rng, group)) for w, group in picked]
 
 
 def random_finite_support_element(rng: random.Random, n: int, m: int,
                                   table) -> CoherentElement:
-    pool = _resolvable_words(n, m, table, 6)
-    entries = []
-    for w in (rng.sample(pool, min(len(pool), rng.randint(0, 3))) if pool else []):
-        group = table.lookup(n, height(w, GradingSequence.constant(m - 1)) + 1)
-        entries.append((w, random_group_element(rng, group)))
-    return finite_support_element(n, m, entries, table)
+    return finite_support_element(
+        n, m, _draw(rng, _resolvable_pool(n, m, table, 6)), table)
 
 
 def random_weight_two_element(rng: random.Random, m: int) -> CoherentElement:
     return weight_two_element(m, random_sparse_epsilon(rng))
 
 
-def random_min_letter_element(rng: random.Random, n: int, m: int,
-                              table) -> CoherentElement:
-    pool = _resolvable_words(n, m, table, 4, min_weight=2)
-    families: dict[int, list] = {}
-    for w in (rng.sample(pool, min(len(pool), rng.randint(0, 3))) if pool else []):
-        group = table.lookup(n, height(w, GradingSequence.constant(m - 1)) + 1)
-        families.setdefault(w.min_letter, []).append(
-            (w, random_group_element(rng, group)))
-    return min_letter_element(n, m, families, table)
+def random_min_letter_elements(rng: random.Random, n: int, m: int, table):
+    """An endless stream of random least-letter families drawn with rng.
+
+    The pool of resolvable words (weight >= 2, letters up to 4) and
+    their groups is built once per stream, not once per element.
+    """
+    pool = _resolvable_pool(n, m, table, 4, min_weight=2)
+    while True:
+        families: dict[int, list] = {}
+        for w, f in _draw(rng, pool):
+            families.setdefault(w.min_letter, []).append((w, f))
+        yield min_letter_element(n, m, families, table)
 
 
 def random_element(rng: random.Random, n: int, m: int, table,
@@ -518,5 +527,5 @@ def random_element(rng: random.Random, n: int, m: int, table,
             raise ValueError("weight-2 families need n = 2m - 1")
         return random_weight_two_element(rng, m)
     if kind == "gtuple":
-        return random_min_letter_element(rng, n, m, table)
+        return next(random_min_letter_elements(rng, n, m, table))
     raise ValueError("unknown element kind %r" % kind)

@@ -542,31 +542,56 @@ def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
     return tuple(sorted(add_coordinates(*parts).items(), key=lambda wf: wf[0].key))
 
 
-def project_level(e, k: int) -> dict[HallWord, GroupElement]:
-    """Push an element's two infinite sums down to the k-sphere wedge.
+def project_levels(e, kmax: int):
+    """Walk an element's two infinite sums down the tower: yield its
+    projections to the wedges of 1, 2, ..., kmax spheres, each in a
+    fresh dict that the caller may change.
 
     Works for anything with fields n, m, coords and eps, such as a
-    CoherentElement.  Letters beyond k map to zero.  The eps part is
-    the bracket sum sum_i [l_i, sum_{j>i} eps_{i,j} l_j]: its finite
-    remainder expands by bilinearity into the monomials
-    eps_{i,j} [l_i, l_j], is hall-normalized, and its coefficients land
-    in Z, the group of every weight-2 word in the degree n = 2m - 1
-    that an element with eps has.  The coords part is the composition
-    sum sum_w l_w o f_w, which needs no rewriting: a term survives
-    exactly when its word avoids the trivialized letters.
+    CoherentElement.  At level k the letters beyond k map to zero.
+    The walk adds one letter per level.  Level k is level k - 1 plus
+    column k of the eps part, the bracket sum
+    [sum_{i<k} eps_{i,k} a_i, a_k], expanded by bilinearity into the
+    monomials eps_{i,k} [a_i, a_k] and hall-normalized.  Its
+    coefficients land in Z, the group of every weight-2 word in the
+    degree n = 2m - 1 that an element with eps has.  A column whose eps
+    values are all zero normalizes to nothing and is skipped.  Level k
+    also gains the terms of the coords part, the composition sum
+    sum_w a_w o f_w, whose word has maximal letter k; that sum needs no
+    rewriting, since a term survives exactly when its word avoids the
+    trivialized letters.  Each column is bracketed and normalized once
+    per walk, so a walk to kmax builds at most kmax(kmax - 1)/2
+    monomials.
     """
+    by_letter: dict[int, list] = {}
+    for w, f in e.coords:
+        by_letter.setdefault(w.max_letter, []).append((w, f))
+    gens: list[BracketMonomial] = []
+    level: dict[HallWord, GroupElement] = {}
+    for k in range(1, kmax + 1):
+        column: dict[HallWord, int] = {}
+        if e.eps is not None:
+            gens.append(BracketMonomial(letter(k), (e.m,)))
+            left = FormalSum((gens[i - 1], e.eps.value(i, k))
+                             for i in range(1, k))
+            if left:
+                column, residual = hall_normalize(
+                    left.bracket(FormalSum.single(gens[k - 1])))
+                if residual:
+                    raise ResidualBracketError(
+                        "projection left non-Hall monomials: %s" % residual)
+        level.update(add_coordinates(
+            by_letter.get(k, ()),
+            ((w, integer_element(c)) for w, c in column.items())))
+        yield dict(level)
+
+
+def project_level(e, k: int) -> dict[HallWord, GroupElement]:
+    """Push an element's two infinite sums down to the k-sphere wedge:
+    the last level of the walk project_levels(e, k), which brackets
+    each eps column 1..k once."""
     if k < 1:
         raise ValueError("levels start at 1")
-    coords = {w: f for w, f in e.coords if w.max_letter <= k}
-    if e.eps is None:
-        return coords
-    gens = {i: BracketMonomial(letter(i), (e.m,)) for i in range(1, k + 1)}
-    entries = ((i, j, e.eps.value(i, j))
-               for i in range(1, k) for j in range(i + 1, k + 1))
-    hall, residual = hall_normalize(FormalSum((gens[i].bracket(gens[j]), c)
-                                              for i, j, c in entries if c))
-    if residual:
-        raise ResidualBracketError("projection left non-Hall monomials: %s"
-                                   % residual)
-    return add_coordinates(coords, ((w, integer_element(c))
-                                    for w, c in hall.items()))
+    for level in project_levels(e, k):
+        pass
+    return level

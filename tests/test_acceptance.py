@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 from cechwedge.cli import main
 from cechwedge.elements import (check_coherence, materialize_levels,
-                                random_element, random_min_letter_element,
+                                random_element, random_min_letter_elements,
                                 random_sparse_epsilon,
                                 verify_composition_additivity,
                                 verify_weight2_realization,
@@ -229,8 +229,8 @@ def test_criterion_7_composition_monomorphism(request):
         rng = random.Random(7)
         total = 0
         for n, m in ((4, 2), (5, 3)):
-            elems = [random_min_letter_element(rng, n, m, TABLE)
-                     for _ in range(50)]
+            draws = random_min_letter_elements(rng, n, m, TABLE)
+            elems = [next(draws) for _ in range(50)]
             for e in elems:
                 for k in range(1, 6):
                     assert project_level(e, k) == e.level(k)

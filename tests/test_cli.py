@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cechwedge import cli, hall
+from cechwedge import cli, elements, hall, spheres
 from cechwedge.cli import main
 from cechwedge.groups import parse_machine, to_machine
 from cechwedge.hilton import earring_formula
@@ -164,6 +164,32 @@ def test_verify_theta_random(capsys):
     rc, out, err = run(capsys, "verify", "theta", "--random", "--seed", "3",
                        "--n", "4", "--m", "2", "--count", "10")
     assert rc == 0 and out == "PASS\n" and err == ""
+
+
+def test_verify_theta_random_builds_its_word_pool_once(capsys, monkeypatch):
+    # The pool depends only on (n, m, table, max_letter, min_weight), so
+    # one command run builds it once; after that each drawn element
+    # looks up only its own (at most three) words.
+    counts = {"pool": 0, "lookup": 0}
+    pool, lookup = elements._resolvable_pool, spheres.SphereGroupTable.lookup
+
+    def counted_pool(*args, **kwargs):
+        counts["pool"] += 1
+        return pool(*args, **kwargs)
+
+    def counted_lookup(self, n, q):
+        counts["lookup"] += 1
+        return lookup(self, n, q)
+
+    monkeypatch.setattr(elements, "_resolvable_pool", counted_pool)
+    monkeypatch.setattr(spheres.SphereGroupTable, "lookup", counted_lookup)
+    rc, out, err = run(capsys, "verify", "theta", "--random", "--n", "7",
+                       "--m", "3", "--levels", "8", "--count", "20")
+    assert rc == 0 and out == "PASS\n" and err == ""
+    candidates = sum(1 for w in hall.dimension_truncation(
+        4, 7, hall.GradingSequence.constant(2)) if w.length >= 2)
+    assert counts["pool"] == 1
+    assert counts["lookup"] <= candidates + 3 * 2 * 20
 
 
 def test_verify_edge_file(capsys, tmp_path):

@@ -12,7 +12,7 @@ from cechwedge.elements import (CoherentElement, RawLevelStream,
                                 min_letter_element, min_letter_subgroup_expr,
                                 parse_element_file, random_element,
                                 random_finite_support_element,
-                                random_min_letter_element, random_sparse_epsilon,
+                                random_min_letter_elements, random_sparse_epsilon,
                                 random_weight_two_element, render_element_file,
                                 verify_composition_additivity,
                                 verify_weight2_realization,
@@ -363,10 +363,9 @@ def test_weight2_realization_random_sweep():
 
 
 def test_composition_additivity():
-    rng = random.Random(9)
+    draws = random_min_letter_elements(random.Random(9), 4, 2, TABLE)
     for _ in range(10):
-        e1 = random_min_letter_element(rng, 4, 2, TABLE)
-        e2 = random_min_letter_element(rng, 4, 2, TABLE)
+        e1, e2 = next(draws), next(draws)
         assert verify_composition_additivity(e1, e2, 5).ok
 
 

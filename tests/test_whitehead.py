@@ -3,14 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cechwedge.elements import CoherentElement, weight_two_element
+from cechwedge import whitehead
+from cechwedge.elements import (CoherentElement, verify_weight2_realization,
+                                weight_two_element)
 from cechwedge.groups import Z, integer_element
 from cechwedge.hall import bracket, letter
 from cechwedge.whitehead import (BandEpsilon, FormalSum, SizeLimitError,
                                  SparseEpsilon, WeightLimitError, expand,
                                  hall_normalize, monomial_of_word,
                                  parse_bracket_expr, parse_word,
-                                 project_level, tensor_expansion)
+                                 project_level, project_levels,
+                                 tensor_expansion)
 
 
 DEG2 = {1: 2, 2: 2, 3: 2}
@@ -301,6 +304,95 @@ def test_project_level_resolves_brackets_in_the_elements_degree():
     # and in pi_4(S^3) = Z/2 when n = 4: such an element is refused
     with pytest.raises(ValueError, match="2m - 1 = 3, not 4"):
         CoherentElement(4, 2, eps=SparseEpsilon.from_dict({(1, 2): 1}))
+
+
+def _reference_level(e, k):
+    """Level k the long way: the whole double sum
+    sum_{i<j<=k} eps_{i,j} [a_i, a_j], hall-normalized in one go, plus
+    the coordinates on words with no letter beyond k."""
+    gens = {i: monomial_of_word(letter(i), {i: e.m}) for i in range(1, k + 1)}
+    hall, residual = hall_normalize(FormalSum(
+        (gens[i].bracket(gens[j]), e.eps.value(i, j))
+        for j in range(2, k + 1) for i in range(1, j)))
+    assert not residual
+    acc = {w: f for w, f in e.coords if w.max_letter <= k}
+    for w, c in hall.items():
+        acc[w] = acc[w] + integer_element(c) if w in acc else integer_element(c)
+    return {w: f for w, f in acc.items() if not f.is_zero()}
+
+
+_CANCELLED = parse_word("[a1,a3]")
+
+
+@pytest.mark.parametrize("e", [
+    weight_two_element(2, {(1, 2): 3, (2, 5): -1, (4, 7): 2, (1, 7): 1}),
+    weight_two_element(3, BandEpsilon(-2, 2)),
+    weight_two_element(2, BandEpsilon(1, 1)
+                       + SparseEpsilon.from_dict({(1, 2): -1, (3, 6): 4})),
+    # coordinates mixed with eps; eps cancels the one on [a1,a3]
+    CoherentElement(3, 2, ((letter(2), integer_element(5)),
+                           (_CANCELLED, integer_element(-2)),
+                           (parse_word("[a2,a6]"), integer_element(1))),
+                    SparseEpsilon.from_dict({(1, 3): 2, (2, 6): 1, (5, 6): -3})),
+], ids=["sparse", "band", "sum", "mixed"])
+def test_project_levels_match_the_double_sum(e):
+    kmax = 8
+    levels = list(project_levels(e, kmax))
+    assert len(levels) == kmax
+    for k, got in enumerate(levels, start=1):
+        assert got == _reference_level(e, k), k
+        assert got == project_level(e, k)
+        if e.coords:
+            assert _CANCELLED not in got
+
+
+def test_project_levels_yields_fresh_dicts():
+    e = weight_two_element(2, {(1, 2): 1, (2, 3): -1, (1, 4): 2})
+    walk = project_levels(e, 4)
+    for k in range(1, 5):
+        got = next(walk)
+        assert got == _reference_level(e, k)
+        got.clear()
+        got[_CANCELLED] = integer_element(9)
+
+
+def test_project_level_refuses_level_zero():
+    e = weight_two_element(2, {(1, 2): 1})
+    with pytest.raises(ValueError, match="levels start at 1"):
+        project_level(e, 0)
+    assert list(project_levels(e, 0)) == []
+
+
+def test_walk_brackets_each_column_once(monkeypatch):
+    # One walk normalizes each nonzero eps column once and reads each
+    # entry eps_{i,j}, i < j <= kmax, once; the verifier walks once too.
+    kmax = 12
+    eps = SparseEpsilon.from_dict({(1, 2): 1, (2, 5): -2, (3, 5): 1,
+                                   (4, 9): 3, (1, 12): 1, (11, 13): 5})
+    nonzero_columns = 4  # columns 2, 5, 9 and 12
+    e = weight_two_element(2, eps)
+    counts = {"normalize": 0, "value": 0}
+    normalize, value = whitehead.hall_normalize, SparseEpsilon.value
+
+    def counted_normalize(s):
+        counts["normalize"] += 1
+        return normalize(s)
+
+    def counted_value(self, i, j):
+        counts["value"] += 1
+        return value(self, i, j)
+
+    monkeypatch.setattr(whitehead, "hall_normalize", counted_normalize)
+    monkeypatch.setattr(SparseEpsilon, "value", counted_value)
+    last = list(project_levels(e, kmax))[-1]
+    assert counts["normalize"] <= nonzero_columns
+    assert counts["value"] <= kmax * (kmax - 1) // 2
+    counts.update(normalize=0, value=0)
+    assert verify_weight2_realization(e, kmax).ok
+    assert counts["normalize"] <= nonzero_columns
+    # the element's own levels read every entry once more
+    assert counts["value"] <= kmax * (kmax - 1)
+    assert last == _reference_level(e, kmax)
 
 
 # ---------------------------------------------------------------------------
