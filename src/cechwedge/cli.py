@@ -31,7 +31,7 @@ import sys
 
 from .elements import (check_coherence, parse_element_file,
                        random_min_letter_elements, random_sparse_epsilon,
-                       verify_composition_additivity,
+                       realization_mismatch, verify_composition_additivity,
                        verify_weight2_realization, weight_one_part_vanishes,
                        weight_two_element)
 from .groups import render_text, to_machine
@@ -72,7 +72,7 @@ def _grading_of(args) -> GradingSequence:
         raise CommandError("need -m or --grading")
     if m < 2:
         raise CommandError("sphere dimension must be >= 2")
-    return GradingSequence.for_wedge_of_fixed_dimension(m)
+    return GradingSequence.constant(m - 1)
 
 
 def _emit_json(machine) -> int:
@@ -248,8 +248,7 @@ def cmd_verify_edge(args) -> int:
             raise CommandError("element file must describe a pure weight-2 "
                                "family (eps lines only)")
         runs = 1
-        rep = verify_weight2_realization(e, args.levels)
-        failures.extend(rep.failures)
+        failures.extend(verify_weight2_realization(e, args.levels).failures)
     elif args.random:
         rng = random.Random(args.seed)
         for t in range(args.count):
@@ -257,17 +256,20 @@ def cmd_verify_edge(args) -> int:
             delta = random_sparse_epsilon(rng)
             runs += 1
             e_eps = weight_two_element(args.m, eps)
-            rep = verify_weight2_realization(e_eps, args.levels)
-            if not rep.ok:
-                failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-            # eps's levels plus delta's projected bracket sum must give
-            # the levels of eps + delta; only the right side adds oracles.
             e_delta = weight_two_element(args.m, delta)
             e_sum = weight_two_element(args.m, eps + delta)
-            walk = project_levels(e_delta, args.levels)
-            for k, delta_level in enumerate(walk, start=1):
-                if (add_coordinates(e_eps.level(k), delta_level)
-                        != e_sum.level(k)):
+            # One walk per element.  eps's projection must give its own
+            # levels, and those plus delta's projected bracket sum must
+            # give the levels of eps + delta; only that side adds oracles.
+            walks = zip(project_levels(e_eps, args.levels),
+                        e_eps.walk(args.levels),
+                        project_levels(e_delta, args.levels),
+                        e_sum.walk(args.levels))
+            for k, (projected, own, added, total) in enumerate(walks, start=1):
+                if projected != own:
+                    failures.append("run %d: %s" % (
+                        t, realization_mismatch(k, projected, own)))
+                if add_coordinates(own, added) != total:
                     failures.append("run %d: additivity fails at level %d" % (t, k))
     else:
         raise CommandError("need --file or --random")
@@ -290,10 +292,7 @@ def cmd_verify_theta(args) -> int:
             raise CommandError("element file must describe a least-letter "
                                "family (no eps lines, no weight-1 words)")
         runs = 1
-        for k, got in enumerate(project_levels(e, args.levels), start=1):
-            if got != e.level(k):
-                failures.append("level %d: realization disagrees with "
-                                "coordinates" % k)
+        failures.extend(verify_weight2_realization(e, args.levels).failures)
     elif args.random:
         draws = random_min_letter_elements(random.Random(args.seed),
                                            args.n, args.m, table)

@@ -20,6 +20,7 @@ table when the element is built, so levels never need the table again.
 from __future__ import annotations
 
 import random
+import re
 
 from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
@@ -49,8 +50,7 @@ class CoherentElement(Frozen):
     n = 2m - 1, where the weight-2 sphere groups are infinite cyclic.
     """
 
-    __slots__ = ("n", "m", "coords", "eps", "_part_cache")
-    _fields = ("n", "m", "coords", "eps")
+    __slots__ = _fields = ("n", "m", "coords", "eps")
 
     def __init__(self, n: int, m: int,
                  coords: tuple[tuple[HallWord, GroupElement], ...] = (),
@@ -64,47 +64,40 @@ class CoherentElement(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coords", coordinate_tuple(coords))
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "_part_cache", None)
 
-    def level(self, k: int) -> dict[HallWord, GroupElement]:
-        """Coordinates at the k-sphere stage, in a fresh dict.
+    def walk(self, kmax: int):
+        """Walk the element up the tower: yield its coordinates at the
+        1, 2, ..., kmax-sphere stages, each in a fresh dict that the
+        caller may change.
 
-        Level k merges parts 1..k, where part c is the eps column
-        {[a_i, a_c]: eps_{i,c} : i < c} plus the coordinates on words
-        whose maximal letter is c.  Parts are disjoint and computed once
-        per element, up to the largest k asked for, so walking up the
-        tower costs each part once.  The returned dict is new on every
-        call, so callers may change it.
+        Level k is level k - 1 plus part k: the eps column
+        {[a_i, a_k]: eps_{i,k} : i < k} plus the coordinates on words
+        whose maximal letter is k.  Parts are disjoint, so a walk to
+        kmax builds each part once.
         """
-        if k < 1:
-            raise ValueError("levels start at 1")
-        coords: dict[HallWord, GroupElement] = {}
-        for part in self._parts(k)[:k]:
-            coords.update(part)
-        return coords
-
-    def _parts(self, k: int) -> list[dict[HallWord, GroupElement]]:
-        """The per-letter parts 1..k (at least), kept on the instance in
-        a slot that is not a field, so equality, hash and repr ignore
-        them."""
-        cache = self._part_cache
-        if cache is None:
-            by_letter: dict[int, list] = {}
-            for w, f in self.coords:
-                by_letter.setdefault(w.max_letter, []).append((w, f))
-            cache = ([], by_letter)
-            object.__setattr__(self, "_part_cache", cache)
-        parts, by_letter = cache
-        for c in range(len(parts) + 1, k + 1):
+        by_letter: dict[int, list] = {}
+        for w, f in self.coords:
+            by_letter.setdefault(w.max_letter, []).append((w, f))
+        level: dict[HallWord, GroupElement] = {}
+        for k in range(1, kmax + 1):
             column = []
             if self.eps is not None:
-                for i in range(1, c):
-                    v = self.eps.value(i, c)
+                for i in range(1, k):
+                    v = self.eps.value(i, k)
                     if v:
-                        column.append((bracket(letter(i), letter(c)),
+                        column.append((bracket(letter(i), letter(k)),
                                        integer_element(v)))
-            parts.append(add_coordinates(column, by_letter.get(c, ())))
-        return parts
+            level.update(add_coordinates(column, by_letter.get(k, ())))
+            yield dict(level)
+
+    def level(self, k: int) -> dict[HallWord, GroupElement]:
+        """Coordinates at the k-sphere stage: the last level of
+        walk(k), in a fresh dict."""
+        if k < 1:
+            raise ValueError("levels start at 1")
+        for level in self.walk(k):
+            pass
+        return level
 
     def __add__(self, other: "CoherentElement") -> "CoherentElement":
         if not isinstance(other, CoherentElement):
@@ -244,18 +237,18 @@ def check_coherence(e, kmax: int) -> VerificationReport:
 
     For each k < kmax, pushing the level-(k+1) coordinates through the
     bonding map must reproduce the level-k coordinates exactly.  Works
-    for any object with fields n, m and a level(k) method, so raw
-    (possibly corrupted) coordinate streams can be checked too.  Each
-    level is asked for once, and the bonding maps test each word's
+    for any object with fields n, m and a walk(kmax) method, so raw
+    (possibly corrupted) coordinate streams can be checked too.  The
+    levels are walked once, and the bonding maps test each word's
     membership directly, so no Hall set is listed.
     """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
     grading = GradingSequence.constant(e.m - 1)
     failures = []
-    actual = e.level(1)
-    for k in range(1, kmax):
-        upper = e.level(k + 1)
+    walk = e.walk(kmax)
+    actual = next(walk)
+    for k, upper in enumerate(walk, start=1):
         pushed = apply_bonding(bonding(e.n, k, grading), upper)
         for w in sorted(set(pushed) | set(actual), key=lambda w: w.key):
             if pushed.get(w) != actual.get(w):
@@ -282,10 +275,12 @@ class RawLevelStream(Record):
             raise ValueError("no stored level %d" % k)
         return dict(self.levels[k])
 
+    def walk(self, kmax: int):
+        return map(self.level, range(1, kmax + 1))
+
 
 def materialize_levels(e: CoherentElement, kmax: int) -> RawLevelStream:
-    return RawLevelStream(e.n, e.m,
-                          {k: e.level(k) for k in range(1, kmax + 1)})
+    return RawLevelStream(e.n, e.m, dict(enumerate(e.walk(kmax), start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +288,23 @@ def materialize_levels(e: CoherentElement, kmax: int) -> RawLevelStream:
 
 
 def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationReport:
-    """Check that projecting the bracket sum reproduces the family's own
-    coordinates (the double sum of eps_{i,j} [a_i, a_j]) at each level."""
+    """Check that projecting any element's two infinite sums gives its
+    own coordinates at each level; for a weight-2 family those are the
+    double sum of eps_{i,j} [a_i, a_j]."""
     failures = []
-    for k, got in enumerate(project_levels(e, kmax), start=1):
-        want = e.level(k)
+    walks = zip(project_levels(e, kmax), e.walk(kmax))
+    for k, (got, want) in enumerate(walks, start=1):
         if got != want:
-            failures.append("level %d: projection %r != coordinates %r"
-                            % (k, _render_coords(got), _render_coords(want)))
+            failures.append(realization_mismatch(k, got, want))
     return VerificationReport(ok=not failures, checked_levels=kmax,
                               failures=tuple(failures))
+
+
+def realization_mismatch(k: int, got, want) -> str:
+    """The failure line for a level-k projection that is not the
+    element's own level."""
+    return "level %d: projection %r != coordinates %r" % (
+        k, _render_coords(got), _render_coords(want))
 
 
 def _render_coords(coords) -> str:
@@ -320,12 +322,12 @@ def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
     s = e1 + e2
     failures = []
     walks = zip(project_levels(e1, kmax), project_levels(e2, kmax),
-                project_levels(s, kmax))
-    for k, (p1, p2, got) in enumerate(walks, start=1):
+                project_levels(s, kmax), s.walk(kmax))
+    for k, (p1, p2, got, own) in enumerate(walks, start=1):
         want = add_coordinates(p1, p2)
         if got != want:
             failures.append("level %d: projection of the sum disagrees" % k)
-        if s.level(k) != want:
+        if own != want:
             failures.append("level %d: element coordinates disagree" % k)
     return VerificationReport(ok=not failures, checked_levels=kmax,
                               failures=tuple(failures))
@@ -390,8 +392,11 @@ def parse_element_file(text: str, table) -> CoherentElement:
         fields = line.split()
         try:
             if fields[0] == "element":
-                opts = dict(f.split("=", 1) for f in fields[1:])
-                n, m = int(opts["n"]), int(opts["m"])
+                header = re.fullmatch(r"element n=(-?\d+) m=(-?\d+)",
+                                      " ".join(fields))
+                if n is not None or header is None:
+                    raise ValueError("expected one 'element n=<n> m=<m>' header")
+                n, m = int(header[1]), int(header[2])
             elif fields[0] == "support":
                 word_text, value_text = _split_assignment(line[len("support"):])
                 support.append((parse_word(word_text), _parse_ints(value_text)))
@@ -461,8 +466,8 @@ def random_sparse_epsilon(rng: random.Random) -> SparseEpsilon:
     return SparseEpsilon.from_dict(entries)
 
 
-def random_group_element(rng: random.Random, group, bound: int = 3) -> GroupElement:
-    free = tuple(rng.randint(-bound, bound) for _ in range(group.rank))
+def random_group_element(rng: random.Random, group) -> GroupElement:
+    free = tuple(rng.randint(-3, 3) for _ in range(group.rank))
     torsion = tuple(rng.randrange(d) for d in group.torsion)
     return GroupElement(group, free, torsion)
 

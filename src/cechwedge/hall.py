@@ -318,13 +318,6 @@ class GradingSequence(Frozen):
         return cls(prefix=(), tail=r)
 
     @classmethod
-    def for_wedge_of_fixed_dimension(cls, m: int) -> "GradingSequence":
-        """Grading of the shrinking wedge of m-spheres: r = m - 1."""
-        if m < 2:
-            raise ValueError("sphere dimension must be >= 2")
-        return cls.constant(m - 1)
-
-    @classmethod
     def parse(cls, text: str) -> "GradingSequence":
         """Parse "p1,...,pk;t" or a bare constant "t"."""
         text = text.strip()

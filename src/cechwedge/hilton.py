@@ -20,7 +20,7 @@ as separate code paths so they can check each other.
 from __future__ import annotations
 
 from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
-                     SumN, ZERO, normalize, render_text)
+                     ZERO, _has_symbol, normalize, render_text)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census, is_hall)
 from .records import Frozen
@@ -176,16 +176,6 @@ class StabilizationReport(Frozen):
 
     def render_stable_value(self) -> str:
         return render_text(self.stable_value) if self.stable_value is not None else "0"
-
-
-def _has_symbol(e: GroupExpr) -> bool:
-    if isinstance(e, SphereSymbol):
-        return True
-    if isinstance(e, DirectSum):
-        return any(_has_symbol(p) for p in e.parts)
-    if isinstance(e, (Pow, ProdN, SumN)):
-        return _has_symbol(e.base)
-    return False
 
 
 def stabilization_report(s: int, m_range, table) -> StabilizationReport:

@@ -6,8 +6,9 @@ import pytest
 
 from cechwedge.groups import (CYCLIC_2, GroupElement, ZERO,
                               integer_element, render_text)
-from cechwedge.elements import (CoherentElement, RawLevelStream,
-                                UnresolvedGroupError, check_coherence,
+from cechwedge.elements import (CoherentElement, ElementFormatError,
+                                RawLevelStream, UnresolvedGroupError,
+                                check_coherence,
                                 finite_support_element, materialize_levels,
                                 min_letter_element, min_letter_subgroup_expr,
                                 parse_element_file, random_element,
@@ -22,7 +23,7 @@ from cechwedge import elements as elements_module, hall, hilton
 from cechwedge.hall import bracket, letter
 from cechwedge.spheres import parse_table, seed_table
 from cechwedge.whitehead import (BandEpsilon, SparseEpsilon, SumEpsilon,
-                                 parse_word, project_level)
+                                 parse_word, project_level, project_levels)
 
 TABLE = seed_table()
 
@@ -127,8 +128,11 @@ def _level_cases():
 
 def test_levels_out_of_order_match_definition():
     for e in _level_cases():
+        walked = list(e.walk(8))
+        assert len(walked) == 8
         for k in (8, 2, 5, 1, 8, 3):
             assert e.level(k) == _level_from_scratch(e, k), (e, k)
+            assert walked[k - 1] == _level_from_scratch(e, k), (e, k)
 
 
 def test_level_returns_a_fresh_dict():
@@ -140,6 +144,15 @@ def test_level_returns_a_fresh_dict():
     e.level(3)[parse_word("[a1,a2]")] = integer_element(7)
     assert e.level(4) == want == _level_from_scratch(e, 4)
     assert e.level(3) == _level_from_scratch(e, 3)
+    # clearing a yielded level leaves the walk's next level whole
+    walk = e.walk(4)
+    for k in range(1, 5):
+        got = next(walk)
+        assert got == _level_from_scratch(e, k), k
+        got.clear()
+    with pytest.raises(ValueError, match="levels start at 1"):
+        e.level(0)
+    assert list(e.walk(0)) == []
 
 
 def test_levelled_elements_keep_equality_and_hash():
@@ -376,6 +389,77 @@ def test_realization_additivity_takes_mixed_elements():
     assert rep.ok and rep.checked_levels == 5
 
 
+def _dropping(walk, word, target=None):
+    """A walk like `walk` that loses `word` from every level of the
+    element `target` (of every element when target is None)."""
+    def lossy(e, kmax):
+        for level in walk(e, kmax):
+            if target is None or e == target:
+                level.pop(word, None)
+            yield level
+    return lossy
+
+
+W12, W13, W23 = (parse_word(t) for t in ("[a1,a2]", "[a1,a3]", "[a2,a3]"))
+EDGE = weight_two_element(2, {(1, 2): 1, (1, 3): -2, (2, 3): 3})
+
+
+def test_weight2_realization_fails_on_a_lossy_projection(monkeypatch):
+    monkeypatch.setattr(elements_module, "project_levels",
+                        _dropping(project_levels, W12))
+    rep = verify_weight2_realization(EDGE, 3)
+    assert not rep.ok and rep.checked_levels == 3
+    assert rep.failures == (
+        "level 2: projection '{}' != coordinates '{[a1,a2]: 1}'",
+        "level 3: projection '{[a1,a3]: -2, [a2,a3]: 3}' != coordinates "
+        "'{[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3}'")
+
+
+def test_weight2_realization_fails_on_lossy_coordinates(monkeypatch):
+    walk = CoherentElement.walk
+    monkeypatch.setattr(CoherentElement, "walk",
+                        _dropping(walk, W23))
+    rep = verify_weight2_realization(EDGE, 3)
+    assert rep.failures == (
+        "level 3: projection '{[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3}' != "
+        "coordinates '{[a1,a2]: 1, [a1,a3]: -2}'",)
+
+
+def _additivity_pair():
+    e1 = weight_two_element(2, {(1, 2): 1, (2, 3): 2})
+    e2 = weight_two_element(2, {(1, 3): -1})
+    return e1, e2, e1 + e2
+
+
+def test_additivity_fails_on_a_lossy_projection_of_the_sum(monkeypatch):
+    e1, e2, s = _additivity_pair()
+    monkeypatch.setattr(elements_module, "project_levels",
+                        _dropping(project_levels, W12, target=s))
+    rep = verify_composition_additivity(e1, e2, 4)
+    assert not rep.ok and rep.checked_levels == 4
+    assert rep.failures == tuple(
+        "level %d: projection of the sum disagrees" % k for k in (2, 3, 4))
+
+
+def test_additivity_fails_on_lossy_coordinates_of_the_sum(monkeypatch):
+    e1, e2, s = _additivity_pair()
+    monkeypatch.setattr(CoherentElement, "walk",
+                        _dropping(CoherentElement.walk, W13, target=s))
+    rep = verify_composition_additivity(e1, e2, 4)
+    assert rep.failures == tuple(
+        "level %d: element coordinates disagree" % k for k in (3, 4))
+
+
+def test_additivity_fails_on_a_lossy_projection_of_one_summand(monkeypatch):
+    # both checks compare against the summands' projections
+    e1, e2, _ = _additivity_pair()
+    monkeypatch.setattr(elements_module, "project_levels",
+                        _dropping(project_levels, W23, target=e1))
+    rep = verify_composition_additivity(e1, e2, 3)
+    assert rep.failures == ("level 3: projection of the sum disagrees",
+                            "level 3: element coordinates disagree")
+
+
 def test_distinct_gtuples_separate():
     a = min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE)
     b = min_letter_element(3, 2, {1: [("[a1,a3]", 1)]}, TABLE)
@@ -446,6 +530,17 @@ def test_element_file_errors():
         parse_element_file("element n=3 m=2\nwhatever\n", TABLE)
     with pytest.raises(ValueError, match="line 2"):
         parse_element_file("element n=3 m=2\nsupport a1\n", TABLE)
+    # exactly one header, of exactly the form element n=<n> m=<m>
+    for text, lineno in (("element n=3\n", 1),
+                         ("element n=3 m=2 extra\n", 1),
+                         ("element n=3 m=2 q=1\n", 1),
+                         ("element n=3 m=2\nsupport a1 = 1\n"
+                          "element n=5 m=3\n", 3)):
+        with pytest.raises(ElementFormatError) as exc:
+            parse_element_file(text, TABLE)
+        assert exc.value.lineno == lineno
+        assert str(exc.value).startswith("line %d: " % lineno)
+        assert "'element n=<n> m=<m>'" in str(exc.value)
 
 
 def test_element_file_mixes_eps_and_gtuple():

@@ -186,7 +186,6 @@ def test_grading_parse_and_render():
     assert repr(g) == "GradingSequence(prefix=(1, 2), tail=3)"
     with pytest.raises(AttributeError):
         g.tail = 4
-    assert GradingSequence.for_wedge_of_fixed_dimension(3) == GradingSequence.constant(2)
 
 
 def test_grading_validation():

@@ -3,11 +3,11 @@
 import pytest
 
 from cechwedge.groups import (CYCLIC_2, DirectSum, Finite, Pow, ProdN,
-                              SphereSymbol, SumN, Z, ZERO,
+                              SphereSymbol, SumN, Z, ZERO, _has_symbol,
                               render_text)
 from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
                             generate, letter)
-from cechwedge.hilton import (SupportError, _has_symbol, apply_bonding,
+from cechwedge.hilton import (SupportError, apply_bonding,
                               bonding, cech_decompose, decompose_wedge,
                               earring_formula, stabilization_report, weight_summand)
 from cechwedge.spheres import seed_table
