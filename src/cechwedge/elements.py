@@ -80,14 +80,15 @@ class CoherentElement(Frozen):
             by_letter.setdefault(w.max_letter, []).append((w, f))
         level: dict[HallWord, GroupElement] = {}
         for k in range(1, kmax + 1):
-            column = []
+            column = {}
             if self.eps is not None:
                 for i in range(1, k):
                     v = self.eps.value(i, k)
                     if v:
-                        column.append((bracket(letter(i), letter(k)),
-                                       integer_element(v)))
-            level.update(add_coordinates(column, by_letter.get(k, ())))
+                        column[bracket(letter(i), letter(k))] = integer_element(v)
+            if k in by_letter:
+                column = add_coordinates(column, by_letter[k])
+            level.update(column)
             yield dict(level)
 
     def level(self, k: int) -> dict[HallWord, GroupElement]:
@@ -295,16 +296,10 @@ def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationRep
     walks = zip(project_levels(e, kmax), e.walk(kmax))
     for k, (got, want) in enumerate(walks, start=1):
         if got != want:
-            failures.append(realization_mismatch(k, got, want))
+            failures.append("level %d: projection %r != coordinates %r"
+                            % (k, _render_coords(got), _render_coords(want)))
     return VerificationReport(ok=not failures, checked_levels=kmax,
                               failures=tuple(failures))
-
-
-def realization_mismatch(k: int, got, want) -> str:
-    """The failure line for a level-k projection that is not the
-    element's own level."""
-    return "level %d: projection %r != coordinates %r" % (
-        k, _render_coords(got), _render_coords(want))
 
 
 def _render_coords(coords) -> str:

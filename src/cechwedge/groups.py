@@ -357,14 +357,14 @@ def distribute_product_over_sum(e: GroupExpr) -> GroupExpr:
     return normalize(e)
 
 
-def _has_symbol(e: GroupExpr) -> bool:
+def has_symbol(e: GroupExpr) -> bool:
     """Whether an unresolved sphere group occurs anywhere in e."""
     if isinstance(e, SphereSymbol):
         return True
     if isinstance(e, DirectSum):
-        return any(_has_symbol(p) for p in e.parts)
+        return any(has_symbol(p) for p in e.parts)
     if isinstance(e, (Pow, ProdN, SumN)):
-        return _has_symbol(e.base)
+        return has_symbol(e.base)
     return False
 
 

@@ -20,7 +20,7 @@ as separate code paths so they can check each other.
 from __future__ import annotations
 
 from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
-                     ZERO, _has_symbol, normalize, render_text)
+                     ZERO, has_symbol, normalize, render_text)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census, is_hall)
 from .records import Frozen
@@ -196,7 +196,7 @@ def stabilization_report(s: int, m_range, table) -> StabilizationReport:
     warnings = []
     for m in ms:
         expr = earring_formula(m + s, m, table)
-        if _has_symbol(expr):
+        if has_symbol(expr):
             warnings.append("pi_%d of the %d-sphere wedge has unresolved entries"
                             % (m + s, m))
         entries.append((m, expr))

@@ -12,6 +12,7 @@ from cechwedge.groups import parse_machine, to_machine
 from cechwedge.hilton import earring_formula
 from cechwedge.spheres import seed_table
 from cechwedge.whitehead import SparseEpsilon, parse_word
+from test_elements import dropping
 
 
 def run(capsys, *argv):
@@ -161,39 +162,29 @@ def test_verify_edge_random_catches_a_lossy_matrix_sum(capsys, monkeypatch):
     assert rc == 1 and out == "FAIL\n" and "additivity fails" in err
 
 
-def _dropping(walk, word, target=None):
-    """A walk like `walk` that loses `word` from every level of the
-    element `target` (of every element when target is None)."""
-    def lossy(e, kmax):
-        for level in walk(e, kmax):
-            if target is None or e == target:
-                level.pop(word, None)
-            yield level
-    return lossy
-
-
 def test_verify_edge_random_catches_a_lossy_projection(capsys, monkeypatch):
     # Only the first run's eps loses [a1,a2] from its projection, so the
     # realization check fails and additivity, which adds the element's
     # own levels to delta's projection, still holds.
     eps = elements.random_sparse_epsilon(random.Random(7))
-    monkeypatch.setattr(cli, "project_levels", _dropping(
+    monkeypatch.setattr(elements, "project_levels", dropping(
         whitehead.project_levels, parse_word("[a1,a2]"),
         target=elements.weight_two_element(2, eps)))
     rc, out, err = run(capsys, "verify", "edge", "--random", "--seed", "7",
                        "--m", "2", "--levels", "3", "--count", "2")
     assert rc == 1 and out == "FAIL\n"
     assert err == (
-        "run 0: level 2: projection '{}' != coordinates '{[a1,a2]: -2}'\n"
-        "run 0: level 3: projection '{[a1,a3]: -3, [a2,a3]: -3}' != "
+        "run 0: level 2: projection '{}' != coordinates '{[a1,a2]: -2}'; "
+        "level 3: projection '{[a1,a3]: -3, [a2,a3]: -3}' != "
         "coordinates '{[a1,a2]: -2, [a1,a3]: -3, [a2,a3]: -3}'\n")
 
 
-def test_verify_edge_random_walks_each_element_once(capsys, monkeypatch):
-    # Per run: the projections of eps and delta, and the levels of eps
-    # and of eps + delta, each walked once; no level is asked for alone.
+def test_verify_edge_random_work_per_run(capsys, monkeypatch):
+    # Per run: the realization check walks eps's projection and levels,
+    # additivity walks delta's projection and the levels of eps and of
+    # eps + delta; no level is built outside a walk.
     counts = {"walk": 0, "project": 0}
-    walk, project = elements.CoherentElement.walk, cli.project_levels
+    walk, project = elements.CoherentElement.walk, whitehead.project_levels
 
     def counted_walk(self, kmax):
         counts["walk"] += 1
@@ -208,11 +199,12 @@ def test_verify_edge_random_walks_each_element_once(capsys, monkeypatch):
 
     monkeypatch.setattr(elements.CoherentElement, "walk", counted_walk)
     monkeypatch.setattr(elements.CoherentElement, "level", refuse)
+    monkeypatch.setattr(elements, "project_levels", counted_project)
     monkeypatch.setattr(cli, "project_levels", counted_project)
     rc, out, err = run(capsys, "verify", "edge", "--random", "--m", "2",
                        "--levels", "6", "--count", "5")
     assert rc == 0 and out == "PASS\n" and err == ""
-    assert counts == {"walk": 2 * 5, "project": 2 * 5}
+    assert counts == {"walk": 3 * 5, "project": 2 * 5}
 
 
 def test_verify_theta_random(capsys):
@@ -262,7 +254,7 @@ def test_verify_edge_file(capsys, tmp_path, monkeypatch):
                        "family (eps lines only)\n")
     # a projection that loses a word fails the realization check
     p.write_text("element n=3 m=2\neps 1 2 = 2\neps 2 3 = -1\n")
-    monkeypatch.setattr(elements, "project_levels", _dropping(
+    monkeypatch.setattr(elements, "project_levels", dropping(
         whitehead.project_levels, parse_word("[a2,a3]")))
     rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p),
                        "--levels", "3")
@@ -295,7 +287,7 @@ def test_verify_theta_file(capsys, tmp_path, monkeypatch):
     # the same realization check as edge: a lossy projection fails it
     p.write_text("element n=4 m=2\ngtuple 1 [a1,[a1,a2]] = 2\n"
                  "gtuple 2 [a2,[a2,a3]] = -1\n")
-    monkeypatch.setattr(elements, "project_levels", _dropping(
+    monkeypatch.setattr(elements, "project_levels", dropping(
         whitehead.project_levels, parse_word("[a1,[a1,a2]]")))
     rc, out, err = run(capsys, "verify", "theta", "--n", "4", "--m", "2",
                        "--file", str(p), "--levels", "3", "--format", "json")

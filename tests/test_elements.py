@@ -389,7 +389,7 @@ def test_realization_additivity_takes_mixed_elements():
     assert rep.ok and rep.checked_levels == 5
 
 
-def _dropping(walk, word, target=None):
+def dropping(walk, word, target=None):
     """A walk like `walk` that loses `word` from every level of the
     element `target` (of every element when target is None)."""
     def lossy(e, kmax):
@@ -406,7 +406,7 @@ EDGE = weight_two_element(2, {(1, 2): 1, (1, 3): -2, (2, 3): 3})
 
 def test_weight2_realization_fails_on_a_lossy_projection(monkeypatch):
     monkeypatch.setattr(elements_module, "project_levels",
-                        _dropping(project_levels, W12))
+                        dropping(project_levels, W12))
     rep = verify_weight2_realization(EDGE, 3)
     assert not rep.ok and rep.checked_levels == 3
     assert rep.failures == (
@@ -418,7 +418,7 @@ def test_weight2_realization_fails_on_a_lossy_projection(monkeypatch):
 def test_weight2_realization_fails_on_lossy_coordinates(monkeypatch):
     walk = CoherentElement.walk
     monkeypatch.setattr(CoherentElement, "walk",
-                        _dropping(walk, W23))
+                        dropping(walk, W23))
     rep = verify_weight2_realization(EDGE, 3)
     assert rep.failures == (
         "level 3: projection '{[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3}' != "
@@ -434,7 +434,7 @@ def _additivity_pair():
 def test_additivity_fails_on_a_lossy_projection_of_the_sum(monkeypatch):
     e1, e2, s = _additivity_pair()
     monkeypatch.setattr(elements_module, "project_levels",
-                        _dropping(project_levels, W12, target=s))
+                        dropping(project_levels, W12, target=s))
     rep = verify_composition_additivity(e1, e2, 4)
     assert not rep.ok and rep.checked_levels == 4
     assert rep.failures == tuple(
@@ -444,7 +444,7 @@ def test_additivity_fails_on_a_lossy_projection_of_the_sum(monkeypatch):
 def test_additivity_fails_on_lossy_coordinates_of_the_sum(monkeypatch):
     e1, e2, s = _additivity_pair()
     monkeypatch.setattr(CoherentElement, "walk",
-                        _dropping(CoherentElement.walk, W13, target=s))
+                        dropping(CoherentElement.walk, W13, target=s))
     rep = verify_composition_additivity(e1, e2, 4)
     assert rep.failures == tuple(
         "level %d: element coordinates disagree" % k for k in (3, 4))
@@ -454,7 +454,7 @@ def test_additivity_fails_on_a_lossy_projection_of_one_summand(monkeypatch):
     # both checks compare against the summands' projections
     e1, e2, _ = _additivity_pair()
     monkeypatch.setattr(elements_module, "project_levels",
-                        _dropping(project_levels, W23, target=e1))
+                        dropping(project_levels, W23, target=e1))
     rep = verify_composition_additivity(e1, e2, 3)
     assert rep.failures == ("level 3: projection of the sum disagrees",
                             "level 3: element coordinates disagree")

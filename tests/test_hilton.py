@@ -3,7 +3,7 @@
 import pytest
 
 from cechwedge.groups import (CYCLIC_2, DirectSum, Finite, Pow, ProdN,
-                              SphereSymbol, SumN, Z, ZERO, _has_symbol,
+                              SphereSymbol, SumN, Z, ZERO, has_symbol,
                               render_text)
 from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
                             generate, letter)
@@ -246,5 +246,5 @@ def test_stabilization_validation():
     lambda e: DirectSum((Finite(Z), e)), lambda e: ProdN(SumN(e)),
 ])
 def test_has_symbol_sees_every_shape(wrap):
-    assert _has_symbol(wrap(SphereSymbol(9, 3)))
-    assert not _has_symbol(wrap(Finite(Z)))
+    assert has_symbol(wrap(SphereSymbol(9, 3)))
+    assert not has_symbol(wrap(Finite(Z)))
