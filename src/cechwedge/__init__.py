@@ -21,9 +21,9 @@ from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord, bracket,
                    height_class_census, is_hall, letter, necklace_count)
 from .spheres import (SphereGroupTable, load_table, parse_group, parse_table,
                       seed_table)
-from .whitehead import (BandEpsilon, FormalSum, SparseEpsilon, expand,
-                        hall_normalize, parse_bracket_expr, parse_word,
-                        project_level, project_levels, tensor_expansion)
+from .whitehead import (FormalSum, SparseEpsilon, expand, hall_normalize,
+                        parse_bracket_expr, parse_word, project_level,
+                        project_levels, tensor_expansion)
 from .hilton import (BondingMap, WedgeDecomposition, apply_bonding, bonding,
                      cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_summand)

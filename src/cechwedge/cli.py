@@ -243,7 +243,7 @@ def cmd_verify_edge(args) -> int:
     if args.file:
         e = _element_from_file(args.file, table)
         _check_header(e, args, "m")
-        if e.eps is None or e.coords:
+        if not e.eps or e.coords:
             raise CommandError("element file must describe a pure weight-2 "
                                "family (eps lines only)")
         runs = 1
@@ -285,7 +285,7 @@ def cmd_verify_theta(args) -> int:
     if args.file:
         e = _element_from_file(args.file, table)
         _check_header(e, args, "n", "m")
-        if e.eps is not None or any(w.is_letter for w, _ in e.coords):
+        if e.eps or any(w.is_letter for w, _ in e.coords):
             raise CommandError("element file must describe a least-letter "
                                "family (no eps lines, no weight-1 words)")
         runs = 1

@@ -7,9 +7,10 @@ coherent-by-construction description:
   * coords: finitely many Hall words carry a fixed coordinate.  Words
     of weight >= 2 grouped by least letter are the input tuples of the
     composition sum; weight-1 words are the product-of-spheres part;
-  * eps (optional): every pair i < j carries eps_{i,j} times the
-    degree-one class on the weight-2 word [a_i, a_j] (an upper
-    triangular matrix realized by one infinite bracket sum).
+  * eps: every pair i < j carries eps_{i,j} times the degree-one
+    class on the weight-2 word [a_i, a_j] (an upper triangular matrix,
+    entries plus bands, realized by one infinite bracket sum); an
+    element without a matrix holds the zero matrix.
 
 Levels are plain Hilton coordinates, so the bonding maps of the tower
 act on them; check_coherence replays those maps against the stream.
@@ -28,8 +29,8 @@ from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    dimension_truncation, height, letter)
 from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
 from .records import Frozen, Record
-from .whitehead import (EpsilonOracle, SparseEpsilon, add_coordinates,
-                        coordinate_tuple, parse_word, project_levels)
+from .whitehead import (SparseEpsilon, add_coordinates, coordinate_tuple,
+                        parse_word, project_levels)
 
 
 class UnresolvedGroupError(LookupError):
@@ -43,21 +44,23 @@ class ElementFormatError(ValueError):
 
 
 class CoherentElement(Frozen):
-    """Finitely many word coordinates plus an optional weight-2 matrix.
+    """Finitely many word coordinates plus a weight-2 matrix.
 
-    coords is kept canonical (sorted by word, no zero values), so equal
-    data gives equal elements.  An element with eps lives in degree
-    n = 2m - 1, where the weight-2 sphere groups are infinite cyclic.
+    coords and eps are both kept canonical (coords sorted by word with
+    no zero values, eps a canonical SparseEpsilon), so equal data gives
+    equal elements.  eps defaults to the zero matrix.  An element with
+    a nonzero eps lives in degree n = 2m - 1, where the weight-2 sphere
+    groups are infinite cyclic.
     """
 
     __slots__ = _fields = ("n", "m", "coords", "eps")
 
     def __init__(self, n: int, m: int,
                  coords: tuple[tuple[HallWord, GroupElement], ...] = (),
-                 eps: EpsilonOracle | None = None):
+                 eps: SparseEpsilon = SparseEpsilon()):
         if n < 2 or m < 2:
             raise ValueError("need n >= 2 and m >= 2")
-        if eps is not None and n != 2 * m - 1:
+        if eps and n != 2 * m - 1:
             raise ValueError("weight-2 families live in degree 2m - 1 = %d, "
                              "not %d" % (2 * m - 1, n))
         object.__setattr__(self, "n", n)
@@ -81,7 +84,7 @@ class CoherentElement(Frozen):
         level: dict[HallWord, GroupElement] = {}
         for k in range(1, kmax + 1):
             column = {}
-            if self.eps is not None:
+            if self.eps:
                 for i in range(1, k):
                     v = self.eps.value(i, k)
                     if v:
@@ -105,16 +108,13 @@ class CoherentElement(Frozen):
             return NotImplemented
         if (other.n, other.m) != (self.n, self.m):
             raise ValueError("cannot add elements of different (n, m)")
-        if self.eps is None or other.eps is None:
-            eps = other.eps if self.eps is None else self.eps
-        else:
-            eps = self.eps + other.eps
-        return CoherentElement(self.n, self.m, self.coords + other.coords, eps)
+        return CoherentElement(self.n, self.m, self.coords + other.coords,
+                               self.eps + other.eps)
 
     def __neg__(self) -> "CoherentElement":
         return CoherentElement(self.n, self.m,
                                tuple((w, -f) for w, f in self.coords),
-                               None if self.eps is None else self.eps.scale(-1))
+                               self.eps.scale(-1))
 
     def __sub__(self, other: "CoherentElement") -> "CoherentElement":
         return self + (-other)
@@ -163,7 +163,7 @@ def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
     return CoherentElement(n, m, tuple(coords))
 
 
-def weight_two_element(m: int, eps, n: int | None = None) -> CoherentElement:
+def weight_two_element(m: int, eps) -> CoherentElement:
     """Element carrying eps_{i,j} times the generator on each [a_i, a_j].
 
     Lives in degree n = 2m - 1, where the weight-2 sphere groups are
@@ -171,9 +171,9 @@ def weight_two_element(m: int, eps, n: int | None = None) -> CoherentElement:
     """
     if isinstance(eps, dict):
         eps = SparseEpsilon.from_dict(eps)
-    if not isinstance(eps, EpsilonOracle):
-        raise TypeError("eps must be an EpsilonOracle or a dict")
-    return CoherentElement(2 * m - 1 if n is None else n, m, eps=eps)
+    if not isinstance(eps, SparseEpsilon):
+        raise TypeError("eps must be a SparseEpsilon or a dict")
+    return CoherentElement(2 * m - 1, m, eps=eps)
 
 
 def min_letter_element(n: int, m: int, families, table) -> CoherentElement:
@@ -296,7 +296,7 @@ def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationRep
     walks = zip(project_levels(e, kmax), e.walk(kmax))
     for k, (got, want) in enumerate(walks, start=1):
         if got != want:
-            failures.append("level %d: projection %r != coordinates %r"
+            failures.append("level %d: projection %s != coordinates %s"
                             % (k, _render_coords(got), _render_coords(want)))
     return VerificationReport(ok=not failures, checked_levels=kmax,
                               failures=tuple(failures))
@@ -378,7 +378,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
     """
     n = m = None
     support: list[tuple[HallWord, tuple[int, ...]]] = []
-    eps: dict[tuple[int, int], int] = {}
+    eps: list[tuple[int, int, int]] = []
     families: dict[int, list[tuple[HallWord, tuple[int, ...]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -398,7 +398,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
             elif fields[0] == "eps":
                 head, value_text = _split_assignment(line[len("eps"):])
                 i, j = (int(t) for t in head.split())
-                eps[(i, j)] = eps.get((i, j), 0) + _parse_ints(value_text)[0]
+                eps.append((i, j, _parse_ints(value_text)[0]))
             elif fields[0] == "gtuple":
                 head, value_text = _split_assignment(line[len("gtuple"):])
                 ps = head.split(None, 1)
@@ -413,12 +413,9 @@ def parse_element_file(text: str, table) -> CoherentElement:
             raise ElementFormatError(lineno, str(exc)) from None
     if n is None or m is None:
         raise ElementFormatError(0, "missing 'element n=<n> m=<m>' header")
-    out = finite_support_element(n, m, support, table)
-    if eps:
-        out = out + weight_two_element(m, SparseEpsilon.from_dict(eps), n=n)
-    if families:
-        out = out + min_letter_element(n, m, families, table)
-    return out
+    return (finite_support_element(n, m, support, table)
+            + CoherentElement(n, m, eps=SparseEpsilon(eps))
+            + min_letter_element(n, m, families, table))
 
 
 def _split_assignment(rest: str) -> tuple[str, str]:
@@ -433,16 +430,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def render_element_file(e: CoherentElement) -> str:
-    """Inverse of parse_element_file for elements built here: one support
-    line per coordinate, then the eps entries."""
+    """Inverse of parse_element_file for elements without bands: one
+    support line per coordinate, then the eps entries."""
     lines = ["element n=%d m=%d" % (e.n, e.m)]
     for w, f in e.coords:
         lines.append("support %s = %s" % (w, ",".join(str(c) for c in f.coordinates())))
-    if e.eps is not None:
-        if not isinstance(e.eps, SparseEpsilon):
-            raise ValueError("only sparse epsilon families have a file form")
-        for i, j, c in e.eps.entries:
-            lines.append("eps %d %d = %d" % (i, j, c))
+    if e.eps.bands:
+        raise ValueError("epsilon bands have no file form")
+    for i, j, c in e.eps.entries:
+        lines.append("eps %d %d = %d" % (i, j, c))
     return "\n".join(lines) + "\n"
 
 

@@ -129,9 +129,6 @@ class FormalSum:
         return sorted(self._terms.items(),
                       key=lambda mc: (mc[0].word.key, mc[0].degrees))
 
-    def coefficient(self, mono: BracketMonomial) -> int:
-        return self._terms.get(mono, 0)
-
     def scale(self, c: int) -> "FormalSum":
         return FormalSum({m: c * k for m, k in self._terms.items()})
 
@@ -430,30 +427,7 @@ def parse_word(text: str) -> HallWord:
 
 
 # ---------------------------------------------------------------------------
-# Epsilon oracles and the projection of an element to one level
-
-
-class EpsilonOracle(Frozen):
-    """Upper-triangular integer matrix (epsilon_{i,j})_{i<j}, total."""
-
-    __slots__ = ()
-
-    def value(self, i: int, j: int) -> int:
-        raise NotImplementedError
-
-    def __add__(self, other: "EpsilonOracle") -> "EpsilonOracle":
-        if isinstance(self, SparseEpsilon) and isinstance(other, SparseEpsilon):
-            acc = dict(self.as_dict())
-            for key, c in other.as_dict().items():
-                acc[key] = acc.get(key, 0) + c
-            return SparseEpsilon.from_dict(acc)
-        parts: list[EpsilonOracle] = []
-        for part in (self, other):
-            parts.extend(part.parts if isinstance(part, SumEpsilon) else (part,))
-        return SumEpsilon(tuple(parts))
-
-    def scale(self, c: int) -> "EpsilonOracle":
-        raise NotImplementedError
+# Weight-2 matrices and the projection of an element to one level
 
 
 def _check_pair(i, j):
@@ -461,69 +435,66 @@ def _check_pair(i, j):
         raise ValueError("epsilon entries need 1 <= i < j, got (%d, %d)" % (i, j))
 
 
-class SparseEpsilon(EpsilonOracle):
-    """Finitely many explicit entries; everything else is zero."""
+def _summed(pairs) -> dict:
+    """Add up the values of repeated keys and drop the zeros."""
+    acc: dict = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
 
-    __slots__ = ("entries", "_by_pair")
-    _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, int, int], ...] = ()):
+class SparseEpsilon(Frozen):
+    """Upper-triangular integer matrix (epsilon_{i,j})_{i<j}, total.
+
+    Stored in a standard sparse form: finitely many explicit entries
+    (i, j, c), each adding c at (i, j), plus bands (w, c), each adding c
+    to every entry with j - i <= w, as in band-matrix storage.  The
+    constructor adds up repeated pairs and repeated widths, drops zeros
+    and sorts both tuples.  A matrix is its bands' constant diagonals
+    plus a finite correction, so this form is canonical and == is
+    matrix equality.  The default is the zero matrix, which is false.
+    """
+
+    __slots__ = ("entries", "bands", "_by_pair")
+    _fields = ("entries", "bands")
+
+    def __init__(self, entries: tuple[tuple[int, int, int], ...] = (),
+                 bands: tuple[tuple[int, int], ...] = ()):
         for i, j, _ in entries:
             _check_pair(i, j)
-        object.__setattr__(self, "entries", entries)
-        # A slot, not a field: equality, hash and repr still see only
-        # the entries.  Built in reverse so that, as in a scan, the
-        # first entry for a repeated pair wins.
-        object.__setattr__(self, "_by_pair",
-                           {(i, j): c for i, j, c in reversed(entries)})
+        for w, _ in bands:
+            if w < 1:
+                raise ValueError("band width must be >= 1")
+        by_pair = _summed(((i, j), c) for i, j, c in entries)
+        object.__setattr__(self, "entries", tuple(sorted(
+            (i, j, c) for (i, j), c in by_pair.items())))
+        object.__setattr__(self, "bands", tuple(sorted(_summed(bands).items())))
+        # A slot, not a field: equality, hash and repr see only the
+        # canonical entries and bands.
+        object.__setattr__(self, "_by_pair", by_pair)
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
-        return cls(tuple(sorted((i, j, c) for (i, j), c in d.items() if c)))
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): c for i, j, c in self.entries}
+        return cls(tuple((i, j, c) for (i, j), c in d.items()))
 
     def value(self, i, j):
         _check_pair(i, j)
-        return self._by_pair.get((i, j), 0)
+        v = self._by_pair.get((i, j), 0)
+        for w, c in self.bands:
+            if j - i <= w:
+                v += c
+        return v
 
-    def scale(self, c):
-        if c == 0:
-            return SparseEpsilon()
-        return SparseEpsilon(tuple((i, j, c * k) for i, j, k in self.entries))
+    def __add__(self, other: "SparseEpsilon") -> "SparseEpsilon":
+        return SparseEpsilon(self.entries + other.entries,
+                             self.bands + other.bands)
 
+    def scale(self, c: int) -> "SparseEpsilon":
+        return SparseEpsilon(tuple((i, j, c * k) for i, j, k in self.entries),
+                             tuple((w, c * k) for w, k in self.bands))
 
-class BandEpsilon(EpsilonOracle):
-    """Constant value on the band j - i <= width, zero beyond it."""
-
-    __slots__ = _fields = ("coeff", "width")
-
-    def __init__(self, coeff: int, width: int):
-        if width < 1:
-            raise ValueError("band width must be >= 1")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "width", width)
-
-    def value(self, i, j):
-        _check_pair(i, j)
-        return self.coeff if j - i <= self.width else 0
-
-    def scale(self, c):
-        return BandEpsilon(c * self.coeff, self.width)
-
-
-class SumEpsilon(EpsilonOracle):
-    __slots__ = _fields = ("parts",)
-
-    def __init__(self, parts: tuple[EpsilonOracle, ...]):
-        object.__setattr__(self, "parts", parts)
-
-    def value(self, i, j):
-        return sum(p.value(i, j) for p in self.parts)
-
-    def scale(self, c):
-        return SumEpsilon(tuple(p.scale(c) for p in self.parts))
+    def __bool__(self):
+        return bool(self.entries or self.bands)
 
 
 def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
@@ -554,9 +525,9 @@ def project_levels(e, kmax: int):
     [sum_{i<k} eps_{i,k} a_i, a_k], expanded by bilinearity into the
     monomials eps_{i,k} [a_i, a_k] and hall-normalized.  Its
     coefficients land in Z, the group of every weight-2 word in the
-    degree n = 2m - 1 that an element with eps has.  A column whose eps
-    values are all zero normalizes to nothing and is skipped.  Level k
-    also gains the terms of the coords part, the composition sum
+    degree n = 2m - 1 that an element with a nonzero eps has.  A column
+    whose eps values are all zero normalizes to nothing and is skipped.
+    Level k also gains the terms of the coords part, the composition sum
     sum_w a_w o f_w, whose word has maximal letter k; that sum needs no
     rewriting, since a term survives exactly when its word avoids the
     trivialized letters.  Each column is bracketed and normalized once
@@ -570,7 +541,7 @@ def project_levels(e, kmax: int):
     level: dict[HallWord, GroupElement] = {}
     for k in range(1, kmax + 1):
         column: dict[HallWord, int] = {}
-        if e.eps is not None:
+        if e.eps:
             gens.append(BracketMonomial(letter(k), (e.m,)))
             left = FormalSum((gens[i - 1], e.eps.value(i, k))
                              for i in range(1, k))

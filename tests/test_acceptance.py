@@ -175,7 +175,7 @@ def test_criterion_5_tower_coherence(request):
         for t in range(200):
             n, m = pairs[t % len(pairs)]
             e = random_element(rng, n, m, TABLE)
-            if e.eps is not None:
+            if e.eps:
                 kinds.add("eps")
             elif any(w.is_letter for w, _ in e.coords):
                 kinds.add("weight-1")

@@ -174,9 +174,9 @@ def test_verify_edge_random_catches_a_lossy_projection(capsys, monkeypatch):
                        "--m", "2", "--levels", "3", "--count", "2")
     assert rc == 1 and out == "FAIL\n"
     assert err == (
-        "run 0: level 2: projection '{}' != coordinates '{[a1,a2]: -2}'; "
-        "level 3: projection '{[a1,a3]: -3, [a2,a3]: -3}' != "
-        "coordinates '{[a1,a2]: -2, [a1,a3]: -3, [a2,a3]: -3}'\n")
+        "run 0: level 2: projection {} != coordinates {[a1,a2]: -2}; "
+        "level 3: projection {[a1,a3]: -3, [a2,a3]: -3} != "
+        "coordinates {[a1,a2]: -2, [a1,a3]: -3, [a2,a3]: -3}\n")
 
 
 def test_verify_edge_random_work_per_run(capsys, monkeypatch):
@@ -259,8 +259,19 @@ def test_verify_edge_file(capsys, tmp_path, monkeypatch):
     rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p),
                        "--levels", "3")
     assert rc == 1 and out == "FAIL\n"
-    assert err == ("level 3: projection '{[a1,a2]: 2}' != coordinates "
-                   "'{[a1,a2]: 2, [a2,a3]: -1}'\n")
+    assert err == ("level 3: projection {[a1,a2]: 2} != coordinates "
+                   "{[a1,a2]: 2, [a2,a3]: -1}\n")
+
+
+def test_verify_edge_file_refuses_a_zero_matrix(capsys, tmp_path):
+    # eps lines that cancel describe the zero matrix, which is no
+    # weight-2 family: there would be nothing to compare
+    p = tmp_path / "e.txt"
+    p.write_text("element n=3 m=2\neps 1 2 = 1\neps 1 2 = -1\n")
+    rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p))
+    assert rc == 2 and out == ""
+    assert err == ("error: element file must describe a pure weight-2 "
+                   "family (eps lines only)\n")
 
 
 def test_verify_theta_file(capsys, tmp_path, monkeypatch):
@@ -293,9 +304,9 @@ def test_verify_theta_file(capsys, tmp_path, monkeypatch):
                        "--file", str(p), "--levels", "3", "--format", "json")
     assert rc == 1
     assert json.loads(out)["failures"] == [
-        "level 2: projection '{}' != coordinates '{[a1,[a1,a2]]: 2}'",
-        "level 3: projection '{[a2,[a2,a3]]: -1}' != coordinates "
-        "'{[a1,[a1,a2]]: 2, [a2,[a2,a3]]: -1}'"]
+        "level 2: projection {} != coordinates {[a1,[a1,a2]]: 2}",
+        "level 3: projection {[a2,[a2,a3]]: -1} != coordinates "
+        "{[a1,[a1,a2]]: 2, [a2,[a2,a3]]: -1}"]
 
 
 @pytest.mark.parametrize("header,argv,names", [

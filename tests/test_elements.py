@@ -22,8 +22,8 @@ from cechwedge.elements import (CoherentElement, ElementFormatError,
 from cechwedge import elements as elements_module, hall, hilton
 from cechwedge.hall import bracket, letter
 from cechwedge.spheres import parse_table, seed_table
-from cechwedge.whitehead import (BandEpsilon, SparseEpsilon, SumEpsilon,
-                                 parse_word, project_level, project_levels)
+from cechwedge.whitehead import (SparseEpsilon, parse_word, project_level,
+                                 project_levels)
 
 TABLE = seed_table()
 
@@ -39,7 +39,7 @@ def test_finite_support_level_filters_by_letter():
 
 
 def test_weight2_band_level():
-    e = weight_two_element(2, BandEpsilon(1, 1))
+    e = weight_two_element(2, SparseEpsilon(bands=((1, 1),)))
     assert e.level(3) == {parse_word("[a1,a2]"): integer_element(1),
                           parse_word("[a2,a3]"): integer_element(1)}
     assert e.level(1) == {}
@@ -71,17 +71,29 @@ def test_constructors_validate_words():
     with pytest.raises(UnresolvedGroupError):
         finite_support_element(9, 2, [("a1", 1)], TABLE)        # pi_9(S^2) unknown
     with pytest.raises(ValueError):
-        weight_two_element(2, SparseEpsilon(), n=4)             # must be 2m-1
+        CoherentElement(4, 2, eps=SparseEpsilon(((1, 2, 1),)))  # must be 2m-1
 
 
 def test_constructors_drop_zero_values():
     e = finite_support_element(4, 2, [("a1", (0,)), ("[a1,a2]", (1,))], TABLE)
-    assert e.eps is None
+    assert not e.eps
     assert [str(w) for w, _ in e.coords] == ["[a1,a2]"]
     # pi_4(S^2) = Z/2, so a doubled coordinate vanishes
     e2 = finite_support_element(4, 2, [("a1", (1,)), ("a1", (1,))], TABLE)
     assert e2.coords == ()
     assert e2 == CoherentElement(4, 2)
+
+
+def test_no_matrix_is_the_zero_matrix():
+    e = CoherentElement(3, 2)
+    assert e.eps == SparseEpsilon() and not e.eps
+    assert e == CoherentElement(3, 2, eps=SparseEpsilon())
+    assert weight_two_element(2, {}) == e == weight_two_element(2, {(1, 2): 0})
+    # a zero matrix lives in any degree, however it is listed
+    cancelled = SparseEpsilon(((1, 2, 1), (1, 2, -1)), ((2, 1), (2, -1)))
+    assert CoherentElement(4, 2, eps=cancelled) == CoherentElement(4, 2)
+    a = weight_two_element(2, {(1, 2): 1})
+    assert (a - a) == e and (a + e) == a
 
 
 def test_value_coercion():
@@ -100,7 +112,7 @@ def _level_from_scratch(e, k):
     """Level k by its definition: eps_{i,j} on [a_i, a_j] for i < j <= k
     plus every coordinate on letters up to k, summed."""
     acc = {}
-    if e.eps is not None:
+    if e.eps:
         for j in range(2, k + 1):
             for i in range(1, j):
                 if e.eps.value(i, j):
@@ -117,10 +129,10 @@ def _level_cases():
     cases = [random_element(rng, 3, 2, TABLE, kind=kind)
              for kind in ("finite", "gtuple", "weight2") for _ in range(4)]
     cases += [random_element(rng, 4, 2, TABLE) for _ in range(4)]
-    band = weight_two_element(2, BandEpsilon(2, 3))
-    mixed = weight_two_element(2, BandEpsilon(-1, 2) + SparseEpsilon.from_dict(
-        {(1, 3): 1, (2, 7): 4}))
-    assert isinstance(mixed.eps, SumEpsilon)
+    band = weight_two_element(2, SparseEpsilon(bands=((3, 2),)))
+    mixed = weight_two_element(2, SparseEpsilon(bands=((2, -1),))
+                               + SparseEpsilon.from_dict({(1, 3): 1, (2, 7): 4}))
+    assert mixed.eps.entries and mixed.eps.bands
     cancel = finite_support_element(3, 2, [("[a1,a3]", -1), ("a2", 1)],
                                     TABLE)
     return cases + [band, mixed, band + cancel, mixed - band + cancel]
@@ -136,8 +148,8 @@ def test_levels_out_of_order_match_definition():
 
 
 def test_level_returns_a_fresh_dict():
-    e = weight_two_element(2, BandEpsilon(1, 2)) + finite_support_element(
-        3, 2, [("a3", 1)], TABLE)
+    e = (weight_two_element(2, SparseEpsilon(bands=((2, 1),)))
+         + finite_support_element(3, 2, [("a3", 1)], TABLE))
     first = e.level(4)
     want = dict(first)
     first.clear()
@@ -163,20 +175,21 @@ def test_levelled_elements_keep_equality_and_hash():
 
 
 def test_sparse_epsilon_value_matches_scan():
-    def scan(eps, i, j):
-        for a, b, c in eps.entries:
-            if (a, b) == (i, j):
-                return c
-        return 0
+    def scan(entries, i, j):
+        return sum(c for a, b, c in entries if (a, b) == (i, j))
 
     rng = random.Random(4)
-    repeated = SparseEpsilon(((1, 2, 5), (1, 2, -3), (2, 4, 1)))
-    for eps in [repeated] + [random_sparse_epsilon(rng) for _ in range(10)]:
+    listed = ((1, 2, 5), (2, 4, 1), (1, 2, -3), (3, 5, 2), (3, 5, -2))
+    repeated = SparseEpsilon(listed)
+    assert repeated.entries == ((1, 2, 2), (2, 4, 1))
+    cases = [(listed, repeated)] + [(e.entries, e) for e in (
+        random_sparse_epsilon(rng) for _ in range(10))]
+    for entries, eps in cases:
         for j in range(2, 9):
             for i in range(1, j):
-                assert eps.value(i, j) == scan(eps, i, j)
+                assert eps.value(i, j) == scan(entries, i, j)
         assert eps == SparseEpsilon(eps.entries)
-        assert repr(eps) == "SparseEpsilon(entries=%r)" % (eps.entries,)
+        assert repr(eps) == "SparseEpsilon(entries=%r, bands=())" % (eps.entries,)
     with pytest.raises(ValueError):
         repeated.value(2, 2)
 
@@ -410,9 +423,9 @@ def test_weight2_realization_fails_on_a_lossy_projection(monkeypatch):
     rep = verify_weight2_realization(EDGE, 3)
     assert not rep.ok and rep.checked_levels == 3
     assert rep.failures == (
-        "level 2: projection '{}' != coordinates '{[a1,a2]: 1}'",
-        "level 3: projection '{[a1,a3]: -2, [a2,a3]: 3}' != coordinates "
-        "'{[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3}'")
+        "level 2: projection {} != coordinates {[a1,a2]: 1}",
+        "level 3: projection {[a1,a3]: -2, [a2,a3]: 3} != coordinates "
+        "{[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3}")
 
 
 def test_weight2_realization_fails_on_lossy_coordinates(monkeypatch):
@@ -421,8 +434,8 @@ def test_weight2_realization_fails_on_lossy_coordinates(monkeypatch):
                         dropping(walk, W23))
     rep = verify_weight2_realization(EDGE, 3)
     assert rep.failures == (
-        "level 3: projection '{[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3}' != "
-        "coordinates '{[a1,a2]: 1, [a1,a3]: -2}'",)
+        "level 3: projection {[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3} != "
+        "coordinates {[a1,a2]: 1, [a1,a3]: -2}",)
 
 
 def _additivity_pair():
@@ -515,7 +528,7 @@ def test_element_file_gtuple_round_trip():
         "gtuple 2 [a2,[a2,a3]] = -1\n"
     )
     e = parse_element_file(text, TABLE)
-    assert e.eps is None and [str(w) for w, _ in e.coords] == [
+    assert not e.eps and [str(w) for w, _ in e.coords] == [
         "[a1,[a1,a2]]", "[a2,[a2,a3]]"]
     again = parse_element_file(render_element_file(e), TABLE)
     assert again == e
@@ -541,6 +554,19 @@ def test_element_file_errors():
         assert exc.value.lineno == lineno
         assert str(exc.value).startswith("line %d: " % lineno)
         assert "'element n=<n> m=<m>'" in str(exc.value)
+
+
+def test_element_file_adds_repeated_eps_lines():
+    e = parse_element_file("element n=3 m=2\neps 1 2 = 1\neps 2 3 = 4\n"
+                           "eps 1 2 = 2\n", TABLE)
+    assert e == weight_two_element(2, {(1, 2): 3, (2, 3): 4})
+    zero = parse_element_file("element n=4 m=2\neps 1 2 = 1\n"
+                              "eps 1 2 = -1\n", TABLE)
+    assert zero == CoherentElement(4, 2)
+    with pytest.raises(ValueError, match="2m - 1 = 3, not 4"):
+        parse_element_file("element n=4 m=2\neps 1 2 = 1\n", TABLE)
+    with pytest.raises(ValueError, match="no file form"):
+        render_element_file(weight_two_element(2, SparseEpsilon(bands=((1, 1),))))
 
 
 def test_element_file_mixes_eps_and_gtuple():

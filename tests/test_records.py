@@ -16,7 +16,7 @@ from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Finite,
 from cechwedge.hall import GradingSequence, HallSet, letter
 from cechwedge.hilton import BondingMap, StabilizationReport, WedgeDecomposition
 from cechwedge.spheres import SphereGroupTable
-from cechwedge.whitehead import BandEpsilon, SparseEpsilon, SumEpsilon
+from cechwedge.whitehead import SparseEpsilon
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -70,15 +70,12 @@ HASHABLE = {
         lambda: StabilizationReport(1, ((3, ZERO),), True, ZERO),
         "StabilizationReport(offset=1, entries=((3, Zero()),), stable=True, "
         "stable_value=Zero(), warnings=())"),
-    "SparseEpsilon": (lambda: SparseEpsilon(((1, 2, 3),)),
-                      "SparseEpsilon(entries=((1, 2, 3),))"),
-    "BandEpsilon": (lambda: BandEpsilon(2, 1), "BandEpsilon(coeff=2, width=1)"),
-    "SumEpsilon": (lambda: SumEpsilon((BandEpsilon(2, 1), SparseEpsilon())),
-                   "SumEpsilon(parts=(BandEpsilon(coeff=2, width=1), "
-                   "SparseEpsilon(entries=())))"),
-    "CoherentElement": (lambda: CoherentElement(3, 2, eps=BandEpsilon(1, 1)),
+    "SparseEpsilon": (lambda: SparseEpsilon(((1, 2, 3),), ((1, 2),)),
+                      "SparseEpsilon(entries=((1, 2, 3),), bands=((1, 2),))"),
+    "CoherentElement": (lambda: CoherentElement(3, 2, eps=SparseEpsilon(
+                            bands=((1, 1),))),
                         "CoherentElement(n=3, m=2, coords=(), "
-                        "eps=BandEpsilon(coeff=1, width=1))"),
+                        "eps=SparseEpsilon(entries=(), bands=((1, 1),)))"),
 }
 
 UNHASHABLE = {
@@ -100,7 +97,7 @@ RECORDS = {**HASHABLE, **UNHASHABLE}
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 19
     assert all(type(build()).__name__ == name
                for name, (build, _) in RECORDS.items())
 
@@ -146,7 +143,8 @@ def test_fields_and_class_decide_equality():
     # ProdN against SumN and Zero() against ZERO: test_groups
     assert SphereSymbol(4, 3) != SphereSymbol(4, 2)
     assert FGAbelianGroup(1, (2,)) != FGAbelianGroup(1, (4,))
-    assert CoherentElement(3, 2) != CoherentElement(3, 2, eps=SparseEpsilon())
+    # an element without a matrix holds the zero matrix
+    assert CoherentElement(3, 2) == CoherentElement(3, 2, eps=SparseEpsilon())
 
     class Renamed(SphereSymbol):
         __slots__ = ()

@@ -8,8 +8,8 @@ from cechwedge.elements import (CoherentElement, verify_weight2_realization,
                                 weight_two_element)
 from cechwedge.groups import Z, integer_element
 from cechwedge.hall import bracket, letter
-from cechwedge.whitehead import (BandEpsilon, FormalSum, SizeLimitError,
-                                 SparseEpsilon, WeightLimitError, expand,
+from cechwedge.whitehead import (FormalSum, SizeLimitError, SparseEpsilon,
+                                 WeightLimitError, expand,
                                  hall_normalize, monomial_of_word,
                                  parse_bracket_expr, parse_word,
                                  project_level, project_levels,
@@ -181,9 +181,9 @@ def test_parse_bracket_expr():
     g = DEG2
     e = parse_bracket_expr("2*[a1,[a1,a2]] + a3 - a1", g)
     s = expand(e)
-    assert s.coefficient(_mono("[a1,[a1,a2]]", g)) == 2
-    assert s.coefficient(_mono("a3", g)) == 1
-    assert s.coefficient(_mono("a1", g)) == -1
+    assert dict(s.items())[_mono("[a1,[a1,a2]]", g)] == 2
+    assert dict(s.items())[_mono("a3", g)] == 1
+    assert dict(s.items())[_mono("a1", g)] == -1
     assert expand(parse_bracket_expr("0", g)) == FormalSum.zero()
 
 
@@ -204,7 +204,7 @@ def test_parse_word_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Epsilon oracles and symbolic infinite sums
+# Weight-2 matrices and symbolic infinite sums
 
 
 def test_sparse_epsilon():
@@ -221,15 +221,66 @@ def test_sparse_epsilon():
 
 
 def test_band_and_sum_epsilon():
-    band = BandEpsilon(2, 1)
+    band = SparseEpsilon(bands=((1, 2),))
     assert band.value(3, 4) == 2
     assert band.value(3, 5) == 0
     mixed = band + SparseEpsilon.from_dict({(3, 4): 1})
+    assert mixed == SparseEpsilon(((3, 4, 1),), ((1, 2),))
     assert mixed.value(3, 4) == 3
     assert mixed.value(1, 2) == 2
     assert mixed.scale(2).value(3, 4) == 6
+    # both summands' bands add, and repeated widths add up
+    wide = SparseEpsilon() + SparseEpsilon(bands=((3, -1), (1, 1), (3, 4)))
+    assert (band + wide).bands == ((1, 3), (3, 3))
+    assert [(band + wide).value(1, j) for j in (2, 3, 4, 5)] == [6, 3, 3, 0]
     sparse = SparseEpsilon.from_dict({(1, 2): 1}) + SparseEpsilon.from_dict({(1, 2): -1})
-    assert isinstance(sparse, SparseEpsilon) and sparse.entries == ()
+    assert sparse == SparseEpsilon() and not sparse and band
+    assert band + band.scale(-1) == SparseEpsilon()
+    with pytest.raises(ValueError, match="band width"):
+        SparseEpsilon(bands=((0, 1),))
+
+
+_pairs = st.tuples(st.integers(1, 3), st.integers(2, 4)).filter(
+    lambda p: p[0] < p[1])
+_matrices = st.builds(
+    SparseEpsilon,
+    st.lists(st.builds(lambda p, c: p + (c,), _pairs, st.integers(-2, 2)),
+             max_size=4).map(tuple),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)),
+             max_size=3).map(tuple))
+
+
+def _agree(a, b):
+    """Whether a and b have the same value at every i < j <= N, where
+    N lies one diagonal band beyond every explicit index."""
+    top = (1 + max([j for e in (a, b) for _, j, _ in e.entries], default=1)
+           + max([w for e in (a, b) for w, _ in e.bands], default=0))
+    return all(a.value(i, j) == b.value(i, j)
+               for j in range(2, top + 1) for i in range(1, j))
+
+
+@given(a=_matrices, b=_matrices)
+@settings(max_examples=200)
+def test_sparse_epsilon_equality_is_matrix_equality(a, b):
+    assert (a == b) == _agree(a, b)
+    assert hash(a) == hash(b) or a != b
+    # the same matrix listed another way is the same record
+    twin = SparseEpsilon(a.entries[::-1] + ((1, 2, 1), (1, 2, -1)),
+                         a.bands[::-1] + ((2, 3), (2, -3)))
+    assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+
+
+@given(a=_matrices, b=_matrices)
+@settings(max_examples=100)
+def test_sparse_epsilon_sums_are_entrywise(a, b):
+    assert a + a.scale(-1) == SparseEpsilon()
+    assert not a.scale(0) and bool(a) == (a != SparseEpsilon())
+    s = a + b
+    assert s == b + a
+    for j in range(2, 9):
+        for i in range(1, j):
+            assert s.value(i, j) == a.value(i, j) + b.value(i, j)
+            assert a.scale(3).value(i, j) == 3 * a.value(i, j)
 
 
 def test_weight2_sum_algebra():
@@ -277,7 +328,7 @@ def test_project_level_theta():
 
 
 def test_project_level_band_rule():
-    expr = weight_two_element(2, BandEpsilon(1, 1))
+    expr = weight_two_element(2, SparseEpsilon(bands=((1, 1),)))
     got = project_level(expr, 3)
     assert got == {parse_word("[a1,a2]"): integer_element(1),
                    parse_word("[a2,a3]"): integer_element(1)}
@@ -326,8 +377,8 @@ _CANCELLED = parse_word("[a1,a3]")
 
 @pytest.mark.parametrize("e", [
     weight_two_element(2, {(1, 2): 3, (2, 5): -1, (4, 7): 2, (1, 7): 1}),
-    weight_two_element(3, BandEpsilon(-2, 2)),
-    weight_two_element(2, BandEpsilon(1, 1)
+    weight_two_element(3, SparseEpsilon(bands=((2, -2),))),
+    weight_two_element(2, SparseEpsilon(bands=((1, 1),))
                        + SparseEpsilon.from_dict({(1, 2): -1, (3, 6): 4})),
     # coordinates mixed with eps; eps cancels the one on [a1,a3]
     CoherentElement(3, 2, ((letter(2), integer_element(5)),

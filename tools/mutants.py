@@ -50,14 +50,15 @@ WH = "src/cechwedge/whitehead.py"
 
 T_ELEMENTS = "tests/test_elements.py::"
 T_CLI = "tests/test_cli.py::"
+T_WH = "tests/test_whitehead.py::"
 
 MUTANTS = [
     # --- the realization verifiers compare two routes, never one with itself
     ("realization-levels-with-themselves", E,
      "        if got != want:\n"
-     "            failures.append(\"level %d: projection %r != coordinates %r\"",
+     "            failures.append(\"level %d: projection %s != coordinates %s\"",
      "        if want != want:\n"
-     "            failures.append(\"level %d: projection %r != coordinates %r\"",
+     "            failures.append(\"level %d: projection %s != coordinates %s\"",
      [T_ELEMENTS + "test_weight2_realization_fails_on_a_lossy_projection",
       T_ELEMENTS + "test_weight2_realization_fails_on_lossy_coordinates"]),
     ("additivity-sum-projection-with-itself", E,
@@ -103,10 +104,20 @@ MUTANTS = [
      "            if pushed.get(w) != actual.get(w):",
      "            if actual.get(w) != actual.get(w):",
      [T_ELEMENTS + "test_coherence_negative_control"]),
-    ("eps-lookup-last-wins", WH,
-     "{(i, j): c for i, j, c in reversed(entries)}",
-     "{(i, j): c for i, j, c in entries}",
+    # --- the weight-2 matrix
+    ("eps-repeats-stop-adding-up", WH,
+     "        acc[key] = acc.get(key, 0) + c",
+     "        acc[key] = c",
      [T_ELEMENTS + "test_sparse_epsilon_value_matches_scan"]),
+    ("eps-band-excludes-its-width", WH,
+     "            if j - i <= w:",
+     "            if j - i < w:",
+     [T_WH + "test_band_and_sum_epsilon",
+      T_ELEMENTS + "test_weight2_band_level"]),
+    ("eps-sum-drops-other-bands", WH,
+     "                             self.bands + other.bands)",
+     "                             self.bands)",
+     [T_WH + "test_band_and_sum_epsilon"]),
     # --- Hall generation and the bonding tower
     ("generate-drops-prefix-times-suffix", HALL,
      "                    itertools.product(xs[:start[i]], ys[start[m - i]:]))",
