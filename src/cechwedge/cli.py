@@ -19,6 +19,9 @@ earring`, `hm` and `verify stabilize` take --annotate, which adds their
 per-summand (or per-dimension) lines.  `verify stabilize` needs at least
 two dimensions m >= s + 2 in the m-range.  Identical flags and seed give
 byte-identical output.
+
+The element commands import `elements`, `whitehead` and `random` where
+they run, so the formula commands never load them.
 """
 
 from __future__ import annotations
@@ -26,20 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
-from .elements import (check_coherence, parse_element_file,
-                       random_min_letter_elements, random_sparse_epsilon,
-                       verify_composition_additivity, verify_weight2_realization,
-                       weight_one_part_vanishes, weight_two_element)
 from .groups import render_text, to_machine
 from .hall import (GradingSequence, StratumSizeError, generate, height,
                    necklace_count)
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_range, weight_summand)
 from .spheres import load_table
-from .whitehead import add_coordinates, project_levels
 
 
 class CommandError(Exception):
@@ -80,8 +77,8 @@ def _emit_json(machine) -> int:
 
 
 def _emit_lines(lines) -> int:
-    for line in lines:
-        print(line)
+    # one write: print makes two system calls per line when unbuffered
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -212,6 +209,7 @@ def _need_positive(args, *names):
 
 
 def _element_from_file(path, table):
+    from .elements import parse_element_file
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -237,6 +235,10 @@ def cmd_verify_edge(args) -> int:
     if args.m < 2:
         raise CommandError("sphere dimension must be >= 2")
     _need_positive(args, "levels", "count")
+    import random
+    from .elements import (random_sparse_epsilon, verify_weight2_realization,
+                           weight_two_element)
+    from .whitehead import add_coordinates, project_levels
     table = _table(args)
     failures = []
     runs = 0
@@ -279,6 +281,10 @@ def cmd_verify_theta(args) -> int:
     if args.n < 2 or args.m < 2:
         raise CommandError("need n >= 2 and m >= 2")
     _need_positive(args, "levels", "count")
+    import random
+    from .elements import (random_min_letter_elements,
+                           verify_composition_additivity,
+                           verify_weight2_realization, weight_one_part_vanishes)
     table = _table(args)
     failures = []
     runs = 0
@@ -310,6 +316,7 @@ def cmd_verify_theta(args) -> int:
 
 def cmd_verify_coherence(args) -> int:
     _need_positive(args, "levels")
+    from .elements import check_coherence
     table = _table(args)
     if not args.file:
         raise CommandError("need --file")

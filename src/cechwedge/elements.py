@@ -29,8 +29,8 @@ from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    dimension_truncation, height, letter)
 from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
 from .records import Frozen, Record
-from .whitehead import (SparseEpsilon, add_coordinates, coordinate_tuple,
-                        parse_word, project_levels)
+from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
+                        coordinate_tuple, parse_word, project_levels)
 
 
 class UnresolvedGroupError(LookupError):
@@ -60,6 +60,8 @@ class CoherentElement(Frozen):
                  eps: SparseEpsilon = SparseEpsilon()):
         if n < 2 or m < 2:
             raise ValueError("need n >= 2 and m >= 2")
+        if not isinstance(eps, SparseEpsilon):
+            raise TypeError("eps must be a SparseEpsilon, got %r" % (eps,))
         if eps and n != 2 * m - 1:
             raise ValueError("weight-2 families live in degree 2m - 1 = %d, "
                              "not %d" % (2 * m - 1, n))
@@ -398,6 +400,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
             elif fields[0] == "eps":
                 head, value_text = _split_assignment(line[len("eps"):])
                 i, j = (int(t) for t in head.split())
+                _check_pair(i, j)
                 eps.append((i, j, _parse_ints(value_text)[0]))
             elif fields[0] == "gtuple":
                 head, value_text = _split_assignment(line[len("gtuple"):])

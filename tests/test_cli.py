@@ -200,7 +200,7 @@ def test_verify_edge_random_work_per_run(capsys, monkeypatch):
     monkeypatch.setattr(elements.CoherentElement, "walk", counted_walk)
     monkeypatch.setattr(elements.CoherentElement, "level", refuse)
     monkeypatch.setattr(elements, "project_levels", counted_project)
-    monkeypatch.setattr(cli, "project_levels", counted_project)
+    monkeypatch.setattr(whitehead, "project_levels", counted_project)
     rc, out, err = run(capsys, "verify", "edge", "--random", "--m", "2",
                        "--levels", "6", "--count", "5")
     assert rc == 0 and out == "PASS\n" and err == ""
@@ -272,6 +272,15 @@ def test_verify_edge_file_refuses_a_zero_matrix(capsys, tmp_path):
     assert rc == 2 and out == ""
     assert err == ("error: element file must describe a pure weight-2 "
                    "family (eps lines only)\n")
+
+
+def test_verify_edge_file_reports_a_bad_eps_pair_with_its_line(capsys, tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("element n=3 m=2\neps 1 2 = 1\neps 2 1 = 1\n")
+    rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p))
+    assert rc == 2 and out == ""
+    assert err == ("error: bad element file %s: line 3: epsilon entries "
+                   "need 1 <= i < j, got (2, 1)\n" % p)
 
 
 def test_verify_theta_file(capsys, tmp_path, monkeypatch):

@@ -96,6 +96,12 @@ def test_no_matrix_is_the_zero_matrix():
     assert (a - a) == e and (a + e) == a
 
 
+def test_element_refuses_an_eps_that_is_no_matrix():
+    for eps in (None, {(1, 2): 1}, ((1, 2, 1),)):
+        with pytest.raises(TypeError, match="eps must be a SparseEpsilon"):
+            CoherentElement(3, 2, eps=eps)
+
+
 def test_value_coercion():
     g = TABLE.lookup(4, 2)
     e = finite_support_element(4, 2, [("a1", GroupElement(g, (), (1,)))], TABLE)

@@ -19,7 +19,7 @@ environment cannot pass for a killed mutant.
 
 Exit 0 when every mutant is killed, 1 when one survives or an old text
 does not occur exactly once.  Stdlib only, and not part of Tier-1: a
-run of every mutant takes about 40 s on a 2-vCPU machine.
+run of every mutant takes about 55 s on a 2-vCPU machine.
 tests/test_mutants.py checks in Tier-1 that every old text still
 occurs exactly once.
 
@@ -133,6 +133,10 @@ MUTANTS = [
      "        if not (is_hall(w, b.k + 1) and height(w, b.grading) + 1 < b.n):",
      ["tests/test_hilton.py::test_apply_bonding_examples",
       "tests/test_hilton.py::test_bonding_membership_matches_enumeration"]),
+    ("cli-loads-whitehead-at-import", CLI,
+     "from .spheres import load_table\n",
+     "from .spheres import load_table\nfrom .whitehead import project_levels\n",
+     ["tests/test_process.py::test_formula_commands_load_no_element_code"]),
     ("main-lets-stratum-size-error-escape", CLI,
      "    except (CommandError, StratumSizeError) as exc:",
      "    except CommandError as exc:",
