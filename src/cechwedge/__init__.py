@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in (
     ("groups", ("FGAbelianGroup", "GroupElement", "Z", "CYCLIC_2", "ZERO",
                 "DirectSum", "Finite", "Pow", "ProdN", "SphereSymbol", "SumN",
-                "Zero", "integer_element", "normalize", "parse_machine",
-                "render_machine", "render_text")),
+                "Zero", "integer_element", "normalize", "render_text")),
     ("hall", ("COUNTABLY_INFINITE", "GradingSequence", "HallWord", "bracket",
               "dimension_truncation", "generate", "height",
               "height_class_census", "is_hall", "letter", "necklace_count")),

@@ -213,7 +213,7 @@ def _element_from_file(path, table):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError("cannot read %s: %s" % (path, exc)) from None
     try:
         return parse_element_file(text, table)
@@ -423,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("hm", help="wedge decomposition at a finite stage")
     pm.add_argument("-n", type=int, required=True)
     pm.add_argument("-k", type=int, required=True)
-    pm.add_argument("-m", type=int, default=None)
-    pm.add_argument("--grading", default=None)
+    dims = pm.add_mutually_exclusive_group()
+    dims.add_argument("-m", type=int, default=None)
+    dims.add_argument("--grading", default=None)
     _add_common(pm)
     _add_annotate(pm)
     pm.set_defaults(func=cmd_hm)

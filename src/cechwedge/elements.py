@@ -446,7 +446,7 @@ def render_element_file(e: CoherentElement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Seeded random fixtures (shared by the CLI and the test suite)
+# Seeded random draws of the verify commands
 
 
 def random_sparse_epsilon(rng: random.Random) -> SparseEpsilon:
@@ -488,16 +488,6 @@ def _draw(rng: random.Random, pool) -> list[tuple[HallWord, GroupElement]]:
     return [(w, random_group_element(rng, group)) for w, group in picked]
 
 
-def random_finite_support_element(rng: random.Random, n: int, m: int,
-                                  table) -> CoherentElement:
-    return finite_support_element(
-        n, m, _draw(rng, _resolvable_pool(n, m, table, 6)), table)
-
-
-def random_weight_two_element(rng: random.Random, m: int) -> CoherentElement:
-    return weight_two_element(m, random_sparse_epsilon(rng))
-
-
 def random_min_letter_elements(rng: random.Random, n: int, m: int, table):
     """An endless stream of random least-letter families drawn with rng.
 
@@ -511,20 +501,3 @@ def random_min_letter_elements(rng: random.Random, n: int, m: int, table):
             families.setdefault(w.min_letter, []).append((w, f))
         yield min_letter_element(n, m, families, table)
 
-
-def random_element(rng: random.Random, n: int, m: int, table,
-                   kind: str | None = None) -> CoherentElement:
-    if kind is None:
-        kinds = ["finite", "gtuple"]
-        if n == 2 * m - 1:
-            kinds.append("weight2")
-        kind = rng.choice(kinds)
-    if kind == "finite":
-        return random_finite_support_element(rng, n, m, table)
-    if kind == "weight2":
-        if n != 2 * m - 1:
-            raise ValueError("weight-2 families need n = 2m - 1")
-        return random_weight_two_element(rng, m)
-    if kind == "gtuple":
-        return next(random_min_letter_elements(rng, n, m, table))
-    raise ValueError("unknown element kind %r" % kind)

@@ -19,8 +19,6 @@ summand is part of the answer.
 
 from __future__ import annotations
 
-import json
-
 from .records import Frozen
 
 
@@ -410,10 +408,6 @@ def render_text(e: GroupExpr) -> str:
     raise TypeError("not a group shape: %r" % (e,))
 
 
-_KINDS = {"zero": Zero, "finite": Finite, "sphere": SphereSymbol,
-          "direct_sum": DirectSum, "pow": Pow, "sum_n": SumN, "prod_n": ProdN}
-
-
 def to_machine(e: GroupExpr) -> dict:
     if isinstance(e, Zero):
         return {"kind": "zero"}
@@ -433,31 +427,3 @@ def to_machine(e: GroupExpr) -> dict:
     if isinstance(e, ProdN):
         return {"kind": "prod_n", "children": [to_machine(e.base)]}
     raise TypeError("not a group shape: %r" % (e,))
-
-
-def from_machine(doc: dict) -> GroupExpr:
-    kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise ValueError("unknown shape kind %r" % (kind,))
-    if kind == "zero":
-        return ZERO
-    if kind == "finite":
-        return Finite(FGAbelianGroup(doc["rank"], tuple(doc["torsion"])))
-    if kind == "sphere":
-        return SphereSymbol(doc["n"], doc["q"])
-    children = [from_machine(c) for c in doc.get("children", [])]
-    if kind == "direct_sum":
-        return DirectSum(tuple(children))
-    if kind == "pow":
-        return Pow(children[0], doc["exponent"])
-    if kind == "sum_n":
-        return SumN(children[0])
-    return ProdN(children[0])
-
-
-def render_machine(e: GroupExpr) -> str:
-    return json.dumps(to_machine(e), sort_keys=True)
-
-
-def parse_machine(text: str) -> GroupExpr:
-    return from_machine(json.loads(text))

@@ -171,37 +171,11 @@ def _hall_conditions(w: HallWord) -> bool:
     return True
 
 
-class HallSet(Frozen):
-    """Hall words on `letters` letters up to weight `max_weight`.
-
-    Strata are stored in canonical order, so iteration is the canonical
-    order and the set for k letters is a stratum-wise prefix of the set
-    for k + 1 letters.
-    """
-
-    __slots__ = _fields = ("letters", "max_weight", "strata")
-
-    def __init__(self, letters: int, max_weight: int,
-                 strata: tuple[tuple[HallWord, ...], ...]):
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "strata", strata)
-
-    def stratum(self, j: int) -> tuple[HallWord, ...]:
-        if not 1 <= j <= self.max_weight:
-            raise ValueError("no stratum of weight %d" % j)
-        return self.strata[j - 1]
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self.strata)
-
-    def __len__(self):
-        return sum(len(s) for s in self.strata)
-
-
 @functools.lru_cache(maxsize=256)
-def generate(k: int, max_weight: int) -> HallSet:
-    """Generate the Hall words on k letters up to the given weight.
+def generate(k: int, max_weight: int) -> tuple[HallWord, ...]:
+    """The Hall words on k letters up to the given weight, in canonical
+    order: lighter strata first, so the words on k letters are a
+    stratum-wise prefix of the words on k + 1 letters.
 
     Letters are introduced one at a time; the words whose maximal
     letter is the new one are generated, sorted, and appended after the
@@ -220,6 +194,9 @@ def generate(k: int, max_weight: int) -> HallSet:
         raise ValueError("need at least one letter")
     if max_weight < 1:
         raise ValueError("need at least weight 1")
+    if k == 1:
+        # [a1, a1] fails x < y, so one letter brackets with nothing
+        return (letter(1),)
     for j in range(1, max_weight + 1):
         predicted = necklace_count(k, j)
         if predicted > STRATUM_CAP:
@@ -246,8 +223,7 @@ def generate(k: int, max_weight: int) -> HallSet:
                     fresh.append(bracket(x, y))
             fresh.sort(key=lambda w: w.key)
             strata[m].extend(fresh)
-    return HallSet(letters=k, max_weight=max_weight,
-                   strata=tuple(tuple(s) for s in strata[1:]))
+    return tuple(itertools.chain.from_iterable(strata))
 
 
 def _mobius(n: int) -> int:

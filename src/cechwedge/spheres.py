@@ -172,5 +172,9 @@ def load_table(spec: str | None) -> SphereGroupTable:
         spec = os.environ.get(ENV_TABLE_VAR, "seed")
     if spec == "seed":
         return seed_table()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read(), source=os.path.basename(spec))
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError("cannot read table %s: %s" % (spec, exc)) from None
+    return parse_table(text, source=os.path.basename(spec))

@@ -40,15 +40,10 @@ from .hall import HallWord, bracket, letter, _hall_conditions
 from .records import Frozen
 
 MAX_TENSOR_WEIGHT = 4
-MAX_TENSOR_LETTERS = 3
 
 
 class WeightLimitError(ValueError):
-    """Bracket rewriting is only implemented up to MAX_TENSOR_WEIGHT."""
-
-
-class SizeLimitError(RuntimeError):
-    """Tensor expansion refused an input beyond its desk-scale guards."""
+    """Bracket rewriting and the tensor oracle stop at MAX_TENSOR_WEIGHT."""
 
 
 class ResidualBracketError(ValueError):
@@ -116,10 +111,6 @@ class FormalSum:
                     if not acc[mono]:
                         del acc[mono]
         self._terms = acc
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
 
     @classmethod
     def single(cls, mono: BracketMonomial, c: int = 1) -> "FormalSum":
@@ -286,19 +277,16 @@ def _tensor_of_monomial(m: BracketMonomial):
 def tensor_expansion(s) -> dict[tuple, int]:
     """Expand a FormalSum into the free associative ring.
 
-    Keys are tuples of (letter, degree) generators.  Guarded to weight
-    <= MAX_TENSOR_WEIGHT and at most MAX_TENSOR_LETTERS distinct letters
-    per monomial; inputs beyond that raise SizeLimitError.
+    Keys are tuples of (letter, degree) generators.  A monomial of
+    weight w expands to at most 2**(w - 1) words on any number of
+    letters; like hall_normalize, this stops above MAX_TENSOR_WEIGHT.
     """
     s = expand(s)
     acc: dict[tuple, int] = {}
     for mono, c in s.items():
         if mono.word.length > MAX_TENSOR_WEIGHT:
-            raise SizeLimitError("tensor expansion capped at weight %d"
-                                 % MAX_TENSOR_WEIGHT)
-        if len(set(mono.word.iter_letters())) > MAX_TENSOR_LETTERS:
-            raise SizeLimitError("tensor expansion capped at %d distinct letters"
-                                 % MAX_TENSOR_LETTERS)
+            raise WeightLimitError("no tensor expansion above weight %d: %s"
+                                   % (MAX_TENSOR_WEIGHT, mono))
         for word, k in _tensor_of_monomial(mono).items():
             acc[word] = acc.get(word, 0) + c * k
     return {w: c for w, c in acc.items() if c}
@@ -368,7 +356,7 @@ class _Parser:
                 self.take()
                 return self.atom(degrees).scale(val)
             if val == 0:
-                return FormalSum.zero()
+                return FormalSum()
             raise ValueError("bare integer %d (only 0 stands alone)" % val)
         return self.atom(degrees)
 

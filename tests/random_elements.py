@@ -1,0 +1,41 @@
+"""Seeded random elements of every kind, for the test suite only.
+
+The library keeps the two draws the verify commands make
+(random_sparse_epsilon and random_min_letter_elements); these build on
+them and on the same word pool.
+"""
+
+import random
+
+from cechwedge.elements import (CoherentElement, _draw, _resolvable_pool,
+                                finite_support_element,
+                                random_min_letter_elements,
+                                random_sparse_epsilon, weight_two_element)
+
+
+def random_finite_support_element(rng: random.Random, n: int, m: int,
+                                  table) -> CoherentElement:
+    return finite_support_element(
+        n, m, _draw(rng, _resolvable_pool(n, m, table, 6)), table)
+
+
+def random_weight_two_element(rng: random.Random, m: int) -> CoherentElement:
+    return weight_two_element(m, random_sparse_epsilon(rng))
+
+
+def random_element(rng: random.Random, n: int, m: int, table,
+                   kind: str | None = None) -> CoherentElement:
+    if kind is None:
+        kinds = ["finite", "gtuple"]
+        if n == 2 * m - 1:
+            kinds.append("weight2")
+        kind = rng.choice(kinds)
+    if kind == "finite":
+        return random_finite_support_element(rng, n, m, table)
+    if kind == "weight2":
+        if n != 2 * m - 1:
+            raise ValueError("weight-2 families need n = 2m - 1")
+        return random_weight_two_element(rng, m)
+    if kind == "gtuple":
+        return next(random_min_letter_elements(rng, n, m, table))
+    raise ValueError("unknown element kind %r" % kind)

@@ -8,7 +8,7 @@ import pytest
 
 from cechwedge import cli, elements, hall, spheres, whitehead
 from cechwedge.cli import main
-from cechwedge.groups import parse_machine, to_machine
+from cechwedge.groups import to_machine
 from cechwedge.hilton import earring_formula
 from cechwedge.spheres import seed_table
 from cechwedge.whitehead import SparseEpsilon, parse_word
@@ -411,16 +411,28 @@ def test_verify_stabilize_failure(capsys):
     ("verify", "stabilize", "-s", "5", "--m-range", "2..3"),
     ("count", "-k", "10", "-j", "4304"),
     ("hm", "-n", "4", "-k", "2", "-m", "1"),
+    ("hm", "-n", "4", "-k", "2", "-m", "3", "--grading", "1"),
+    # BINARY stands for a file holding bytes that are not UTF-8
+    ("verify", "coherence", "--file", "BINARY"),
+    ("cech", "earring", "-m", "2", "-n", "3", "--table", "BINARY"),
 ])
-def test_usage_errors(capsys, default_digit_limit, argv):
-    if "--annotate" in argv:    # argparse rejects the unknown flag itself
+def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    argv = [str(binary) if a == "BINARY" else a for a in argv]
+    # argparse rejects an unknown flag or two exclusive flags itself
+    if "--annotate" in argv or {"-m", "--grading"} <= set(argv):
         with pytest.raises(SystemExit) as exc:
-            main(list(argv))
+            main(argv)
         rc, prefix = exc.value.code, "usage:"
     else:
-        rc, prefix = main(list(argv)), "error:"
+        rc, prefix = main(argv), "error:"
     assert rc == 2
-    assert capsys.readouterr().err.startswith(prefix)
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    if str(binary) in argv:
+        assert err.startswith("error: cannot read ")
+        assert " %s: " % binary in err
 
 
 def test_unknown_command_exits_2(capsys):
@@ -440,7 +452,6 @@ def test_json_earring_round_trip(capsys):
     data = json.loads(out)
     expr = earring_formula(4, 2, seed_table())
     assert data == to_machine(expr)
-    assert parse_machine(out) == expr
 
 
 def test_json_count(capsys):

@@ -1,8 +1,8 @@
 """Exit-code contract of the command line under random flags.
 
 Every subcommand is driven in process with small random flags, bad
-gradings, bad or missing element and table files, and --annotate
-everywhere.  Whatever the input, the exit code is 0, 1 or 2 (argparse
+gradings, bad, missing or non-UTF-8 element and table files, and
+--annotate everywhere.  Whatever the input, the exit code is 0, 1 or 2 (argparse
 rejections count as 2), stderr holds no traceback, and the same argv
 prints the same stdout twice.
 """
@@ -11,7 +11,7 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cechwedge.cli import main
 
@@ -24,6 +24,7 @@ FILES = {
     "not_hall": "element n=3 m=2\nsupport [a2,a1] = 1\n",
     "table": "pi 3 2 = Z/5\n",
     "bad_table": "pi 3 3 = Z/2\n",
+    "binary": b"\xff\xfe",
 }
 
 
@@ -32,8 +33,12 @@ def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     out = {"missing": str(root / "missing.txt")}
     for name, text in FILES.items():
-        (root / (name + ".txt")).write_text(text)
-        out[name] = str(root / (name + ".txt"))
+        path = root / (name + ".txt")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        out[name] = str(path)
     return out
 
 
@@ -51,7 +56,8 @@ def _mostly(good, bad):
 GRADINGS = _mostly(["1", "2", "1;2", "1,2;3", "1,1;3", "1,1,1;2"],
                    ["2;1", "3,1;4", "0;1", "1,;2", "x", ""])
 FILE_NAMES = _mostly(["eps", "support", "gtuple"],
-                     ["syntax", "no_header", "not_hall", "table", "missing"])
+                     ["syntax", "no_header", "not_hall", "table", "missing",
+                      "binary"])
 
 
 def _pairs(*options):
@@ -106,7 +112,8 @@ def argvs(draw):
         ("--format", _mostly(["text", "json"], ["yaml"])))) for x in p]
     if kind not in ("hall", "count"):
         argv += [x for p in draw(_pairs(
-            ("--table", _mostly(["seed", "table"], ["bad_table", "missing"]))))
+            ("--table", _mostly(["seed", "table"],
+                                ["bad_table", "missing", "binary"]))))
                  for x in p]
     return argv
 
@@ -124,6 +131,8 @@ def _run(argv):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs())
+@example(argv=["verify", "coherence", "--file", "binary"])
+@example(argv=["hm", "-n", "4", "-k", "2", "-m", "3", "--grading", "1"])
 def test_exit_code_contract(paths, argv):
     # element and table file names stand for files written once per module
     argv = [paths.get(a, a) if prev in ("--file", "--table") else a

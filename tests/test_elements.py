@@ -11,10 +11,9 @@ from cechwedge.elements import (CoherentElement, ElementFormatError,
                                 check_coherence,
                                 finite_support_element, materialize_levels,
                                 min_letter_element, min_letter_subgroup_expr,
-                                parse_element_file, random_element,
-                                random_finite_support_element,
+                                parse_element_file,
                                 random_min_letter_elements, random_sparse_epsilon,
-                                random_weight_two_element, render_element_file,
+                                render_element_file,
                                 verify_composition_additivity,
                                 verify_weight2_realization,
                                 weight_one_coordinates, weight_one_element,
@@ -24,6 +23,8 @@ from cechwedge.hall import bracket, letter
 from cechwedge.spheres import parse_table, seed_table
 from cechwedge.whitehead import (SparseEpsilon, parse_word, project_level,
                                  project_levels)
+
+from random_elements import random_element, random_weight_two_element
 
 TABLE = seed_table()
 

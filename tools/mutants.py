@@ -137,6 +137,12 @@ MUTANTS = [
      "from .spheres import load_table\n",
      "from .spheres import load_table\nfrom .whitehead import project_levels\n",
      ["tests/test_process.py::test_formula_commands_load_no_element_code"]),
+    ("element-file-read-maps-only-oserror", CLI,
+     "    except (OSError, UnicodeDecodeError) as exc:\n"
+     "        raise CommandError(\"cannot read %s: %s\" % (path, exc)) from None",
+     "    except OSError as exc:\n"
+     "        raise CommandError(\"cannot read %s: %s\" % (path, exc)) from None",
+     [T_CLI + "test_usage_errors"]),
     ("main-lets-stratum-size-error-escape", CLI,
      "    except (CommandError, StratumSizeError) as exc:",
      "    except CommandError as exc:",
