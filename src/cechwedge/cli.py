@@ -20,6 +20,11 @@ per-summand (or per-dimension) lines.  `verify stabilize` needs at least
 two dimensions m >= s + 2 in the m-range.  Identical flags and seed give
 byte-identical output.
 
+`verify edge` and `verify theta` take exactly one of --file, checking
+that the element is realized by its infinite sums, and --random,
+checking that realization adds up on each random pair.  The element
+verifiers need --levels >= 2.
+
 The element commands import `elements`, `whitehead` and `random` where
 they run, so the formula commands never load them.
 """
@@ -189,9 +194,9 @@ def cmd_hm(args) -> int:
 # verify
 
 
-def _emit_verdict(ok: bool, detail: dict, failures, args) -> int:
+def _emit_verdict(detail: dict, failures, args) -> int:
+    ok = not failures
     if args.format == "json":
-        detail = dict(detail)
         detail["ok"] = ok
         detail["failures"] = list(failures)
         print(json.dumps(detail, sort_keys=True))
@@ -202,10 +207,10 @@ def _emit_verdict(ok: bool, detail: dict, failures, args) -> int:
     return 0 if ok else 1
 
 
-def _need_positive(args, *names):
-    for name in names:
-        if getattr(args, name) < 1:
-            raise CommandError("--%s must be >= 1" % name)
+def _need_levels(args):
+    if args.levels < 2:
+        raise CommandError("--levels must be >= 2: level 1 alone compares "
+                           "nothing")
 
 
 def _element_from_file(path, table):
@@ -231,100 +236,91 @@ def _check_header(e, args, *names):
                                % (args.file, name, declared, name, flag))
 
 
+def _element_verdict(args, names, failures) -> int:
+    """Verdict of verify edge or theta; names are its header fields."""
+    detail = {"check": args.variant, "levels": args.levels,
+              "runs": args.count if args.random else 1}
+    detail.update((name, getattr(args, name)) for name in names)
+    return _emit_verdict(detail, failures, args)
+
+
+def _verify_file(args, table, names, shape, shape_ok) -> int:
+    """--file of verify edge or theta: the element, whose header must
+    match the flags in names and whose content must pass shape_ok, against
+    the projection of its own infinite sums."""
+    from .elements import verify_weight2_realization
+    e = _element_from_file(args.file, table)
+    _check_header(e, args, *names)
+    if not shape_ok(e):
+        raise CommandError("element file must describe " + shape)
+    rep = verify_weight2_realization(e, args.levels)
+    return _element_verdict(args, names, rep.failures)
+
+
 def cmd_verify_edge(args) -> int:
     if args.m < 2:
         raise CommandError("sphere dimension must be >= 2")
-    _need_positive(args, "levels", "count")
-    import random
-    from .elements import (random_sparse_epsilon, verify_weight2_realization,
-                           weight_two_element)
-    from .whitehead import add_coordinates, project_levels
+    _need_levels(args)
     table = _table(args)
+    if not args.random:
+        return _verify_file(args, table, ("m",),
+                            "a pure weight-2 family (eps lines only)",
+                            lambda e: e.eps and not e.coords)
+    if args.count < 1:
+        raise CommandError("--count must be >= 1")
+    import random
+    from .elements import (random_sparse_epsilon,
+                           verify_composition_additivity, weight_two_element)
+    rng = random.Random(args.seed)
     failures = []
-    runs = 0
-    if args.file:
-        e = _element_from_file(args.file, table)
-        _check_header(e, args, "m")
-        if not e.eps or e.coords:
-            raise CommandError("element file must describe a pure weight-2 "
-                               "family (eps lines only)")
-        runs = 1
-        failures.extend(verify_weight2_realization(e, args.levels).failures)
-    elif args.random:
-        rng = random.Random(args.seed)
-        for t in range(args.count):
-            eps = random_sparse_epsilon(rng)
-            delta = random_sparse_epsilon(rng)
-            runs += 1
-            e_eps = weight_two_element(args.m, eps)
-            rep = verify_weight2_realization(e_eps, args.levels)
-            if not rep.ok:
-                failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-            # eps's levels plus delta's projected bracket sum must give
-            # the levels of eps + delta; only the right side adds oracles.
-            e_delta = weight_two_element(args.m, delta)
-            e_sum = weight_two_element(args.m, eps + delta)
-            walks = zip(e_eps.walk(args.levels),
-                        project_levels(e_delta, args.levels),
-                        e_sum.walk(args.levels))
-            for k, (own, added, total) in enumerate(walks, start=1):
-                if add_coordinates(own, added) != total:
-                    failures.append("run %d: additivity fails at level %d" % (t, k))
-    else:
-        raise CommandError("need --file or --random")
-    return _emit_verdict(not failures,
-                         {"check": "edge", "m": args.m, "levels": args.levels,
-                          "runs": runs}, failures, args)
+    for t in range(args.count):
+        eps, delta = (weight_two_element(args.m, random_sparse_epsilon(rng))
+                      for _ in range(2))
+        rep = verify_composition_additivity(eps, delta, args.levels)
+        if not rep.ok:
+            failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
+    return _element_verdict(args, ("m",), failures)
 
 
 def cmd_verify_theta(args) -> int:
     if args.n < 2 or args.m < 2:
         raise CommandError("need n >= 2 and m >= 2")
-    _need_positive(args, "levels", "count")
+    _need_levels(args)
+    table = _table(args)
+    if not args.random:
+        return _verify_file(args, table, ("n", "m"), "a least-letter family "
+                            "(no eps lines, no weight-1 words)",
+                            lambda e: not e.eps and not any(
+                                w.is_letter for w, _ in e.coords))
+    if args.count < 1:
+        raise CommandError("--count must be >= 1")
     import random
     from .elements import (random_min_letter_elements,
                            verify_composition_additivity,
-                           verify_weight2_realization, weight_one_part_vanishes)
-    table = _table(args)
-    failures = []
-    runs = 0
-    if args.file:
-        e = _element_from_file(args.file, table)
-        _check_header(e, args, "n", "m")
-        if e.eps or any(w.is_letter for w, _ in e.coords):
-            raise CommandError("element file must describe a least-letter "
-                               "family (no eps lines, no weight-1 words)")
-        runs = 1
-        failures.extend(verify_weight2_realization(e, args.levels).failures)
-    elif args.random:
+                           weight_one_part_vanishes)
+    try:
         draws = random_min_letter_elements(random.Random(args.seed),
                                            args.n, args.m, table)
-        for t in range(args.count):
-            e1, e2 = next(draws), next(draws)
-            runs += 1
-            rep = verify_composition_additivity(e1, e2, args.levels)
-            if not rep.ok:
-                failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-            if not weight_one_part_vanishes(e1 + e2, args.levels):
-                failures.append("run %d: weight-1 part does not vanish" % t)
-    else:
-        raise CommandError("need --file or --random")
-    return _emit_verdict(not failures,
-                         {"check": "theta", "n": args.n, "m": args.m,
-                          "levels": args.levels, "runs": runs}, failures, args)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
+    failures = []
+    for t in range(args.count):
+        e1, e2 = next(draws), next(draws)
+        rep = verify_composition_additivity(e1, e2, args.levels)
+        if not rep.ok:
+            failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
+        if not weight_one_part_vanishes(e1 + e2, args.levels):
+            failures.append("run %d: weight-1 part does not vanish" % t)
+    return _element_verdict(args, ("n", "m"), failures)
 
 
 def cmd_verify_coherence(args) -> int:
-    _need_positive(args, "levels")
+    _need_levels(args)
     from .elements import check_coherence
-    table = _table(args)
-    if not args.file:
-        raise CommandError("need --file")
-    e = _element_from_file(args.file, table)
+    e = _element_from_file(args.file, _table(args))
     rep = check_coherence(e, args.levels)
     failures = ["level %d, word %s" % (k, w) for k, w in rep.failures]
-    return _emit_verdict(rep.ok,
-                         {"check": "coherence", "n": e.n, "m": e.m,
+    return _emit_verdict({"check": "coherence", "n": e.n, "m": e.m,
                           "levels": args.levels}, failures, args)
 
 
@@ -384,6 +380,14 @@ def _add_annotate(p):
                    help="add per-summand detail lines")
 
 
+def _add_source(p):
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--random", action="store_true")
+    source.add_argument("--file", default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=20)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cechwedge",
@@ -436,10 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve = vsub.add_parser("edge", help="weight-2 realization identity")
     ve.add_argument("--m", type=int, required=True)
     ve.add_argument("--levels", type=int, default=6)
-    ve.add_argument("--random", action="store_true")
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--count", type=int, default=20)
-    ve.add_argument("--file", default=None)
+    _add_source(ve)
     _add_common(ve)
     ve.set_defaults(func=cmd_verify_edge)
 
@@ -447,10 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--n", type=int, required=True)
     vt.add_argument("--m", type=int, required=True)
     vt.add_argument("--levels", type=int, default=5)
-    vt.add_argument("--random", action="store_true")
-    vt.add_argument("--seed", type=int, default=0)
-    vt.add_argument("--count", type=int, default=20)
-    vt.add_argument("--file", default=None)
+    _add_source(vt)
     _add_common(vt)
     vt.set_defaults(func=cmd_verify_theta)
 

@@ -290,13 +290,11 @@ def materialize_levels(e: CoherentElement, kmax: int) -> RawLevelStream:
 # Realization maps and their verifiers
 
 
-def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationReport:
-    """Check that projecting any element's two infinite sums gives its
-    own coordinates at each level; for a weight-2 family those are the
-    double sum of eps_{i,j} [a_i, a_j]."""
+def _compare_levels(projected, own, kmax: int) -> VerificationReport:
+    """Zip a walk of projections with a walk of element levels and
+    record each level where they differ, rendering both sides."""
     failures = []
-    walks = zip(project_levels(e, kmax), e.walk(kmax))
-    for k, (got, want) in enumerate(walks, start=1):
+    for k, (got, want) in enumerate(zip(projected, own), start=1):
         if got != want:
             failures.append("level %d: projection %s != coordinates %s"
                             % (k, _render_coords(got), _render_coords(want)))
@@ -309,25 +307,20 @@ def _render_coords(coords) -> str:
                               for w, f in sorted(coords.items(), key=lambda wf: wf[0].key))
 
 
+def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationReport:
+    """Check that projecting any element's two infinite sums gives its
+    own coordinates at each level; for a weight-2 family those are the
+    double sum of eps_{i,j} [a_i, a_j]."""
+    return _compare_levels(project_levels(e, kmax), e.walk(kmax), kmax)
+
+
 def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
                                   kmax: int) -> VerificationReport:
-    """Check additivity of the realization level by level: the projection
-    of the sum and the sum's own coordinates must both equal the sum of
-    the two projections."""
-    if (e1.n, e1.m) != (e2.n, e2.m):
-        raise ValueError("cannot compare elements of different (n, m)")
-    s = e1 + e2
-    failures = []
-    walks = zip(project_levels(e1, kmax), project_levels(e2, kmax),
-                project_levels(s, kmax), s.walk(kmax))
-    for k, (p1, p2, got, own) in enumerate(walks, start=1):
-        want = add_coordinates(p1, p2)
-        if got != want:
-            failures.append("level %d: projection of the sum disagrees" % k)
-        if own != want:
-            failures.append("level %d: element coordinates disagree" % k)
-    return VerificationReport(ok=not failures, checked_levels=kmax,
-                              failures=tuple(failures))
+    """Check additivity of the realization level by level: the two
+    elements' projections must add up to the coordinates of their sum."""
+    added = map(add_coordinates, project_levels(e1, kmax),
+                project_levels(e2, kmax))
+    return _compare_levels(added, (e1 + e2).walk(kmax), kmax)
 
 
 class SubgroupForms(Record):
@@ -466,15 +459,13 @@ def random_group_element(rng: random.Random, group) -> GroupElement:
     return GroupElement(group, free, torsion)
 
 
-def _resolvable_pool(n: int, m: int, table, max_letter: int,
-                     min_weight: int = 1) -> list:
-    """The Hall words on letters 1..max_letter of weight >= min_weight
-    whose sphere group resolves to a nonzero group, each with that
-    group."""
+def _resolvable_pool(n: int, m: int, table) -> list:
+    """The Hall words on letters a1..a4 of weight >= 2 whose sphere
+    group resolves to a nonzero group, each with that group."""
     grading = GradingSequence.constant(m - 1)
     out = []
-    for w in dimension_truncation(max_letter, n, grading):
-        if w.length < min_weight:
+    for w in dimension_truncation(4, n, grading):
+        if w.length < 2:
             continue
         group = table.lookup(n, height(w, grading) + 1)
         if group is not None and not group.is_zero():
@@ -489,15 +480,23 @@ def _draw(rng: random.Random, pool) -> list[tuple[HallWord, GroupElement]]:
 
 
 def random_min_letter_elements(rng: random.Random, n: int, m: int, table):
-    """An endless stream of random least-letter families drawn with rng.
+    """An endless iterator of random least-letter families drawn with rng.
 
     The pool of resolvable words (weight >= 2, letters up to 4) and
-    their groups is built once per stream, not once per element.
+    their groups is built once, when the iterator is made.  An empty
+    pool raises ValueError, since every element drawn would be zero.
     """
-    pool = _resolvable_pool(n, m, table, 4, min_weight=2)
+    pool = _resolvable_pool(n, m, table)
+    if not pool:
+        raise ValueError("no Hall word of weight >= 2 on a1..a4 has a "
+                         "nonzero resolved group in degree %d, so every "
+                         "random element would be zero" % n)
+    return _min_letter_draws(rng, n, m, table, pool)
+
+
+def _min_letter_draws(rng, n, m, table, pool):
     while True:
         families: dict[int, list] = {}
         for w, f in _draw(rng, pool):
             families.setdefault(w.min_letter, []).append((w, f))
         yield min_letter_element(n, m, families, table)
-

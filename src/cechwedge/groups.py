@@ -162,10 +162,6 @@ class GroupElement:
                 % (group, group.rank + len(group.torsion), len(coords)))
         return cls(group, coords[:group.rank], coords[group.rank:])
 
-    @classmethod
-    def zero(cls, group: FGAbelianGroup) -> "GroupElement":
-        return cls(group, (0,) * group.rank, (0,) * len(group.torsion))
-
     def coordinates(self) -> tuple[int, ...]:
         return self.free + self.torsion
 

@@ -2,21 +2,34 @@
 
 The library keeps the two draws the verify commands make
 (random_sparse_epsilon and random_min_letter_elements); these build on
-them and on the same word pool.
+them and on the library's word draw, `_draw`.
 """
 
 import random
 
-from cechwedge.elements import (CoherentElement, _draw, _resolvable_pool,
+from cechwedge.elements import (CoherentElement, _draw,
                                 finite_support_element,
                                 random_min_letter_elements,
                                 random_sparse_epsilon, weight_two_element)
+from cechwedge.hall import GradingSequence, dimension_truncation, height
+
+
+def _finite_support_pool(n: int, m: int, table) -> list:
+    """The Hall words on letters a1..a6, of any weight, whose sphere
+    group resolves to a nonzero group, each with that group."""
+    grading = GradingSequence.constant(m - 1)
+    out = []
+    for w in dimension_truncation(6, n, grading):
+        group = table.lookup(n, height(w, grading) + 1)
+        if group is not None and not group.is_zero():
+            out.append((w, group))
+    return out
 
 
 def random_finite_support_element(rng: random.Random, n: int, m: int,
                                   table) -> CoherentElement:
     return finite_support_element(
-        n, m, _draw(rng, _resolvable_pool(n, m, table, 6)), table)
+        n, m, _draw(rng, _finite_support_pool(n, m, table)), table)
 
 
 def random_weight_two_element(rng: random.Random, m: int) -> CoherentElement:
@@ -37,5 +50,8 @@ def random_element(rng: random.Random, n: int, m: int, table,
             raise ValueError("weight-2 families need n = 2m - 1")
         return random_weight_two_element(rng, m)
     if kind == "gtuple":
-        return next(random_min_letter_elements(rng, n, m, table))
+        try:
+            return next(random_min_letter_elements(rng, n, m, table))
+        except ValueError:  # no word to draw from: the family is zero
+            return CoherentElement(n, m)
     raise ValueError("unknown element kind %r" % kind)

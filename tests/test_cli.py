@@ -158,14 +158,18 @@ def test_verify_edge_random_catches_a_lossy_matrix_sum(capsys, monkeypatch):
 
     monkeypatch.setattr(SparseEpsilon, "__add__", lossy_add)
     rc, out, err = run(capsys, "verify", "edge", "--random", "--seed", "7",
-                       "--m", "2", "--levels", "6")
-    assert rc == 1 and out == "FAIL\n" and "additivity fails" in err
+                       "--m", "2", "--levels", "3", "--count", "2")
+    assert rc == 1 and out == "FAIL\n"
+    assert err == (
+        "run 0: level 2: projection {[a1,a2]: 1} != coordinates {}; "
+        "level 3: projection {[a1,a2]: 1, [a1,a3]: -3, [a2,a3]: -3} != "
+        "coordinates {[a1,a3]: -3, [a2,a3]: -3}\n")
 
 
 def test_verify_edge_random_catches_a_lossy_projection(capsys, monkeypatch):
     # Only the first run's eps loses [a1,a2] from its projection, so the
-    # realization check fails and additivity, which adds the element's
-    # own levels to delta's projection, still holds.
+    # projections of eps and delta no longer add up to the levels of
+    # eps + delta in that run alone.
     eps = elements.random_sparse_epsilon(random.Random(7))
     monkeypatch.setattr(elements, "project_levels", dropping(
         whitehead.project_levels, parse_word("[a1,a2]"),
@@ -174,15 +178,14 @@ def test_verify_edge_random_catches_a_lossy_projection(capsys, monkeypatch):
                        "--m", "2", "--levels", "3", "--count", "2")
     assert rc == 1 and out == "FAIL\n"
     assert err == (
-        "run 0: level 2: projection {} != coordinates {[a1,a2]: -2}; "
-        "level 3: projection {[a1,a3]: -3, [a2,a3]: -3} != "
-        "coordinates {[a1,a2]: -2, [a1,a3]: -3, [a2,a3]: -3}\n")
+        "run 0: level 2: projection {[a1,a2]: 3} != coordinates {[a1,a2]: 1}; "
+        "level 3: projection {[a1,a2]: 3, [a1,a3]: -3, [a2,a3]: -3} != "
+        "coordinates {[a1,a2]: 1, [a1,a3]: -3, [a2,a3]: -3}\n")
 
 
-def test_verify_edge_random_work_per_run(capsys, monkeypatch):
-    # Per run: the realization check walks eps's projection and levels,
-    # additivity walks delta's projection and the levels of eps and of
-    # eps + delta; no level is built outside a walk.
+def _count_walks(monkeypatch):
+    """Count element walks and projection walks; refuse any level built
+    outside a walk."""
     counts = {"walk": 0, "project": 0}
     walk, project = elements.CoherentElement.walk, whitehead.project_levels
 
@@ -201,10 +204,26 @@ def test_verify_edge_random_work_per_run(capsys, monkeypatch):
     monkeypatch.setattr(elements.CoherentElement, "level", refuse)
     monkeypatch.setattr(elements, "project_levels", counted_project)
     monkeypatch.setattr(whitehead, "project_levels", counted_project)
+    return counts
+
+
+def test_verify_edge_random_work_per_run(capsys, monkeypatch):
+    # Per run: one additivity check walks the projections of eps and of
+    # delta and the levels of eps + delta.
+    counts = _count_walks(monkeypatch)
     rc, out, err = run(capsys, "verify", "edge", "--random", "--m", "2",
                        "--levels", "6", "--count", "5")
     assert rc == 0 and out == "PASS\n" and err == ""
-    assert counts == {"walk": 3 * 5, "project": 2 * 5}
+    assert counts == {"walk": 1 * 5, "project": 2 * 5}
+
+
+def test_verify_theta_random_work_per_run(capsys, monkeypatch):
+    # Per run: the same additivity check on two least-letter families.
+    counts = _count_walks(monkeypatch)
+    rc, out, err = run(capsys, "verify", "theta", "--random", "--n", "4",
+                       "--m", "2", "--levels", "5", "--count", "5")
+    assert rc == 0 and out == "PASS\n" and err == ""
+    assert counts == {"walk": 1 * 5, "project": 2 * 5}
 
 
 def test_verify_theta_random(capsys):
@@ -213,10 +232,34 @@ def test_verify_theta_random(capsys):
     assert rc == 0 and out == "PASS\n" and err == ""
 
 
+def test_verify_theta_random_catches_a_lossy_projection(capsys, monkeypatch):
+    # The second element of run 0 is 1 on [a3,[a1,a2]]; its projection
+    # loses that word, so the two projections miss it in the sum.
+    monkeypatch.setattr(elements, "project_levels", dropping(
+        whitehead.project_levels, parse_word("[a3,[a1,a2]]")))
+    rc, out, err = run(capsys, "verify", "theta", "--random", "--seed", "3",
+                       "--n", "4", "--m", "2", "--levels", "3", "--count", "2")
+    assert rc == 1 and out == "FAIL\n"
+    assert err == ("run 0: level 3: projection {} != coordinates "
+                   "{[a3,[a1,a2]]: 1}\n")
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 3), (8, 4)])
+def test_verify_theta_random_refuses_an_empty_word_pool(capsys, n, m):
+    # no Hall word of weight >= 2 on a1..a4 has a nonzero group in the
+    # seed table, so every drawn element would be zero
+    rc, out, err = run(capsys, "verify", "theta", "--random", "--n", str(n),
+                       "--m", str(m))
+    assert rc == 2 and out == ""
+    assert err == ("error: no Hall word of weight >= 2 on a1..a4 has a "
+                   "nonzero resolved group in degree %d, so every random "
+                   "element would be zero\n" % n)
+
+
 def test_verify_theta_random_builds_its_word_pool_once(capsys, monkeypatch):
-    # The pool depends only on (n, m, table, max_letter, min_weight), so
-    # one command run builds it once; after that each drawn element
-    # looks up only its own (at most three) words.
+    # The pool depends only on (n, m, table), so one command run builds
+    # it once; after that each drawn element looks up only its own (at
+    # most three) words.
     counts = {"pool": 0, "lookup": 0}
     pool, lookup = elements._resolvable_pool, spheres.SphereGroupTable.lookup
 
@@ -347,6 +390,33 @@ def test_verify_coherence_file(capsys, tmp_path):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "edge", "--m", "2", "--random"),
+    ("verify", "theta", "--n", "4", "--m", "2", "--random"),
+    ("verify", "edge", "--m", "2", "--file", "EPS"),
+    ("verify", "coherence", "--file", "EPS"),
+])
+def test_verify_refuses_a_single_level(capsys, tmp_path, argv):
+    # level 1 holds no word of weight >= 2, and check_coherence applies
+    # no bonding map below two levels, so one level compares nothing
+    p = tmp_path / "e.txt"
+    p.write_text("element n=3 m=2\neps 1 2 = 2\n")
+    argv = [str(p) if a == "EPS" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--levels", "1", "--format", "json")
+    assert rc == 2 and out == ""
+    assert err == "error: --levels must be >= 2: level 1 alone compares nothing\n"
+    rc, out, _ = run(capsys, *argv, "--levels", "2", "--format", "json")
+    assert rc == 0 and json.loads(out)["ok"] is True
+
+
+def test_verify_file_mode_ignores_count(capsys, tmp_path):
+    p = tmp_path / "e.txt"
+    p.write_text("element n=3 m=2\neps 1 2 = 2\n")
+    rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p),
+                       "--count", "0", "--format", "json")
+    assert rc == 0 and err == "" and json.loads(out)["runs"] == 1
+
+
 def test_verify_stabilize(capsys):
     rc, out, err = run(capsys, "verify", "stabilize", "-s", "1",
                        "--m-range", "3..6")
@@ -415,13 +485,25 @@ def test_verify_stabilize_failure(capsys):
     # BINARY stands for a file holding bytes that are not UTF-8
     ("verify", "coherence", "--file", "BINARY"),
     ("cech", "earring", "-m", "2", "-n", "3", "--table", "BINARY"),
+    # edge and theta take exactly one of --random and --file
+    ("verify", "edge", "--m", "2", "--random", "--file", "e.txt"),
+    ("verify", "theta", "--n", "4", "--m", "2", "--random", "--file", "e.txt"),
+    # a single level compares nothing; an empty word pool draws only zero
+    ("verify", "edge", "--m", "2", "--random", "--levels", "1"),
+    ("verify", "theta", "--n", "4", "--m", "2", "--random", "--levels", "1"),
+    ("verify", "theta", "--n", "2", "--m", "2", "--random"),
+    # an empty file name is a file that cannot be read, not random mode
+    ("verify", "edge", "--m", "2", "--file", ""),
 ])
 def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe")
     argv = [str(binary) if a == "BINARY" else a for a in argv]
-    # argparse rejects an unknown flag or two exclusive flags itself
-    if "--annotate" in argv or {"-m", "--grading"} <= set(argv):
+    # argparse rejects an unknown flag, two exclusive flags, or neither
+    # of --random and --file itself
+    if ("--annotate" in argv or {"-m", "--grading"} <= set(argv)
+            or argv[1] in ("edge", "theta")
+            and ("--random" in argv) == ("--file" in argv)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         rc, prefix = exc.value.code, "usage:"

@@ -133,6 +133,7 @@ def _run(argv):
 @given(argv=argvs())
 @example(argv=["verify", "coherence", "--file", "binary"])
 @example(argv=["hm", "-n", "4", "-k", "2", "-m", "3", "--grading", "1"])
+@example(argv=["verify", "edge", "--m", "2", "--random", "--file", "eps"])
 def test_exit_code_contract(paths, argv):
     # element and table file names stand for files written once per module
     argv = [paths.get(a, a) if prev in ("--file", "--table") else a

@@ -108,7 +108,8 @@ def test_value_coercion():
     e = finite_support_element(4, 2, [("a1", GroupElement(g, (), (1,)))], TABLE)
     assert e.level(1)[parse_word("a1")].coordinates() == (1,)
     with pytest.raises(ValueError):
-        finite_support_element(3, 2, [("a1", GroupElement.zero(CYCLIC_2))], TABLE)
+        finite_support_element(
+            3, 2, [("a1", GroupElement.from_coordinates(CYCLIC_2, (0,)))], TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +452,26 @@ def _additivity_pair():
     return e1, e2, e1 + e2
 
 
-def test_additivity_fails_on_a_lossy_projection_of_the_sum(monkeypatch):
-    e1, e2, s = _additivity_pair()
+def test_additivity_fails_on_a_lossy_projection_of_one_summand(monkeypatch):
+    e1, e2, _ = _additivity_pair()
     monkeypatch.setattr(elements_module, "project_levels",
-                        dropping(project_levels, W12, target=s))
+                        dropping(project_levels, W23, target=e1))
+    rep = verify_composition_additivity(e1, e2, 3)
+    assert not rep.ok and rep.checked_levels == 3
+    assert rep.failures == (
+        "level 3: projection {[a1,a2]: 1, [a1,a3]: -1} != coordinates "
+        "{[a1,a2]: 1, [a1,a3]: -1, [a2,a3]: 2}",)
+
+
+def test_additivity_fails_on_a_lossy_projection_of_the_second_summand(
+        monkeypatch):
+    e1, e2, _ = _additivity_pair()
+    monkeypatch.setattr(elements_module, "project_levels",
+                        dropping(project_levels, W13, target=e2))
     rep = verify_composition_additivity(e1, e2, 4)
-    assert not rep.ok and rep.checked_levels == 4
     assert rep.failures == tuple(
-        "level %d: projection of the sum disagrees" % k for k in (2, 3, 4))
+        "level %d: projection {[a1,a2]: 1, [a2,a3]: 2} != coordinates "
+        "{[a1,a2]: 1, [a1,a3]: -1, [a2,a3]: 2}" % k for k in (3, 4))
 
 
 def test_additivity_fails_on_lossy_coordinates_of_the_sum(monkeypatch):
@@ -467,17 +480,8 @@ def test_additivity_fails_on_lossy_coordinates_of_the_sum(monkeypatch):
                         dropping(CoherentElement.walk, W13, target=s))
     rep = verify_composition_additivity(e1, e2, 4)
     assert rep.failures == tuple(
-        "level %d: element coordinates disagree" % k for k in (3, 4))
-
-
-def test_additivity_fails_on_a_lossy_projection_of_one_summand(monkeypatch):
-    # both checks compare against the summands' projections
-    e1, e2, _ = _additivity_pair()
-    monkeypatch.setattr(elements_module, "project_levels",
-                        dropping(project_levels, W23, target=e1))
-    rep = verify_composition_additivity(e1, e2, 3)
-    assert rep.failures == ("level 3: projection of the sum disagrees",
-                            "level 3: element coordinates disagree")
+        "level %d: projection {[a1,a2]: 1, [a1,a3]: -1, [a2,a3]: 2} != "
+        "coordinates {[a1,a2]: 1, [a2,a3]: 2}" % k for k in (3, 4))
 
 
 def test_distinct_gtuples_separate():

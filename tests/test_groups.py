@@ -116,7 +116,8 @@ def test_element_arithmetic_laws(data):
     g, (x, y, z) = data
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
-    assert x + GroupElement.zero(g) == x
+    assert x + GroupElement.from_coordinates(
+        g, (0,) * (g.rank + len(g.torsion))) == x
     assert (x - x).is_zero()
     assert x.scale(3) == x + x + x
     assert x.scale(-1) == -x
@@ -131,7 +132,7 @@ def test_torsion_reduction():
 
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
-        integer_element(1) + GroupElement.zero(CYCLIC_2)
+        integer_element(1) + GroupElement.from_coordinates(CYCLIC_2, (0,))
     with pytest.raises(ValueError):
         GroupElement.from_coordinates(Z, (1, 2))
 

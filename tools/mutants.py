@@ -61,40 +61,38 @@ MUTANTS = [
      "            failures.append(\"level %d: projection %s != coordinates %s\"",
      [T_ELEMENTS + "test_weight2_realization_fails_on_a_lossy_projection",
       T_ELEMENTS + "test_weight2_realization_fails_on_lossy_coordinates"]),
-    ("additivity-sum-projection-with-itself", E,
-     "        if got != want:\n"
-     "            failures.append(\"level %d: projection of the sum disagrees\" % k)",
-     "        if want != want:\n"
-     "            failures.append(\"level %d: projection of the sum disagrees\" % k)",
-     [T_ELEMENTS + "test_additivity_fails_on_a_lossy_projection_of_the_sum"]),
-    ("additivity-sum-coordinates-with-themselves", E,
-     "        if own != want:",
-     "        if own != own:",
-     [T_ELEMENTS + "test_additivity_fails_on_lossy_coordinates_of_the_sum"]),
-    ("theta-file-checks-nothing", CLI,
-     "no weight-1 words)\")\n"
-     "        runs = 1\n"
-     "        failures.extend(verify_weight2_realization(e, args.levels).failures)",
-     "no weight-1 words)\")\n"
-     "        runs = 1",
-     [T_CLI + "test_verify_theta_file"]),
-    ("edge-file-checks-nothing", CLI,
-     "(eps lines only)\")\n"
-     "        runs = 1\n"
-     "        failures.extend(verify_weight2_realization(e, args.levels).failures)",
-     "(eps lines only)\")\n"
-     "        runs = 1",
-     [T_CLI + "test_verify_edge_file"]),
-    ("edge-random-ignores-realization", CLI,
-     "            rep = verify_weight2_realization(e_eps, args.levels)\n"
-     "            if not rep.ok:",
-     "            rep = verify_weight2_realization(e_eps, args.levels)\n"
-     "            if False:",
-     [T_CLI + "test_verify_edge_random_catches_a_lossy_projection"]),
-    ("edge-random-additivity-dropped", CLI,
-     "                if add_coordinates(own, added) != total:",
-     "                if total != total:",
-     [T_CLI + "test_verify_edge_random_catches_a_lossy_matrix_sum"]),
+    ("additivity-sum-with-itself", E,
+     "    added = map(add_coordinates, project_levels(e1, kmax),\n"
+     "                project_levels(e2, kmax))",
+     "    added = (e1 + e2).walk(kmax)",
+     [T_ELEMENTS + "test_additivity_fails_on_a_lossy_projection_of_one_summand",
+      T_ELEMENTS + "test_additivity_fails_on_a_lossy_projection_of_the_second_summand"]),
+    ("file-checks-nothing", CLI,
+     "    return _element_verdict(args, names, rep.failures)",
+     "    return _element_verdict(args, names, ())",
+     [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
+    ("edge-random-skips-the-check", CLI,
+     "        rep = verify_composition_additivity(eps, delta, args.levels)\n"
+     "        if not rep.ok:",
+     "        rep = verify_composition_additivity(eps, delta, args.levels)\n"
+     "        if False:",
+     [T_CLI + "test_verify_edge_random_catches_a_lossy_matrix_sum",
+      T_CLI + "test_verify_edge_random_catches_a_lossy_projection"]),
+    ("theta-random-skips-the-check", CLI,
+     "        rep = verify_composition_additivity(e1, e2, args.levels)\n"
+     "        if not rep.ok:",
+     "        rep = verify_composition_additivity(e1, e2, args.levels)\n"
+     "        if False:",
+     [T_CLI + "test_verify_theta_random_catches_a_lossy_projection"]),
+    # --- a PASS must have compared something
+    ("one-level-accepted", CLI,
+     "    if args.levels < 2:",
+     "    if args.levels < 1:",
+     [T_CLI + "test_verify_refuses_a_single_level"]),
+    ("empty-word-pool-accepted", E,
+     "    if not pool:\n",
+     "    if False:\n",
+     [T_CLI + "test_verify_theta_random_refuses_an_empty_word_pool"]),
     # --- element levels and coherence
     ("walk-yields-its-running-dict", E,
      "            yield dict(level)",
