@@ -296,8 +296,7 @@ def cmd_verify_theta(args) -> int:
         raise CommandError("--count must be >= 1")
     import random
     from .elements import (random_min_letter_elements,
-                           verify_composition_additivity,
-                           weight_one_part_vanishes)
+                           verify_composition_additivity)
     try:
         draws = random_min_letter_elements(random.Random(args.seed),
                                            args.n, args.m, table)
@@ -309,8 +308,6 @@ def cmd_verify_theta(args) -> int:
         rep = verify_composition_additivity(e1, e2, args.levels)
         if not rep.ok:
             failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-        if not weight_one_part_vanishes(e1 + e2, args.levels):
-            failures.append("run %d: weight-1 part does not vanish" % t)
     return _element_verdict(args, ("n", "m"), failures)
 
 

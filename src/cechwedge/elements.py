@@ -153,16 +153,19 @@ def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
     Words whose sphere group is trivial only admit the zero value.
     """
     grading = GradingSequence.constant(m - 1)
-    coords = []
-    for w, val in entries:
-        if isinstance(w, str):
-            w = parse_word(w)
-        if not _hall_conditions(w):
-            raise ValueError("support word %s is not a Hall word" % w)
-        q = height(w, grading) + 1
-        group = _resolve_group(n, q, table, "support word %s" % w)
-        coords.append((w, _as_element(group, val)))
-    return CoherentElement(n, m, tuple(coords))
+    return CoherentElement(n, m, tuple(
+        _coordinate(n, grading, w, val, table) for w, val in entries))
+
+
+def _coordinate(n: int, grading, w, val, table) -> tuple[HallWord, GroupElement]:
+    """One support entry as a (Hall word, value in its group) pair."""
+    if isinstance(w, str):
+        w = parse_word(w)
+    if not _hall_conditions(w):
+        raise ValueError("support word %s is not a Hall word" % w)
+    group = _resolve_group(n, height(w, grading) + 1, table,
+                           "support word %s" % w)
+    return w, _as_element(group, val)
 
 
 def weight_two_element(m: int, eps) -> CoherentElement:
@@ -184,18 +187,21 @@ def min_letter_element(n: int, m: int, families, table) -> CoherentElement:
     `families` maps a letter index i to (word, value) pairs where each
     word has weight >= 2 and least letter i.
     """
-    entries = []
-    for i in sorted(families):
-        for w, val in families[i]:
-            if isinstance(w, str):
-                w = parse_word(w)
-            if w.length < 2:
-                raise ValueError("least-letter families need weight >= 2, got %s" % w)
-            if w.min_letter != i:
-                raise ValueError("word %s has least letter a%d, filed under a%d"
-                                 % (w, w.min_letter, i))
-            entries.append((w, val))
-    return finite_support_element(n, m, entries, table)
+    return finite_support_element(n, m, [
+        (_family_word(i, w), val) for i in sorted(families)
+        for w, val in families[i]], table)
+
+
+def _family_word(i: int, w) -> HallWord:
+    """A word of a least-letter family filed under letter i."""
+    if isinstance(w, str):
+        w = parse_word(w)
+    if w.length < 2:
+        raise ValueError("least-letter families need weight >= 2, got %s" % w)
+    if w.min_letter != i:
+        raise ValueError("word %s has least letter a%d, filed under a%d"
+                         % (w, w.min_letter, i))
+    return w
 
 
 def weight_one_element(n: int, m: int, coords, table) -> CoherentElement:
@@ -372,9 +378,9 @@ def parse_element_file(text: str, table) -> CoherentElement:
     Any directives may be mixed: the element is the sum of all of them.
     """
     n = m = None
-    support: list[tuple[HallWord, tuple[int, ...]]] = []
+    # (line number, word, coordinates) of the support and gtuple lines
+    support: list[tuple[int, HallWord, tuple[int, ...]]] = []
     eps: list[tuple[int, int, int]] = []
-    families: dict[int, list[tuple[HallWord, tuple[int, ...]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -387,20 +393,19 @@ def parse_element_file(text: str, table) -> CoherentElement:
                 if n is not None or header is None:
                     raise ValueError("expected one 'element n=<n> m=<m>' header")
                 n, m = int(header[1]), int(header[2])
-            elif fields[0] == "support":
-                word_text, value_text = _split_assignment(line[len("support"):])
-                support.append((parse_word(word_text), _parse_ints(value_text)))
+            elif fields[0] in ("support", "gtuple"):
+                head, value_text = _split_assignment(line[len(fields[0]):])
+                if fields[0] == "gtuple":
+                    i, head = head.split(None, 1)
+                    w = _family_word(int(i), parse_word(head))
+                else:
+                    w = parse_word(head)
+                support.append((lineno, w, _parse_ints(value_text)))
             elif fields[0] == "eps":
                 head, value_text = _split_assignment(line[len("eps"):])
                 i, j = (int(t) for t in head.split())
                 _check_pair(i, j)
                 eps.append((i, j, _parse_ints(value_text)[0]))
-            elif fields[0] == "gtuple":
-                head, value_text = _split_assignment(line[len("gtuple"):])
-                ps = head.split(None, 1)
-                i = int(ps[0])
-                families.setdefault(i, []).append(
-                    (parse_word(ps[1]), _parse_ints(value_text)))
             else:
                 raise ValueError("unknown directive %r" % fields[0])
         except ElementFormatError:
@@ -409,9 +414,14 @@ def parse_element_file(text: str, table) -> CoherentElement:
             raise ElementFormatError(lineno, str(exc)) from None
     if n is None or m is None:
         raise ElementFormatError(0, "missing 'element n=<n> m=<m>' header")
-    return (finite_support_element(n, m, support, table)
-            + CoherentElement(n, m, eps=SparseEpsilon(eps))
-            + min_letter_element(n, m, families, table))
+    grading = GradingSequence.constant(m - 1)
+    coords = []
+    for lineno, w, val in support:
+        try:
+            coords.append(_coordinate(n, grading, w, val, table))
+        except (ValueError, UnresolvedGroupError) as exc:
+            raise ElementFormatError(lineno, str(exc)) from None
+    return CoherentElement(n, m, tuple(coords), SparseEpsilon(eps))
 
 
 def _split_assignment(rest: str) -> tuple[str, str]:

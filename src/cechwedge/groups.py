@@ -165,8 +165,8 @@ class GroupElement:
     def coordinates(self) -> tuple[int, ...]:
         return self.free + self.torsion
 
-    def is_zero(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
+    def __bool__(self):
+        return any(self.free) or any(self.torsion)
 
     def _check(self, other):
         if not isinstance(other, GroupElement):

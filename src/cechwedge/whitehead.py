@@ -32,6 +32,7 @@ so equal tensor expansions certify equality modulo the relations.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from typing import NamedTuple
 
@@ -52,6 +53,17 @@ class ResidualBracketError(ValueError):
 
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
+
+
+def _summed(pairs) -> dict:
+    """Add up the values of repeated keys and drop the zeros, in one pass."""
+    acc: dict = {}
+    for key, c in pairs:
+        if key in acc:
+            c = acc.pop(key) + c
+        if c:
+            acc[key] = c
+    return acc
 
 
 class BracketMonomial(NamedTuple):
@@ -102,15 +114,8 @@ class FormalSum:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        acc: dict[BracketMonomial, int] = {}
-        if terms:
-            for mono, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    acc[mono] = acc.get(mono, 0) + c
-                    if not acc[mono]:
-                        del acc[mono]
-        self._terms = acc
+    def __init__(self, terms=()):
+        self._terms = _summed(terms.items() if isinstance(terms, dict) else terms)
 
     @classmethod
     def single(cls, mono: BracketMonomial, c: int = 1) -> "FormalSum":
@@ -130,12 +135,8 @@ class FormalSum:
 
     def bracket(self, other: "FormalSum") -> "FormalSum":
         """Bilinear bracket: [sum c_x x, sum c_y y] = sum c_x c_y [x, y]."""
-        acc: dict[BracketMonomial, int] = {}
-        for mx, cx in self._terms.items():
-            for my, cy in other._terms.items():
-                mono = mx.bracket(my)
-                acc[mono] = acc.get(mono, 0) + cx * cy
-        return FormalSum(acc)
+        return FormalSum((mx.bracket(my), cx * cy) for mx, cx in self._terms.items()
+                         for my, cy in other._terms.items())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum.sum_of((self, other))
@@ -190,14 +191,11 @@ def _reduce(mono: BracketMonomial) -> tuple[tuple[BracketMonomial, int], ...]:
     if mono.word.is_letter or mono.has_square():
         return ((mono, 1),)
     xs, ys = (_reduce(f) for f in mono.factors())
-    acc: dict[BracketMonomial, int] = {}
-    for x, cx in xs:
-        for y, cy in ys:
-            for m, c in _reduce_root(x, y):
-                acc[m] = acc.get(m, 0) + cx * cy * c
+    acc = _summed((m, cx * cy * c) for x, cx in xs for y, cy in ys
+                  for m, c in _reduce_root(x, y))
     assert all(m.has_square() or _hall_conditions(m.word) for m in acc), \
         "reduction produced a non-Hall word"
-    return tuple((m, c) for m, c in acc.items() if c)
+    return tuple(acc.items())
 
 
 def _reduce_root(x: BracketMonomial, y: BracketMonomial):
@@ -238,15 +236,13 @@ def hall_normalize(s):
             if seen != d:
                 raise ValueError("letter a%d carries degrees %d and %d"
                                  % (i, seen, d))
-    hall: dict[HallWord, int] = {}
-    residual: dict[BracketMonomial, int] = {}
-    for mono, c in s._terms.items():
-        for m2, c2 in _reduce(mono):
-            if m2.has_square():
-                residual[m2] = residual.get(m2, 0) + c * c2
-            else:
-                hall[m2.word] = hall.get(m2.word, 0) + c * c2
-    hall = {w: c for w, c in hall.items() if c}
+    hall, residual = {}, []
+    for m, c in _summed((m, c * c2) for mono, c in s._terms.items()
+                        for m, c2 in _reduce(mono)).items():
+        if m.has_square():
+            residual.append((m, c))
+        else:
+            hall[m.word] = c
     return hall, FormalSum(residual)
 
 
@@ -423,14 +419,6 @@ def _check_pair(i, j):
         raise ValueError("epsilon entries need 1 <= i < j, got (%d, %d)" % (i, j))
 
 
-def _summed(pairs) -> dict:
-    """Add up the values of repeated keys and drop the zeros."""
-    acc: dict = {}
-    for key, c in pairs:
-        acc[key] = acc.get(key, 0) + c
-    return {key: c for key, c in acc.items() if c}
-
-
 class SparseEpsilon(Frozen):
     """Upper-triangular integer matrix (epsilon_{i,j})_{i<j}, total.
 
@@ -488,11 +476,8 @@ class SparseEpsilon(Frozen):
 def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
     """Add coordinate maps word -> group element, each given as a dict or
     as (word, value) pairs; words whose sum is zero drop out."""
-    acc: dict[HallWord, GroupElement] = {}
-    for part in parts:
-        for w, f in (part.items() if isinstance(part, dict) else part):
-            acc[w] = (acc[w] + f) if w in acc else f
-    return {w: f for w, f in acc.items() if not f.is_zero()}
+    return _summed(itertools.chain.from_iterable(
+        p.items() if isinstance(p, dict) else p for p in parts))
 
 
 def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:

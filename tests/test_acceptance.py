@@ -214,7 +214,7 @@ def test_criterion_6_edge_realization(request):
                     want = dict(project_level(fa, k))
                     for w, f in project_level(fb, k).items():
                         want[w] = (want[w] + f) if w in want else f
-                    want = {w: f for w, f in want.items() if not f.is_zero()}
+                    want = {w: f for w, f in want.items() if f}
                     assert project_level(fab, k) == want, (m, k)
                 runs += 1
         assert runs == 100

@@ -494,11 +494,28 @@ def test_verify_stabilize_failure(capsys):
     ("verify", "theta", "--n", "2", "--m", "2", "--random"),
     # an empty file name is a file that cannot be read, not random mode
     ("verify", "edge", "--m", "2", "--file", ""),
+    # FILE:<text> stands for an element file holding <text>, whose line 2
+    # makes an error that shows only when the element is built
+    ("verify", "coherence", "--file", "FILE:element n=3 m=2\ngtuple 1 a1 = 1\n"),
+    ("verify", "coherence", "--file",
+     "FILE:element n=4 m=2\ngtuple 2 [a1,[a1,a2]] = 1\n"),
+    ("verify", "coherence", "--file", "FILE:element n=3 m=2\nsupport [a2,a1] = 1\n"),
+    ("verify", "coherence", "--file",
+     "FILE:# pi_9(S^4) is not in the table\nsupport [a1,[a1,a2]] = 1\n"
+     "element n=9 m=2\n"),
+    ("verify", "coherence", "--file",
+     "FILE:element n=4 m=2\nsupport [a1,[a1,a2]] = 1,2\n"),
 ])
 def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe")
-    argv = [str(binary) if a == "BINARY" else a for a in argv]
+    element = tmp_path / "element.txt"
+    element_text = next((a[len("FILE:"):] for a in argv
+                         if a.startswith("FILE:")), None)
+    if element_text is not None:
+        element.write_text(element_text, encoding="utf-8")
+    argv = [str(binary) if a == "BINARY"
+            else str(element) if a.startswith("FILE:") else a for a in argv]
     # argparse rejects an unknown flag, two exclusive flags, or neither
     # of --random and --file itself
     if ("--annotate" in argv or {"-m", "--grading"} <= set(argv)
@@ -515,6 +532,8 @@ def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
     if str(binary) in argv:
         assert err.startswith("error: cannot read ")
         assert " %s: " % binary in err
+    if element_text is not None:
+        assert err.startswith("error: bad element file %s: line 2: " % element)
 
 
 def test_unknown_command_exits_2(capsys):

@@ -129,7 +129,7 @@ def _level_from_scratch(e, k):
     for w, f in e.coords:
         if w.max_letter <= k:
             acc[w] = acc[w] + f if w in acc else f
-    return {w: f for w, f in acc.items() if not f.is_zero()}
+    return {w: f for w, f in acc.items() if f}
 
 
 def _level_cases():
@@ -216,7 +216,7 @@ def test_add_is_levelwise():
             want = dict(e1.level(k))
             for w, f in e2.level(k).items():
                 want[w] = (want[w] + f) if w in want else f
-            want = {w: f for w, f in want.items() if not f.is_zero()}
+            want = {w: f for w, f in want.items() if f}
             assert s.level(k) == want
 
 
@@ -565,6 +565,22 @@ def test_element_file_errors():
         assert exc.value.lineno == lineno
         assert str(exc.value).startswith("line %d: " % lineno)
         assert "'element n=<n> m=<m>'" in str(exc.value)
+    # errors found only when the element is built name their line too,
+    # also when the header comes after the entry
+    for text, lineno, message in (
+            ("element n=3 m=2\ngtuple 1 a1 = 1\n", 2, "need weight >= 2"),
+            ("element n=4 m=2\n\ngtuple 2 [a1,[a1,a2]] = 1\n", 3,
+             "least letter a1, filed under a2"),
+            ("element n=3 m=2\nsupport [a2,a1] = 1\n", 2, "not a Hall word"),
+            ("support [a1,[a1,a2]] = 1\nelement n=9 m=2\n", 1,
+             "needs pi_9(S^4), which the table does not resolve"),
+            ("element n=4 m=2\nsupport a1 = 1\nsupport [a1,[a1,a2]] = 1,2\n",
+             3, "needs 1 coordinates, got 2")):
+        with pytest.raises(ElementFormatError) as exc:
+            parse_element_file(text, TABLE)
+        assert exc.value.lineno == lineno, text
+        assert str(exc.value).startswith("line %d: " % lineno)
+        assert message in str(exc.value)
 
 
 def test_element_file_adds_repeated_eps_lines():

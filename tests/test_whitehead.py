@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from cechwedge import whitehead
 from cechwedge.elements import (CoherentElement, verify_weight2_realization,
                                 weight_two_element)
-from cechwedge.groups import Z, integer_element
+from cechwedge.groups import (CYCLIC_2, FGAbelianGroup, GroupElement, Z,
+                              integer_element)
 from cechwedge.hall import bracket, letter
 from cechwedge.whitehead import (FormalSum, SparseEpsilon,
-                                 WeightLimitError, expand,
+                                 WeightLimitError, add_coordinates, expand,
                                  hall_normalize, monomial_of_word,
                                  parse_bracket_expr, parse_word,
                                  project_level, project_levels,
@@ -376,7 +377,7 @@ def _reference_level(e, k):
     acc = {w: f for w, f in e.coords if w.max_letter <= k}
     for w, c in hall.items():
         acc[w] = acc[w] + integer_element(c) if w in acc else integer_element(c)
-    return {w: f for w, f in acc.items() if not f.is_zero()}
+    return {w: f for w, f in acc.items() if f}
 
 
 _CANCELLED = parse_word("[a1,a3]")
@@ -459,9 +460,9 @@ def test_walk_brackets_each_column_once(monkeypatch):
 
 _monos = st.sampled_from([_mono(text) for text in (
     "a1", "a2", "[a1,a2]", "[a1,[a1,a2]]", "[a2,[a1,a2]]")])
-_sums = st.builds(
-    lambda pairs: FormalSum({m: c for m, c in pairs if c}),
-    st.lists(st.tuples(_monos, st.integers(-5, 5)), max_size=4))
+# five monomials and up to six pairs: repeats and zeros are common
+_pair_lists = st.lists(st.tuples(_monos, st.integers(-5, 5)), max_size=6)
+_sums = _pair_lists.map(FormalSum)
 
 
 @given(a=_sums, b=_sums, c=_sums)
@@ -475,7 +476,68 @@ def test_formal_sum_laws(a, b, c):
     assert -(-a) == a
 
 
-@given(a=_sums)
+@given(pairs=_pair_lists)
 @settings(max_examples=40)
-def test_formal_sum_no_zero_coefficients(a):
-    assert all(c != 0 for _, c in a.items())
+def test_formal_sum_no_zero_coefficients(pairs):
+    want = {}
+    for m, c in pairs:
+        want[m] = want.get(m, 0) + c
+    got = FormalSum(pairs)
+    assert all(c != 0 for _, c in got.items())
+    assert dict(got.items()) == {m: c for m, c in want.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# add_coordinates on group-valued coordinates
+
+
+_WORD_GROUPS = ((letter(1), Z), (parse_word("[a1,a2]"), CYCLIC_2),
+                (parse_word("[a1,[a1,a2]]"), FGAbelianGroup(1, (4,))))
+_coordinate_pairs = st.lists(st.builds(
+    lambda wg, cs: (wg[0], GroupElement.from_coordinates(
+        wg[1], cs[:wg[1].rank + len(wg[1].torsion)])),
+    st.sampled_from(_WORD_GROUPS),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3))), max_size=5)
+# each part is a dict or a list of pairs
+_coordinate_parts = st.lists(st.one_of(_coordinate_pairs,
+                                       _coordinate_pairs.map(dict)), max_size=3)
+
+
+def _reference_coordinates(parts):
+    """The sum computed on raw coordinates, reduced by hand, zeros
+    dropped; values as (group, coordinates)."""
+    acc = {}
+    for part in parts:
+        for w, f in (part.items() if isinstance(part, dict) else part):
+            old = acc.get(w, (0,) * len(f.coordinates()))
+            acc[w] = tuple(a + b for a, b in zip(old, f.coordinates()))
+    out = {}
+    for w, cs in acc.items():
+        g = dict(_WORD_GROUPS)[w]
+        cs = cs[:g.rank] + tuple(c % d for c, d in zip(cs[g.rank:], g.torsion))
+        if any(cs):
+            out[w] = (g, cs)
+    return out
+
+
+@given(parts=_coordinate_parts)
+@settings(max_examples=80)
+def test_add_coordinates_matches_a_reference_sum(parts):
+    got = add_coordinates(*parts)
+    assert {w: (f.group, f.coordinates()) for w, f in got.items()} \
+        == _reference_coordinates(parts)
+
+
+def test_add_coordinates_cancels_and_wraps_around():
+    w, v = letter(1), parse_word("[a1,a2]")
+    x, one = integer_element(3), GroupElement.from_coordinates(CYCLIC_2, (1,))
+    # a word that cancels drops out, and comes back when added again
+    assert add_coordinates({w: x}, [(w, -x)]) == {}
+    assert add_coordinates([(w, x), (w, -x), (w, x)]) == {w: x}
+    assert add_coordinates({w: x}, [(w, -x)], {w: x}) == {w: x}
+    # 1 + 1 = 0 in Z/2
+    assert add_coordinates([(v, one)], {v: one}) == {}
+    assert add_coordinates([(v, one), (w, x)], [(v, one), (v, one)]) \
+        == {w: x, v: one}
+    # zero values never enter
+    assert add_coordinates([(v, one.scale(2)), (w, x.scale(0))]) == {}

@@ -102,11 +102,22 @@ MUTANTS = [
      "            if pushed.get(w) != actual.get(w):",
      "            if actual.get(w) != actual.get(w):",
      [T_ELEMENTS + "test_coherence_negative_control"]),
-    # --- the weight-2 matrix
+    # --- the one accumulator behind sums, brackets, rewriting and levels
     ("eps-repeats-stop-adding-up", WH,
-     "        acc[key] = acc.get(key, 0) + c",
-     "        acc[key] = c",
-     [T_ELEMENTS + "test_sparse_epsilon_value_matches_scan"]),
+     "            c = acc.pop(key) + c",
+     "            acc.pop(key)",
+     [T_ELEMENTS + "test_sparse_epsilon_value_matches_scan",
+      T_WH + "test_formal_sum_no_zero_coefficients",
+      T_WH + "test_add_coordinates_matches_a_reference_sum"]),
+    ("summed-keeps-zeros", WH,
+     "        if c:\n"
+     "            acc[key] = c",
+     "        if True:\n"
+     "            acc[key] = c",
+     [T_WH + "test_formal_sum_no_zero_coefficients",
+      T_WH + "test_add_coordinates_matches_a_reference_sum",
+      T_WH + "test_add_coordinates_cancels_and_wraps_around"]),
+    # --- the weight-2 matrix
     ("eps-band-excludes-its-width", WH,
      "            if j - i <= w:",
      "            if j - i < w:",
