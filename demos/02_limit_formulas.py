@@ -53,5 +53,5 @@ rep = stabilization_report(1, range(3, 7), table)
 print("\ndegree m+1 across m = 3..6:")
 for m, grp in rep.entries:
     print("  m=%d: %s" % (m, render_text(grp)))
-print("verdict: %s" % ("stable at " + rep.render_stable_value()
+print("verdict: %s" % ("stable at " + render_text(rep.stable_value)
                        if rep.stable else "not stable"))

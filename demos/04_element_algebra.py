@@ -3,8 +3,10 @@
 Run:  python3 demos/04_element_algebra.py
 """
 
-from cechwedge import (check_coherence, load_table, materialize_levels,
-                       min_letter_element, min_letter_subgroup_expr,
+from types import SimpleNamespace
+
+from cechwedge import (check_coherence, load_table, min_letter_element,
+                       min_letter_subgroup_expr,
                        parse_element_file, parse_word, project_level,
                        render_element_file, render_text,
                        verify_composition_additivity,
@@ -26,12 +28,13 @@ for k in (2, 3, 5):
     print("  level %d: {%s}" % (k, row))
 
 # Compatibility is checkable: push level k+1 down and compare.  Corrupt
-# one stored coordinate and the replay points at it.
+# one coordinate of a stored list of levels and the replay points at it.
 
 rep = check_coherence(e, 6)
 print("\ncoherence through level 6: %s" % ("ok" if rep.ok else "BROKEN"))
-stream = materialize_levels(e, 6)
-stream.levels[4][parse_word("[a1,a2]")] = integer_element(9)
+levels = list(e.walk(6))
+levels[3][parse_word("[a1,a2]")] = integer_element(9)   # level 4
+stream = SimpleNamespace(n=e.n, m=e.m, walk=lambda kmax: iter(levels[:kmax]))
 rep = check_coherence(stream, 6)
 print("after corrupting level 4: %s at %s"
       % ("ok" if rep.ok else "broken",

@@ -37,12 +37,12 @@ _HOME = {name: module for module, names in (
                 "bonding", "cech_decompose", "decompose_wedge",
                 "earring_formula", "stabilization_report",
                 "weight_summand")),
-    ("elements", ("CoherentElement", "ElementFormatError", "RawLevelStream",
-                  "SubgroupForms", "VerificationReport", "check_coherence",
-                  "finite_support_element", "materialize_levels",
-                  "min_letter_element", "min_letter_subgroup_expr",
-                  "parse_element_file", "random_sparse_epsilon",
-                  "render_element_file", "verify_composition_additivity",
+    ("elements", ("CoherentElement", "ElementFormatError", "SubgroupForms",
+                  "VerificationReport", "check_coherence",
+                  "finite_support_element", "min_letter_element",
+                  "min_letter_subgroup_expr", "parse_element_file",
+                  "random_sparse_epsilon", "render_element_file",
+                  "verify_composition_additivity",
                   "verify_weight2_realization", "weight_one_coordinates",
                   "weight_one_element", "weight_one_part_vanishes",
                   "weight_two_element")),

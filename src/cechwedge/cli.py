@@ -257,6 +257,21 @@ def _verify_file(args, table, names, shape, shape_ok) -> int:
     return _element_verdict(args, names, rep.failures)
 
 
+def _verify_random(args, names, draw) -> int:
+    """--random of verify edge or theta: additivity of the realization
+    on --count pairs of elements, each pair two calls of draw."""
+    if args.count < 1:
+        raise CommandError("--count must be >= 1")
+    from .elements import verify_composition_additivity
+    failures = []
+    for t in range(args.count):
+        e1, e2 = draw(), draw()
+        rep = verify_composition_additivity(e1, e2, args.levels)
+        if not rep.ok:
+            failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
+    return _element_verdict(args, names, failures)
+
+
 def cmd_verify_edge(args) -> int:
     if args.m < 2:
         raise CommandError("sphere dimension must be >= 2")
@@ -266,20 +281,11 @@ def cmd_verify_edge(args) -> int:
         return _verify_file(args, table, ("m",),
                             "a pure weight-2 family (eps lines only)",
                             lambda e: e.eps and not e.coords)
-    if args.count < 1:
-        raise CommandError("--count must be >= 1")
     import random
-    from .elements import (random_sparse_epsilon,
-                           verify_composition_additivity, weight_two_element)
+    from .elements import random_sparse_epsilon, weight_two_element
     rng = random.Random(args.seed)
-    failures = []
-    for t in range(args.count):
-        eps, delta = (weight_two_element(args.m, random_sparse_epsilon(rng))
-                      for _ in range(2))
-        rep = verify_composition_additivity(eps, delta, args.levels)
-        if not rep.ok:
-            failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-    return _element_verdict(args, ("m",), failures)
+    return _verify_random(args, ("m",), lambda: weight_two_element(
+        args.m, random_sparse_epsilon(rng)))
 
 
 def cmd_verify_theta(args) -> int:
@@ -292,23 +298,14 @@ def cmd_verify_theta(args) -> int:
                             "(no eps lines, no weight-1 words)",
                             lambda e: not e.eps and not any(
                                 w.is_letter for w, _ in e.coords))
-    if args.count < 1:
-        raise CommandError("--count must be >= 1")
     import random
-    from .elements import (random_min_letter_elements,
-                           verify_composition_additivity)
+    from .elements import random_min_letter_elements
     try:
         draws = random_min_letter_elements(random.Random(args.seed),
                                            args.n, args.m, table)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
-    failures = []
-    for t in range(args.count):
-        e1, e2 = next(draws), next(draws)
-        rep = verify_composition_additivity(e1, e2, args.levels)
-        if not rep.ok:
-            failures.append("run %d: %s" % (t, "; ".join(rep.failures)))
-    return _element_verdict(args, ("n", "m"), failures)
+    return _verify_random(args, ("n", "m"), draws.__next__)
 
 
 def cmd_verify_coherence(args) -> int:
@@ -351,7 +348,7 @@ def cmd_verify_stabilize(args) -> int:
                          sort_keys=True))
     else:
         if rep.stable:
-            print("stable: %s" % rep.render_stable_value())
+            print("stable: %s" % render_text(rep.stable_value))
         else:
             print("not stable")
         if args.annotate or not rep.stable:

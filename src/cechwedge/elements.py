@@ -116,10 +116,7 @@ class CoherentElement(Frozen):
     def __neg__(self) -> "CoherentElement":
         return CoherentElement(self.n, self.m,
                                tuple((w, -f) for w, f in self.coords),
-                               self.eps.scale(-1))
-
-    def __sub__(self, other: "CoherentElement") -> "CoherentElement":
-        return self + (-other)
+                               -self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +234,16 @@ class VerificationReport(Record):
         self.checked_levels = checked_levels
         self.failures = failures
 
-    def __bool__(self):
-        return self.ok
-
 
 def check_coherence(e, kmax: int) -> VerificationReport:
     """Replay the tower's bonding maps against the element's levels.
 
     For each k < kmax, pushing the level-(k+1) coordinates through the
     bonding map must reproduce the level-k coordinates exactly.  Works
-    for any object with fields n, m and a walk(kmax) method, so raw
-    (possibly corrupted) coordinate streams can be checked too.  The
-    levels are walked once, and the bonding maps test each word's
-    membership directly, so no Hall set is listed.
+    for any object with fields n, m and a walk(kmax) method, so a
+    corrupted list of levels can be checked too.  The levels are walked
+    once, and the bonding maps test each word's membership directly,
+    so no Hall set is listed.
     """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
@@ -265,31 +259,6 @@ def check_coherence(e, kmax: int) -> VerificationReport:
         actual = upper
     return VerificationReport(ok=not failures, checked_levels=kmax,
                               failures=tuple(failures))
-
-
-class RawLevelStream(Record):
-    """Explicit per-level coordinates; the test double for streams that
-    did not come from one of the coherent descriptions."""
-
-    __slots__ = _fields = ("n", "m", "levels")
-
-    def __init__(self, n: int, m: int,
-                 levels: dict[int, dict[HallWord, GroupElement]]):
-        self.n = n
-        self.m = m
-        self.levels = levels
-
-    def level(self, k: int) -> dict[HallWord, GroupElement]:
-        if k not in self.levels:
-            raise ValueError("no stored level %d" % k)
-        return dict(self.levels[k])
-
-    def walk(self, kmax: int):
-        return map(self.level, range(1, kmax + 1))
-
-
-def materialize_levels(e: CoherentElement, kmax: int) -> RawLevelStream:
-    return RawLevelStream(e.n, e.m, dict(enumerate(e.walk(kmax), start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +350,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
     # (line number, word, coordinates) of the support and gtuple lines
     support: list[tuple[int, HallWord, tuple[int, ...]]] = []
     eps: list[tuple[int, int, int]] = []
+    eps_lineno = None  # the first eps line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -393,6 +363,8 @@ def parse_element_file(text: str, table) -> CoherentElement:
                 if n is not None or header is None:
                     raise ValueError("expected one 'element n=<n> m=<m>' header")
                 n, m = int(header[1]), int(header[2])
+                if n < 2 or m < 2:
+                    raise ValueError("need n >= 2 and m >= 2")
             elif fields[0] in ("support", "gtuple"):
                 head, value_text = _split_assignment(line[len(fields[0]):])
                 if fields[0] == "gtuple":
@@ -406,6 +378,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
                 i, j = (int(t) for t in head.split())
                 _check_pair(i, j)
                 eps.append((i, j, _parse_ints(value_text)[0]))
+                eps_lineno = eps_lineno or lineno
             else:
                 raise ValueError("unknown directive %r" % fields[0])
         except ElementFormatError:
@@ -421,7 +394,10 @@ def parse_element_file(text: str, table) -> CoherentElement:
             coords.append(_coordinate(n, grading, w, val, table))
         except (ValueError, UnresolvedGroupError) as exc:
             raise ElementFormatError(lineno, str(exc)) from None
-    return CoherentElement(n, m, tuple(coords), SparseEpsilon(eps))
+    try:
+        return CoherentElement(n, m, tuple(coords), SparseEpsilon(eps))
+    except ValueError as exc:  # a nonzero matrix in the wrong degree
+        raise ElementFormatError(eps_lineno, str(exc)) from None
 
 
 def _split_assignment(rest: str) -> tuple[str, str]:

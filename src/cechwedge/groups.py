@@ -181,16 +181,9 @@ class GroupElement:
                             tuple(a + b for a, b in zip(self.free, other.free)),
                             tuple(a + b for a, b in zip(self.torsion, other.torsion)))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "GroupElement":
-        return GroupElement(self.group,
-                            tuple(c * a for a in self.free),
-                            tuple(c * a for a in self.torsion))
+        return GroupElement(self.group, tuple(-a for a in self.free),
+                            tuple(-a for a in self.torsion))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):

@@ -130,9 +130,6 @@ class HallWord:
     def __gt__(self, other):
         return self._key > other._key
 
-    def __ge__(self, other):
-        return self._key >= other._key
-
     def __str__(self):
         if self._letter is not None:
             return "a%d" % self._letter

@@ -20,7 +20,7 @@ as separate code paths so they can check each other.
 from __future__ import annotations
 
 from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
-                     ZERO, has_symbol, normalize, render_text)
+                     ZERO, has_symbol, normalize)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census, is_hall)
 from .records import Frozen
@@ -173,9 +173,6 @@ class StabilizationReport(Frozen):
         object.__setattr__(self, "stable", stable)
         object.__setattr__(self, "stable_value", stable_value)
         object.__setattr__(self, "warnings", warnings)
-
-    def render_stable_value(self) -> str:
-        return render_text(self.stable_value) if self.stable_value is not None else "0"
 
 
 def stabilization_report(s: int, m_range, table) -> StabilizationReport:

@@ -141,9 +141,6 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum.sum_of((self, other))
 
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
-
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
 
@@ -158,9 +155,6 @@ class FormalSum:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __str__(self):
         if not self._terms:
             return "0"
@@ -169,7 +163,7 @@ class FormalSum:
             if c == 1:
                 bits.append(str(m))
             elif c == -1:
-                bits.append("-%s" % m)
+                bits.append("-%s" % (m,))
             else:
                 bits.append("%d*%s" % (c, m))
         return " + ".join(bits).replace("+ -", "- ")
@@ -200,14 +194,11 @@ def _reduce(mono: BracketMonomial) -> tuple[tuple[BracketMonomial, int], ...]:
 
 def _reduce_root(x: BracketMonomial, y: BracketMonomial):
     """Rewrite [x, y] whose factors are already rewritten."""
-    m = x.bracket(y)
-    if m.has_square():
-        return ((m, 1),)
     if x.word > y.word:
         sign = _sign(x.degree * y.degree)
         return tuple((t, sign * c) for t, c in _reduce_root(y, x))
     if y.word.is_letter or y.word.left <= x.word:
-        return ((m, 1),)
+        return ((x.bracket(y), 1),)
     # Jacobi on [x, [u, v]] with u > x
     u, v = y.factors()
     p, q = x.degree, u.degree
@@ -465,9 +456,9 @@ class SparseEpsilon(Frozen):
         return SparseEpsilon(self.entries + other.entries,
                              self.bands + other.bands)
 
-    def scale(self, c: int) -> "SparseEpsilon":
-        return SparseEpsilon(tuple((i, j, c * k) for i, j, k in self.entries),
-                             tuple((w, c * k) for w, k in self.bands))
+    def __neg__(self) -> "SparseEpsilon":
+        return SparseEpsilon(tuple((i, j, -c) for i, j, c in self.entries),
+                             tuple((w, -c) for w, c in self.bands))
 
     def __bool__(self):
         return bool(self.entries or self.bands)

@@ -505,6 +505,10 @@ def test_verify_stabilize_failure(capsys):
      "element n=9 m=2\n"),
     ("verify", "coherence", "--file",
      "FILE:element n=4 m=2\nsupport [a1,[a1,a2]] = 1,2\n"),
+    # a header value out of range, and an eps line the degree cannot hold
+    ("verify", "coherence", "--file", "FILE:# one sphere\nelement n=1 m=2\n"),
+    ("verify", "coherence", "--file", "FILE:# one-spheres\nelement n=3 m=1\n"),
+    ("verify", "coherence", "--file", "FILE:element n=4 m=2\neps 1 2 = 1\n"),
 ])
 def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
     binary = tmp_path / "binary.txt"

@@ -1,15 +1,15 @@
 """Coherent coordinate families, their algebra, and the realizations."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from cechwedge.groups import (CYCLIC_2, GroupElement, ZERO,
                               integer_element, render_text)
 from cechwedge.elements import (CoherentElement, ElementFormatError,
-                                RawLevelStream, UnresolvedGroupError,
-                                check_coherence,
-                                finite_support_element, materialize_levels,
+                                UnresolvedGroupError, check_coherence,
+                                finite_support_element,
                                 min_letter_element, min_letter_subgroup_expr,
                                 parse_element_file,
                                 random_min_letter_elements, random_sparse_epsilon,
@@ -94,7 +94,7 @@ def test_no_matrix_is_the_zero_matrix():
     cancelled = SparseEpsilon(((1, 2, 1), (1, 2, -1)), ((2, 1), (2, -1)))
     assert CoherentElement(4, 2, eps=cancelled) == CoherentElement(4, 2)
     a = weight_two_element(2, {(1, 2): 1})
-    assert (a - a) == e and (a + e) == a
+    assert (a + (-a)) == e and (a + e) == a
 
 
 def test_element_refuses_an_eps_that_is_no_matrix():
@@ -143,7 +143,7 @@ def _level_cases():
     assert mixed.eps.entries and mixed.eps.bands
     cancel = finite_support_element(3, 2, [("[a1,a3]", -1), ("a2", 1)],
                                     TABLE)
-    return cases + [band, mixed, band + cancel, mixed - band + cancel]
+    return cases + [band, mixed, band + cancel, mixed + (-band) + cancel]
 
 
 def test_levels_out_of_order_match_definition():
@@ -238,7 +238,7 @@ def test_add_eps_and_gtuple_is_levelwise():
     for k in (2, 4):
         assert s.level(k) == {w12: integer_element(2)}
     # a gtuple coordinate cancels the matrix entry on the same word
-    assert (w2 - gt).level(4) == {}
+    assert (w2 + (-gt)).level(4) == {}
     wide = weight_two_element(2, {(2, 3): 2}) + min_letter_element(
         3, 2, {1: [("[a1,a3]", 1)]}, TABLE)
     assert (s + wide).level(3) == {
@@ -290,28 +290,38 @@ def test_coherence_all_kinds():
         assert check_coherence(e, 6).ok
 
 
+def _stream(e, levels, asked=None):
+    """A level stream over a list of levels 1, 2, ... of e, which the
+    caller may corrupt; asked, if given, records each level read."""
+
+    def walk(kmax):
+        for k in range(1, kmax + 1):
+            if asked is not None:
+                asked.append(k)
+            yield levels[k - 1]
+
+    return SimpleNamespace(n=e.n, m=e.m, walk=walk)
+
+
 def test_coherence_negative_control():
     e = weight_two_element(2, {(1, 2): 1, (2, 3): 2})
-    stream = materialize_levels(e, 5)
+    levels = list(e.walk(5))
     w = parse_word("[a1,a2]")
-    stream.levels[3][w] = integer_element(9)   # corrupt one coordinate
-    rep = check_coherence(stream, 5)
+    levels[2][w] = integer_element(9)   # corrupt one coordinate of level 3
+    rep = check_coherence(_stream(e, levels), 5)
     assert not rep.ok
     assert (2, w) in rep.failures and (3, w) in rep.failures
     assert all(word == w for _, word in rep.failures)
 
 
-def test_coherence_asks_each_level_once(monkeypatch):
+def test_coherence_asks_each_level_once():
     e = weight_two_element(2, {(1, 2): 1, (2, 3): 2})
-    stream = materialize_levels(e, 6)
+    levels = list(e.walk(6))
     w12, w23 = parse_word("[a1,a2]"), parse_word("[a2,a3]")
-    stream.levels[2][w12] = integer_element(0)
-    stream.levels[4].update({w23: integer_element(5), w12: integer_element(7)})
+    levels[1][w12] = integer_element(0)
+    levels[3].update({w23: integer_element(5), w12: integer_element(7)})
     asked = []
-    read = RawLevelStream.level
-    monkeypatch.setattr(RawLevelStream, "level",
-                        lambda self, k: asked.append(k) or read(self, k))
-    rep = check_coherence(stream, 6)
+    rep = check_coherence(_stream(e, levels, asked), 6)
     assert asked == [1, 2, 3, 4, 5, 6]
     assert rep.failures == ((2, w12), (3, w12), (3, w23), (4, w12), (4, w23))
 
@@ -340,11 +350,9 @@ def test_coherence_lists_no_hall_set(monkeypatch):
 
 
 def test_raw_stream_matches_source():
+    # check_coherence takes any object with n, m and walk(kmax)
     e = finite_support_element(4, 2, [("[a1,a2]", 1)], TABLE)
-    stream = materialize_levels(e, 4)
-    assert check_coherence(stream, 4).ok
-    with pytest.raises(ValueError):
-        stream.level(9)
+    assert check_coherence(_stream(e, list(e.walk(4))), 4).ok
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +583,14 @@ def test_element_file_errors():
             ("support [a1,[a1,a2]] = 1\nelement n=9 m=2\n", 1,
              "needs pi_9(S^4), which the table does not resolve"),
             ("element n=4 m=2\nsupport a1 = 1\nsupport [a1,[a1,a2]] = 1,2\n",
-             3, "needs 1 coordinates, got 2")):
+             3, "needs 1 coordinates, got 2"),
+            # header values are checked on the header line itself
+            ("element n=1 m=2\n", 1, "need n >= 2 and m >= 2"),
+            ("# one-spheres\nelement n=3 m=1\n", 2, "need n >= 2 and m >= 2"),
+            # a nonzero matrix in the wrong degree: the first eps line
+            ("element n=4 m=2\n\neps 1 2 = 1\neps 2 3 = 1\n", 3,
+             "weight-2 families live in degree 2m - 1 = 3, not 4"),
+            ("eps 1 2 = 1\nelement n=4 m=2\n", 1, "2m - 1 = 3, not 4")):
         with pytest.raises(ElementFormatError) as exc:
             parse_element_file(text, TABLE)
         assert exc.value.lineno == lineno, text

@@ -118,10 +118,9 @@ def test_element_arithmetic_laws(data):
     assert x + y == y + x
     assert x + GroupElement.from_coordinates(
         g, (0,) * (g.rank + len(g.torsion))) == x
-    assert not x - x
+    assert not x + (-x)
     assert bool(x) == any(x.coordinates())
-    assert x.scale(3) == x + x + x
-    assert x.scale(-1) == -x
+    assert -(-x) == x
 
 
 def test_torsion_reduction():

@@ -203,7 +203,7 @@ def test_unresolved_groups_stay_symbolic():
 def test_stabilization_first_stem():
     rep = stabilization_report(1, range(3, 7), TABLE)
     assert rep.stable
-    assert rep.render_stable_value() == "(Z/2)^N"
+    assert render_text(rep.stable_value) == "(Z/2)^N"
     assert [m for m, _ in rep.entries] == [3, 4, 5, 6]
     assert rep.warnings == ()
 
@@ -211,7 +211,7 @@ def test_stabilization_first_stem():
 def test_stabilization_zero_offset():
     rep = stabilization_report(0, range(2, 7), TABLE)
     assert rep.stable
-    assert rep.render_stable_value() == "Z^N"
+    assert render_text(rep.stable_value) == "Z^N"
     assert all(render_text(g) == "Z^N" for _, g in rep.entries)
 
 

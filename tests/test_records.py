@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from cechwedge.elements import (CoherentElement, RawLevelStream,
-                                SubgroupForms, VerificationReport)
+from cechwedge.elements import (CoherentElement, SubgroupForms,
+                                VerificationReport)
 from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Finite,
                               Pow, ProdN, SphereSymbol, SumN, Z, ZERO, Zero)
 from cechwedge.hall import GradingSequence, letter
@@ -84,8 +84,6 @@ UNHASHABLE = {
     "VerificationReport": (lambda: VerificationReport(False, 3, ("level 1",)),
                            "VerificationReport(ok=False, checked_levels=3, "
                            "failures=('level 1',))"),
-    "RawLevelStream": (lambda: RawLevelStream(3, 2, {1: {}}),
-                       "RawLevelStream(n=3, m=2, levels={1: {}})"),
     "SubgroupForms": (lambda: SubgroupForms(ZERO, ZERO, True),
                       "SubgroupForms(per_letter=Zero(), weight_split=Zero(), "
                       "equal=True)"),
@@ -95,7 +93,7 @@ RECORDS = {**HASHABLE, **UNHASHABLE}
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 17
     assert all(type(build()).__name__ == name
                for name, (build, _) in RECORDS.items())
 

@@ -37,7 +37,7 @@ def _single(text, degrees=DEG2):
 def test_tensor_kills_graded_symmetry(p, q):
     d = {1: p, 2: q}
     sign = -1 if (p * q) % 2 else 1
-    s = _single("[a1,a2]", d) - _single("[a2,a1]", d).scale(sign)
+    s = _single("[a1,a2]", d) + (-_single("[a2,a1]", d).scale(sign))
     assert tensor_expansion(s) == {}
 
 
@@ -221,7 +221,7 @@ def test_sparse_epsilon():
     assert eps.value(2, 5) == -1
     assert eps.value(1, 4) == 0
     assert eps.value(3, 9) == 0
-    assert eps.scale(-2).value(1, 2) == -6
+    assert (-eps).value(1, 2) == -3
     with pytest.raises(ValueError):
         eps.value(2, 2)
     with pytest.raises(ValueError):
@@ -236,14 +236,14 @@ def test_band_and_sum_epsilon():
     assert mixed == SparseEpsilon(((3, 4, 1),), ((1, 2),))
     assert mixed.value(3, 4) == 3
     assert mixed.value(1, 2) == 2
-    assert mixed.scale(2).value(3, 4) == 6
+    assert (-mixed).value(3, 4) == -3
     # both summands' bands add, and repeated widths add up
     wide = SparseEpsilon() + SparseEpsilon(bands=((3, -1), (1, 1), (3, 4)))
     assert (band + wide).bands == ((1, 3), (3, 3))
     assert [(band + wide).value(1, j) for j in (2, 3, 4, 5)] == [6, 3, 3, 0]
     sparse = SparseEpsilon.from_dict({(1, 2): 1}) + SparseEpsilon.from_dict({(1, 2): -1})
     assert sparse == SparseEpsilon() and not sparse and band
-    assert band + band.scale(-1) == SparseEpsilon()
+    assert band + (-band) == SparseEpsilon()
     with pytest.raises(ValueError, match="band width"):
         SparseEpsilon(bands=((0, 1),))
 
@@ -281,14 +281,14 @@ def test_sparse_epsilon_equality_is_matrix_equality(a, b):
 @given(a=_matrices, b=_matrices)
 @settings(max_examples=100)
 def test_sparse_epsilon_sums_are_entrywise(a, b):
-    assert a + a.scale(-1) == SparseEpsilon()
-    assert not a.scale(0) and bool(a) == (a != SparseEpsilon())
+    assert a + (-a) == SparseEpsilon() and -(-a) == a
+    assert bool(a) == (a != SparseEpsilon())
     s = a + b
     assert s == b + a
     for j in range(2, 9):
         for i in range(1, j):
             assert s.value(i, j) == a.value(i, j) + b.value(i, j)
-            assert a.scale(3).value(i, j) == 3 * a.value(i, j)
+            assert (-a).value(i, j) == -a.value(i, j)
 
 
 def test_weight2_sum_algebra():
@@ -465,12 +465,20 @@ _pair_lists = st.lists(st.tuples(_monos, st.integers(-5, 5)), max_size=6)
 _sums = _pair_lists.map(FormalSum)
 
 
+def test_formal_sum_str():
+    # a coefficient of -1 prints as a bare minus sign
+    s = FormalSum([(_mono("[a1,a2]"), 1), (_mono("a1"), -1),
+                   (_mono("[a1,[a1,a2]]"), 3), (_mono("a2"), -2)])
+    assert str(s) == "-a1 - 2*a2 + [a1,a2] + 3*[a1,[a1,a2]]"
+    assert str(-_single("a1")) == "-a1" and str(FormalSum()) == "0"
+
+
 @given(a=_sums, b=_sums, c=_sums)
 @settings(max_examples=80)
 def test_formal_sum_laws(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a - a == FormalSum()
+    assert a + (-a) == FormalSum()
     assert a.scale(0) == FormalSum()
     assert a.scale(2) == a + a
     assert -(-a) == a
@@ -540,4 +548,4 @@ def test_add_coordinates_cancels_and_wraps_around():
     assert add_coordinates([(v, one), (w, x)], [(v, one), (v, one)]) \
         == {w: x, v: one}
     # zero values never enter
-    assert add_coordinates([(v, one.scale(2)), (w, x.scale(0))]) == {}
+    assert add_coordinates([(v, one + one), (w, x + (-x))]) == {}
