@@ -1,4 +1,4 @@
-"""Finite wedge stages and the bonding maps between them.
+"""The finite wedge stages and the bonding maps between them.
 
 Run:  python3 demos/03_wedge_stages.py
 """

@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _HOME = {name: module for module, names in (
     ("groups", ("FGAbelianGroup", "GroupElement", "Z", "CYCLIC_2", "ZERO",
-                "DirectSum", "Finite", "Pow", "ProdN", "SphereSymbol", "SumN",
-                "Zero", "integer_element", "normalize", "render_text")),
+                "DirectSum", "Pow", "ProdN", "SphereSymbol", "SumN",
+                "integer_element", "normalize", "render_text")),
     ("hall", ("COUNTABLY_INFINITE", "GradingSequence", "HallWord", "bracket",
               "dimension_truncation", "generate", "height",
               "height_class_census", "is_hall", "letter", "necklace_count")),

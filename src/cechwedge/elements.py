@@ -20,6 +20,7 @@ table when the element is built, so levels never need the table again.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -44,7 +45,7 @@ class ElementFormatError(ValueError):
 
 
 class CoherentElement(Frozen):
-    """Finitely many word coordinates plus a weight-2 matrix.
+    """A finite set of word coordinates plus a weight-2 matrix.
 
     coords and eps are both kept canonical (coords sorted by word with
     no zero values, eps a canonical SparseEpsilon), so equal data gives
@@ -131,7 +132,7 @@ def _as_element(group, val) -> GroupElement:
         return val
     if isinstance(val, int):
         val = (val,)
-    return GroupElement.from_coordinates(group, val)
+    return GroupElement(group, val)
 
 
 def _resolve_group(n: int, q: int, table, what: str):
@@ -278,7 +279,7 @@ def _compare_levels(projected, own, kmax: int) -> VerificationReport:
 
 
 def _render_coords(coords) -> str:
-    return "{%s}" % ", ".join("%s: %s" % (w, ",".join(str(c) for c in f.coordinates()))
+    return "{%s}" % ", ".join("%s: %s" % (w, ",".join(map(str, f.coords)))
                               for w, f in sorted(coords.items(), key=lambda wf: wf[0].key))
 
 
@@ -416,7 +417,7 @@ def render_element_file(e: CoherentElement) -> str:
     support line per coordinate, then the eps entries."""
     lines = ["element n=%d m=%d" % (e.n, e.m)]
     for w, f in e.coords:
-        lines.append("support %s = %s" % (w, ",".join(str(c) for c in f.coordinates())))
+        lines.append("support %s = %s" % (w, ",".join(map(str, f.coords))))
     if e.eps.bands:
         raise ValueError("epsilon bands have no file form")
     for i, j, c in e.eps.entries:
@@ -440,9 +441,8 @@ def random_sparse_epsilon(rng: random.Random) -> SparseEpsilon:
 
 
 def random_group_element(rng: random.Random, group) -> GroupElement:
-    free = tuple(rng.randint(-3, 3) for _ in range(group.rank))
-    torsion = tuple(rng.randrange(d) for d in group.torsion)
-    return GroupElement(group, free, torsion)
+    return GroupElement(group, [rng.randint(-3, 3) for _ in range(group.rank)]
+                        + [rng.randrange(d) for d in group.torsion])
 
 
 def _resolvable_pool(n: int, m: int, table) -> list:
@@ -454,7 +454,7 @@ def _resolvable_pool(n: int, m: int, table) -> list:
         if w.length < 2:
             continue
         group = table.lookup(n, height(w, grading) + 1)
-        if group is not None and not group.is_zero():
+        if group not in (None, ZERO):
             out.append((w, group))
     return out
 
@@ -477,12 +477,5 @@ def random_min_letter_elements(rng: random.Random, n: int, m: int, table):
         raise ValueError("no Hall word of weight >= 2 on a1..a4 has a "
                          "nonzero resolved group in degree %d, so every "
                          "random element would be zero" % n)
-    return _min_letter_draws(rng, n, m, table, pool)
-
-
-def _min_letter_draws(rng, n, m, table, pool):
-    while True:
-        families: dict[int, list] = {}
-        for w, f in _draw(rng, pool):
-            families.setdefault(w.min_letter, []).append((w, f))
-        yield min_letter_element(n, m, families, table)
+    return (CoherentElement(n, m, tuple(_draw(rng, pool)))
+            for _ in itertools.count())

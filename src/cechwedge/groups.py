@@ -1,11 +1,12 @@
-"""Finitely generated abelian groups, their elements, and group shapes.
+"""Abelian groups (finitely generated), their elements, and group shapes.
 
 Groups are stored in invariant factor form: a free rank together with
-torsion orders d1 | d2 | ... | dt.  Group shapes (GroupExpr) extend the
-finite groups by unresolved sphere-group symbols, finite powers,
-countable direct sums (SumN), and countable direct products (ProdN);
-shapes normalize to a canonical sorted form so that equality of shapes
-is structural equality after normalize().
+torsion orders d1 | d2 | ... | dt.  Such a group is itself a group
+shape (GroupExpr), and ZERO is the trivial one; the other shapes add
+unresolved sphere-group symbols, finite powers, countable direct sums
+(SumN), and countable direct products (ProdN); shapes normalize to a
+canonical sorted form so that equality of shapes is structural
+equality after normalize().
 
 SumN and ProdN of the same group are deliberately kept distinct, and
 repeated countable powers are never merged: the identity of each
@@ -13,7 +14,7 @@ summand is part of the answer.
 
 >>> FGAbelianGroup.from_cyclic(1, [2, 12]).render()
 'Z (+) Z/2 (+) Z/12'
->>> render_text(normalize(DirectSum((ProdN(Finite(CYCLIC_2)), ProdN(Finite(Z))))))
+>>> render_text(normalize(DirectSum((ProdN(CYCLIC_2), ZERO, ProdN(Z)))))
 '(Z/2)^N (+) Z^N'
 """
 
@@ -61,8 +62,16 @@ def invariant_factors(orders) -> tuple[int, ...]:
     return tuple(chain)
 
 
-class FGAbelianGroup(Frozen):
-    """rank copies of Z plus cyclic groups of the invariant factors."""
+class GroupExpr(Frozen):
+    """Base class for group shapes: frozen records compared by class and
+    fields."""
+
+    __slots__ = ()
+
+
+class FGAbelianGroup(GroupExpr):
+    """rank copies of Z plus cyclic groups of the invariant factors: the
+    one shape of a known group, ZERO included."""
 
     __slots__ = _fields = ("rank", "torsion")
 
@@ -78,23 +87,8 @@ class FGAbelianGroup(Frozen):
         object.__setattr__(self, "torsion", torsion)
 
     @classmethod
-    def zero(cls) -> "FGAbelianGroup":
-        return cls(0, ())
-
-    @classmethod
-    def free(cls, rank: int) -> "FGAbelianGroup":
-        return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, t: int) -> "FGAbelianGroup":
-        return cls(0, (t,))
-
-    @classmethod
     def from_cyclic(cls, rank: int, orders) -> "FGAbelianGroup":
         return cls(rank, invariant_factors(orders))
-
-    def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def tokens(self) -> list[tuple[str, int]]:
         """Base-string / multiplicity pairs, e.g. [("Z", 2), ("Z/2", 1)]."""
@@ -111,7 +105,7 @@ class FGAbelianGroup(Frozen):
         return out
 
     def render(self, joiner: str = " (+) ") -> str:
-        if self.is_zero():
+        if self == ZERO:
             return "0"
         parts = []
         for base, mult in self.tokens():
@@ -127,8 +121,9 @@ class FGAbelianGroup(Frozen):
         return self.render()
 
 
-Z = FGAbelianGroup.free(1)
-CYCLIC_2 = FGAbelianGroup.cyclic(2)
+ZERO = FGAbelianGroup()
+Z = FGAbelianGroup(1)
+CYCLIC_2 = FGAbelianGroup(0, (2,))
 
 
 class AmbientMismatchError(ValueError):
@@ -138,35 +133,26 @@ class AmbientMismatchError(ValueError):
 class GroupElement:
     """An element of a fixed FGAbelianGroup.
 
-    Coordinates are integers: one per free generator, then one residue
-    per invariant factor (stored reduced mod the factor).
+    coords holds one integer per free generator, then one residue per
+    invariant factor (stored reduced mod the factor).
     """
 
-    __slots__ = ("group", "free", "torsion")
+    __slots__ = ("group", "coords")
 
-    def __init__(self, group: FGAbelianGroup, free=(), torsion=()):
-        free = tuple(int(c) for c in free)
-        torsion = tuple(int(c) for c in torsion)
-        if len(free) != group.rank or len(torsion) != len(group.torsion):
-            raise ValueError("coordinate shape does not match the group")
-        self.group = group
-        self.free = free
-        self.torsion = tuple(c % d for c, d in zip(torsion, group.torsion))
-
-    @classmethod
-    def from_coordinates(cls, group: FGAbelianGroup, coords) -> "GroupElement":
+    def __init__(self, group: FGAbelianGroup, coords):
         coords = tuple(int(c) for c in coords)
         if len(coords) != group.rank + len(group.torsion):
             raise ValueError(
                 "%s needs %d coordinates, got %d"
                 % (group, group.rank + len(group.torsion), len(coords)))
-        return cls(group, coords[:group.rank], coords[group.rank:])
-
-    def coordinates(self) -> tuple[int, ...]:
-        return self.free + self.torsion
+        if group.torsion:
+            coords = coords[:group.rank] + tuple(
+                c % d for c, d in zip(coords[group.rank:], group.torsion))
+        self.group = group
+        self.coords = coords
 
     def __bool__(self):
-        return any(self.free) or any(self.torsion)
+        return any(self.coords)
 
     def _check(self, other):
         if not isinstance(other, GroupElement):
@@ -178,52 +164,30 @@ class GroupElement:
     def __add__(self, other):
         self._check(other)
         return GroupElement(self.group,
-                            tuple(a + b for a, b in zip(self.free, other.free)),
-                            tuple(a + b for a, b in zip(self.torsion, other.torsion)))
+                            (a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.free),
-                            tuple(-a for a in self.torsion))
+        return GroupElement(self.group, (-a for a in self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return (self.group == other.group and self.free == other.free
-                and self.torsion == other.torsion)
+        return self.group == other.group and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.group, self.free, self.torsion))
+        return hash((self.group, self.coords))
 
     def __repr__(self):
-        return "<%s in %s>" % (",".join(str(c) for c in self.coordinates()) or "0",
-                               self.group)
+        return "<%s in %s>" % (",".join(map(str, self.coords)) or "0", self.group)
 
 
 def integer_element(c: int) -> GroupElement:
     """The integer c as an element of Z."""
-    return GroupElement(Z, (c,), ())
+    return GroupElement(Z, (c,))
 
 
 # ---------------------------------------------------------------------------
-# Group shapes
-
-
-class GroupExpr(Frozen):
-    """Base class for group shapes: frozen records compared by class and
-    fields."""
-
-    __slots__ = ()
-
-
-class Zero(GroupExpr):
-    __slots__ = ()
-
-
-class Finite(GroupExpr):
-    __slots__ = _fields = ("group",)
-
-    def __init__(self, group: FGAbelianGroup):
-        object.__setattr__(self, "group", group)
+# The other group shapes
 
 
 class SphereSymbol(GroupExpr):
@@ -271,54 +235,45 @@ class ProdN(GroupExpr):
         object.__setattr__(self, "base", base)
 
 
-ZERO = Zero()
-
-
 def _sort_key(e: GroupExpr):
-    if isinstance(e, Zero):
-        return (0,)
-    if isinstance(e, Finite):
-        return (1, e.group.rank, e.group.torsion)
+    if isinstance(e, FGAbelianGroup):
+        return (0, e.rank, e.torsion)
     if isinstance(e, SphereSymbol):
-        return (2, e.n, e.q)
+        return (1, e.n, e.q)
     if isinstance(e, DirectSum):
-        return (3, tuple(_sort_key(p) for p in e.parts))
+        return (2, tuple(_sort_key(p) for p in e.parts))
     if isinstance(e, Pow):
-        return (4, _sort_key(e.base), e.exponent)
+        return (3, _sort_key(e.base), e.exponent)
     if isinstance(e, SumN):
-        return (5, _sort_key(e.base))
+        return (4, _sort_key(e.base))
     if isinstance(e, ProdN):
-        return (6, _sort_key(e.base))
+        return (5, _sort_key(e.base))
     raise TypeError("not a group shape: %r" % (e,))
 
 
 def normalize(e: GroupExpr) -> GroupExpr:
     """Canonical form: flatten sums, drop zeros, collapse Pow(x, 1),
     sort direct summands by a fixed structural key."""
-    if isinstance(e, Zero):
-        return ZERO
-    if isinstance(e, Finite):
-        return ZERO if e.group.is_zero() else e
-    if isinstance(e, SphereSymbol):
+    if isinstance(e, (FGAbelianGroup, SphereSymbol)):
         return e
     if isinstance(e, Pow):
         base = normalize(e.base)
-        if isinstance(base, Zero):
+        if base == ZERO:
             return ZERO
         if e.exponent == 1:
             return base
         return Pow(base, e.exponent)
     if isinstance(e, SumN):
         base = normalize(e.base)
-        return ZERO if isinstance(base, Zero) else SumN(base)
+        return ZERO if base == ZERO else SumN(base)
     if isinstance(e, ProdN):
         base = normalize(e.base)
-        return ZERO if isinstance(base, Zero) else ProdN(base)
+        return ZERO if base == ZERO else ProdN(base)
     if isinstance(e, DirectSum):
         flat: list[GroupExpr] = []
         for part in e.parts:
             p = normalize(part)
-            if isinstance(p, Zero):
+            if p == ZERO:
                 continue
             if isinstance(p, DirectSum):
                 flat.extend(p.parts)
@@ -357,8 +312,8 @@ def has_symbol(e: GroupExpr) -> bool:
 
 def _atom_text(e: GroupExpr) -> str | None:
     """Rendering of shapes that may take a ^ exponent directly."""
-    if isinstance(e, Finite):
-        return e.group.render()
+    if isinstance(e, FGAbelianGroup):
+        return e.render()
     if isinstance(e, SphereSymbol):
         return "pi_%d(S^%d)" % (e.n, e.q)
     return None
@@ -371,8 +326,6 @@ def _powered(base_text: str, suffix: str) -> str:
 
 
 def render_text(e: GroupExpr) -> str:
-    if isinstance(e, Zero):
-        return "0"
     atom = _atom_text(e)
     if atom is not None:
         return atom
@@ -398,11 +351,10 @@ def render_text(e: GroupExpr) -> str:
 
 
 def to_machine(e: GroupExpr) -> dict:
-    if isinstance(e, Zero):
-        return {"kind": "zero"}
-    if isinstance(e, Finite):
-        return {"kind": "finite", "rank": e.group.rank,
-                "torsion": list(e.group.torsion)}
+    if isinstance(e, FGAbelianGroup):
+        if e == ZERO:
+            return {"kind": "zero"}
+        return {"kind": "finite", "rank": e.rank, "torsion": list(e.torsion)}
     if isinstance(e, SphereSymbol):
         return {"kind": "sphere", "n": e.n, "q": e.q}
     if isinstance(e, DirectSum):

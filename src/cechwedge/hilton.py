@@ -19,8 +19,8 @@ as separate code paths so they can check each other.
 
 from __future__ import annotations
 
-from .groups import (DirectSum, Finite, GroupExpr, Pow, ProdN, SphereSymbol,
-                     ZERO, has_symbol, normalize)
+from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
+                     has_symbol, normalize)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census, is_hall)
 from .records import Frozen
@@ -32,7 +32,7 @@ class SupportError(ValueError):
 
 def sphere_group_expr(n: int, q: int, table) -> GroupExpr:
     group = table.lookup(n, q)
-    return SphereSymbol(n, q) if group is None else Finite(group)
+    return SphereSymbol(n, q) if group is None else group
 
 
 class WedgeDecomposition(Frozen):
@@ -145,13 +145,12 @@ def earring_formula(n: int, m: int, table) -> GroupExpr:
     (m - 1) j <= n - 1.  Independent of cech_decompose by design."""
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
-    parts = [ProdN(sphere_group_expr(n, (m - 1) * j + 1, table))
-             for j in weight_range(n, m)]
-    return normalize(DirectSum(tuple(parts)))
+    return normalize(DirectSum(tuple(weight_summand(n, m, j, table)
+                                     for j in weight_range(n, m))))
 
 
 def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
-    """The weight-j block of the closed form; Zero beyond the range."""
+    """The weight-j block of the closed form; ZERO beyond the range."""
     if j < 1:
         raise ValueError("weights start at 1")
     if j not in weight_range(n, m):

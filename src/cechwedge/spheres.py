@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import re
 
-from .groups import FGAbelianGroup, Z, CYCLIC_2
+from .groups import CYCLIC_2, FGAbelianGroup, Z, ZERO
 from .records import Record
 
 ENV_TABLE_VAR = "CECHWEDGE_TABLE"
@@ -38,32 +38,18 @@ class TableConsistencyError(ValueError):
         self.rule = rule
 
 
-def builtin_rule(n: int, q: int) -> FGAbelianGroup | None:
-    """The forced value of pi_n(S^q), or None when no rule applies."""
+def builtin_rule(n: int, q: int) -> tuple[FGAbelianGroup, str] | None:
+    """The forced value of pi_n(S^q) with the name of the rule that
+    forces it, or None when no rule applies."""
     if n < 1 or q < 1:
         raise ValueError("pi_n(S^q) needs n >= 1 and q >= 1")
     if n < q:
-        return FGAbelianGroup.zero()
+        return ZERO, "n < q forces 0"
     if n == q:
-        return Z
+        return Z, "n = q forces Z"
     if q == 1:
-        return FGAbelianGroup.zero()
+        return ZERO, "q = 1, n >= 2 forces 0"
     return None
-
-
-_RULE_NAMES = {
-    "below": "n < q forces 0",
-    "diagonal": "n = q forces Z",
-    "circle": "q = 1, n >= 2 forces 0",
-}
-
-
-def _rule_name(n: int, q: int) -> str:
-    if n < q:
-        return _RULE_NAMES["below"]
-    if n == q:
-        return _RULE_NAMES["diagonal"]
-    return _RULE_NAMES["circle"]
 
 
 class SphereGroupTable(Record):
@@ -79,18 +65,20 @@ class SphereGroupTable(Record):
     def lookup(self, n: int, q: int) -> FGAbelianGroup | None:
         forced = builtin_rule(n, q)
         if forced is not None:
-            return forced
+            return forced[0]
         return self.entries.get((n, q))
 
 
+# Z, Z^a, Z/t and (Z/t)^a, each power a >= 1
 _TERM_RE = re.compile(
-    r"^(?:Z(?:\^(?P<rexp>\d+))?|Z/(?P<t1>\d+)|\(Z/(?P<t2>\d+)\)\^(?P<texp>\d+))$")
+    r"^(?:Z(?:\^(?P<rexp>0*[1-9]\d*))?|Z/(?P<t1>\d+)"
+    r"|\(Z/(?P<t2>\d+)\)\^(?P<texp>0*[1-9]\d*))$")
 
 
 def parse_group(text: str) -> FGAbelianGroup:
     text = text.strip()
     if text == "0":
-        return FGAbelianGroup.zero()
+        return ZERO
     rank = 0
     orders: list[int] = []
     for raw in text.split("+"):
@@ -101,10 +89,7 @@ def parse_group(text: str) -> FGAbelianGroup:
         if m.group("t1"):
             orders.append(int(m.group("t1")))
         elif m.group("t2"):
-            t, a = int(m.group("t2")), int(m.group("texp"))
-            if a < 1:
-                raise ValueError("bad group term %r" % term)
-            orders.extend([t] * a)
+            orders.extend([int(m.group("t2"))] * int(m.group("texp")))
         else:
             rank += int(m.group("rexp") or 1)
     if any(t < 2 for t in orders):
@@ -132,8 +117,8 @@ def parse_table(text: str, source: str = "table") -> SphereGroupTable:
         except ValueError as exc:
             raise TableParseError(lineno, str(exc)) from None
         forced = builtin_rule(n, q)
-        if forced is not None and forced != group:
-            raise TableConsistencyError(lineno, _rule_name(n, q),
+        if forced is not None and forced[0] != group:
+            raise TableConsistencyError(lineno, forced[1],
                                         "pi_%d(S^%d) = %s contradicts a built-in rule"
                                         % (n, q, group.render(" + ")))
         if (n, q) in table.entries and table.entries[(n, q)] != group:

@@ -110,7 +110,7 @@ def monomial_of_word(w: HallWord, degrees) -> BracketMonomial:
 
 
 class FormalSum:
-    """Finite integer combination of bracket monomials."""
+    """An integer combination of finitely many bracket monomials."""
 
     __slots__ = ("_terms",)
 

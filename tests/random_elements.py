@@ -11,6 +11,7 @@ from cechwedge.elements import (CoherentElement, _draw,
                                 finite_support_element,
                                 random_min_letter_elements,
                                 random_sparse_epsilon, weight_two_element)
+from cechwedge.groups import ZERO
 from cechwedge.hall import GradingSequence, dimension_truncation, height
 
 
@@ -21,7 +22,7 @@ def _finite_support_pool(n: int, m: int, table) -> list:
     out = []
     for w in dimension_truncation(6, n, grading):
         group = table.lookup(n, height(w, grading) + 1)
-        if group is not None and not group.is_zero():
+        if group is not None and group != ZERO:
             out.append((w, group))
     return out
 

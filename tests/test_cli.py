@@ -140,6 +140,18 @@ def test_hm_trivial(capsys):
     assert out == "0 (trivial by connectivity)\n"
 
 
+def test_hm_json_encodes_a_trivial_summand_as_zero(capsys, tmp_path):
+    p = tmp_path / "table.txt"
+    p.write_text("pi 10 6 = 0\n")
+    rc, out, _ = run(capsys, "hm", "-n", "10", "-k", "1", "--grading", "5",
+                     "--table", str(p), "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["summands"] == [{"word": "a1", "sphere": 6,
+                                "group": {"kind": "zero"}}]
+    assert doc["total"] == {"kind": "zero"}
+
+
 # ---------------------------------------------------------------------------
 # Verification commands
 

@@ -105,11 +105,11 @@ def test_element_refuses_an_eps_that_is_no_matrix():
 
 def test_value_coercion():
     g = TABLE.lookup(4, 2)
-    e = finite_support_element(4, 2, [("a1", GroupElement(g, (), (1,)))], TABLE)
-    assert e.level(1)[parse_word("a1")].coordinates() == (1,)
+    e = finite_support_element(4, 2, [("a1", GroupElement(g, (1,)))], TABLE)
+    assert e.level(1)[parse_word("a1")].coords == (1,)
     with pytest.raises(ValueError):
         finite_support_element(
-            3, 2, [("a1", GroupElement.from_coordinates(CYCLIC_2, (0,)))], TABLE)
+            3, 2, [("a1", GroupElement(CYCLIC_2, (0,)))], TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,8 @@ def test_raw_stream_matches_source():
 
 def test_weight_one_round_trip():
     g = TABLE.lookup(3, 2)
-    coords = {1: GroupElement.from_coordinates(g, (1,)),
-              4: GroupElement.from_coordinates(g, (-2,))}
+    coords = {1: GroupElement(g, (1,)),
+              4: GroupElement(g, (-2,))}
     e = weight_one_element(3, 2, coords, TABLE)
     assert weight_one_coordinates(e) == coords
     assert e.level(2) == {parse_word("a1"): coords[1]}
@@ -626,7 +626,7 @@ def test_multi_coordinate_values():
     table = parse_table("pi 7 4 = Z + Z/12\n")
     e = parse_element_file("element n=7 m=2\nsupport [a1,[a1,a2]] = 2,7\n", table)
     f = e.level(2)[parse_word("[a1,[a1,a2]]")]
-    assert f.coordinates() == (2, 7)
+    assert f.coords == (2, 7)
 
 
 # ---------------------------------------------------------------------------

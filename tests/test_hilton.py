@@ -2,7 +2,7 @@
 
 import pytest
 
-from cechwedge.groups import (CYCLIC_2, DirectSum, Finite, Pow, ProdN,
+from cechwedge.groups import (CYCLIC_2, DirectSum, Pow, ProdN,
                               SphereSymbol, SumN, Z, ZERO, has_symbol,
                               render_text)
 from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
@@ -20,7 +20,7 @@ G1 = GradingSequence.constant(1)
 def test_decompose_wedge_degree3():
     dec = decompose_wedge(3, 2, G1, TABLE)
     assert [str(w) for w in dec.words()] == ["a1", "a2", "[a1,a2]"]
-    assert [g for _, g in dec.summands] == [Finite(Z)] * 3
+    assert [g for _, g in dec.summands] == [Z] * 3
     # summand identity is kept: no merging into a power
     assert render_text(dec.total()) == "Z (+) Z (+) Z"
 
@@ -28,7 +28,7 @@ def test_decompose_wedge_degree3():
 def test_decompose_wedge_degree2_only_letters():
     dec = decompose_wedge(2, 5, G1, TABLE)
     assert [str(w) for w in dec.words()] == ["a1", "a2", "a3", "a4", "a5"]
-    assert all(g == Finite(Z) for _, g in dec.summands)
+    assert all(g == Z for _, g in dec.summands)
 
 
 def test_decompose_wedge_degree4():
@@ -36,8 +36,8 @@ def test_decompose_wedge_degree4():
     assert [str(w) for w in dec.words()] == [
         "a1", "a2", "[a1,a2]", "[a1,[a1,a2]]", "[a2,[a1,a2]]"]
     assert [g for _, g in dec.summands] == [
-        Finite(CYCLIC_2), Finite(CYCLIC_2), Finite(CYCLIC_2),
-        Finite(Z), Finite(Z)]
+        CYCLIC_2, CYCLIC_2, CYCLIC_2,
+        Z, Z]
 
 
 def test_decompose_wedge_trivial_by_connectivity():
@@ -180,7 +180,7 @@ def test_cech_decompose_mixed_grading():
     g = GradingSequence((1, 2), 3)
     expr = cech_decompose(3, g, TABLE)
     assert render_text(expr) == "Z (+) Z"
-    assert expr == DirectSum((Finite(Z), Finite(Z)))
+    assert expr == DirectSum((Z, Z))
 
 
 def test_weight_summand():
@@ -243,8 +243,8 @@ def test_stabilization_validation():
 
 @pytest.mark.parametrize("wrap", [
     lambda e: e, SumN, ProdN, lambda e: Pow(e, 2),
-    lambda e: DirectSum((Finite(Z), e)), lambda e: ProdN(SumN(e)),
+    lambda e: DirectSum((Z, e)), lambda e: ProdN(SumN(e)),
 ])
 def test_has_symbol_sees_every_shape(wrap):
     assert has_symbol(wrap(SphereSymbol(9, 3)))
-    assert not has_symbol(wrap(Finite(Z)))
+    assert not has_symbol(wrap(Z))

@@ -11,8 +11,8 @@ import pytest
 
 from cechwedge.elements import (CoherentElement, SubgroupForms,
                                 VerificationReport)
-from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Finite,
-                              Pow, ProdN, SphereSymbol, SumN, Z, ZERO, Zero)
+from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow,
+                              ProdN, SphereSymbol, SumN, Z, ZERO)
 from cechwedge.hall import GradingSequence, letter
 from cechwedge.hilton import BondingMap, StabilizationReport, WedgeDecomposition
 from cechwedge.spheres import SphereGroupTable
@@ -42,12 +42,10 @@ G = GradingSequence((1, 2), 3)
 HASHABLE = {
     "FGAbelianGroup": (lambda: FGAbelianGroup(1, (2, 12)),
                        "FGAbelianGroup(rank=1, torsion=(2, 12))"),
-    "Zero": (lambda: Zero(), "Zero()"),
-    "Finite": (lambda: Finite(FGAbelianGroup(0, (2,))),
-               "Finite(group=FGAbelianGroup(rank=0, torsion=(2,)))"),
     "SphereSymbol": (lambda: SphereSymbol(4, 3), "SphereSymbol(n=4, q=3)"),
-    "DirectSum": (lambda: DirectSum((SphereSymbol(5, 2), Zero())),
-                  "DirectSum(parts=(SphereSymbol(n=5, q=2), Zero()))"),
+    "DirectSum": (lambda: DirectSum((SphereSymbol(5, 2), FGAbelianGroup())),
+                  "DirectSum(parts=(SphereSymbol(n=5, q=2), "
+                  "FGAbelianGroup(rank=0, torsion=())))"),
     "Pow": (lambda: Pow(SphereSymbol(5, 2), 3),
             "Pow(base=SphereSymbol(n=5, q=2), exponent=3)"),
     "SumN": (lambda: SumN(SphereSymbol(5, 2)),
@@ -57,17 +55,18 @@ HASHABLE = {
     "GradingSequence": (lambda: GradingSequence((1, 2), 3),
                         "GradingSequence(prefix=(1, 2), tail=3)"),
     "WedgeDecomposition": (
-        lambda: WedgeDecomposition(2, 1, G, ((letter(1), Finite(Z)),)),
+        lambda: WedgeDecomposition(2, 1, G, ((letter(1), Z),)),
         "WedgeDecomposition(n=2, k=1, grading=GradingSequence(prefix=(1, 2), "
-        "tail=3), summands=((a1, Finite(group=FGAbelianGroup(rank=1, "
-        "torsion=()))),), trivial_by_connectivity=False)"),
+        "tail=3), summands=((a1, FGAbelianGroup(rank=1, torsion=())),), "
+        "trivial_by_connectivity=False)"),
     "BondingMap": (lambda: BondingMap(4, 2, G),
                    "BondingMap(n=4, k=2, grading=GradingSequence(prefix=(1, 2), "
                    "tail=3))"),
     "StabilizationReport": (
         lambda: StabilizationReport(1, ((3, ZERO),), True, ZERO),
-        "StabilizationReport(offset=1, entries=((3, Zero()),), stable=True, "
-        "stable_value=Zero(), warnings=())"),
+        "StabilizationReport(offset=1, entries=((3, FGAbelianGroup(rank=0, "
+        "torsion=())),), stable=True, stable_value=FGAbelianGroup(rank=0, "
+        "torsion=()), warnings=())"),
     "SparseEpsilon": (lambda: SparseEpsilon(((1, 2, 3),), ((1, 2),)),
                       "SparseEpsilon(entries=((1, 2, 3),), bands=((1, 2),))"),
     "CoherentElement": (lambda: CoherentElement(3, 2, eps=SparseEpsilon(
@@ -85,15 +84,16 @@ UNHASHABLE = {
                            "VerificationReport(ok=False, checked_levels=3, "
                            "failures=('level 1',))"),
     "SubgroupForms": (lambda: SubgroupForms(ZERO, ZERO, True),
-                      "SubgroupForms(per_letter=Zero(), weight_split=Zero(), "
-                      "equal=True)"),
+                      "SubgroupForms(per_letter=FGAbelianGroup(rank=0, "
+                      "torsion=()), weight_split=FGAbelianGroup(rank=0, "
+                      "torsion=()), equal=True)"),
 }
 
 RECORDS = {**HASHABLE, **UNHASHABLE}
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 15
     assert all(type(build()).__name__ == name
                for name, (build, _) in RECORDS.items())
 
@@ -136,7 +136,7 @@ def test_mutable_records_are_unhashable(name):
 
 
 def test_fields_and_class_decide_equality():
-    # ProdN against SumN and Zero() against ZERO: test_groups
+    # ProdN against SumN and FGAbelianGroup() against ZERO: test_groups
     assert SphereSymbol(4, 3) != SphereSymbol(4, 2)
     assert FGAbelianGroup(1, (2,)) != FGAbelianGroup(1, (4,))
     # an element without a matrix holds the zero matrix

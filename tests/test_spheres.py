@@ -2,18 +2,17 @@
 
 import pytest
 
-from cechwedge.groups import CYCLIC_2, FGAbelianGroup, Z
+from cechwedge.groups import CYCLIC_2, FGAbelianGroup, Z, ZERO
 from cechwedge.spheres import (ENV_TABLE_VAR, TableConsistencyError,
                                TableParseError, builtin_rule, load_table,
                                parse_group, parse_table, seed_table)
 
 
 def test_builtin_rules():
-    zero = FGAbelianGroup.zero()
-    assert builtin_rule(3, 4) == zero        # below the diagonal
-    assert builtin_rule(5, 5) == Z           # diagonal
-    assert builtin_rule(7, 1) == zero        # circle in degree >= 2
-    assert builtin_rule(1, 1) == Z
+    assert builtin_rule(3, 4) == (ZERO, "n < q forces 0")
+    assert builtin_rule(5, 5) == (Z, "n = q forces Z")
+    assert builtin_rule(7, 1) == (ZERO, "q = 1, n >= 2 forces 0")
+    assert builtin_rule(1, 1) == (Z, "n = q forces Z")
     assert builtin_rule(4, 2) is None        # no rule: table territory
     with pytest.raises(ValueError):
         builtin_rule(0, 1)
@@ -22,7 +21,7 @@ def test_builtin_rules():
 def test_builtin_precedence_over_entries():
     t = seed_table()
     assert t.lookup(3, 2) == Z               # from the table
-    assert t.lookup(2, 3) == FGAbelianGroup.zero()
+    assert t.lookup(2, 3) == FGAbelianGroup()
     assert t.lookup(6, 6) == Z
     assert t.lookup(9, 2) is None            # honest unknown
 
@@ -42,13 +41,13 @@ def test_seed_table_contents():
 
 def test_parse_group_terms():
     assert parse_group("Z") == Z
-    assert parse_group("0") == FGAbelianGroup.zero()
-    assert parse_group("Z^3") == FGAbelianGroup.free(3)
-    assert parse_group("Z/4") == FGAbelianGroup.cyclic(4)
+    assert parse_group("0") == FGAbelianGroup()
+    assert parse_group("Z^3") == FGAbelianGroup(3)
+    assert parse_group("Z/4") == FGAbelianGroup(0, (4,))
     assert parse_group("(Z/2)^3") == FGAbelianGroup(0, (2, 2, 2))
     assert parse_group("Z + Z/12") == FGAbelianGroup(1, (12,))
     assert parse_group("Z/2 + Z/12 + Z^2") == FGAbelianGroup(2, (2, 12))
-    for bad in ("Q", "Z/", "Z/1", "2Z", "Z^0 {", "(Z/2)^0", ""):
+    for bad in ("Q", "Z/", "Z/1", "2Z", "Z^0", "Z^0 {", "(Z/2)^0", ""):
         with pytest.raises(ValueError):
             parse_group(bad)
 
@@ -78,12 +77,15 @@ def test_parse_table_errors():
 
 
 def test_consistency_against_builtin_rules():
-    with pytest.raises(TableConsistencyError):
-        parse_table("pi 3 4 = Z\n")          # below-diagonal must be 0
-    with pytest.raises(TableConsistencyError):
-        parse_table("pi 4 4 = Z/2\n")        # diagonal must be Z
-    with pytest.raises(TableConsistencyError):
-        parse_table("pi 5 1 = Z\n")          # circle must be 0
+    for text, claim, rule in (
+            ("pi 3 4 = Z", "pi_3(S^4) = Z", "n < q forces 0"),
+            ("pi 4 4 = Z/2", "pi_4(S^4) = Z/2", "n = q forces Z"),
+            ("pi 5 1 = Z", "pi_5(S^1) = Z", "q = 1, n >= 2 forces 0")):
+        with pytest.raises(TableConsistencyError) as exc:
+            parse_table(text + "\n")
+        assert exc.value.rule == rule
+        assert str(exc.value) == ("line 1: %s contradicts a built-in rule (%s)"
+                                  % (claim, rule))
     # restating a rule's value is allowed
     t = parse_table("pi 4 4 = Z\npi 2 5 = 0\n")
     assert t.lookup(4, 4) == Z
@@ -96,10 +98,10 @@ def test_load_table_specs(tmp_path, monkeypatch):
 
     path = tmp_path / "mini.table"
     path.write_text("pi 9 2 = Z/3\n", encoding="utf-8")
-    assert load_table(str(path)).lookup(9, 2) == FGAbelianGroup.cyclic(3)
+    assert load_table(str(path)).lookup(9, 2) == FGAbelianGroup(0, (3,))
 
     monkeypatch.setenv(ENV_TABLE_VAR, str(path))
-    assert load_table(None).lookup(9, 2) == FGAbelianGroup.cyclic(3)
+    assert load_table(None).lookup(9, 2) == FGAbelianGroup(0, (3,))
     # explicit spec still wins over the environment
     assert load_table("seed").lookup(9, 2) is None
 

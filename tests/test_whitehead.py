@@ -502,7 +502,7 @@ def test_formal_sum_no_zero_coefficients(pairs):
 _WORD_GROUPS = ((letter(1), Z), (parse_word("[a1,a2]"), CYCLIC_2),
                 (parse_word("[a1,[a1,a2]]"), FGAbelianGroup(1, (4,))))
 _coordinate_pairs = st.lists(st.builds(
-    lambda wg, cs: (wg[0], GroupElement.from_coordinates(
+    lambda wg, cs: (wg[0], GroupElement(
         wg[1], cs[:wg[1].rank + len(wg[1].torsion)])),
     st.sampled_from(_WORD_GROUPS),
     st.tuples(st.integers(-3, 3), st.integers(-3, 3))), max_size=5)
@@ -517,8 +517,8 @@ def _reference_coordinates(parts):
     acc = {}
     for part in parts:
         for w, f in (part.items() if isinstance(part, dict) else part):
-            old = acc.get(w, (0,) * len(f.coordinates()))
-            acc[w] = tuple(a + b for a, b in zip(old, f.coordinates()))
+            old = acc.get(w, (0,) * len(f.coords))
+            acc[w] = tuple(a + b for a, b in zip(old, f.coords))
     out = {}
     for w, cs in acc.items():
         g = dict(_WORD_GROUPS)[w]
@@ -532,13 +532,13 @@ def _reference_coordinates(parts):
 @settings(max_examples=80)
 def test_add_coordinates_matches_a_reference_sum(parts):
     got = add_coordinates(*parts)
-    assert {w: (f.group, f.coordinates()) for w, f in got.items()} \
+    assert {w: (f.group, f.coords) for w, f in got.items()} \
         == _reference_coordinates(parts)
 
 
 def test_add_coordinates_cancels_and_wraps_around():
     w, v = letter(1), parse_word("[a1,a2]")
-    x, one = integer_element(3), GroupElement.from_coordinates(CYCLIC_2, (1,))
+    x, one = integer_element(3), GroupElement(CYCLIC_2, (1,))
     # a word that cancels drops out, and comes back when added again
     assert add_coordinates({w: x}, [(w, -x)]) == {}
     assert add_coordinates([(w, x), (w, -x), (w, x)]) == {w: x}

@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 E = "src/cechwedge/elements.py"
+GROUPS = "src/cechwedge/groups.py"
 CLI = "src/cechwedge/cli.py"
 HALL = "src/cechwedge/hall.py"
 HILTON = "src/cechwedge/hilton.py"
@@ -47,6 +48,14 @@ T_CLI = "tests/test_cli.py::"
 T_WH = "tests/test_whitehead.py::"
 
 MUTANTS = [
+    # --- one trivial group, one machine encoding
+    ("trivial-group-encoded-as-finite", GROUPS,
+     "        if e == ZERO:\n"
+     "            return {\"kind\": \"zero\"}",
+     "        if False:\n"
+     "            return {\"kind\": \"zero\"}",
+     [T_CLI + "test_hm_json_encodes_a_trivial_summand_as_zero",
+      "tests/test_groups.py::test_machine_format_shape"]),
     # --- the realization verifiers compare two routes, never one with itself
     ("realization-levels-with-themselves", E,
      "        if got != want:\n"
