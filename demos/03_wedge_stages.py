@@ -30,7 +30,7 @@ killed = [w for w in dec3.words() if w.max_letter > 2]
 print("\ncollapsing the third sphere kills %d words, keeps %d:"
       % (len(killed), len(dec3.summands) - len(killed)))
 for w in killed:
-    print("  killed  %s" % w)
+    print("  killed  %s" % (w,))
 
 # Bonding maps act on coordinate vectors by dropping the killed words,
 # those that mention the collapsed letter.  Push a level-3 coordinate
@@ -42,7 +42,7 @@ coords = {parse_word("[a1,a2]"): integer_element(5),
 b = bonding(4, 2, g1)
 pushed = apply_bonding(b, coords)
 print("\npushing a level-3 coordinate set through the collapse:")
-for w, f in sorted(coords.items(), key=lambda wf: wf[0].key):
+for w, f in sorted(coords.items()):
     kept = "kept" if w in pushed else "dropped"
     print("  %-16s %s" % (w, kept))
 

@@ -23,8 +23,7 @@ e = weight_two_element(2, {(1, 2): 1, (2, 3): -2, (1, 5): 4})
 print("a weight-2 family over 2-spheres, degree 3:")
 for k in (2, 3, 5):
     row = ", ".join("%s: %s" % (w, ",".join(map(str, f.coords)))
-                    for w, f in sorted(e.level(k).items(),
-                                       key=lambda wf: wf[0].key))
+                    for w, f in sorted(e.level(k).items()))
     print("  level %d: {%s}" % (k, row))
 
 # Compatibility is checkable: push level k+1 down and compare.  Corrupt

@@ -160,9 +160,9 @@ def _coordinate(n: int, grading, w, val, table) -> tuple[HallWord, GroupElement]
     if isinstance(w, str):
         w = parse_word(w)
     if not _hall_conditions(w):
-        raise ValueError("support word %s is not a Hall word" % w)
+        raise ValueError("support word %s is not a Hall word" % (w,))
     group = _resolve_group(n, height(w, grading) + 1, table,
-                           "support word %s" % w)
+                           "support word %s" % (w,))
     return w, _as_element(group, val)
 
 
@@ -195,7 +195,7 @@ def _family_word(i: int, w) -> HallWord:
     if isinstance(w, str):
         w = parse_word(w)
     if w.length < 2:
-        raise ValueError("least-letter families need weight >= 2, got %s" % w)
+        raise ValueError("least-letter families need weight >= 2, got %s" % (w,))
     if w.min_letter != i:
         raise ValueError("word %s has least letter a%d, filed under a%d"
                          % (w, w.min_letter, i))
@@ -254,7 +254,7 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     actual = next(walk)
     for k, upper in enumerate(walk, start=1):
         pushed = apply_bonding(bonding(e.n, k, grading), upper)
-        for w in sorted(set(pushed) | set(actual), key=lambda w: w.key):
+        for w in sorted(set(pushed) | set(actual)):
             if pushed.get(w) != actual.get(w):
                 failures.append((k, w))
         actual = upper
@@ -280,7 +280,7 @@ def _compare_levels(projected, own, kmax: int) -> VerificationReport:
 
 def _render_coords(coords) -> str:
     return "{%s}" % ", ".join("%s: %s" % (w, ",".join(map(str, f.coords)))
-                              for w, f in sorted(coords.items(), key=lambda wf: wf[0].key))
+                              for w, f in sorted(coords.items()))
 
 
 def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationReport:

@@ -9,11 +9,12 @@ Hall word of weight L(x) + L(y) when
   3. if y = [a, b] then a <= x.
 
 The canonical order puts lighter words first and orders each weight
-stratum by (maximal letter index, key of left factor, key of right
-factor), recursively.  Because the maximal letter is the leading
-component inside a stratum, the Hall words on k letters form an initial
-segment of the Hall words on k + 1 letters and every word in the
-difference mentions the new letter: the sets are coherently nested.
+stratum by maximal letter index, then left factor, then right factor,
+each factor compared in the same order.  Because the maximal letter is
+the leading component inside a stratum, the Hall words on k letters
+form an initial segment of the Hall words on k + 1 letters and every
+word in the difference mentions the new letter: the sets are coherently
+nested.
 
 Each word also carries a height once a grading r1 <= r2 <= ... is
 fixed: h(w) = sum over letter occurrences i of r_i.  The grading is
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
 from .records import Frozen
 
@@ -35,117 +37,63 @@ class StratumSizeError(RuntimeError):
     """A requested weight stratum would hold more than STRATUM_CAP words."""
 
 
-class HallWord:
+class HallWord(NamedTuple):
     """Immutable binary bracket tree over positive letter indices.
 
-    Words compare by the canonical order described in the module
-    docstring; equality and hashing are structural.
+    The fields are laid out so that plain tuple order is the canonical
+    order: weight, maximal letter, then the two factors compared in the
+    same way.  A letter a_i is (1, i, None, None, i).  min_letter is
+    fixed by the factors, so it never decides a comparison, and None is
+    never compared with a word because a letter and a bracket differ in
+    weight.  Build words with letter() and bracket() only.
     """
 
-    __slots__ = ("_letter", "_left", "_right", "_length", "_min_letter",
-                 "_max_letter", "_key", "_hash")
-
-    def __init__(self, letter_index=None, left=None, right=None):
-        if letter_index is not None:
-            if left is not None or right is not None:
-                raise ValueError("a letter word has no factors")
-            if letter_index < 1:
-                raise ValueError("letter indices start at 1")
-            self._letter = letter_index
-            self._left = None
-            self._right = None
-            self._length = 1
-            self._min_letter = letter_index
-            self._max_letter = letter_index
-            self._key = (1, letter_index)
-        else:
-            if left is None or right is None:
-                raise ValueError("a bracket needs two factors")
-            self._letter = None
-            self._left = left
-            self._right = right
-            self._length = left._length + right._length
-            self._min_letter = min(left._min_letter, right._min_letter)
-            self._max_letter = max(left._max_letter, right._max_letter)
-            self._key = (self._length, self._max_letter, left._key, right._key)
-        self._hash = hash(self._key)
+    length: int  # weight: the number of letter occurrences
+    max_letter: int
+    left: HallWord | None
+    right: HallWord | None
+    min_letter: int
 
     @property
     def is_letter(self):
-        return self._letter is not None
+        return self.left is None
 
     @property
     def letter_index(self):
-        if self._letter is None:
-            raise ValueError("%s is not a single letter" % self)
-        return self._letter
-
-    @property
-    def left(self):
-        return self._left
-
-    @property
-    def right(self):
-        return self._right
-
-    @property
-    def length(self):
-        """Weight: the number of letter occurrences."""
-        return self._length
-
-    @property
-    def min_letter(self):
-        return self._min_letter
-
-    @property
-    def max_letter(self):
-        return self._max_letter
-
-    @property
-    def key(self):
-        return self._key
+        if self.left is not None:
+            raise ValueError("%s is not a single letter" % (self,))
+        return self.max_letter
 
     def iter_letters(self):
         """Yield letter indices with multiplicity, left to right."""
-        if self._letter is not None:
-            yield self._letter
+        if self.left is None:
+            yield self.max_letter
         else:
-            yield from self._left.iter_letters()
-            yield from self._right.iter_letters()
-
-    def __eq__(self, other):
-        if not isinstance(other, HallWord):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
-
-    def __gt__(self, other):
-        return self._key > other._key
+            yield from self.left.iter_letters()
+            yield from self.right.iter_letters()
 
     def __str__(self):
-        if self._letter is not None:
-            return "a%d" % self._letter
-        return "[%s,%s]" % (self._left, self._right)
+        if self.left is None:
+            return "a%d" % self.max_letter
+        return "[%s,%s]" % (self.left, self.right)
 
     __repr__ = __str__
 
 
 @functools.lru_cache(maxsize=None)
 def letter(i: int) -> HallWord:
-    return HallWord(letter_index=i)
+    if i < 1:
+        raise ValueError("letter indices start at 1")
+    return HallWord(length=1, max_letter=i, left=None, right=None,
+                    min_letter=i)
 
 
 def bracket(x: HallWord, y: HallWord) -> HallWord:
     """Free bracket constructor; does not check the Hall conditions."""
-    return HallWord(left=x, right=y)
+    return HallWord(length=x.length + y.length,
+                    max_letter=max(x.max_letter, y.max_letter),
+                    left=x, right=y,
+                    min_letter=min(x.min_letter, y.min_letter))
 
 
 def is_hall(w: HallWord, k: int) -> bool:
@@ -218,7 +166,7 @@ def generate(k: int, max_weight: int) -> tuple[HallWord, ...]:
                     if not y.is_letter and not y.left <= x:
                         continue
                     fresh.append(bracket(x, y))
-            fresh.sort(key=lambda w: w.key)
+            fresh.sort()
             strata[m].extend(fresh)
     return tuple(itertools.chain.from_iterable(strata))
 

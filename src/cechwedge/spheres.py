@@ -11,7 +11,8 @@ Table files are plain text, one entry per line:
     pi 4 2 = Z/2
     pi 7 4 = Z + Z/12
 
-with groups written as `0` or as `+`-joined terms Z, Z^a, Z/t, (Z/t)^a.
+with groups written as `0` or as `+`-joined terms Z, Z^a, Z/t, (Z/t)^a,
+holding at most MAX_TORSION_FACTORS cyclic torsion factors in all.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class SphereGroupTable(Record):
         return self.entries.get((n, q))
 
 
+# A torsion power (Z/t)^a expands to a cyclic factors, each of which is
+# factored, so loading costs time linear in a.  A group line with more
+# factors than this is refused before any is expanded.
+MAX_TORSION_FACTORS = 10**4
+
 # Z, Z^a, Z/t and (Z/t)^a, each power a >= 1
 _TERM_RE = re.compile(
     r"^(?:Z(?:\^(?P<rexp>0*[1-9]\d*))?|Z/(?P<t1>\d+)"
@@ -87,11 +93,16 @@ def parse_group(text: str) -> FGAbelianGroup:
         if not m:
             raise ValueError("bad group term %r" % term)
         if m.group("t1"):
-            orders.append(int(m.group("t1")))
+            order, power = int(m.group("t1")), 1
         elif m.group("t2"):
-            orders.extend([int(m.group("t2"))] * int(m.group("texp")))
+            order, power = int(m.group("t2")), int(m.group("texp"))
         else:
             rank += int(m.group("rexp") or 1)
+            continue
+        if len(orders) + power > MAX_TORSION_FACTORS:
+            raise ValueError("more than %d cyclic torsion factors in %r"
+                             % (MAX_TORSION_FACTORS, text))
+        orders.extend([order] * power)
     if any(t < 2 for t in orders):
         raise ValueError("torsion orders must be >= 2 in %r" % text)
     return FGAbelianGroup.from_cyclic(rank, orders)

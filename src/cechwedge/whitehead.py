@@ -122,8 +122,7 @@ class FormalSum:
         return cls({mono: c})
 
     def items(self):
-        return sorted(self._terms.items(),
-                      key=lambda mc: (mc[0].word.key, mc[0].degrees))
+        return sorted(self._terms.items())
 
     def scale(self, c: int) -> "FormalSum":
         return FormalSum({m: c * k for m, k in self._terms.items()})
@@ -474,7 +473,7 @@ def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
 def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
     """The canonical form of a sum of coordinate maps: (word, value)
     pairs sorted by word, no zero values."""
-    return tuple(sorted(add_coordinates(*parts).items(), key=lambda wf: wf[0].key))
+    return tuple(sorted(add_coordinates(*parts).items()))
 
 
 def project_levels(e, kmax: int):

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -617,6 +618,18 @@ def test_table_from_environment(capsys, tmp_path, monkeypatch):
     rc, out, _ = run(capsys, "cech", "earring", "-m", "2", "-n", "3",
                      "--table", "seed")
     assert rc == 0 and out == "Z^N (+) Z^N\n"
+
+
+def test_table_line_past_the_torsion_cap_exits_2_quickly(capsys, tmp_path):
+    p = tmp_path / "table.txt"
+    p.write_text("pi 3 2 = Z/2\npi 9 2 = (Z/2)^2000000\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "cech", "earring", "-m", "2", "-n", "3",
+                       "--table", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err == ("error: line 2: more than %d cyclic torsion factors in "
+                   "'(Z/2)^2000000'\n" % spheres.MAX_TORSION_FACTORS)
 
 
 def test_unresolved_groups_stay_symbolic(capsys):

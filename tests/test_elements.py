@@ -63,13 +63,14 @@ def test_zero_element_levels():
 
 
 def test_constructors_validate_words():
-    with pytest.raises(ValueError):
+    # a word is a tuple, so each message must format it as one argument
+    with pytest.raises(ValueError, match=r"^support word \[a2,a1\] is not"):
         finite_support_element(3, 2, [("[a2,a1]", 1)], TABLE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weight >= 2, got a1$"):
         min_letter_element(3, 2, {1: [("a1", 1)]}, TABLE)       # weight 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^word \[a1,a2\] has least letter a1"):
         min_letter_element(3, 2, {2: [("[a1,a2]", 1)]}, TABLE)  # wrong least letter
-    with pytest.raises(UnresolvedGroupError):
+    with pytest.raises(UnresolvedGroupError, match=r"^support word a1 needs"):
         finite_support_element(9, 2, [("a1", 1)], TABLE)        # pi_9(S^2) unknown
     with pytest.raises(ValueError):
         CoherentElement(4, 2, eps=SparseEpsilon(((1, 2, 1),)))  # must be 2m-1

@@ -1,6 +1,7 @@
 """Hall word generation against an independent brute-force oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,7 +92,7 @@ def _all_pairs_generate(k, max_weight):
                         if not y.is_letter and not y.left <= x:
                             continue
                         fresh.append(bracket(x, y))
-            fresh.sort(key=lambda w: w.key)
+            fresh.sort()
             strata[m].extend(fresh)
     return [str(w) for s in strata[1:] for w in s]
 
@@ -164,11 +165,43 @@ def test_hall_word_structure():
     assert w == bracket(letter(1), bracket(letter(1), letter(2)))
     assert letter(3) > w is False or True  # comparisons exist
     assert letter(1) < letter(2) < w
+    assert letter(4).letter_index == 4
+    with pytest.raises(ValueError, match=r"^\[a1,\[a1,a2\]\] is not a single letter$"):
+        w.letter_index
 
 
 def test_letter_validation():
     with pytest.raises(ValueError):
         letter(0)
+
+
+def _from_tuple(t):
+    """Build a word afresh from its oracle tuple."""
+    if isinstance(t, int):
+        return letter(t)
+    return bracket(_from_tuple(t[0]), _from_tuple(t[1]))
+
+
+def test_word_order_is_the_oracle_order():
+    # every stratum of three letters through weight 5, letters and
+    # brackets mixed, in an order that sorted() has to undo
+    words = list(generate(3, 5))
+    shuffled = words[:]
+    random.Random(0).shuffle(shuffled)
+    oracle = {w: _t_key(_as_tuple(w)) for w in words}
+    assert sorted(shuffled) == sorted(shuffled, key=oracle.get) == words
+    for x, y in itertools.product(words, repeat=2):
+        tx, ty = oracle[x], oracle[y]
+        assert (x < y, x <= y, x == y) == (tx < ty, tx <= ty, tx == ty)
+
+
+def test_word_equality_and_hash_are_structural():
+    words = generate(3, 5)
+    for w in words:
+        again = _from_tuple(_as_tuple(w))
+        assert again == w and hash(again) == hash(w)
+    assert len(set(words)) == len(words)
+    assert all(x != y for x, y in itertools.combinations(words, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +366,8 @@ def test_generated_words_satisfy_conditions(k, j):
     stratum = [w for w in generate(k, j) if w.length == j]
     assert all(is_hall(w, k) for w in stratum)
     assert all(w.length == j and w.max_letter <= k for w in stratum)
-    keys = [w.key for w in stratum]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    assert stratum == sorted(stratum)
+    assert len(set(stratum)) == len(stratum)
 
 
 @given(k=st.integers(1, 4), n=st.integers(2, 6))

@@ -3,9 +3,10 @@
 import pytest
 
 from cechwedge.groups import CYCLIC_2, FGAbelianGroup, Z, ZERO
-from cechwedge.spheres import (ENV_TABLE_VAR, TableConsistencyError,
-                               TableParseError, builtin_rule, load_table,
-                               parse_group, parse_table, seed_table)
+from cechwedge.spheres import (ENV_TABLE_VAR, MAX_TORSION_FACTORS,
+                               TableConsistencyError, TableParseError,
+                               builtin_rule, load_table, parse_group,
+                               parse_table, seed_table)
 
 
 def test_builtin_rules():
@@ -74,6 +75,18 @@ def test_parse_table_errors():
         parse_table("pi 4 2 = Z/2\npi 4 2 = Z\n")
     t = parse_table("pi 4 2 = Z/2\npi 4 2 = Z/2\n")
     assert t.lookup(4, 2) == CYCLIC_2
+
+
+def test_torsion_factor_cap():
+    cap = MAX_TORSION_FACTORS
+    t = parse_table("pi 9 2 = Z^3 + (Z/2)^%d\n" % cap)
+    assert t.lookup(9, 2) == FGAbelianGroup(3, (2,) * cap)
+    for group in ("(Z/2)^%d" % (cap + 1), "Z/3 + (Z/2)^%d" % cap,
+                  " + ".join(["Z/2"] * (cap + 1))):
+        with pytest.raises(TableParseError) as err:
+            parse_table("pi 4 2 = Z/2\npi 9 2 = %s\n" % group)
+        assert err.value.lineno == 2
+        assert "more than %d cyclic torsion factors" % cap in str(err.value)
 
 
 def test_consistency_against_builtin_rules():

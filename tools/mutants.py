@@ -126,6 +126,17 @@ MUTANTS = [
      "                             self.bands)",
      [T_WH + "test_band_and_sum_epsilon"]),
     # --- Hall generation and the bonding tower
+    ("hall-word-order-not-canonical", HALL,
+     "    max_letter: int\n"
+     "    left: HallWord | None\n"
+     "    right: HallWord | None\n"
+     "    min_letter: int\n",
+     "    max_letter: int\n"
+     "    min_letter: int\n"
+     "    left: HallWord | None\n"
+     "    right: HallWord | None\n",
+     ["tests/test_hall.py::test_generate_matches_brute_force",
+      "tests/test_hall.py::test_word_order_is_the_oracle_order"]),
     ("generate-drops-prefix-times-suffix", HALL,
      "                    itertools.product(xs[:start[i]], ys[start[m - i]:]))",
      "                    ())",
