@@ -37,8 +37,8 @@ import math
 import sys
 
 from .groups import render_text, to_machine
-from .hall import (GradingSequence, StratumSizeError, generate, height,
-                   necklace_count)
+from .hall import (GradingSequence, StratumSizeError, generate, heights,
+                   labels, necklace_count)
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_range, weight_summand)
 from .spheres import load_table
@@ -135,8 +135,9 @@ def cmd_hall(args) -> int:
         raise CommandError("need k >= 1 and J >= 1")
     grading = (_parse_grading(args.grading) if args.grading
                else GradingSequence.constant(1))
-    rows = [(str(w), w.length, height(w, grading))
-            for w in generate(args.k, args.J)]
+    words = generate(args.k, args.J)
+    rows = list(zip(labels(words), (w.length for w in words),
+                    heights(words, grading)))
     if args.format == "json":
         return _emit_json({"k": args.k, "max_weight": args.J,
                            "grading": grading.spec_string(),
@@ -173,18 +174,23 @@ def cmd_hm(args) -> int:
     grading = _grading_of(args)
     table = _table(args)
     dec = decompose_wedge(args.n, args.k, grading, table)
-    rows = [(str(w), height(w, grading) + 1, g) for w, g in dec.summands]
+    words = dec.words()
+    hs = heights(words, grading)
+    # the group of a summand is a function of its word's height
+    group_of = dict(zip(hs, (g for _, g in dec.summands)))
     if args.format == "json":
+        machine = {h: to_machine(g) for h, g in group_of.items()}
         return _emit_json({
             "n": args.n, "k": args.k, "grading": grading.spec_string(),
             "trivial_by_connectivity": dec.trivial_by_connectivity,
-            "summands": [{"word": w, "sphere": q, "group": to_machine(g)}
-                         for w, q, g in rows],
+            "summands": [{"word": w, "sphere": h + 1, "group": machine[h]}
+                         for w, h in zip(labels(words), hs)],
             "total": to_machine(dec.total())})
     if dec.trivial_by_connectivity:
         return _emit_lines(["0 (trivial by connectivity)"])
-    lines = ["%s\tpi_%d(S^%d)\t%s" % (w, args.n, q, render_text(g))
-             for w, q, g in rows]
+    text = {h: "\tpi_%d(S^%d)\t%s" % (args.n, h + 1, render_text(g))
+            for h, g in group_of.items()}
+    lines = [w + text[h] for w, h in zip(labels(words), hs)]
     if args.annotate:
         lines.append("total\t%s" % render_text(dec.total()))
     return _emit_lines(lines)

@@ -27,7 +27,7 @@ import re
 from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
-                   dimension_truncation, height, letter)
+                   dimension_truncation, height, heights, letter)
 from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
 from .records import Frozen, Record
 from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
@@ -449,14 +449,11 @@ def _resolvable_pool(n: int, m: int, table) -> list:
     """The Hall words on letters a1..a4 of weight >= 2 whose sphere
     group resolves to a nonzero group, each with that group."""
     grading = GradingSequence.constant(m - 1)
-    out = []
-    for w in dimension_truncation(4, n, grading):
-        if w.length < 2:
-            continue
-        group = table.lookup(n, height(w, grading) + 1)
-        if group not in (None, ZERO):
-            out.append((w, group))
-    return out
+    words = dimension_truncation(4, n, grading)
+    hs = heights(words, grading)
+    group_of = {h: table.lookup(n, h + 1) for h in set(hs)}
+    return [(w, group_of[h]) for w, h in zip(words, hs)
+            if w.length >= 2 and group_of[h] not in (None, ZERO)]
 
 
 def _draw(rng: random.Random, pool) -> list[tuple[HallWord, GroupElement]]:

@@ -19,12 +19,18 @@ nested.
 Each word also carries a height once a grading r1 <= r2 <= ... is
 fixed: h(w) = sum over letter occurrences i of r_i.  The grading is
 given as a finite prefix plus an eventually constant tail.
+
+A whole listing gets its heights and labels in one pass: generate puts
+both factors of every bracket before the bracket, so each word's value
+is built from its factors' values, found by object identity, instead
+of by walking the word's letters again.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from typing import NamedTuple
 
@@ -273,6 +279,38 @@ def height(w: HallWord, grading: GradingSequence) -> int:
     return sum(grading.r(i) for i in w.iter_letters())
 
 
+def _fold(words, leaf, node) -> list:
+    """The value of every word of a listing, in listing order: leaf(i)
+    for a letter a_i and node(value(x), value(y)) for a bracket [x, y].
+
+    The listing must be in canonical order and hold both factors of
+    each bracket, as the output of generate and dimension_truncation
+    does; a factor missing from it raises KeyError.  A factor's value
+    is found by the identity of the factor object.  Words of the top
+    weight are nobody's factor here, so they stay out of the memo.
+    """
+    top = words[-1].length if words else 0
+    memo = {}
+    values = []
+    for w in words:
+        length, i, x, y, _ = w
+        v = leaf(i) if x is None else node(memo[id(x)], memo[id(y)])
+        if length < top:
+            memo[id(w)] = v
+        values.append(v)
+    return values
+
+
+def heights(words, grading: GradingSequence) -> list[int]:
+    """height(w, grading) of every word of a factor-closed listing."""
+    return _fold(words, grading.r, operator.add)
+
+
+def labels(words) -> list[str]:
+    """str(w) of every word of a factor-closed listing."""
+    return _fold(words, "a{}".format, "[{},{}]".format)
+
+
 @functools.lru_cache(maxsize=4096)
 def dimension_truncation(k: int, n: int,
                          grading: GradingSequence) -> tuple[HallWord, ...]:
@@ -288,7 +326,7 @@ def dimension_truncation(k: int, n: int,
     if max_w < 1:
         return ()
     words = generate(k, max_w)
-    return tuple(w for w in words if height(w, grading) + 1 <= n)
+    return tuple(w for w, h in zip(words, heights(words, grading)) if h < n)
 
 
 class _CountablyInfinite:
@@ -327,9 +365,8 @@ def height_class_census(n: int, grading: GradingSequence):
     if n < 2:
         raise ValueError("degree must be >= 2")
     usable = sum(1 for r in grading.prefix if r <= n - 1)
-    tally = Counter(height(w, grading)
-                    for w in (dimension_truncation(usable, n, grading)
-                              if usable else ()))
+    tally = Counter(heights(dimension_truncation(usable, n, grading), grading)
+                    if usable else ())
     # reachable[s]: some multiset of grading values sums to s
     reachable = [True] + [False] * (n - 1)
     for v in set(grading.prefix) | {grading.tail}:

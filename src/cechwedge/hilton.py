@@ -22,7 +22,8 @@ from __future__ import annotations
 from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
                      has_symbol, normalize)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
-                   dimension_truncation, height, height_class_census, is_hall)
+                   dimension_truncation, height, height_class_census,
+                   heights, is_hall)
 from .records import Frozen
 
 
@@ -71,10 +72,13 @@ def decompose_wedge(n: int, k: int, grading: GradingSequence,
         raise ValueError("need at least one wedge sphere")
     if n <= grading.r(1):
         return WedgeDecomposition(n, k, grading, (), trivial_by_connectivity=True)
+    words = dimension_truncation(k, n, grading)
+    group_of = {}  # height -> sphere group: one table lookup per height
     summands = []
-    for w in dimension_truncation(k, n, grading):
-        q = height(w, grading) + 1
-        summands.append((w, sphere_group_expr(n, q, table)))
+    for w, h in zip(words, heights(words, grading)):
+        if h not in group_of:
+            group_of[h] = sphere_group_expr(n, h + 1, table)
+        summands.append((w, group_of[h]))
     return WedgeDecomposition(n, k, grading, tuple(summands))
 
 

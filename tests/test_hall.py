@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                             StratumSizeError, bracket, dimension_truncation,
-                            generate, height, height_class_census, is_hall,
-                            letter, necklace_count)
+                            generate, height, height_class_census, heights,
+                            is_hall, labels, letter, necklace_count)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,47 @@ def test_truncation_compatible_with_letter_restriction(k, n):
     small = dimension_truncation(k, n, g)
     big = dimension_truncation(k + 1, n, g)
     assert tuple(w for w in big if w.max_letter <= k) == small
+
+
+# Every grading the benchmark lists: its mixed wedge gradings, its Hall
+# listing gradings and its hm gradings (-m 2 is the constant 1).
+_LISTING_GRADINGS = sorted({
+    "1,1,1,1;1", "1,1,1,1;2", "1,1,1,2;2", "1,1,1,2;3", "1,1,1,3;3",
+    "1,1,1,3;4", "1,1,2,2;2", "1,1,2,2;3", "1,1,2,3;3", "1,1,2,3;4",
+    "1,1,3,3;3", "1,1,3,3;4",
+    "1", "2", "1;2", "1,1;3", "1,2;2", "2,2;3", "1,1,2;2", "1,2,3;4",
+    "1;1", "1,1;1", "1,1,1;1"})
+
+
+def _listings(g):
+    for k in (1, 2, 3, 4, 5):
+        for J in (1, 3, 5):
+            yield generate(k, J)
+    for k in (2, 3, 4):
+        for n in (2, 4, 6, 8):
+            yield dimension_truncation(k, n, g)
+
+
+@pytest.mark.parametrize("spec", _LISTING_GRADINGS)
+def test_listing_folds_match_the_per_word_routes(spec):
+    g = GradingSequence.parse(spec)
+    for ws in _listings(g):
+        assert heights(ws, g) == [height(w, g) for w in ws]
+        assert labels(ws) == [str(w) for w in ws]
+
+
+def test_listing_fold_refuses_a_missing_factor():
+    g = GradingSequence((1, 2), 3)
+    ws = generate(3, 4)
+    factors = {id(f) for w in ws if not w.is_letter for f in (w.left, w.right)}
+    dropped = [i for i, w in enumerate(ws) if id(w) in factors]
+    assert len(dropped) > 3
+    for i in dropped:
+        gap = ws[:i] + ws[i + 1:]
+        with pytest.raises(KeyError):
+            heights(gap, g)
+        with pytest.raises(KeyError):
+            labels(gap)
 
 
 def test_stratum_size_guard():

@@ -2,15 +2,16 @@
 
 import pytest
 
-from cechwedge.groups import (CYCLIC_2, DirectSum, Pow, ProdN,
+from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow, ProdN,
                               SphereSymbol, SumN, Z, ZERO, has_symbol,
                               render_text)
 from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
-                            generate, letter)
+                            generate, height, letter)
 from cechwedge.hilton import (SupportError, apply_bonding,
                               bonding, cech_decompose, decompose_wedge,
-                              earring_formula, stabilization_report, weight_summand)
-from cechwedge.spheres import seed_table
+                              earring_formula, sphere_group_expr,
+                              stabilization_report, weight_summand)
+from cechwedge.spheres import SphereGroupTable, seed_table
 from cechwedge.whitehead import parse_word
 
 TABLE = seed_table()
@@ -61,6 +62,22 @@ def test_decompose_wedge_symbol_passthrough():
     by_word = {str(w): g for w, g in dec.summands}
     assert by_word["a1"] == SphereSymbol(6, 2)     # pi_6(S^2) unseeded
     assert by_word["[a2,[a1,a2]]"] == SphereSymbol(6, 4)
+
+
+@pytest.mark.parametrize("spec", ["1,1,2,3;3", "1,2;3", "1,1,1,3;4", "1;2"])
+def test_decompose_wedge_groups_follow_each_word_height(spec):
+    # pi_n(S^q) = Z/q below the diagonal: a different group per height
+    # (the built-in rules decide q >= n)
+    table = SphereGroupTable({(n, q): FGAbelianGroup(0, (q,))
+                              for n in range(3, 9) for q in range(2, n)})
+    g = GradingSequence.parse(spec)
+    for n in (5, 6, 8):
+        for k in (2, 3, 4):
+            dec = decompose_wedge(n, k, g, table)
+            assert dec.summands
+            assert [grp for _, grp in dec.summands] == [
+                sphere_group_expr(n, height(w, g) + 1, table)
+                for w in dec.words()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The mutation check in tools/mutants.py still applies to this code.
 
-Running the mutants takes about 55 s and stays outside Tier-1; this only
+Running the mutants takes about 60 s and stays outside Tier-1; this only
 checks that each mutant's old text occurs exactly once in its file, so
 an edit that moves a mutated line shows up here first.
 """

@@ -19,7 +19,7 @@ environment cannot pass for a killed mutant.
 
 Exit 0 when every mutant is killed, 1 when one survives or an old text
 does not occur exactly once.  Stdlib only, and not part of Tier-1: a
-run of every mutant takes about 55 s on a 2-vCPU machine.
+run of every mutant takes about 60 s on a 2-vCPU machine.
 tests/test_mutants.py checks in Tier-1 that every old text still
 occurs exactly once.
 """
@@ -137,6 +137,18 @@ MUTANTS = [
      "    right: HallWord | None\n",
      ["tests/test_hall.py::test_generate_matches_brute_force",
       "tests/test_hall.py::test_word_order_is_the_oracle_order"]),
+    ("height-fold-drops-right-factor", HALL,
+     "        v = leaf(i) if x is None else node(memo[id(x)], memo[id(y)])",
+     "        v = leaf(i) if x is None else node(memo[id(x)], memo[id(x)])",
+     ["tests/test_hall.py::test_listing_folds_match_the_per_word_routes"]),
+    ("wedge-group-memo-keyed-by-weight", HILTON,
+     "        if h not in group_of:\n"
+     "            group_of[h] = sphere_group_expr(n, h + 1, table)\n"
+     "        summands.append((w, group_of[h]))",
+     "        if w.length not in group_of:\n"
+     "            group_of[w.length] = sphere_group_expr(n, h + 1, table)\n"
+     "        summands.append((w, group_of[w.length]))",
+     ["tests/test_hilton.py::test_decompose_wedge_groups_follow_each_word_height"]),
     ("generate-drops-prefix-times-suffix", HALL,
      "                    itertools.product(xs[:start[i]], ys[start[m - i]:]))",
      "                    ())",
