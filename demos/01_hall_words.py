@@ -52,7 +52,8 @@ for w in generate(2, 3):
 
 print("\nwords visible to degree 5 on 3 letters, grading 1,2;3:")
 g3 = GradingSequence.parse("1,2;3")
-for w in dimension_truncation(3, 5, g3):
+visible, _ = dimension_truncation(3, 5, g3)  # the words and their heights
+for w in visible:
     print("  %s" % (w,))
 
 # With infinitely many letters the truncation can be infinite; the census

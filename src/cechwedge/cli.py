@@ -174,23 +174,21 @@ def cmd_hm(args) -> int:
     grading = _grading_of(args)
     table = _table(args)
     dec = decompose_wedge(args.n, args.k, grading, table)
-    words = dec.words()
-    hs = heights(words, grading)
     # the group of a summand is a function of its word's height
-    group_of = dict(zip(hs, (g for _, g in dec.summands)))
+    group_of = dict(zip(dec.heights, (g for _, g in dec.summands)))
     if args.format == "json":
         machine = {h: to_machine(g) for h, g in group_of.items()}
         return _emit_json({
             "n": args.n, "k": args.k, "grading": grading.spec_string(),
-            "trivial_by_connectivity": dec.trivial_by_connectivity,
+            "trivial_by_connectivity": not dec.summands,
             "summands": [{"word": w, "sphere": h + 1, "group": machine[h]}
-                         for w, h in zip(labels(words), hs)],
+                         for w, h in zip(labels(dec.words()), dec.heights)],
             "total": to_machine(dec.total())})
-    if dec.trivial_by_connectivity:
+    if not dec.summands:
         return _emit_lines(["0 (trivial by connectivity)"])
     text = {h: "\tpi_%d(S^%d)\t%s" % (args.n, h + 1, render_text(g))
             for h, g in group_of.items()}
-    lines = [w + text[h] for w, h in zip(labels(words), hs)]
+    lines = [w + text[h] for w, h in zip(labels(dec.words()), dec.heights)]
     if args.annotate:
         lines.append("total\t%s" % render_text(dec.total()))
     return _emit_lines(lines)

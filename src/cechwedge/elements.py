@@ -24,11 +24,13 @@ import itertools
 import random
 import re
 
-from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SumN, ZERO,
-                     distribute_product_over_sum, integer_element, normalize)
+from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SphereSymbol,
+                     SumN, ZERO, distribute_product_over_sum, integer_element,
+                     normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
-                   dimension_truncation, height, heights, letter)
-from .hilton import apply_bonding, bonding, sphere_group_expr, weight_range
+                   height, letter)
+from .hilton import (apply_bonding, bonding, decompose_wedge,
+                     sphere_group_expr, weight_range)
 from .records import Frozen, Record
 from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
                         coordinate_tuple, parse_word, project_levels)
@@ -448,12 +450,9 @@ def random_group_element(rng: random.Random, group) -> GroupElement:
 def _resolvable_pool(n: int, m: int, table) -> list:
     """The Hall words on letters a1..a4 of weight >= 2 whose sphere
     group resolves to a nonzero group, each with that group."""
-    grading = GradingSequence.constant(m - 1)
-    words = dimension_truncation(4, n, grading)
-    hs = heights(words, grading)
-    group_of = {h: table.lookup(n, h + 1) for h in set(hs)}
-    return [(w, group_of[h]) for w, h in zip(words, hs)
-            if w.length >= 2 and group_of[h] not in (None, ZERO)]
+    dec = decompose_wedge(n, 4, GradingSequence.constant(m - 1), table)
+    return [(w, g) for w, g in dec.summands if w.length >= 2
+            and not isinstance(g, SphereSymbol) and g != ZERO]
 
 
 def _draw(rng: random.Random, pool) -> list[tuple[HallWord, GroupElement]]:

@@ -23,7 +23,9 @@ given as a finite prefix plus an eventually constant tail.
 A whole listing gets its heights and labels in one pass: generate puts
 both factors of every bracket before the bracket, so each word's value
 is built from its factors' values, found by object identity, instead
-of by walking the word's letters again.
+of by walking the word's letters again.  dimension_truncation makes
+that heights pass once per listing and hands the heights out with the
+words, so its callers never fold them again.
 """
 
 from __future__ import annotations
@@ -312,21 +314,25 @@ def labels(words) -> list[str]:
 
 
 @functools.lru_cache(maxsize=4096)
-def dimension_truncation(k: int, n: int,
-                         grading: GradingSequence) -> tuple[HallWord, ...]:
-    """Hall words on k letters with height + 1 <= n, canonical order.
+def dimension_truncation(k: int, n: int, grading: GradingSequence
+                         ) -> tuple[tuple[HallWord, ...], tuple[int, ...]]:
+    """The Hall words on k letters with height + 1 <= n, in canonical
+    order, and their heights: two parallel tuples.
 
-    These index the summands of the degree-n homotopy of a finite
+    The words index the summands of the degree-n homotopy of a finite
     wedge, so n must be at least 2.  The result is always finite
-    because every letter has grading value >= 1.
+    because every letter has grading value >= 1, and it is empty
+    exactly when n <= r(1).
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
     max_w = (n - 1) // grading.r(1)
     if max_w < 1:
-        return ()
+        return (), ()
     words = generate(k, max_w)
-    return tuple(w for w, h in zip(words, heights(words, grading)) if h < n)
+    hs = heights(words, grading)
+    return (tuple(itertools.compress(words, map(n.__gt__, hs))),
+            tuple(filter(n.__gt__, hs)))
 
 
 class _CountablyInfinite:
@@ -365,7 +371,7 @@ def height_class_census(n: int, grading: GradingSequence):
     if n < 2:
         raise ValueError("degree must be >= 2")
     usable = sum(1 for r in grading.prefix if r <= n - 1)
-    tally = Counter(heights(dimension_truncation(usable, n, grading), grading)
+    tally = Counter(dimension_truncation(usable, n, grading)[1]
                     if usable else ())
     # reachable[s]: some multiset of grading values sums to s
     reachable = [True] + [False] * (n - 1)

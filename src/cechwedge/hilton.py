@@ -23,7 +23,7 @@ from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
                      has_symbol, normalize)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                    dimension_truncation, height, height_class_census,
-                   heights, is_hall)
+                   is_hall)
 from .records import Frozen
 
 
@@ -37,20 +37,20 @@ def sphere_group_expr(n: int, q: int, table) -> GroupExpr:
 
 
 class WedgeDecomposition(Frozen):
-    """Degree-n homotopy of a k-sphere wedge, summand by summand."""
+    """Degree-n homotopy of a k-sphere wedge, summand by summand: each
+    summand pairs a Hall word with its sphere group, and heights holds
+    the height of each summand's word, in the same order."""
 
-    __slots__ = _fields = ("n", "k", "grading", "summands",
-                           "trivial_by_connectivity")
+    __slots__ = _fields = ("n", "k", "grading", "summands", "heights")
 
     def __init__(self, n: int, k: int, grading: GradingSequence,
                  summands: tuple[tuple[HallWord, GroupExpr], ...],
-                 trivial_by_connectivity: bool = False):
+                 heights: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "trivial_by_connectivity",
-                           trivial_by_connectivity)
+        object.__setattr__(self, "heights", heights)
 
     def words(self) -> list[HallWord]:
         return [w for w, _ in self.summands]
@@ -63,23 +63,19 @@ def decompose_wedge(n: int, k: int, grading: GradingSequence,
                     table) -> WedgeDecomposition:
     """Split the degree-n homotopy of the k-fold wedge along Hall words.
 
-    Degrees below the first interesting one (n <= r(1)) give the empty
-    decomposition, flagged as trivial by connectivity.
+    A word of height h gets the group of pi_n(S^{h+1}), looked up once
+    per height.  The decomposition is empty exactly in the degrees
+    n <= r(1), where the wedge is trivial by connectivity; beyond them
+    the letter a1 is always a summand.
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
     if k < 1:
         raise ValueError("need at least one wedge sphere")
-    if n <= grading.r(1):
-        return WedgeDecomposition(n, k, grading, (), trivial_by_connectivity=True)
-    words = dimension_truncation(k, n, grading)
-    group_of = {}  # height -> sphere group: one table lookup per height
-    summands = []
-    for w, h in zip(words, heights(words, grading)):
-        if h not in group_of:
-            group_of[h] = sphere_group_expr(n, h + 1, table)
-        summands.append((w, group_of[h]))
-    return WedgeDecomposition(n, k, grading, tuple(summands))
+    words, hs = dimension_truncation(k, n, grading)
+    group_of = {h: sphere_group_expr(n, h + 1, table) for h in set(hs)}
+    summands = tuple(zip(words, map(group_of.__getitem__, hs)))
+    return WedgeDecomposition(n, k, grading, summands, hs)
 
 
 class BondingMap(Frozen):

@@ -151,6 +151,41 @@ def test_hm_json_encodes_a_trivial_summand_as_zero(capsys, tmp_path):
     assert doc["summands"] == [{"word": "a1", "sphere": 6,
                                 "group": {"kind": "zero"}}]
     assert doc["total"] == {"kind": "zero"}
+    assert doc["trivial_by_connectivity"] is False
+
+
+def test_hm_json_flags_trivial_by_connectivity(capsys):
+    rc, out, _ = run(capsys, "hm", "-n", "2", "-k", "3", "-m", "4",
+                     "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["trivial_by_connectivity"] is True and doc["summands"] == []
+
+
+# Each listing's heights come from one fold, in dimension_truncation; hm
+# folds once more for the word labels, and a trivial hm folds nothing.
+@pytest.mark.parametrize("argv,folds", [
+    (("hm", "-n", "7", "-k", "6", "--grading", "1,1,1;1"), 2),
+    (("hm", "-n", "7", "-k", "6", "--grading", "1,1,1;1", "--format", "json"),
+     2),
+    (("cech", "wedge", "--grading", "1,1,1,1;2", "-n", "8"), 1),
+    (("verify", "theta", "--random", "--n", "7", "--m", "3"), 1),
+    (("hm", "-n", "2", "-k", "3", "-m", "4"), 0),
+], ids=["hm-text", "hm-json", "cech-wedge", "verify-theta-random", "hm-trivial"])
+def test_each_listing_is_folded_once(capsys, monkeypatch, argv, folds):
+    calls = []
+    fold = hall._fold
+
+    def counted_fold(*args):
+        calls.append(None)
+        return fold(*args)
+
+    monkeypatch.setattr(hall, "_fold", counted_fold)
+    hall.generate.cache_clear()
+    hall.dimension_truncation.cache_clear()
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert len(calls) == folds
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +325,7 @@ def test_verify_theta_random_builds_its_word_pool_once(capsys, monkeypatch):
                        "--m", "3", "--levels", "8", "--count", "20")
     assert rc == 0 and out == "PASS\n" and err == ""
     candidates = sum(1 for w in hall.dimension_truncation(
-        4, 7, hall.GradingSequence.constant(2)) if w.length >= 2)
+        4, 7, hall.GradingSequence.constant(2))[0] if w.length >= 2)
     assert counts["pool"] == 1
     assert counts["lookup"] <= candidates + 3 * 2 * 20
 

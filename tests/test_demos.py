@@ -1,4 +1,7 @@
-"""Every demo runs to completion as a script."""
+"""Every demo runs to completion as a script and prints its pinned output.
+
+The expected stdout of demos/<name>.py is tests/demo_output/<name>.txt.
+"""
 
 import os
 import pathlib
@@ -9,10 +12,13 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "demo_output"
 
 
 def test_demos_are_found():
     assert DEMOS
+    assert sorted(p.stem for p in PINNED.glob("*.txt")) == [
+        p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -24,3 +30,4 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == (PINNED / (demo.stem + ".txt")).read_text()

@@ -343,7 +343,7 @@ def test_coherence_lists_no_hall_set(monkeypatch):
         raise AssertionError("the tower walk listed a Hall set")
 
     monkeypatch.setattr(hall, "generate", refuse)
-    for module in (hall, hilton, elements_module):
+    for module in (hall, hilton):
         monkeypatch.setattr(module, "dimension_truncation", refuse)
     for e in elements:
         rep = check_coherence(e, 10)
@@ -640,3 +640,31 @@ def test_random_generators_are_seed_deterministic():
     assert a == b
     for k in range(1, 6):
         assert a.level(k) == b.level(k)
+
+
+# every pi_n(S^q) below the diagonal: 0 for odd q, Z/q for even q, and
+# unresolved when 3 divides n + q
+_ZERO_AND_GAPS = parse_table("".join(
+    "pi %d %d = %s\n" % (n, q, "0" if q % 2 else "Z/%d" % q)
+    for n in range(3, 10) for q in range(2, n) if (n + q) % 3))
+
+
+@pytest.mark.parametrize("table,dropped", [(TABLE, {None}),
+                                           (_ZERO_AND_GAPS, {None, ZERO})],
+                         ids=["seed", "zero-and-gaps"])
+def test_resolvable_pool_matches_the_per_word_route(table, dropped):
+    # the pool reads the wedge decomposition; the route here looks each
+    # word's group up by its own height
+    seen = set()
+    for n in range(2, 10):
+        for m in range(2, 6):
+            g = hall.GradingSequence.constant(m - 1)
+            want = []
+            for w in hall.dimension_truncation(4, n, g)[0]:
+                if w.length >= 2:
+                    group = table.lookup(n, hall.height(w, g) + 1)
+                    seen.add(group)
+                    if group is not None and group != ZERO:
+                        want.append((w, group))
+            assert elements_module._resolvable_pool(n, m, table) == want, (n, m)
+    assert dropped <= seen and len(seen) > len(dropped)

@@ -272,19 +272,22 @@ def test_height_is_the_letter_walk(w, prefix, tail):
 
 def test_dimension_truncation_examples():
     g1 = GradingSequence.constant(1)
-    words = dimension_truncation(2, 3, g1)
+    words, hs = dimension_truncation(2, 3, g1)
     assert [str(w) for w in words] == ["a1", "a2", "[a1,a2]"]
+    assert hs == (1, 1, 2)
     # degree 2 sees only letters
-    assert [str(w) for w in dimension_truncation(5, 2, g1)] == (
+    assert [str(w) for w in dimension_truncation(5, 2, g1)[0]] == (
         ["a%d" % i for i in range(1, 6)])
+    # degrees n <= r(1) see nothing
+    assert dimension_truncation(3, 2, GradingSequence.constant(2)) == ((), ())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_truncation_compatible_with_letter_restriction(k, n):
     g = GradingSequence.constant(1)
-    small = dimension_truncation(k, n, g)
-    big = dimension_truncation(k + 1, n, g)
+    small = dimension_truncation(k, n, g)[0]
+    big = dimension_truncation(k + 1, n, g)[0]
     assert tuple(w for w in big if w.max_letter <= k) == small
 
 
@@ -304,11 +307,14 @@ def _listings(g):
             yield generate(k, J)
     for k in (2, 3, 4):
         for n in (2, 4, 6, 8):
-            yield dimension_truncation(k, n, g)
+            words, hs = dimension_truncation(k, n, g)
+            assert hs == tuple(height(w, g) for w in words)
+            yield words
 
 
 @pytest.mark.parametrize("spec", _LISTING_GRADINGS)
 def test_listing_folds_match_the_per_word_routes(spec):
+    # a truncation's own heights are checked as _listings yields it
     g = GradingSequence.parse(spec)
     for ws in _listings(g):
         assert heights(ws, g) == [height(w, g) for w in ws]
@@ -378,7 +384,7 @@ def test_census_matches_truncation_when_finite():
     g = GradingSequence((1, 2), 9)
     for n in (2, 3, 4, 5):
         census = height_class_census(n, g)
-        words = dimension_truncation(2, n, g)
+        words = dimension_truncation(2, n, g)[0]
         tally = {}
         for w in words:
             tally[height(w, g)] = tally.get(height(w, g), 0) + 1
@@ -415,7 +421,7 @@ def test_generated_words_satisfy_conditions(k, j):
 @settings(max_examples=40, deadline=None)
 def test_truncation_is_height_filtered_prefix(k, n):
     g = GradingSequence.constant(1)
-    words = dimension_truncation(k, n, g)
+    words = dimension_truncation(k, n, g)[0]
     assert all(height(w, g) + 1 <= n for w in words)
     full = [w for w in generate(k, n - 1) if height(w, g) + 1 <= n]
     assert tuple(full) == tuple(words)

@@ -42,9 +42,9 @@ def test_decompose_wedge_degree4():
 
 
 def test_decompose_wedge_trivial_by_connectivity():
+    # n <= r(1): no summand at all, so the total is the trivial group
     dec = decompose_wedge(2, 3, GradingSequence.constant(2), TABLE)
-    assert dec.trivial_by_connectivity
-    assert dec.summands == ()
+    assert dec.summands == () and dec.heights == ()
     assert dec.total() == ZERO
     assert dec == decompose_wedge(2, 3, GradingSequence.constant(2), TABLE)
     assert dec != decompose_wedge(2, 3, GradingSequence.constant(1), TABLE)
@@ -54,7 +54,7 @@ def test_decompose_wedge_summand_count_matches_truncation():
     for n in range(2, 7):
         for k in range(1, 6):
             dec = decompose_wedge(n, k, G1, TABLE)
-            assert len(dec.summands) == len(dimension_truncation(k, n, G1))
+            assert len(dec.summands) == len(dimension_truncation(k, n, G1)[0])
 
 
 def test_decompose_wedge_symbol_passthrough():
@@ -75,6 +75,7 @@ def test_decompose_wedge_groups_follow_each_word_height(spec):
         for k in (2, 3, 4):
             dec = decompose_wedge(n, k, g, table)
             assert dec.summands
+            assert dec.heights == tuple(height(w, g) for w in dec.words())
             assert [grp for _, grp in dec.summands] == [
                 sphere_group_expr(n, height(w, g) + 1, table)
                 for w in dec.words()]
@@ -87,9 +88,9 @@ def test_decompose_wedge_groups_follow_each_word_height(spec):
 def test_bonding_partitions_truncation():
     # the 3-stage summands split into the 2-stage ones, which are kept,
     # and the words on a3, which are killed
-    top = dimension_truncation(3, 4, G1)
+    top = dimension_truncation(3, 4, G1)[0]
     pushed = apply_bonding(bonding(4, 2, G1), {w: 1 for w in top})
-    assert list(pushed) == list(dimension_truncation(2, 4, G1))
+    assert list(pushed) == list(dimension_truncation(2, 4, G1)[0])
     assert {str(w) for w in top if w not in pushed} == {
         "a3", "[a1,a3]", "[a2,a3]",
         "[a1,[a1,a3]]", "[a2,[a1,a3]]", "[a2,[a2,a3]]",
@@ -112,7 +113,7 @@ def test_bonding_membership_matches_enumeration(spec):
     for n in range(2, 7):
         for k in (1, 2, 3):
             b = bonding(n, k, g)
-            domain = dimension_truncation(k + 1, n, g)
+            domain = dimension_truncation(k + 1, n, g)[0]
             # candidates: the Hall words one letter and one weight past
             # the domain, and every tree of weight <= 3, Hall or not
             max_w = (n - 1) // g.r(1) + 1
@@ -128,7 +129,7 @@ def test_bonding_membership_matches_enumeration(spec):
                 accepted.add(w)
             assert accepted == set(domain), (spec, n, k)
             pushed = apply_bonding(b, {w: 1 for w in domain})
-            assert list(pushed) == list(dimension_truncation(k, n, g))
+            assert list(pushed) == list(dimension_truncation(k, n, g)[0])
 
 
 def test_apply_bonding_examples():
@@ -156,7 +157,7 @@ def test_bonding_composition_matches_direct_kill():
     # pushing k+2 -> k+1 -> k equals filtering by max letter <= k
     for n in (3, 4, 5):
         for k in (1, 2, 3):
-            top = {w: 1 for w in dimension_truncation(k + 2, n, G1)}
+            top = {w: 1 for w in dimension_truncation(k + 2, n, G1)[0]}
             two_step = apply_bonding(bonding(n, k, G1),
                                      apply_bonding(bonding(n, k + 1, G1), top))
             direct = {w: 1 for w in top if w.max_letter <= k}

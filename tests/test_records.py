@@ -55,10 +55,10 @@ HASHABLE = {
     "GradingSequence": (lambda: GradingSequence((1, 2), 3),
                         "GradingSequence(prefix=(1, 2), tail=3)"),
     "WedgeDecomposition": (
-        lambda: WedgeDecomposition(2, 1, G, ((letter(1), Z),)),
+        lambda: WedgeDecomposition(2, 1, G, ((letter(1), Z),), (1,)),
         "WedgeDecomposition(n=2, k=1, grading=GradingSequence(prefix=(1, 2), "
         "tail=3), summands=((a1, FGAbelianGroup(rank=1, torsion=())),), "
-        "trivial_by_connectivity=False)"),
+        "heights=(1,))"),
     "BondingMap": (lambda: BondingMap(4, 2, G),
                    "BondingMap(n=4, k=2, grading=GradingSequence(prefix=(1, 2), "
                    "tail=3))"),

@@ -141,13 +141,17 @@ MUTANTS = [
      "        v = leaf(i) if x is None else node(memo[id(x)], memo[id(y)])",
      "        v = leaf(i) if x is None else node(memo[id(x)], memo[id(x)])",
      ["tests/test_hall.py::test_listing_folds_match_the_per_word_routes"]),
+    ("truncation-heights-unfiltered", HALL,
+     "            tuple(filter(n.__gt__, hs)))",
+     "            tuple(hs))",
+     ["tests/test_hall.py::test_listing_folds_match_the_per_word_routes",
+      "tests/test_hilton.py::test_decompose_wedge_groups_follow_each_word_height"]),
     ("wedge-group-memo-keyed-by-weight", HILTON,
-     "        if h not in group_of:\n"
-     "            group_of[h] = sphere_group_expr(n, h + 1, table)\n"
-     "        summands.append((w, group_of[h]))",
-     "        if w.length not in group_of:\n"
-     "            group_of[w.length] = sphere_group_expr(n, h + 1, table)\n"
-     "        summands.append((w, group_of[w.length]))",
+     "    group_of = {h: sphere_group_expr(n, h + 1, table) for h in set(hs)}\n"
+     "    summands = tuple(zip(words, map(group_of.__getitem__, hs)))",
+     "    group_of = {w.length: sphere_group_expr(n, h + 1, table)\n"
+     "                for w, h in zip(words, hs)}\n"
+     "    summands = tuple((w, group_of[w.length]) for w in words)",
      ["tests/test_hilton.py::test_decompose_wedge_groups_follow_each_word_height"]),
     ("generate-drops-prefix-times-suffix", HALL,
      "                    itertools.product(xs[:start[i]], ys[start[m - i]:]))",
