@@ -7,9 +7,11 @@ from cechwedge import (GradingSequence, dimension_truncation, generate,
                        height, height_class_census, necklace_count)
 
 # Every free-Lie-algebra basis computation in this package starts from the
-# same canonical Hall set.  Ask for all words on 2 letters up to weight 4:
+# same canonical Hall set.  Ask for all words on 2 letters up to weight 4.
+# A listing keeps each bracket as the positions of its two factors;
+# words() builds the bracket trees from them.
 
-words = generate(2, 4)
+words = generate(2, 4).words()
 print("Hall words on {a1, a2} through weight 4:")
 for w in words:
     print("  %-18s weight %d" % (w, w.length))
@@ -19,7 +21,7 @@ for w in words:
 
 print("\nstratum sizes vs necklace counts, k = 3:")
 for j in range(1, 6):
-    got = sum(1 for w in generate(3, j) if w.length == j)
+    got = sum(1 for w in generate(3, j).words() if w.length == j)
     print("  weight %d: %d words, necklace_count = %d"
           % (j, got, necklace_count(3, j)))
 
@@ -28,8 +30,8 @@ for j in range(1, 6):
 # words are exactly the ones using the new letter.  That coherence is what
 # lets towers of finite wedges share one indexing scheme.
 
-small = [w for w in generate(2, 3) if w.length == 3]
-large = [w for w in generate(3, 3) if w.length == 3]
+small = [w for w in generate(2, 3).words() if w.length == 3]
+large = [w for w in generate(3, 3).words() if w.length == 3]
 print("\nweight-3 stratum on 2 letters is a prefix of the one on 3 letters:")
 print("  k=2:", ", ".join(str(w) for w in small))
 print("  k=3:", ", ".join(str(w) for w in large))
@@ -43,7 +45,7 @@ assert all(w.max_letter == 3 for w in large[len(small):])
 
 g = GradingSequence.parse("1,2;3")
 print("\nheights under grading 1,2;3:")
-for w in generate(2, 3):
+for w in generate(2, 3).words():
     print("  %-18s height %d  (sphere S^%d)" % (w, height(w, g),
                                                 height(w, g) + 1))
 
@@ -53,7 +55,7 @@ for w in generate(2, 3):
 print("\nwords visible to degree 5 on 3 letters, grading 1,2;3:")
 g3 = GradingSequence.parse("1,2;3")
 visible, _ = dimension_truncation(3, 5, g3)  # the words and their heights
-for w in visible:
+for w in visible.words():
     print("  %s" % (w,))
 
 # With infinitely many letters the truncation can be infinite; the census

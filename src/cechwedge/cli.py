@@ -32,11 +32,12 @@ they run, so the formula commands never load them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
-from .groups import render_text, to_machine
+from .groups import ZERO, render_text, to_machine
 from .hall import (GradingSequence, StratumSizeError, generate, heights,
                    labels, necklace_count)
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
@@ -135,9 +136,9 @@ def cmd_hall(args) -> int:
         raise CommandError("need k >= 1 and J >= 1")
     grading = (_parse_grading(args.grading) if args.grading
                else GradingSequence.constant(1))
-    words = generate(args.k, args.J)
-    rows = list(zip(labels(words), (w.length for w in words),
-                    heights(words, grading)))
+    listing = generate(args.k, args.J)
+    rows = list(zip(labels(listing), listing.weights(),
+                    heights(listing, grading)))
     if args.format == "json":
         return _emit_json({"k": args.k, "max_weight": args.J,
                            "grading": grading.spec_string(),
@@ -168,29 +169,39 @@ def cmd_count(args) -> int:
     return _emit_lines([text])
 
 
+def _encoded_total(dec, encode) -> list:
+    """encode(g) for each part of dec.total(), one call per distinct
+    group."""
+    return list(itertools.chain.from_iterable(
+        itertools.repeat(encode(g), c) for g, c in dec.total_parts()))
+
+
 def cmd_hm(args) -> int:
     if args.n < 2 or args.k < 1:
         raise CommandError("need n >= 2 and k >= 1")
     grading = _grading_of(args)
     table = _table(args)
     dec = decompose_wedge(args.n, args.k, grading, table)
-    # the group of a summand is a function of its word's height
-    group_of = dict(zip(dec.heights, (g for _, g in dec.summands)))
     if args.format == "json":
-        machine = {h: to_machine(g) for h, g in group_of.items()}
+        machine = {h: to_machine(g) for h, g in dec.groups}
+        parts = _encoded_total(dec, to_machine)
         return _emit_json({
             "n": args.n, "k": args.k, "grading": grading.spec_string(),
-            "trivial_by_connectivity": not dec.summands,
+            "trivial_by_connectivity": not dec.heights,
             "summands": [{"word": w, "sphere": h + 1, "group": machine[h]}
-                         for w, h in zip(labels(dec.words()), dec.heights)],
-            "total": to_machine(dec.total())})
-    if not dec.summands:
+                         for w, h in zip(labels(dec.listing), dec.heights)],
+            # to_machine(dec.total()), which collapses one part to itself
+            "total": (parts[0] if len(parts) == 1 else
+                      {"kind": "direct_sum", "children": parts} if parts
+                      else to_machine(ZERO))})
+    if not dec.heights:
         return _emit_lines(["0 (trivial by connectivity)"])
     text = {h: "\tpi_%d(S^%d)\t%s" % (args.n, h + 1, render_text(g))
-            for h, g in group_of.items()}
-    lines = [w + text[h] for w, h in zip(labels(dec.words()), dec.heights)]
+            for h, g in dec.groups}
+    lines = [w + text[h] for w, h in zip(labels(dec.listing), dec.heights)]
     if args.annotate:
-        lines.append("total\t%s" % render_text(dec.total()))
+        lines.append("total\t%s" % (" (+) ".join(
+            _encoded_total(dec, render_text)) or render_text(ZERO)))
     return _emit_lines(lines)
 
 

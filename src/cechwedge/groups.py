@@ -235,19 +235,20 @@ class ProdN(GroupExpr):
         object.__setattr__(self, "base", base)
 
 
-def _sort_key(e: GroupExpr):
+def sort_key(e: GroupExpr):
+    """The order normalize() puts direct summands in."""
     if isinstance(e, FGAbelianGroup):
         return (0, e.rank, e.torsion)
     if isinstance(e, SphereSymbol):
         return (1, e.n, e.q)
     if isinstance(e, DirectSum):
-        return (2, tuple(_sort_key(p) for p in e.parts))
+        return (2, tuple(sort_key(p) for p in e.parts))
     if isinstance(e, Pow):
-        return (3, _sort_key(e.base), e.exponent)
+        return (3, sort_key(e.base), e.exponent)
     if isinstance(e, SumN):
-        return (4, _sort_key(e.base))
+        return (4, sort_key(e.base))
     if isinstance(e, ProdN):
-        return (5, _sort_key(e.base))
+        return (5, sort_key(e.base))
     raise TypeError("not a group shape: %r" % (e,))
 
 
@@ -283,7 +284,7 @@ def normalize(e: GroupExpr) -> GroupExpr:
             return ZERO
         if len(flat) == 1:
             return flat[0]
-        flat.sort(key=_sort_key)
+        flat.sort(key=sort_key)
         return DirectSum(tuple(flat))
     raise TypeError("not a group shape: %r" % (e,))
 

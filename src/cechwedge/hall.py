@@ -20,16 +20,20 @@ Each word also carries a height once a grading r1 <= r2 <= ... is
 fixed: h(w) = sum over letter occurrences i of r_i.  The grading is
 given as a finite prefix plus an eventually constant tail.
 
-A whole listing gets its heights and labels in one pass: generate puts
-both factors of every bracket before the bracket, so each word's value
-is built from its factors' values, found by object identity, instead
-of by walking the word's letters again.  dimension_truncation makes
-that heights pass once per listing and hands the heights out with the
-words, so its callers never fold them again.
+A whole listing is a HallListing: two columns of integers that hold,
+for each bracket, the positions of its two factors, which come before
+it.  A word's position is its rank in the canonical order, so generate
+tests the Hall conditions by comparing integers and builds no word
+object.  The heights and labels of a listing are folded over the
+columns, a stratum at a time, from the values of lighter words.
+dimension_truncation folds the heights once per listing and hands them
+out with the words, so its callers never fold them again.  The
+HallWords of a listing are built only when asked for, once per listing.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -124,24 +128,90 @@ def _hall_conditions(w: HallWord) -> bool:
     return True
 
 
+class HallListing(Frozen):
+    """Hall words in canonical order, held as two columns of integers.
+
+    Word i is a letter a_j when left[i] == -1 and right[i] == j, and
+    otherwise the bracket [x, y] of the words at the positions
+    left[i] = x and right[i] = y, which come before it.  The words of
+    weight j are those at ends[j - 1] <= i < ends[j], with ends[0] == 0;
+    stratum 1, the letters, is always there, and may be empty.  The
+    position of a word is its rank: one word comes before another in
+    the canonical order exactly when its position is smaller.
+
+    len() is the number of words.  words() builds the HallWords, once.
+    """
+
+    __slots__ = ("ends", "left", "right", "_words")
+    _fields = ("ends", "left", "right")
+
+    def __init__(self, ends: tuple[int, ...], left: tuple[int, ...],
+                 right: tuple[int, ...]):
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_words", None)
+
+    def __len__(self):
+        return len(self.left)
+
+    def words(self) -> tuple[HallWord, ...]:
+        """The HallWord of every word, in listing order, built on the
+        first call and kept."""
+        if self._words is None:
+            ends, left, right = self.ends, self.left, self.right
+            built = list(map(letter, right[:ends[1]]))
+            get = built.__getitem__
+            for lo, hi in zip(ends[1:], ends[2:]):
+                built += map(bracket, map(get, left[lo:hi]),
+                             map(get, right[lo:hi]))
+            object.__setattr__(self, "_words", tuple(built))
+        return self._words
+
+    def weights(self):
+        """The weight of every word, in listing order."""
+        return itertools.chain.from_iterable(
+            itertools.repeat(j, hi - lo)
+            for j, (lo, hi) in enumerate(zip(self.ends, self.ends[1:]), 1))
+
+    def restrict(self, keep: list[bool]) -> HallListing:
+        """The words whose keep flag is true, in listing order.
+
+        Raises ValueError unless the kept words hold both factors of
+        each kept bracket.
+        """
+        if all(keep):
+            return self
+        ends, left, right = self.ends, self.left, self.right
+        n1 = ends[1]
+        x = list(itertools.compress(left[n1:], keep[n1:]))
+        y = list(itertools.compress(right[n1:], keep[n1:]))
+        if not all(map(keep.__getitem__, itertools.chain(x, y))):
+            raise ValueError("a kept bracket has a dropped factor: the "
+                             "listing is not closed under factors")
+        # at[i]: the kept words before word i, its new position if kept
+        at = list(itertools.accumulate(keep, initial=0))
+        letters = tuple(itertools.compress(right[:n1], keep[:n1]))
+        return HallListing(tuple(map(at.__getitem__, ends)),
+                           (-1,) * len(letters) + tuple(map(at.__getitem__, x)),
+                           letters + tuple(map(at.__getitem__, y)))
+
+
 @functools.lru_cache(maxsize=256)
-def generate(k: int, max_weight: int) -> tuple[HallWord, ...]:
+def generate(k: int, max_weight: int) -> HallListing:
     """The Hall words on k letters up to the given weight, in canonical
     order: lighter strata first, so the words on k letters are a
     stratum-wise prefix of the words on k + 1 letters.
 
-    Letters are introduced one at a time; the words whose maximal
-    letter is the new one are generated, sorted, and appended after the
-    existing stratum contents.  This realizes the nesting property by
-    construction.
-
-    Appending by maximal letter makes the words of each lighter stratum
-    whose maximal letter is the new letter c a contiguous suffix of that
-    stratum.  A bracket [x, y] has maximal letter c exactly when x or y
-    lies in such a suffix, so each step pairs only (suffix x whole
-    stratum) and (older prefix x suffix) instead of every pair of
-    words.  Since a Hall word [x, y] has x < y, and lighter words come
-    first, x never comes from the heavier stratum.
+    Each stratum is built whole from the lighter ones, block by block:
+    block c holds the words whose maximal letter is a_(c+1), so a
+    bracket [x, y] in it has x or y in block c of its own stratum.  A
+    Hall bracket has x < y, so x is the lighter factor or, at equal
+    weight, the earlier word.  Within a block the words run in the
+    order of their left factors, so for a given x the y of each block
+    with y.left <= x form a run at the block's start, found by
+    bisection.  Walking x upwards and each run upwards writes the
+    brackets of a block in canonical order, with no sort.
     """
     if k < 1:
         raise ValueError("need at least one letter")
@@ -149,34 +219,36 @@ def generate(k: int, max_weight: int) -> tuple[HallWord, ...]:
         raise ValueError("need at least weight 1")
     if k == 1:
         # [a1, a1] fails x < y, so one letter brackets with nothing
-        return (letter(1),)
+        return HallListing((0, 1), (-1,), (1,))
     for j in range(1, max_weight + 1):
         predicted = necklace_count(k, j)
         if predicted > STRATUM_CAP:
             raise StratumSizeError(
                 "stratum %d on %d letters holds %d words, cap is %d"
                 % (j, k, predicted, STRATUM_CAP))
-    strata: list[list[HallWord]] = [[] for _ in range(max_weight + 1)]
-    for c in range(1, k + 1):
-        # start[j]: where the words of weight j with maximal letter c begin
-        start = [len(s) for s in strata]
-        strata[1].append(letter(c))
-        for m in range(2, max_weight + 1):
-            fresh = []
+    left, right = [-1] * k, list(range(1, k + 1))
+    # starts[j][c]: where block c of stratum j begins; starts[j][k] ends it
+    starts = [[0] * (k + 1), list(range(k + 1))]
+    for m in range(2, max_weight + 1):
+        here = []
+        for c in range(k):
+            here.append(len(left))
             for i in range(1, m // 2 + 1):
-                xs, ys = strata[i], strata[m - i]
-                pairs = itertools.chain(
-                    itertools.product(xs[start[i]:], ys),
-                    itertools.product(xs[:start[i]], ys[start[m - i]:]))
-                for x, y in pairs:
-                    if not x < y:
-                        continue
-                    if not y.is_letter and not y.left <= x:
-                        continue
-                    fresh.append(bracket(x, y))
-            fresh.sort()
-            strata[m].extend(fresh)
-    return tuple(itertools.chain.from_iterable(strata))
+                xs, ys = starts[i], starts[m - i]
+                # x from an older block: y brings the block's letter
+                runs = [(x, ys[c], ys[c + 1]) for x in range(xs[0], xs[c])]
+                for x in range(xs[c], xs[c + 1]):
+                    if i == m - i:  # same weight: only y after x
+                        runs.append((x, x + 1, ys[c + 1]))
+                    else:
+                        runs += ((x, ys[b], ys[b + 1]) for b in range(c + 1))
+                for x, lo, hi in runs:
+                    hi = bisect.bisect_right(left, x, lo, hi)
+                    left += [x] * (hi - lo)
+                    right += range(lo, hi)
+        here.append(len(left))
+        starts.append(here)
+    return HallListing(tuple(s[k] for s in starts), tuple(left), tuple(right))
 
 
 def _mobius(n: int) -> int:
@@ -281,58 +353,52 @@ def height(w: HallWord, grading: GradingSequence) -> int:
     return sum(grading.r(i) for i in w.iter_letters())
 
 
-def _fold(words, leaf, node) -> list:
+def _fold(listing: HallListing, leaf, node) -> list:
     """The value of every word of a listing, in listing order: leaf(i)
     for a letter a_i and node(value(x), value(y)) for a bracket [x, y].
 
-    The listing must be in canonical order and hold both factors of
-    each bracket, as the output of generate and dimension_truncation
-    does; a factor missing from it raises KeyError.  A factor's value
-    is found by the identity of the factor object.  Words of the top
-    weight are nobody's factor here, so they stay out of the memo.
+    A stratum's factors all lie in lighter strata, so the values of a
+    stratum are mapped in one go from values already there.
     """
-    top = words[-1].length if words else 0
-    memo = {}
-    values = []
-    for w in words:
-        length, i, x, y, _ = w
-        v = leaf(i) if x is None else node(memo[id(x)], memo[id(y)])
-        if length < top:
-            memo[id(w)] = v
-        values.append(v)
+    ends, left, right = listing.ends, listing.left, listing.right
+    values = list(map(leaf, right[:ends[1]]))
+    get = values.__getitem__
+    for lo, hi in zip(ends[1:], ends[2:]):
+        values += map(node, map(get, left[lo:hi]), map(get, right[lo:hi]))
     return values
 
 
-def heights(words, grading: GradingSequence) -> list[int]:
-    """height(w, grading) of every word of a factor-closed listing."""
-    return _fold(words, grading.r, operator.add)
+def heights(listing: HallListing, grading: GradingSequence) -> list[int]:
+    """height(w, grading) of every word of a listing."""
+    return _fold(listing, grading.r, operator.add)
 
 
-def labels(words) -> list[str]:
-    """str(w) of every word of a factor-closed listing."""
-    return _fold(words, "a{}".format, "[{},{}]".format)
+def labels(listing: HallListing) -> list[str]:
+    """str(w) of every word of a listing."""
+    return _fold(listing, "a{}".format, "[{},{}]".format)
 
 
 @functools.lru_cache(maxsize=4096)
 def dimension_truncation(k: int, n: int, grading: GradingSequence
-                         ) -> tuple[tuple[HallWord, ...], tuple[int, ...]]:
-    """The Hall words on k letters with height + 1 <= n, in canonical
-    order, and their heights: two parallel tuples.
+                         ) -> tuple[HallListing, tuple[int, ...]]:
+    """The Hall words on k letters with height + 1 <= n, as a listing
+    in canonical order, and their heights in the same order.
 
     The words index the summands of the degree-n homotopy of a finite
     wedge, so n must be at least 2.  The result is always finite
     because every letter has grading value >= 1, and it is empty
-    exactly when n <= r(1).
+    exactly when n <= r(1).  A factor is lower than its bracket, so
+    the listing holds the factors of its brackets.
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
     max_w = (n - 1) // grading.r(1)
     if max_w < 1:
-        return (), ()
+        return HallListing((0, 0), (), ()), ()
     words = generate(k, max_w)
     hs = heights(words, grading)
-    return (tuple(itertools.compress(words, map(n.__gt__, hs))),
-            tuple(filter(n.__gt__, hs)))
+    keep = list(map(n.__gt__, hs))
+    return words.restrict(keep), tuple(itertools.compress(hs, keep))
 
 
 class _CountablyInfinite:

@@ -19,11 +19,13 @@ as separate code paths so they can check each other.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
-                     has_symbol, normalize)
-from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
-                   dimension_truncation, height, height_class_census,
-                   is_hall)
+                     has_symbol, normalize, sort_key)
+from .hall import (COUNTABLY_INFINITE, GradingSequence, HallListing,
+                   HallWord, dimension_truncation, height,
+                   height_class_census, is_hall)
 from .records import Frozen
 
 
@@ -37,23 +39,44 @@ def sphere_group_expr(n: int, q: int, table) -> GroupExpr:
 
 
 class WedgeDecomposition(Frozen):
-    """Degree-n homotopy of a k-sphere wedge, summand by summand: each
-    summand pairs a Hall word with its sphere group, and heights holds
-    the height of each summand's word, in the same order."""
+    """Degree-n homotopy of a k-sphere wedge, summand by summand.
 
-    __slots__ = _fields = ("n", "k", "grading", "summands", "heights")
+    The summands are indexed by the words of listing; heights holds
+    the height of each word, in the same order, and groups pairs each
+    height that occurs with the sphere group of its summands.
+    """
+
+    __slots__ = _fields = ("n", "k", "grading", "listing", "heights",
+                           "groups")
 
     def __init__(self, n: int, k: int, grading: GradingSequence,
-                 summands: tuple[tuple[HallWord, GroupExpr], ...],
-                 heights: tuple[int, ...]):
+                 listing: HallListing, heights: tuple[int, ...],
+                 groups: tuple[tuple[int, GroupExpr], ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "listing", listing)
         object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "groups", groups)
 
-    def words(self) -> list[HallWord]:
-        return [w for w, _ in self.summands]
+    def words(self) -> tuple[HallWord, ...]:
+        return self.listing.words()
+
+    @property
+    def summands(self) -> tuple[tuple[HallWord, GroupExpr], ...]:
+        """(word, group) of every summand, in listing order."""
+        return tuple(zip(self.listing.words(),
+                         map(dict(self.groups).__getitem__, self.heights)))
+
+    def total_parts(self) -> list[tuple[GroupExpr, int]]:
+        """The distinct nonzero groups of the summands, each with the
+        number of summands it is, in the order normalize() puts them."""
+        group_of = dict(self.groups)
+        count: Counter = Counter()
+        for h, c in Counter(self.heights).items():
+            count[group_of[h]] += c
+        del count[ZERO]
+        return sorted(count.items(), key=lambda gc: sort_key(gc[0]))
 
     def total(self) -> GroupExpr:
         return normalize(DirectSum(tuple(g for _, g in self.summands)))
@@ -72,10 +95,10 @@ def decompose_wedge(n: int, k: int, grading: GradingSequence,
         raise ValueError("degree must be >= 2")
     if k < 1:
         raise ValueError("need at least one wedge sphere")
-    words, hs = dimension_truncation(k, n, grading)
-    group_of = {h: sphere_group_expr(n, h + 1, table) for h in set(hs)}
-    summands = tuple(zip(words, map(group_of.__getitem__, hs)))
-    return WedgeDecomposition(n, k, grading, summands, hs)
+    listing, hs = dimension_truncation(k, n, grading)
+    groups = tuple((h, sphere_group_expr(n, h + 1, table))
+                   for h in sorted(set(hs)))
+    return WedgeDecomposition(n, k, grading, listing, hs, groups)
 
 
 class BondingMap(Frozen):

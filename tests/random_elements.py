@@ -20,7 +20,7 @@ def _finite_support_pool(n: int, m: int, table) -> list:
     group resolves to a nonzero group, each with that group."""
     grading = GradingSequence.constant(m - 1)
     out = []
-    for w in dimension_truncation(6, n, grading)[0]:
+    for w in dimension_truncation(6, n, grading)[0].words():
         group = table.lookup(n, height(w, grading) + 1)
         if group is not None and group != ZERO:
             out.append((w, group))

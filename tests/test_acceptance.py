@@ -118,12 +118,12 @@ def test_criterion_2_hall_census(request):
     with _criterion(request, 2, "stratum sizes match the necklace count "
                                 "and brute-force enumeration"):
         for k in range(1, 6):
-            words = generate(k, 7)
+            words = generate(k, 7).words()
             for j in range(1, 8):
                 got = sum(1 for w in words if w.length == j)
                 assert got == necklace_count(k, j), (k, j, got)
         for k in range(1, 4):
-            words = generate(k, 5)
+            words = generate(k, 5).words()
             for j in range(1, 6):
                 brute = sorted((t for t in _trees(k, j) if _t_is_hall(t)),
                                key=_t_key)
@@ -139,8 +139,8 @@ def test_criterion_3_coherent_nesting(request):
     with _criterion(request, 3, "ordered-prefix and new-letter laws of "
                                 "the nested Hall sets"):
         for k in range(1, 6):
-            cur = generate(k, 6)
-            nxt = generate(k + 1, 6)
+            cur = generate(k, 6).words()
+            nxt = generate(k + 1, 6).words()
             for j in range(1, 7):
                 a = [w for w in cur if w.length == j]
                 b = [w for w in nxt if w.length == j]

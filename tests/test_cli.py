@@ -188,6 +188,70 @@ def test_each_listing_is_folded_once(capsys, monkeypatch, argv, folds):
     assert len(calls) == folds
 
 
+def _count_brackets(monkeypatch):
+    """Clear the listing caches and count hall.bracket calls from now on."""
+    built = []
+    bracket = hall.bracket
+
+    def counted_bracket(x, y):
+        built.append(None)
+        return bracket(x, y)
+
+    monkeypatch.setattr(hall, "bracket", counted_bracket)
+    hall.generate.cache_clear()
+    hall.dimension_truncation.cache_clear()
+    return built
+
+
+# A bulk listing stays two integer columns: the formula commands read
+# labels and heights from them and build no HallWord.
+@pytest.mark.parametrize("argv", [
+    ("hall", "-k", "40", "-J", "3"),
+    ("hall", "-k", "4", "-J", "6", "--grading", "1,2;3", "--format", "json"),
+    ("hm", "-n", "7", "-k", "6", "--grading", "1,1,1;1"),
+    ("hm", "-n", "7", "-k", "6", "--grading", "1,1,1;1", "--format", "json"),
+    ("hm", "-n", "8", "-k", "4", "--grading", "1,2;3", "--annotate"),
+    ("cech", "wedge", "--grading", "1,1,1,1;2", "-n", "8"),
+], ids=["hall", "hall-json", "hm-text", "hm-json", "hm-mixed-annotate",
+        "cech-wedge"])
+def test_formula_commands_build_no_hall_word(capsys, monkeypatch, argv):
+    built = _count_brackets(monkeypatch)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and out and err == ""
+    assert built == []
+
+
+def test_the_bracket_count_sees_words_built(monkeypatch):
+    # the control of the test above: materializing does call bracket
+    built = _count_brackets(monkeypatch)
+    listing = hall.generate(3, 4)
+    assert built == []
+    listing.words()
+    assert len(built) == len(listing) - 3
+
+
+@pytest.mark.parametrize("n,k,spec", [
+    (2, 1, "1"), (4, 2, "1"), (6, 2, "1"), (7, 6, "1,1,1;1"),
+    (8, 4, "1,2;3"), (9, 3, "2"), (11, 2, "1,1;3"), (5, 3, "4"),
+])
+def test_hm_total_is_the_normalized_sum_of_every_summand(capsys, n, k, spec):
+    # hm adds the total up per distinct group; the route here normalizes
+    # the direct sum of all summands' groups, one part per summand
+    from cechwedge.groups import DirectSum, normalize, render_text
+    from cechwedge.hilton import decompose_wedge
+    dec = decompose_wedge(n, k, hall.GradingSequence.parse(spec),
+                          seed_table())
+    want = normalize(DirectSum(tuple(g for _, g in dec.summands)))
+    assert dec.total() == want
+    argv = ("hm", "-n", str(n), "-k", str(k), "--grading", spec)
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)["total"] == to_machine(want)
+    rc, out, _ = run(capsys, *argv, "--annotate")
+    assert rc == 0
+    if dec.summands:
+        assert out.splitlines()[-1] == "total\t" + render_text(want)
+
+
 # ---------------------------------------------------------------------------
 # Verification commands
 
@@ -325,7 +389,8 @@ def test_verify_theta_random_builds_its_word_pool_once(capsys, monkeypatch):
                        "--m", "3", "--levels", "8", "--count", "20")
     assert rc == 0 and out == "PASS\n" and err == ""
     candidates = sum(1 for w in hall.dimension_truncation(
-        4, 7, hall.GradingSequence.constant(2))[0] if w.length >= 2)
+        4, 7, hall.GradingSequence.constant(2))[0].words()
+        if w.length >= 2)
     assert counts["pool"] == 1
     assert counts["lookup"] <= candidates + 3 * 2 * 20
 

@@ -660,7 +660,7 @@ def test_resolvable_pool_matches_the_per_word_route(table, dropped):
         for m in range(2, 6):
             g = hall.GradingSequence.constant(m - 1)
             want = []
-            for w in hall.dimension_truncation(4, n, g)[0]:
+            for w in hall.dimension_truncation(4, n, g)[0].words():
                 if w.length >= 2:
                     group = table.lookup(n, hall.height(w, g) + 1)
                     seen.add(group)

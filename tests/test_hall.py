@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
+from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence,
                             StratumSizeError, bracket, dimension_truncation,
                             generate, height, height_class_census, heights,
                             is_hall, labels, letter, necklace_count)
@@ -70,7 +70,7 @@ def _as_tuple(w):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
 def test_generate_matches_brute_force(k, j):
-    stratum = [w for w in generate(k, j) if w.length == j]
+    stratum = [w for w in generate(k, j).words() if w.length == j]
     assert [_as_tuple(w) for w in stratum] == _brute_stratum(k, j)
 
 
@@ -100,12 +100,53 @@ def _all_pairs_generate(k, max_weight):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
 def test_generate_matches_all_pairs_reference(k, J):
-    assert [str(w) for w in generate(k, J)] == _all_pairs_generate(k, J)
+    assert [str(w) for w in generate(k, J).words()] == _all_pairs_generate(k, J)
+
+
+def _bracket_generate(k, max_weight):
+    """Reference: the generator that built each word with bracket(),
+    letter by letter.  The words with maximal letter c, found by pairing
+    only (new x, any y) and (old x, new y), are sorted and appended."""
+    if k == 1:
+        return (letter(1),)
+    strata = [[] for _ in range(max_weight + 1)]
+    for c in range(1, k + 1):
+        # start[j]: where the words of weight j with maximal letter c begin
+        start = [len(s) for s in strata]
+        strata[1].append(letter(c))
+        for m in range(2, max_weight + 1):
+            fresh = []
+            for i in range(1, m // 2 + 1):
+                xs, ys = strata[i], strata[m - i]
+                pairs = itertools.chain(
+                    itertools.product(xs[start[i]:], ys),
+                    itertools.product(xs[:start[i]], ys[start[m - i]:]))
+                for x, y in pairs:
+                    if not x < y:
+                        continue
+                    if not y.is_letter and not y.left <= x:
+                        continue
+                    fresh.append(bracket(x, y))
+            fresh.sort()
+            strata[m].extend(fresh)
+    return tuple(itertools.chain.from_iterable(strata))
+
+
+@pytest.mark.parametrize("k,J", [(k, J) for k in range(1, 7) for J in (1, 3, 5)]
+                         + [(40, 3), (4, 9)])
+def test_columns_match_the_bracket_generator(k, J):
+    listing, oracle = generate(k, J), _bracket_generate(k, J)
+    assert listing.words() == oracle
+    assert list(listing.weights()) == [w.length for w in oracle]
+    assert labels(listing) == [str(w) for w in oracle]
+    for spec in ("1", "1,2,3;4"):
+        g = GradingSequence.parse(spec)
+        assert heights(listing, g) == [height(w, g) for w in oracle]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_stratum_sizes_are_necklace_counts(k):
-    words = generate(k, 7)
+    words = generate(k, 7).words()
     for j in range(1, 8):
         assert sum(1 for w in words if w.length == j) == necklace_count(k, j)
 
@@ -126,7 +167,7 @@ def test_necklace_count_known_values():
 
 def test_two_letter_listing_through_weight_four():
     """The canonical order on two letters, first eight words."""
-    assert [str(w) for w in generate(2, 4)] == [
+    assert [str(w) for w in generate(2, 4).words()] == [
         "a1", "a2", "[a1,a2]",
         "[a1,[a1,a2]]", "[a2,[a1,a2]]",
         "[a1,[a1,[a1,a2]]]", "[a2,[a1,[a1,a2]]]", "[a2,[a2,[a1,a2]]]",
@@ -137,7 +178,7 @@ def test_two_letter_listing_through_weight_four():
 def test_coherent_nesting(k):
     # stratum of the k-letter set is a prefix of the (k+1)-letter one,
     # and the new words are exactly those using the new letter
-    small, big = generate(k, 6), generate(k + 1, 6)
+    small, big = generate(k, 6).words(), generate(k + 1, 6).words()
     for j in range(1, 7):
         a = [w for w in small if w.length == j]
         b = [w for w in big if w.length == j]
@@ -185,7 +226,7 @@ def _from_tuple(t):
 def test_word_order_is_the_oracle_order():
     # every stratum of three letters through weight 5, letters and
     # brackets mixed, in an order that sorted() has to undo
-    words = list(generate(3, 5))
+    words = list(generate(3, 5).words())
     shuffled = words[:]
     random.Random(0).shuffle(shuffled)
     oracle = {w: _t_key(_as_tuple(w)) for w in words}
@@ -196,7 +237,7 @@ def test_word_order_is_the_oracle_order():
 
 
 def test_word_equality_and_hash_are_structural():
-    words = generate(3, 5)
+    words = generate(3, 5).words()
     for w in words:
         again = _from_tuple(_as_tuple(w))
         assert again == w and hash(again) == hash(w)
@@ -273,21 +314,22 @@ def test_height_is_the_letter_walk(w, prefix, tail):
 def test_dimension_truncation_examples():
     g1 = GradingSequence.constant(1)
     words, hs = dimension_truncation(2, 3, g1)
-    assert [str(w) for w in words] == ["a1", "a2", "[a1,a2]"]
+    assert [str(w) for w in words.words()] == ["a1", "a2", "[a1,a2]"]
     assert hs == (1, 1, 2)
     # degree 2 sees only letters
-    assert [str(w) for w in dimension_truncation(5, 2, g1)[0]] == (
+    assert [str(w) for w in dimension_truncation(5, 2, g1)[0].words()] == (
         ["a%d" % i for i in range(1, 6)])
     # degrees n <= r(1) see nothing
-    assert dimension_truncation(3, 2, GradingSequence.constant(2)) == ((), ())
+    empty, hs = dimension_truncation(3, 2, GradingSequence.constant(2))
+    assert (len(empty), empty.words(), hs) == (0, (), ())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_truncation_compatible_with_letter_restriction(k, n):
     g = GradingSequence.constant(1)
-    small = dimension_truncation(k, n, g)[0]
-    big = dimension_truncation(k + 1, n, g)[0]
+    small = dimension_truncation(k, n, g)[0].words()
+    big = dimension_truncation(k + 1, n, g)[0].words()
     assert tuple(w for w in big if w.max_letter <= k) == small
 
 
@@ -308,7 +350,7 @@ def _listings(g):
     for k in (2, 3, 4):
         for n in (2, 4, 6, 8):
             words, hs = dimension_truncation(k, n, g)
-            assert hs == tuple(height(w, g) for w in words)
+            assert hs == tuple(height(w, g) for w in words.words())
             yield words
 
 
@@ -317,22 +359,29 @@ def test_listing_folds_match_the_per_word_routes(spec):
     # a truncation's own heights are checked as _listings yields it
     g = GradingSequence.parse(spec)
     for ws in _listings(g):
-        assert heights(ws, g) == [height(w, g) for w in ws]
-        assert labels(ws) == [str(w) for w in ws]
+        assert heights(ws, g) == [height(w, g) for w in ws.words()]
+        assert labels(ws) == [str(w) for w in ws.words()]
 
 
-def test_listing_fold_refuses_a_missing_factor():
+def test_listing_restriction_refuses_a_missing_factor():
     g = GradingSequence((1, 2), 3)
-    ws = generate(3, 4)
-    factors = {id(f) for w in ws if not w.is_letter for f in (w.left, w.right)}
-    dropped = [i for i, w in enumerate(ws) if id(w) in factors]
+    listing = generate(3, 4)
+    ws = listing.words()
+    factors = {f for w in ws if not w.is_letter for f in (w.left, w.right)}
+    dropped = [i for i, w in enumerate(ws) if w in factors]
     assert len(dropped) > 3
     for i in dropped:
-        gap = ws[:i] + ws[i + 1:]
-        with pytest.raises(KeyError):
-            heights(gap, g)
-        with pytest.raises(KeyError):
-            labels(gap)
+        keep = [True] * len(ws)
+        keep[i] = False
+        with pytest.raises(ValueError, match="not closed under factors"):
+            listing.restrict(keep)
+    # dropping a word that is nobody's factor keeps the rest intact
+    for i in set(range(len(ws))) - set(dropped):
+        keep = [j != i for j in range(len(ws))]
+        sub = listing.restrict(keep)
+        assert sub.words() == ws[:i] + ws[i + 1:]
+        assert labels(sub) == [str(w) for w in sub.words()]
+        assert heights(sub, g) == [height(w, g) for w in sub.words()]
 
 
 def test_stratum_size_guard():
@@ -353,7 +402,7 @@ def test_one_letter_needs_no_count_per_weight(monkeypatch):
         return necklace_count(k, j)
 
     monkeypatch.setattr(hall, "necklace_count", counted)
-    assert generate(1, 2000) == (letter(1),)
+    assert generate(1, 2000).words() == (letter(1),)
     assert calls == []
 
 
@@ -384,7 +433,7 @@ def test_census_matches_truncation_when_finite():
     g = GradingSequence((1, 2), 9)
     for n in (2, 3, 4, 5):
         census = height_class_census(n, g)
-        words = dimension_truncation(2, n, g)[0]
+        words = dimension_truncation(2, n, g)[0].words()
         tally = {}
         for w in words:
             tally[height(w, g)] = tally.get(height(w, g), 0) + 1
@@ -410,7 +459,7 @@ def test_census_countable_classes_have_tail_witnesses():
 @given(k=st.integers(1, 4), j=st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_generated_words_satisfy_conditions(k, j):
-    stratum = [w for w in generate(k, j) if w.length == j]
+    stratum = [w for w in generate(k, j).words() if w.length == j]
     assert all(is_hall(w, k) for w in stratum)
     assert all(w.length == j and w.max_letter <= k for w in stratum)
     assert stratum == sorted(stratum)
@@ -421,7 +470,7 @@ def test_generated_words_satisfy_conditions(k, j):
 @settings(max_examples=40, deadline=None)
 def test_truncation_is_height_filtered_prefix(k, n):
     g = GradingSequence.constant(1)
-    words = dimension_truncation(k, n, g)[0]
+    words = dimension_truncation(k, n, g)[0].words()
     assert all(height(w, g) + 1 <= n for w in words)
-    full = [w for w in generate(k, n - 1) if height(w, g) + 1 <= n]
+    full = [w for w in generate(k, n - 1).words() if height(w, g) + 1 <= n]
     assert tuple(full) == tuple(words)

@@ -57,6 +57,30 @@ def test_decompose_wedge_summand_count_matches_truncation():
             assert len(dec.summands) == len(dimension_truncation(k, n, G1)[0])
 
 
+def test_a_repeated_decomposition_builds_no_word_again(monkeypatch):
+    # a stage asked for again reads the words its cached listing built
+    import cechwedge.hall as hall
+    built = []
+    bracket = hall.bracket
+
+    def counted_bracket(x, y):
+        built.append(None)
+        return bracket(x, y)
+
+    monkeypatch.setattr(hall, "bracket", counted_bracket)
+    hall.generate.cache_clear()
+    hall.dimension_truncation.cache_clear()
+    g = GradingSequence.constant(2)
+    first = decompose_wedge(9, 6, g, TABLE)
+    assert built == []
+    assert len(first.summands) == len(first.listing)
+    assert len(built) == len(first.listing) - 6   # one per bracket
+    built.clear()
+    again = decompose_wedge(9, 6, g, TABLE)
+    assert len(again.summands) == len(first.summands) and built == []
+    assert again.summands == first.summands
+
+
 def test_decompose_wedge_symbol_passthrough():
     dec = decompose_wedge(6, 2, G1, TABLE)
     by_word = {str(w): g for w, g in dec.summands}
@@ -88,9 +112,9 @@ def test_decompose_wedge_groups_follow_each_word_height(spec):
 def test_bonding_partitions_truncation():
     # the 3-stage summands split into the 2-stage ones, which are kept,
     # and the words on a3, which are killed
-    top = dimension_truncation(3, 4, G1)[0]
+    top = dimension_truncation(3, 4, G1)[0].words()
     pushed = apply_bonding(bonding(4, 2, G1), {w: 1 for w in top})
-    assert list(pushed) == list(dimension_truncation(2, 4, G1)[0])
+    assert list(pushed) == list(dimension_truncation(2, 4, G1)[0].words())
     assert {str(w) for w in top if w not in pushed} == {
         "a3", "[a1,a3]", "[a2,a3]",
         "[a1,[a1,a3]]", "[a2,[a1,a3]]", "[a2,[a2,a3]]",
@@ -113,11 +137,11 @@ def test_bonding_membership_matches_enumeration(spec):
     for n in range(2, 7):
         for k in (1, 2, 3):
             b = bonding(n, k, g)
-            domain = dimension_truncation(k + 1, n, g)[0]
+            domain = dimension_truncation(k + 1, n, g)[0].words()
             # candidates: the Hall words one letter and one weight past
             # the domain, and every tree of weight <= 3, Hall or not
             max_w = (n - 1) // g.r(1) + 1
-            candidates = set(generate(k + 2, max_w))
+            candidates = set(generate(k + 2, max_w).words())
             for j in (1, 2, 3):
                 candidates.update(_bracket_trees(k + 2, j))
             accepted = set()
@@ -129,7 +153,7 @@ def test_bonding_membership_matches_enumeration(spec):
                 accepted.add(w)
             assert accepted == set(domain), (spec, n, k)
             pushed = apply_bonding(b, {w: 1 for w in domain})
-            assert list(pushed) == list(dimension_truncation(k, n, g)[0])
+            assert list(pushed) == list(dimension_truncation(k, n, g)[0].words())
 
 
 def test_apply_bonding_examples():
@@ -157,7 +181,7 @@ def test_bonding_composition_matches_direct_kill():
     # pushing k+2 -> k+1 -> k equals filtering by max letter <= k
     for n in (3, 4, 5):
         for k in (1, 2, 3):
-            top = {w: 1 for w in dimension_truncation(k + 2, n, G1)[0]}
+            top = {w: 1 for w in dimension_truncation(k + 2, n, G1)[0].words()}
             two_step = apply_bonding(bonding(n, k, G1),
                                      apply_bonding(bonding(n, k + 1, G1), top))
             direct = {w: 1 for w in top if w.max_letter <= k}

@@ -13,7 +13,7 @@ from cechwedge.elements import (CoherentElement, SubgroupForms,
                                 VerificationReport)
 from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow,
                               ProdN, SphereSymbol, SumN, Z, ZERO)
-from cechwedge.hall import GradingSequence, letter
+from cechwedge.hall import GradingSequence, HallListing
 from cechwedge.hilton import BondingMap, StabilizationReport, WedgeDecomposition
 from cechwedge.spheres import SphereGroupTable
 from cechwedge.whitehead import SparseEpsilon
@@ -54,11 +54,15 @@ HASHABLE = {
               "ProdN(base=SphereSymbol(n=5, q=2))"),
     "GradingSequence": (lambda: GradingSequence((1, 2), 3),
                         "GradingSequence(prefix=(1, 2), tail=3)"),
+    "HallListing": (lambda: HallListing((0, 2, 3), (-1, -1, 0), (1, 2, 1)),
+                    "HallListing(ends=(0, 2, 3), left=(-1, -1, 0), "
+                    "right=(1, 2, 1))"),
     "WedgeDecomposition": (
-        lambda: WedgeDecomposition(2, 1, G, ((letter(1), Z),), (1,)),
+        lambda: WedgeDecomposition(2, 1, G, HallListing((0, 1), (-1,), (1,)),
+                                   (1,), ((1, Z),)),
         "WedgeDecomposition(n=2, k=1, grading=GradingSequence(prefix=(1, 2), "
-        "tail=3), summands=((a1, FGAbelianGroup(rank=1, torsion=())),), "
-        "heights=(1,))"),
+        "tail=3), listing=HallListing(ends=(0, 1), left=(-1,), right=(1,)), "
+        "heights=(1,), groups=((1, FGAbelianGroup(rank=1, torsion=())),))"),
     "BondingMap": (lambda: BondingMap(4, 2, G),
                    "BondingMap(n=4, k=2, grading=GradingSequence(prefix=(1, 2), "
                    "tail=3))"),
@@ -93,7 +97,7 @@ RECORDS = {**HASHABLE, **UNHASHABLE}
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 16
     assert all(type(build()).__name__ == name
                for name, (build, _) in RECORDS.items())
 
