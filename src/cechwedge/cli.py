@@ -183,17 +183,28 @@ def cmd_hm(args) -> int:
     table = _table(args)
     dec = decompose_wedge(args.n, args.k, grading, table)
     if args.format == "json":
-        machine = {h: to_machine(g) for h, g in dec.groups}
-        parts = _encoded_total(dec, to_machine)
-        return _emit_json({
-            "n": args.n, "k": args.k, "grading": grading.spec_string(),
-            "trivial_by_connectivity": not dec.heights,
-            "summands": [{"word": w, "sphere": h + 1, "group": machine[h]}
-                         for w, h in zip(labels(dec.listing), dec.heights)],
-            # to_machine(dec.total()), which collapses one part to itself
-            "total": (parts[0] if len(parts) == 1 else
-                      {"kind": "direct_sum", "children": parts} if parts
-                      else to_machine(ZERO))})
+        # What _emit_json prints for the record with its summands as
+        # {"word": w, "sphere": h + 1, "group": to_machine(g)} and its
+        # total as to_machine(dec.total()), written out in sorted key
+        # order: each distinct group is encoded once, and a word label
+        # (a<i> and brackets) needs no JSON escape.
+        def encode(g):
+            return json.dumps(to_machine(g), sort_keys=True)
+
+        row = {h: '{"group": %s, "sphere": %d, "word": "' % (encode(g), h + 1)
+               for h, g in dec.groups}
+        parts = _encoded_total(dec, encode)
+        # to_machine collapses a sum of one part to that part
+        total = (parts[0] if len(parts) == 1 else
+                 '{"children": [%s], "kind": "direct_sum"}' % ", ".join(parts)
+                 if parts else encode(ZERO))
+        return _emit_lines([
+            '{"grading": %s, "k": %d, "n": %d, "summands": [%s], '
+            '"total": %s, "trivial_by_connectivity": %s}'
+            % (json.dumps(grading.spec_string()), args.k, args.n,
+               ", ".join([row[h] + w + '"}' for w, h in
+                          zip(labels(dec.listing), dec.heights)]),
+               total, json.dumps(not dec.heights))])
     if not dec.heights:
         return _emit_lines(["0 (trivial by connectivity)"])
     text = {h: "\tpi_%d(S^%d)\t%s" % (args.n, h + 1, render_text(g))

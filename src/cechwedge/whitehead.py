@@ -282,122 +282,121 @@ def tensor_expansion(s) -> dict[tuple, int]:
 # Text syntax
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<letter>a(\d+))|(?P<int>\d+)|(?P<sym>[\[\],+\-*()]))")
+_TOKEN_RE = re.compile(r"a(\d+)|(\d+)|([\[\],+\-*()])")
+# where a scan token by token would stop: a character no token starts
+# with, or an 'a' without its index
+_JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
 
 
 def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError("bad token at %r" % text[pos:pos + 10])
-            break
-        if m.group("letter"):
-            out.append(("letter", int(m.group(2))))
-        elif m.group("int"):
-            out.append(("int", int(m.group("int"))))
-        else:
-            out.append(("sym", m.group("sym")))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self, kind=None, value=None):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ValueError("unexpected end of expression")
-        if kind is not None and tok[0] != kind:
-            raise ValueError("expected %s, got %r" % (kind, tok[1]))
-        if value is not None and tok[1] != value:
-            raise ValueError("expected %r, got %r" % (value, tok[1]))
-        self.pos += 1
-        return tok
-
-    def expr(self, degrees) -> FormalSum:
-        terms = [self.term(degrees)]
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            _, op = self.take("sym")
-            t = self.term(degrees)
-            terms.append(-t if op == "-" else t)
-        return FormalSum.sum_of(terms)
-
-    def term(self, degrees) -> FormalSum:
-        kind, val = self.peek()
-        if kind == "sym" and val == "-":
-            self.take()
-            return -self.term(degrees)
-        if kind == "int":
-            self.take()
-            if self.peek() == ("sym", "*"):
-                self.take()
-                return self.atom(degrees).scale(val)
-            if val == 0:
-                return FormalSum()
-            raise ValueError("bare integer %d (only 0 stands alone)" % val)
-        return self.atom(degrees)
-
-    def atom(self, degrees) -> FormalSum:
-        kind, val = self.peek()
-        if kind == "letter":
-            self.take()
-            return FormalSum.single(monomial_of_word(letter(val), degrees))
-        if kind == "sym" and val == "[":
-            self.take()
-            x = self.expr(degrees)
-            self.take("sym", ",")
-            y = self.expr(degrees)
-            self.take("sym", "]")
-            return x.bracket(y)
-        if kind == "sym" and val == "(":
-            self.take()
-            e = self.expr(degrees)
-            self.take("sym", ")")
-            return e
-        raise ValueError("expected a letter, bracket, or 0, got %r" % (val,))
+    """The tokens of text, with whitespace allowed between them, as
+    ("letter", i) for a<i>, ("int", c) and ("sym", s)."""
+    junk = _JUNK_RE.search(text)
+    if junk:
+        pos = len(text[:junk.start()].rstrip())
+        raise ValueError("bad token at %r" % text[pos:pos + 10])
+    return [("letter", int(i)) if i else ("int", int(c)) if c else ("sym", s)
+            for i, c, s in _TOKEN_RE.findall(text)]
 
 
 def parse_bracket_expr(text: str, degrees) -> FormalSum:
-    """Parse the bracket syntax a<i>, [x,y], c*x, x + y, -x, 0 and expand
-    it by bilinearity into a FormalSum of monomials."""
-    parser = _Parser(_tokenize(text))
-    e = parser.expr(degrees)
-    if parser.peek()[0] is not None:
-        raise ValueError("trailing input after expression: %r" % (parser.peek()[1],))
-    return e
+    """Parse the bracket syntax a<i>, [x,y], c*x, x + y, -x, (x), 0 and
+    expand it by bilinearity into a FormalSum of monomials.
+
+    One walk over the tokens.  The terms of the innermost open sum are
+    a list of (monomial, coefficient) pairs; each open '[' or '(' keeps
+    the list it interrupted and its own term's coefficient.  A bracket
+    adds up each factor's pairs just before it multiplies them out, so
+    that no monomial of a factor is bracketed twice, and the whole list
+    is added up once at the end.
+    """
+    tokens = _tokenize(text) + [(None, None)]
+    pairs: list = []
+    # per open '[' or '(': the token that ends its part, the outer
+    # pairs, the coefficient of its term and, after ',', the left factor
+    stack: list = []
+    letters: dict = {}  # letter index -> its monomial
+    c, i = 1, 0
+    while True:
+        # one term: signs, then "<int>*" and an atom, a lone 0 or an atom
+        kind, val = tokens[i]
+        while val == "-":
+            c, i = -c, i + 1
+            kind, val = tokens[i]
+        if kind == "int" and tokens[i + 1][1] != "*":
+            if val:
+                raise ValueError("bare integer %d (only 0 stands alone)" % val)
+            i += 1
+        else:
+            if kind == "int":
+                c, i = c * val, i + 2
+                kind, val = tokens[i]
+            if kind == "letter":
+                if val not in letters:
+                    letters[val] = monomial_of_word(letter(val), degrees)
+                pairs.append((letters[val], c))
+                i += 1
+            elif val == "[" or val == "(":
+                stack.append(("," if val == "[" else ")", pairs, c, None))
+                pairs, c, i = [], 1, i + 1
+                continue
+            else:
+                raise ValueError("expected a letter, bracket, or 0, got %r"
+                                 % (val,))
+        # after a term: close what ends here, then read the next term
+        while True:
+            kind, val = tokens[i]
+            i += 1
+            if val == "+" or val == "-":
+                c = 1 if val == "+" else -1
+                break
+            if kind is None:
+                if stack:
+                    raise ValueError("unexpected end of expression")
+                return FormalSum(pairs)
+            if not stack:
+                raise ValueError("trailing input after expression: %r" % (val,))
+            end, outer, k, left = stack[-1]
+            if val != end:
+                raise ValueError("expected %r, got %r" % (end, val))
+            if val == ",":
+                stack[-1] = ("]", outer, k, pairs)
+                pairs, c = [], 1
+                break
+            stack.pop()
+            if val == "]":
+                ys = _summed(pairs).items()
+                pairs = [(x.bracket(y), cx * cy)
+                         for x, cx in _summed(left).items() for y, cy in ys]
+            outer += [(m, k * v) for m, v in pairs]
+            pairs = outer
 
 
 def parse_word(text: str) -> HallWord:
     """Parse a bare bracket word: a<i> or [word,word], no sums."""
-
-    def walk(p: _Parser) -> HallWord:
-        kind, val = p.peek()
-        if kind == "letter":
-            p.take()
-            return letter(val)
-        if kind == "sym" and val == "[":
-            p.take()
-            x = walk(p)
-            p.take("sym", ",")
-            y = walk(p)
-            p.take("sym", "]")
-            return bracket(x, y)
-        raise ValueError("expected a letter or bracket, got %r" % (val,))
-
-    parser = _Parser(_tokenize(text))
-    w = walk(parser)
-    if parser.peek()[0] is not None:
-        raise ValueError("trailing input after word: %r" % (parser.peek()[1],))
-    return w
+    stack: list = []  # per open '[': its left factor once read, else None
+    word = None       # the word just read, until a ',' or ']' takes it
+    for kind, val in _tokenize(text):
+        if word is None:
+            if kind == "letter":
+                word = letter(val)
+            elif val == "[":
+                stack.append(None)
+            else:
+                raise ValueError("expected a letter or bracket, got %r" % (val,))
+        elif not stack:
+            raise ValueError("trailing input after word: %r" % (val,))
+        else:
+            end = "," if stack[-1] is None else "]"
+            if val != end:
+                raise ValueError("expected %r, got %r" % (end, val))
+            if end == ",":
+                stack[-1], word = word, None
+            else:
+                word = bracket(stack.pop(), word)
+    if word is None or stack:
+        raise ValueError("unexpected end of word")
+    return word
 
 
 # ---------------------------------------------------------------------------

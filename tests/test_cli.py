@@ -252,6 +252,32 @@ def test_hm_total_is_the_normalized_sum_of_every_summand(capsys, n, k, spec):
         assert out.splitlines()[-1] == "total\t" + render_text(want)
 
 
+@pytest.mark.parametrize("argv", [
+    ("-n", "7", "-k", "6", "--grading", "1,1,1;1"),  # 9,695 summands
+    ("-n", "11", "-k", "2", "--grading", "1,1;3"),   # symbolic groups
+    ("-n", "8", "-k", "4", "--grading", "1,2;3"),
+    ("-n", "4", "-k", "2", "-m", "2"),
+    ("-n", "2", "-k", "1", "-m", "2"),      # a total of one part
+    ("-n", "2", "-k", "3", "-m", "4"),      # no summands
+], ids=str)
+def test_hm_json_prints_the_sorted_key_encoding(capsys, argv):
+    # hm writes its record out by hand; it must be the bytes json.dumps
+    # with sorted keys makes of the same record built from the library
+    from cechwedge.hilton import decompose_wedge
+    rc, out, _ = run(capsys, "hm", *argv, "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+    dec = decompose_wedge(doc["n"], doc["k"],
+                          hall.GradingSequence.parse(doc["grading"]),
+                          seed_table())
+    assert doc["summands"] == [
+        {"word": str(w), "sphere": h + 1, "group": to_machine(g)}
+        for (w, g), h in zip(dec.summands, dec.heights)]
+    assert doc["total"] == to_machine(dec.total())
+    assert doc["trivial_by_connectivity"] is (not dec.summands)
+
+
 # ---------------------------------------------------------------------------
 # Verification commands
 
@@ -622,6 +648,10 @@ def test_verify_stabilize_failure(capsys):
     ("verify", "coherence", "--file", "FILE:# one sphere\nelement n=1 m=2\n"),
     ("verify", "coherence", "--file", "FILE:# one-spheres\nelement n=3 m=1\n"),
     ("verify", "coherence", "--file", "FILE:element n=4 m=2\neps 1 2 = 1\n"),
+    # a word with a character no token starts with
+    ("verify", "coherence", "--file", "FILE:element n=3 m=2\nsupport [a1,x2] = 1\n"),
+    ("verify", "coherence", "--file",
+     "FILE:element n=3 m=2\ngtuple 1 [a1,a2]! = 1\n"),
 ])
 def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
     binary = tmp_path / "binary.txt"

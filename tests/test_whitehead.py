@@ -1,15 +1,18 @@
 """Bracket rewriting against the tensor-algebra oracle."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import parse_oracle
 from cechwedge import whitehead
 from cechwedge.elements import (CoherentElement, verify_weight2_realization,
                                 weight_two_element)
 from cechwedge.groups import (CYCLIC_2, FGAbelianGroup, GroupElement, Z,
                               integer_element)
 from cechwedge.hall import bracket, letter
-from cechwedge.whitehead import (FormalSum, SparseEpsilon,
+from cechwedge.whitehead import (BracketMonomial, FormalSum, SparseEpsilon,
                                  WeightLimitError, add_coordinates, expand,
                                  hall_normalize, monomial_of_word,
                                  parse_bracket_expr, parse_word,
@@ -195,20 +198,133 @@ def test_parse_bracket_expr():
     assert expand(parse_bracket_expr("0", g)) == FormalSum()
 
 
+# junk before, between and after tokens, each refused where it starts
+JUNK = (("[a1,#a2]", "'#a2]'"), ("a1 x", "' x'"), ("[a1,a2]!", "'!'"),
+        ("a1\tb2", "'\\tb2'"), ("[a1, a]", "' a]'"), ("a", "'a'"))
+
+
 def test_parse_bracket_expr_errors():
     g = DEG2
-    for bad in ("", "[a1,a2", "a1 +", "5", "a0", "b2", "[a1 a2]"):
+    for bad in ("", "[a1,a2", "a1 +", "5", "a0", "b2", "[a1 a2]", "(a1",
+                "2*-a1", "2*0", "a1)", "[a1,a2]]", "[a1;a2]", "- "):
         with pytest.raises(ValueError):
+            parse_bracket_expr(bad, g)
+    for bad, rest in JUNK:
+        with pytest.raises(ValueError, match=re.escape("bad token at " + rest)):
             parse_bracket_expr(bad, g)
 
 
 def test_parse_word_round_trip():
     for text in ("a1", "[a1,a2]", "[a2,[a1,[a1,a3]]]"):
         assert str(parse_word(text)) == text
-    with pytest.raises(ValueError):
-        parse_word("a1 + a2")   # sums are not single words
-    with pytest.raises(ValueError):
-        parse_word("2*a1")
+    assert parse_word(" [ a2 ,\t[a1,a3]]\n") == parse_word("[a2,[a1,a3]]")
+    for bad in ("a1 + a2",   # sums are not single words
+                "2*a1", "", "[a1,a2", "[a1]", "[a1,a2,a3]", "a1 a2", "(a1)",
+                "[[a1,a2]", "a0", "]"):
+        with pytest.raises(ValueError):
+            parse_word(bad)
+    for bad, rest in JUNK:
+        with pytest.raises(ValueError, match=re.escape("bad token at " + rest)):
+            parse_word(bad)
+
+
+class _CyclicDegrees:
+    """Degrees for every letter index, cycling through a short list."""
+
+    def __init__(self, ds):
+        self.ds = ds
+
+    def __getitem__(self, i):
+        return self.ds[i % len(self.ds)]
+
+
+def _read(f, *args):
+    """("ok", what f returns) or ("refused", its ValueError's message)."""
+    try:
+        return "ok", f(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+_PIECES = ("a", "0", "1", "2", "13", "[", "]", ",", "+", "-", "*", "(", ")",
+           " ", "\t")
+# not a token: '#', 'b', '!' and '.'; whitespace: no-break space; a
+# decimal digit, as \d and int() take it: '\u0663', Arabic-Indic three
+_ODD = ("#", "b", "!", ".", "\u00a0", "\u0663")
+_junk_texts = st.sampled_from(_ODD).flatmap(lambda odd: st.lists(
+    st.sampled_from(_PIECES + (odd,)), max_size=24).map("".join))
+# well formed expressions and words of weight up to 8, and those with
+# one piece more
+_exprs = st.recursive(
+    st.sampled_from(("a1", "a2", "a3", "a12", "0")),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda xy: "[%s,%s]" % xy),
+        st.tuples(sub, st.sampled_from((" + ", " - ", "+-")), sub).map("".join),
+        st.tuples(st.integers(0, 3), sub).map(lambda cx: "%d*%s" % cx),
+        sub.map(lambda x: "-" + x), sub.map(lambda x: "( %s )" % x)),
+    max_leaves=8)
+_WORDS = st.recursive(
+    st.integers(1, 12).map(letter),
+    lambda sub: st.tuples(sub, sub).map(lambda xy: bracket(*xy)),
+    max_leaves=8)
+_well_formed = st.one_of(_exprs, _WORDS.map(str))
+_texts = st.one_of(_junk_texts, _well_formed, st.builds(
+    lambda text, at, piece: text[:at] + piece + text[at:],
+    _well_formed, st.integers(0, 60), st.sampled_from(_PIECES + _ODD)))
+
+
+@given(text=_texts, ds=st.lists(st.integers(2, 4), min_size=1, max_size=4))
+@settings(max_examples=400)
+def test_text_reader_matches_the_token_by_token_oracle(text, ds):
+    # the same tokens or the same refusal, and the same words and sums
+    assert _read(whitehead._tokenize, text) == _read(parse_oracle.tokenize, text)
+    degrees = _CyclicDegrees(ds)
+    for new, old, args in ((parse_word, parse_oracle.parse_word, ()),
+                           (parse_bracket_expr, parse_oracle.parse_bracket_expr,
+                            (degrees,))):
+        got, want = _read(new, text, *args), _read(old, text, *args)
+        assert got[0] == want[0], (text, got, want)
+        if got[0] == "ok":
+            assert got == want
+
+
+@given(w=_WORDS, data=st.data())
+@settings(max_examples=100)
+def test_parse_word_reads_back_its_text_with_whitespace(w, data):
+    assert w.length <= 8
+    tokens = re.findall(r"a\d+|\S", str(w))
+    gaps = data.draw(st.lists(st.sampled_from(("", " ", "\t", " \t ")),
+                              min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    assert parse_word("".join(map("".join, zip(gaps, tokens))) + gaps[-1]) == w
+    assert parse_word(str(w)) == w
+
+
+@pytest.mark.parametrize("text, products", [
+    # the inner bracket multiplies {a3: 2} by a3 once; the outer one
+    # multiplies {a1, a2} by {[a3,a3]}
+    ("[a1 + a1 - a1 + a2, [a2 + 2*a3 - a2, a3]]", 1 + 2),
+    ("[a1, a2 + a2 - a2]", 1),
+    ("[a1 + a2, a3 - a3]", 0),
+    ("[(a1 + a2) + (a1 - a2), 3*[a2,a3] - [a2,a3] - 2*[a2,a3] + a3]", 3 + 1),
+    ("[[a1, 0*a2 + a3 + a3], (a1 - a1) + [a2, a3 + a2 - a2]]", 1 + 1 + 1),
+])
+def test_brackets_multiply_summed_factors(monkeypatch, text, products):
+    # A bracket multiplies its factors' distinct nonzero terms, one
+    # monomial bracket per pair, as the recursive parser's sums do.
+    calls = []
+    monomial_bracket = BracketMonomial.bracket
+
+    def counted(self, other):
+        calls.append((self, other))
+        return monomial_bracket(self, other)
+
+    monkeypatch.setattr(BracketMonomial, "bracket", counted)
+    got = parse_bracket_expr(text, DEG2)
+    assert len(calls) == products
+    del calls[:]
+    assert parse_oracle.parse_bracket_expr(text, DEG2) == got
+    assert len(calls) == products
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ environment cannot pass for a killed mutant.
 
 Exit 0 when every mutant is killed, 1 when one survives or an old text
 does not occur exactly once.  Stdlib only, and not part of Tier-1: a
-run of every mutant takes about 70 s on a 2-vCPU machine.
+run of every mutant takes about 90 s on a 2-vCPU machine.
 tests/test_mutants.py checks in Tier-1 that every old text still
 occurs exactly once.
 """
@@ -115,6 +115,19 @@ MUTANTS = [
      [T_WH + "test_formal_sum_no_zero_coefficients",
       T_WH + "test_add_coordinates_matches_a_reference_sum",
       T_WH + "test_add_coordinates_cancels_and_wraps_around"]),
+    # --- reading bracket text
+    ("tokenizer-skips-junk", WH,
+     "    junk = _JUNK_RE.search(text)\n"
+     "    if junk:",
+     "    junk = None\n"
+     "    if junk:",
+     [T_WH + "test_text_reader_matches_the_token_by_token_oracle",
+      T_WH + "test_parse_word_round_trip",
+      T_WH + "test_parse_bracket_expr_errors"]),
+    ("bracket-right-factor-unsummed", WH,
+     "                ys = _summed(pairs).items()",
+     "                ys = pairs",
+     [T_WH + "test_brackets_multiply_summed_factors"]),
     # --- the weight-2 matrix
     ("eps-band-excludes-its-width", WH,
      "            if j - i <= w:",
