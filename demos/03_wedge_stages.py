@@ -26,7 +26,7 @@ dec3 = decompose_wedge(4, 3, g1, table)
 print("\nsame degree over three spheres: %d summands (was %d)"
       % (len(dec3.summands), len(dec.summands)))
 
-killed = [w for w in dec3.words() if w.max_letter > 2]
+killed = [w for w in dec3.listing.words() if w.max_letter > 2]
 print("\ncollapsing the third sphere kills %d words, keeps %d:"
       % (len(killed), len(dec3.summands) - len(killed)))
 for w in killed:

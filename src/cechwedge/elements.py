@@ -137,14 +137,6 @@ def _as_element(group, val) -> GroupElement:
     return GroupElement(group, val)
 
 
-def _resolve_group(n: int, q: int, table, what: str):
-    group = table.lookup(n, q)
-    if group is None:
-        raise UnresolvedGroupError("%s needs pi_%d(S^%d), which the table "
-                                   "does not resolve" % (what, n, q))
-    return group
-
-
 def finite_support_element(n: int, m: int, entries, table) -> CoherentElement:
     """Element supported on finitely many Hall words.
 
@@ -163,8 +155,11 @@ def _coordinate(n: int, grading, w, val, table) -> tuple[HallWord, GroupElement]
         w = parse_word(w)
     if not _hall_conditions(w):
         raise ValueError("support word %s is not a Hall word" % (w,))
-    group = _resolve_group(n, height(w, grading) + 1, table,
-                           "support word %s" % (w,))
+    q = height(w, grading) + 1
+    group = table.lookup(n, q)
+    if group is None:
+        raise UnresolvedGroupError("support word %s needs pi_%d(S^%d), which "
+                                   "the table does not resolve" % (w, n, q))
     return w, _as_element(group, val)
 
 
@@ -176,8 +171,6 @@ def weight_two_element(m: int, eps) -> CoherentElement:
     """
     if isinstance(eps, dict):
         eps = SparseEpsilon.from_dict(eps)
-    if not isinstance(eps, SparseEpsilon):
-        raise TypeError("eps must be a SparseEpsilon or a dict")
     return CoherentElement(2 * m - 1, m, eps=eps)
 
 
@@ -214,7 +207,7 @@ def weight_one_element(n: int, m: int, coords, table) -> CoherentElement:
 
 def weight_one_coordinates(e) -> dict[int, GroupElement]:
     """Per-letter projection to the product of spheres."""
-    return {w.letter_index: f for w, f in e.coords if w.is_letter}
+    return {w.max_letter: f for w, f in e.coords if w.is_letter}
 
 
 def weight_one_part_vanishes(e, kmax: int) -> bool:
@@ -325,8 +318,6 @@ def min_letter_subgroup_expr(n: int, m: int, table) -> SubgroupForms:
         raise ValueError("need n >= 2 and m >= 2")
     blocks = [SumN(sphere_group_expr(n, (m - 1) * j + 1, table))
               for j in weight_range(n, m, start=2)]
-    if not blocks:
-        return SubgroupForms(ZERO, ZERO, True)
     per_letter = normalize(ProdN(DirectSum(tuple(blocks))))
     weight_split = normalize(DirectSum(tuple(ProdN(b) for b in blocks)))
     equal = distribute_product_over_sum(per_letter) == weight_split

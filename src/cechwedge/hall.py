@@ -46,7 +46,14 @@ STRATUM_CAP = 10**6
 
 
 class StratumSizeError(RuntimeError):
-    """A requested weight stratum would hold more than STRATUM_CAP words."""
+    """A requested listing would hold more than STRATUM_CAP entries."""
+
+
+def check_cap(size: int, message: str, *args) -> None:
+    """Raise StratumSizeError, with the text message % args and the
+    cap, when size passes STRATUM_CAP as it is at the time of the call."""
+    if size > STRATUM_CAP:
+        raise StratumSizeError("%s, cap is %d" % (message % args, STRATUM_CAP))
 
 
 class HallWord(NamedTuple):
@@ -69,12 +76,6 @@ class HallWord(NamedTuple):
     @property
     def is_letter(self):
         return self.left is None
-
-    @property
-    def letter_index(self):
-        if self.left is not None:
-            raise ValueError("%s is not a single letter" % (self,))
-        return self.max_letter
 
     def iter_letters(self):
         """Yield letter indices with multiplicity, left to right."""
@@ -159,13 +160,8 @@ class HallListing(Frozen):
         """The HallWord of every word, in listing order, built on the
         first call and kept."""
         if self._words is None:
-            ends, left, right = self.ends, self.left, self.right
-            built = list(map(letter, right[:ends[1]]))
-            get = built.__getitem__
-            for lo, hi in zip(ends[1:], ends[2:]):
-                built += map(bracket, map(get, left[lo:hi]),
-                             map(get, right[lo:hi]))
-            object.__setattr__(self, "_words", tuple(built))
+            object.__setattr__(self, "_words",
+                               tuple(_fold(self, letter, bracket)))
         return self._words
 
     def weights(self):
@@ -222,10 +218,8 @@ def generate(k: int, max_weight: int) -> HallListing:
         return HallListing((0, 1), (-1,), (1,))
     for j in range(1, max_weight + 1):
         predicted = necklace_count(k, j)
-        if predicted > STRATUM_CAP:
-            raise StratumSizeError(
-                "stratum %d on %d letters holds %d words, cap is %d"
-                % (j, k, predicted, STRATUM_CAP))
+        check_cap(predicted, "stratum %d on %d letters holds %d words",
+                  j, k, predicted)
     left, right = [-1] * k, list(range(1, k + 1))
     # starts[j][c]: where block c of stratum j begins; starts[j][k] ends it
     starts = [[0] * (k + 1), list(range(k + 1))]
@@ -405,12 +399,6 @@ class _CountablyInfinite:
     """Marker cardinality for countably infinite height classes."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "N"
@@ -432,10 +420,13 @@ def height_class_census(n: int, grading: GradingSequence):
     the prefix, and every multiset that is not a single repeated letter
     supports at least one Hall word.  Every other class holds only
     prefix letters with r(i) <= n - 1, which are the first ones, so it
-    is counted on the Hall words over those letters.
+    is counted on the Hall words over those letters.  More than
+    STRATUM_CAP classes raise StratumSizeError before any is counted.
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
+    classes = n - grading.r(1)
+    check_cap(classes, "degree %d has %d height classes", n, classes)
     usable = sum(1 for r in grading.prefix if r <= n - 1)
     tally = Counter(dimension_truncation(usable, n, grading)[1]
                     if usable else ())

@@ -24,7 +24,7 @@ from collections import Counter
 from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
                      has_symbol, normalize, sort_key)
 from .hall import (COUNTABLY_INFINITE, GradingSequence, HallListing,
-                   HallWord, dimension_truncation, height,
+                   HallWord, check_cap, dimension_truncation, height,
                    height_class_census, is_hall)
 from .records import Frozen
 
@@ -58,9 +58,6 @@ class WedgeDecomposition(Frozen):
         object.__setattr__(self, "listing", listing)
         object.__setattr__(self, "heights", heights)
         object.__setattr__(self, "groups", groups)
-
-    def words(self) -> tuple[HallWord, ...]:
-        return self.listing.words()
 
     @property
     def summands(self) -> tuple[tuple[HallWord, GroupExpr], ...]:
@@ -156,10 +153,13 @@ def cech_decompose(n: int, grading: GradingSequence, table) -> GroupExpr:
 
 def weight_range(n: int, m: int, start: int = 1) -> range:
     """The weights j >= start of the closed form's blocks: those with
-    (m - 1) j <= n - 1."""
+    (m - 1) j <= n - 1.  Refused past STRATUM_CAP weights."""
     if m < 2:
         raise ValueError("need m >= 2")
-    return range(start, (n - 1) // (m - 1) + 1)
+    weights = range(start, (n - 1) // (m - 1) + 1)
+    check_cap(len(weights), "degree %d on %d-spheres has %d weights",
+              n, m, len(weights))
+    return weights
 
 
 def earring_formula(n: int, m: int, table) -> GroupExpr:
@@ -173,11 +173,10 @@ def earring_formula(n: int, m: int, table) -> GroupExpr:
 
 
 def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
-    """The weight-j block of the closed form; ZERO beyond the range."""
+    """The weight-j block of the closed form; ZERO beyond the range,
+    where the sphere S^((m-1)j+1) is above degree n."""
     if j < 1:
         raise ValueError("weights start at 1")
-    if j not in weight_range(n, m):
-        return ZERO
     return normalize(ProdN(sphere_group_expr(n, (m - 1) * j + 1, table)))
 
 

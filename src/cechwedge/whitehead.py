@@ -127,18 +127,14 @@ class FormalSum:
     def scale(self, c: int) -> "FormalSum":
         return FormalSum({m: c * k for m, k in self._terms.items()})
 
-    @classmethod
-    def sum_of(cls, parts) -> "FormalSum":
-        """Sum of any number of FormalSums, built in one pass."""
-        return cls(mc for s in parts for mc in s._terms.items())
-
     def bracket(self, other: "FormalSum") -> "FormalSum":
         """Bilinear bracket: [sum c_x x, sum c_y y] = sum c_x c_y [x, y]."""
         return FormalSum((mx.bracket(my), cx * cy) for mx, cx in self._terms.items()
                          for my, cy in other._terms.items())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum.sum_of((self, other))
+        return FormalSum(itertools.chain(self._terms.items(),
+                                         other._terms.items()))
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
@@ -243,7 +239,7 @@ def hall_normalize(s):
 @functools.lru_cache(maxsize=None)
 def _tensor_of_monomial(m: BracketMonomial):
     if m.word.is_letter:
-        return {((m.word.letter_index, m.degrees[0]),): 1}
+        return {((m.word.max_letter, m.degrees[0]),): 1}
     x, y = m.factors()
     a = _tensor_of_monomial(x)
     b = _tensor_of_monomial(y)

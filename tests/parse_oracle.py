@@ -7,6 +7,7 @@ loops over the token list; tests/test_whitehead.py checks that both
 accept the same texts and give the same tokens, words and sums.
 """
 
+import itertools
 import re
 
 from cechwedge.hall import HallWord, bracket, letter
@@ -59,7 +60,8 @@ class Parser:
             _, op = self.take("sym")
             t = self.term(degrees)
             terms.append(-t if op == "-" else t)
-        return FormalSum.sum_of(terms)
+        return FormalSum(itertools.chain.from_iterable(
+            t.items() for t in terms))
 
     def term(self, degrees) -> FormalSum:
         kind, val = self.peek()

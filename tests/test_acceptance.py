@@ -110,7 +110,7 @@ def _t_is_hall(t):
 
 def _as_tuple(w):
     if w.is_letter:
-        return w.letter_index
+        return w.max_letter
     return (_as_tuple(w.left), _as_tuple(w.right))
 
 
@@ -302,11 +302,11 @@ def test_criterion_8_rewriting_soundness(request):
         for _ in range(30):
             p, q, r = (rng.randint(2, 5) for _ in range(3))
             degree_of = {1: p, 2: q, 3: r}
-            jac = FormalSum.sum_of(
-                parse_bracket_expr(text, degree_of).scale(c)
+            jac = FormalSum(itertools.chain.from_iterable(
+                parse_bracket_expr(text, degree_of).scale(c).items()
                 for text, c in (("[[a1,a2],a3]", sgn(p * r)),
                                 ("[[a2,a3],a1]", sgn(p * q)),
-                                ("[[a3,a1],a2]", sgn(r * q))))
+                                ("[[a3,a1],a2]", sgn(r * q)))))
             assert tensor_expansion(jac) == {}, (p, q, r)
 
 

@@ -54,6 +54,24 @@ def test_earring_annotate(capsys):
     ]
 
 
+@pytest.mark.parametrize("argv", [
+    ("cech", "wedge", "--grading", "1;1"),
+    ("cech", "earring", "-m", "2"),
+    ("cech", "earring", "-m", "2", "--annotate"),
+], ids=["wedge", "earring", "earring-annotate"])
+def test_limit_formulas_refuse_more_blocks_than_the_cap(capsys, monkeypatch,
+                                                        argv):
+    # degree n lists n - 1 height classes or weights here; the cap is
+    # read when the command runs, before anything is listed
+    monkeypatch.setattr(hall, "STRATUM_CAP", 50)
+    rc, out, err = run(capsys, *argv, "-n", "60")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(", cap is 50\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    rc, out, err = run(capsys, *argv, "-n", "50")
+    assert rc == 0 and out and err == ""
+
+
 def test_wedge_mixed_grading(capsys):
     rc, out, _ = run(capsys, "cech", "wedge", "--grading", "1,2;3", "-n", "3")
     assert rc == 0
@@ -163,13 +181,14 @@ def test_hm_json_flags_trivial_by_connectivity(capsys):
 
 
 # Each listing's heights come from one fold, in dimension_truncation; hm
-# folds once more for the word labels, and a trivial hm folds nothing.
+# folds once more for the word labels, verify theta once more for the
+# HallWords of its word pool, and a trivial hm folds nothing.
 @pytest.mark.parametrize("argv,folds", [
     (("hm", "-n", "7", "-k", "6", "--grading", "1,1,1;1"), 2),
     (("hm", "-n", "7", "-k", "6", "--grading", "1,1,1;1", "--format", "json"),
      2),
     (("cech", "wedge", "--grading", "1,1,1,1;2", "-n", "8"), 1),
-    (("verify", "theta", "--random", "--n", "7", "--m", "3"), 1),
+    (("verify", "theta", "--random", "--n", "7", "--m", "3"), 2),
     (("hm", "-n", "2", "-k", "3", "-m", "4"), 0),
 ], ids=["hm-text", "hm-json", "cech-wedge", "verify-theta-random", "hm-trivial"])
 def test_each_listing_is_folded_once(capsys, monkeypatch, argv, folds):

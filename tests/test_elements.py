@@ -623,6 +623,32 @@ def test_element_file_mixes_eps_and_gtuple():
                  + min_letter_element(3, 2, {1: [("[a1,a2]", 1)]}, TABLE))
 
 
+def test_element_file_prints_no_word_unless_it_refuses(monkeypatch):
+    # a word is printed back to text only for an error message
+    printed = []
+    word_str = hall.HallWord.__str__
+
+    def counted_str(w):
+        printed.append(None)
+        return word_str(w)
+
+    monkeypatch.setattr(hall.HallWord, "__str__", counted_str)
+    e = parse_element_file("element n=3 m=2\nsupport a1 = 1\n"
+                           "support [a1,a3] = 2\ngtuple 1 [a1,a2] = 1\n"
+                           "eps 1 2 = 1\neps 2 3 = -1\n", TABLE)
+    assert printed == []
+    assert e.level(3) == {letter(1): integer_element(1),
+                          parse_word("[a1,a2]"): integer_element(2),
+                          parse_word("[a1,a3]"): integer_element(2),
+                          parse_word("[a2,a3]"): integer_element(-1)}
+    with pytest.raises(ElementFormatError) as exc:
+        parse_element_file("support [a1,[a1,a2]] = 1\nelement n=9 m=2\n",
+                           TABLE)
+    assert str(exc.value) == ("line 1: support word [a1,[a1,a2]] needs "
+                              "pi_9(S^4), which the table does not resolve")
+    assert printed
+
+
 def test_multi_coordinate_values():
     table = parse_table("pi 7 4 = Z + Z/12\n")
     e = parse_element_file("element n=7 m=2\nsupport [a1,[a1,a2]] = 2,7\n", table)

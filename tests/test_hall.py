@@ -63,7 +63,7 @@ def _brute_stratum(k, j):
 
 def _as_tuple(w):
     if w.is_letter:
-        return w.letter_index
+        return w.max_letter
     return (_as_tuple(w.left), _as_tuple(w.right))
 
 
@@ -206,9 +206,6 @@ def test_hall_word_structure():
     assert w == bracket(letter(1), bracket(letter(1), letter(2)))
     assert letter(3) > w is False or True  # comparisons exist
     assert letter(1) < letter(2) < w
-    assert letter(4).letter_index == 4
-    with pytest.raises(ValueError, match=r"^\[a1,\[a1,a2\]\] is not a single letter$"):
-        w.letter_index
 
 
 def test_letter_validation():

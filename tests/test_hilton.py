@@ -4,7 +4,7 @@ import pytest
 
 from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow, ProdN,
                               SphereSymbol, SumN, Z, ZERO, has_symbol,
-                              render_text)
+                              normalize, render_text)
 from cechwedge.hall import (GradingSequence, bracket, dimension_truncation,
                             generate, height, letter)
 from cechwedge.hilton import (SupportError, apply_bonding,
@@ -20,7 +20,7 @@ G1 = GradingSequence.constant(1)
 
 def test_decompose_wedge_degree3():
     dec = decompose_wedge(3, 2, G1, TABLE)
-    assert [str(w) for w in dec.words()] == ["a1", "a2", "[a1,a2]"]
+    assert [str(w) for w in dec.listing.words()] == ["a1", "a2", "[a1,a2]"]
     assert [g for _, g in dec.summands] == [Z] * 3
     # summand identity is kept: no merging into a power
     assert render_text(dec.total()) == "Z (+) Z (+) Z"
@@ -28,13 +28,13 @@ def test_decompose_wedge_degree3():
 
 def test_decompose_wedge_degree2_only_letters():
     dec = decompose_wedge(2, 5, G1, TABLE)
-    assert [str(w) for w in dec.words()] == ["a1", "a2", "a3", "a4", "a5"]
+    assert [str(w) for w in dec.listing.words()] == ["a1", "a2", "a3", "a4", "a5"]
     assert all(g == Z for _, g in dec.summands)
 
 
 def test_decompose_wedge_degree4():
     dec = decompose_wedge(4, 2, G1, TABLE)
-    assert [str(w) for w in dec.words()] == [
+    assert [str(w) for w in dec.listing.words()] == [
         "a1", "a2", "[a1,a2]", "[a1,[a1,a2]]", "[a2,[a1,a2]]"]
     assert [g for _, g in dec.summands] == [
         CYCLIC_2, CYCLIC_2, CYCLIC_2,
@@ -99,10 +99,10 @@ def test_decompose_wedge_groups_follow_each_word_height(spec):
         for k in (2, 3, 4):
             dec = decompose_wedge(n, k, g, table)
             assert dec.summands
-            assert dec.heights == tuple(height(w, g) for w in dec.words())
+            assert dec.heights == tuple(height(w, g) for w in dec.listing.words())
             assert [grp for _, grp in dec.summands] == [
                 sphere_group_expr(n, height(w, g) + 1, table)
-                for w in dec.words()]
+                for w in dec.listing.words()]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,20 @@ def test_weight_summand():
     assert render_text(weight_summand(4, 2, 1, TABLE)) == "(Z/2)^N"
     with pytest.raises(ValueError):
         weight_summand(3, 2, 0, TABLE)
+    # past the range the sphere S^((m-1)j+1) is above degree n, where the
+    # built-in rule n < q forces 0 whatever a table says
+    above = SphereGroupTable({(n, q): Z for n in range(2, 14)
+                              for q in range(n + 1, 60)})
+    for m in (2, 3, 4, 7):
+        for n in range(2, 14):
+            last = (n - 1) // (m - 1)
+            for j in range(1, last + 5):
+                for table in (TABLE, above):
+                    got = weight_summand(n, m, j, table)
+                    assert got == normalize(ProdN(sphere_group_expr(
+                        n, (m - 1) * j + 1, table))), (n, m, j)
+                    if j > last:
+                        assert got == ZERO, (n, m, j)
 
 
 def test_unresolved_groups_stay_symbolic():

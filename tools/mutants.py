@@ -158,6 +158,10 @@ MUTANTS = [
      "        values += map(node, map(get, left[lo:hi]), map(get, right[lo:hi]))",
      "        values += map(node, map(get, right[lo:hi]), map(get, left[lo:hi]))",
      ["tests/test_hall.py::test_columns_match_the_bracket_generator"]),
+    ("census-class-cap-skipped", HALL,
+     "    check_cap(classes, \"degree %d has %d height classes\", n, classes)\n",
+     "",
+     [T_CLI + "test_limit_formulas_refuse_more_blocks_than_the_cap[wedge]"]),
     ("truncation-heights-unfiltered", HALL,
      "    return words.restrict(keep), tuple(itertools.compress(hs, keep))",
      "    return words.restrict(keep), tuple(hs)",
