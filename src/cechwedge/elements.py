@@ -24,9 +24,8 @@ import itertools
 import random
 import re
 
-from .groups import (DirectSum, GroupElement, GroupExpr, ProdN, SphereSymbol,
-                     SumN, ZERO, distribute_product_over_sum, integer_element,
-                     normalize)
+from .groups import (DirectSum, GroupElement, ProdN, SphereSymbol, SumN, ZERO,
+                     distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    height, letter)
 from .hilton import (apply_bonding, bonding, decompose_wedge,
@@ -68,10 +67,7 @@ class CoherentElement(Frozen):
         if eps and n != 2 * m - 1:
             raise ValueError("weight-2 families live in degree 2m - 1 = %d, "
                              "not %d" % (2 * m - 1, n))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coords", coordinate_tuple(coords))
-        object.__setattr__(self, "eps", eps)
+        super().__init__(n, m, coordinate_tuple(coords), eps)
 
     def walk(self, kmax: int):
         """Walk the element up the tower: yield its coordinates at the
@@ -225,11 +221,6 @@ class VerificationReport(Record):
 
     __slots__ = _fields = ("ok", "checked_levels", "failures")
 
-    def __init__(self, ok: bool, checked_levels: int, failures: tuple = ()):
-        self.ok = ok
-        self.checked_levels = checked_levels
-        self.failures = failures
-
 
 def check_coherence(e, kmax: int) -> VerificationReport:
     """Replay the tower's bonding maps against the element's levels.
@@ -253,8 +244,7 @@ def check_coherence(e, kmax: int) -> VerificationReport:
             if pushed.get(w) != actual.get(w):
                 failures.append((k, w))
         actual = upper
-    return VerificationReport(ok=not failures, checked_levels=kmax,
-                              failures=tuple(failures))
+    return VerificationReport(not failures, kmax, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +259,7 @@ def _compare_levels(projected, own, kmax: int) -> VerificationReport:
         if got != want:
             failures.append("level %d: projection %s != coordinates %s"
                             % (k, _render_coords(got), _render_coords(want)))
-    return VerificationReport(ok=not failures, checked_levels=kmax,
-                              failures=tuple(failures))
+    return VerificationReport(not failures, kmax, tuple(failures))
 
 
 def _render_coords(coords) -> str:
@@ -298,12 +287,6 @@ class SubgroupForms(Record):
     """The least-letter subgroup shape, before and after regrouping."""
 
     __slots__ = _fields = ("per_letter", "weight_split", "equal")
-
-    def __init__(self, per_letter: GroupExpr, weight_split: GroupExpr,
-                 equal: bool):
-        self.per_letter = per_letter
-        self.weight_split = weight_split
-        self.equal = equal
 
 
 def min_letter_subgroup_expr(n: int, m: int, table) -> SubgroupForms:

@@ -83,8 +83,7 @@ class FGAbelianGroup(GroupExpr):
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion must form a divisibility chain")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(rank, torsion)
 
     @classmethod
     def from_cyclic(cls, rank: int, orders) -> "FGAbelianGroup":
@@ -195,16 +194,9 @@ class SphereSymbol(GroupExpr):
 
     __slots__ = _fields = ("n", "q")
 
-    def __init__(self, n: int, q: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-
 
 class DirectSum(GroupExpr):
     __slots__ = _fields = ("parts",)
-
-    def __init__(self, parts: tuple[GroupExpr, ...]):
-        object.__setattr__(self, "parts", parts)
 
 
 class Pow(GroupExpr):
@@ -213,8 +205,7 @@ class Pow(GroupExpr):
     def __init__(self, base: GroupExpr, exponent: int):
         if exponent < 1:
             raise ValueError("finite powers need exponent >= 1")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        super().__init__(base, exponent)
 
 
 class SumN(GroupExpr):
@@ -222,17 +213,11 @@ class SumN(GroupExpr):
 
     __slots__ = _fields = ("base",)
 
-    def __init__(self, base: GroupExpr):
-        object.__setattr__(self, "base", base)
-
 
 class ProdN(GroupExpr):
     """Countable direct product of copies of the base shape."""
 
     __slots__ = _fields = ("base",)
-
-    def __init__(self, base: GroupExpr):
-        object.__setattr__(self, "base", base)
 
 
 def sort_key(e: GroupExpr):

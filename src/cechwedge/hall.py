@@ -148,9 +148,7 @@ class HallListing(Frozen):
 
     def __init__(self, ends: tuple[int, ...], left: tuple[int, ...],
                  right: tuple[int, ...]):
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        super().__init__(ends, left, right)
         object.__setattr__(self, "_words", None)
 
     def __len__(self):
@@ -305,8 +303,7 @@ class GradingSequence(Frozen):
         seq = prefix + (tail,)
         if any(a > b for a, b in zip(seq, seq[1:])):
             raise ValueError("grading must be monotone nondecreasing")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        super().__init__(prefix, tail)
 
     @classmethod
     def constant(cls, r: int) -> "GradingSequence":
@@ -430,10 +427,12 @@ def height_class_census(n: int, grading: GradingSequence):
     usable = sum(1 for r in grading.prefix if r <= n - 1)
     tally = Counter(dimension_truncation(usable, n, grading)[1]
                     if usable else ())
-    # reachable[s]: some multiset of grading values sums to s
-    reachable = [True] + [False] * (n - 1)
+    # reachable[s]: some multiset of grading values sums to s; only
+    # s = h - tail <= n - 1 - tail is read, and the class cap bounds that
+    size = n - grading.tail
+    reachable = [True] + [False] * (size - 1)
     for v in set(grading.prefix) | {grading.tail}:
-        for s in range(v, n):
+        for s in range(v, size):
             if reachable[s - v]:
                 reachable[s] = True
     return {h: (COUNTABLY_INFINITE

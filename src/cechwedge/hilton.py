@@ -23,9 +23,8 @@ from collections import Counter
 
 from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
                      has_symbol, normalize, sort_key)
-from .hall import (COUNTABLY_INFINITE, GradingSequence, HallListing,
-                   HallWord, check_cap, dimension_truncation, height,
-                   height_class_census, is_hall)
+from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord, check_cap,
+                   dimension_truncation, height, height_class_census, is_hall)
 from .records import Frozen
 
 
@@ -48,16 +47,6 @@ class WedgeDecomposition(Frozen):
 
     __slots__ = _fields = ("n", "k", "grading", "listing", "heights",
                            "groups")
-
-    def __init__(self, n: int, k: int, grading: GradingSequence,
-                 listing: HallListing, heights: tuple[int, ...],
-                 groups: tuple[tuple[int, GroupExpr], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "listing", listing)
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "groups", groups)
 
     @property
     def summands(self) -> tuple[tuple[HallWord, GroupExpr], ...]:
@@ -102,11 +91,6 @@ class BondingMap(Frozen):
     """Coordinate action of dropping sphere k + 1 from a (k+1)-wedge."""
 
     __slots__ = _fields = ("n", "k", "grading")
-
-    def __init__(self, n: int, k: int, grading: GradingSequence):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "grading", grading)
 
 
 def bonding(n: int, k: int, grading: GradingSequence) -> BondingMap:
@@ -189,11 +173,7 @@ class StabilizationReport(Frozen):
     def __init__(self, offset: int, entries: tuple[tuple[int, GroupExpr], ...],
                  stable: bool, stable_value: GroupExpr | None,
                  warnings: tuple[str, ...] = ()):
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "stable", stable)
-        object.__setattr__(self, "stable_value", stable_value)
-        object.__setattr__(self, "warnings", warnings)
+        super().__init__(offset, entries, stable, stable_value, warnings)
 
 
 def stabilization_report(s: int, m_range, table) -> StabilizationReport:
@@ -203,10 +183,11 @@ def stabilization_report(s: int, m_range, table) -> StabilizationReport:
     stable one, so all those entries should agree; the verdict records
     whether they do, and m_range must hold at least two such m.
     Unresolved table entries are reported as warnings rather than
-    errors.
+    errors.  An m_range longer than STRATUM_CAP is refused.
     """
     if s < 0:
         raise ValueError("offset must be >= 0")
+    check_cap(len(m_range), "an m-range of %d dimensions", len(m_range))
     ms = sorted(set(m_range))
     if not ms or ms[0] < 2:
         raise ValueError("need sphere dimensions >= 2")
@@ -224,5 +205,5 @@ def stabilization_report(s: int, m_range, table) -> StabilizationReport:
                          "compare" % (s + 2))
     stable = all(expr == in_range[0] for expr in in_range)
     stable_value = in_range[0] if stable else None
-    return StabilizationReport(offset=s, entries=tuple(entries), stable=stable,
-                               stable_value=stable_value, warnings=tuple(warnings))
+    return StabilizationReport(s, tuple(entries), stable, stable_value,
+                               tuple(warnings))

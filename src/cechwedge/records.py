@@ -1,11 +1,13 @@
 """Plain value records: equality, hash and repr over a field tuple.
 
 A record class names its fields in `_fields` (usually also its
-`__slots__`) and writes its own `__init__`.  Two records are equal
-when they have the same class and equal fields, and repr reads
-`Name(field=value, ...)`.  A `Frozen` record also hashes its fields
-and refuses attribute assignment, so its `__init__` sets fields with
-`object.__setattr__`; a plain `Record` is mutable and unhashable.
+`__slots__`).  The shared constructor takes one positional value per
+field, in that order; a class that validates or canonicalizes its
+arguments writes its own `__init__` and ends it with
+`super().__init__(...)`.  Two records are equal when they have the
+same class and equal fields, and repr reads `Name(field=value, ...)`.
+A `Frozen` record also hashes its fields and refuses attribute
+assignment; a plain `Record` is mutable and unhashable.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ class Record:
 
     def __init_subclass__(cls):
         cls._values = staticmethod(_tuple_getter(cls._fields))
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError("%s takes %d values (%s), got %d" % (
+                self.__class__.__qualname__, len(fields), ", ".join(fields),
+                len(values)))
+        for f, v in zip(fields, values):
+            # around Frozen.__setattr__, which refuses assignment
+            object.__setattr__(self, f, v)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

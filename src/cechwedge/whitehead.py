@@ -427,9 +427,9 @@ class SparseEpsilon(Frozen):
             if w < 1:
                 raise ValueError("band width must be >= 1")
         by_pair = _summed(((i, j), c) for i, j, c in entries)
-        object.__setattr__(self, "entries", tuple(sorted(
-            (i, j, c) for (i, j), c in by_pair.items())))
-        object.__setattr__(self, "bands", tuple(sorted(_summed(bands).items())))
+        super().__init__(
+            tuple(sorted((i, j, c) for (i, j), c in by_pair.items())),
+            tuple(sorted(_summed(bands).items())))
         # A slot, not a field: equality, hash and repr see only the
         # canonical entries and bands.
         object.__setattr__(self, "_by_pair", by_pair)

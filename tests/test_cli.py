@@ -72,6 +72,19 @@ def test_limit_formulas_refuse_more_blocks_than_the_cap(capsys, monkeypatch,
     assert rc == 0 and out and err == ""
 
 
+def test_stabilize_refuses_an_m_range_longer_than_the_cap(capsys, monkeypatch):
+    # the cap is read before the m-range is sorted or any formula runs
+    monkeypatch.setattr(hall, "STRATUM_CAP", 50)
+    rc, out, err = run(capsys, "verify", "stabilize", "-s", "0",
+                       "--m-range", "2..60")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(", cap is 50\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    rc, out, err = run(capsys, "verify", "stabilize", "-s", "0",
+                       "--m-range", "2..50")
+    assert (rc, out, err) == (0, "stable: Z^N\n", "")
+
+
 def test_wedge_mixed_grading(capsys):
     rc, out, _ = run(capsys, "cech", "wedge", "--grading", "1,2;3", "-n", "3")
     assert rc == 0

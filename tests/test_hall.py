@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -447,6 +448,21 @@ def test_census_countable_classes_have_tail_witnesses():
     assert census[3] is COUNTABLY_INFINITE      # [a1, a_i]
     assert census[4] is COUNTABLY_INFINITE
     assert census[5] is COUNTABLY_INFINITE
+
+
+def test_census_table_sized_by_its_classes_not_its_degree():
+    # two height classes in degree 10^6 + 2: the table of reachable
+    # sums covers h - tail, not every degree below n (16 MB at 8 bytes
+    # a slot)
+    g = GradingSequence.constant(10**6)
+    tracemalloc.start()
+    try:
+        census = height_class_census(10**6 + 2, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census == {10**6: COUNTABLY_INFINITE, 10**6 + 1: 0}
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Record classes: the import set of the CLI and the value semantics of
+"""Record classes: the import set of the CLI, the value semantics of
 every record (equality by class and fields, hashing, immutability and
-repr)."""
+repr) and the one constructor that sets their fields."""
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -15,10 +17,14 @@ from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow,
                               ProdN, SphereSymbol, SumN, Z, ZERO)
 from cechwedge.hall import GradingSequence, HallListing
 from cechwedge.hilton import BondingMap, StabilizationReport, WedgeDecomposition
+from cechwedge.records import Record
 from cechwedge.spheres import SphereGroupTable
 from cechwedge.whitehead import SparseEpsilon
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "cechwedge"
+RECORD_MODULES = ("elements", "groups", "hall", "hilton", "spheres",
+                  "whitehead")
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -96,10 +102,58 @@ UNHASHABLE = {
 RECORDS = {**HASHABLE, **UNHASHABLE}
 
 
+def _record_classes():
+    """Every Record subclass with fields that the library defines."""
+    for name in RECORD_MODULES:
+        importlib.import_module("cechwedge." + name)
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            # a test may subclass a record locally; only the library's count
+            if sub._fields and sub.__module__.startswith("cechwedge."):
+                found.add(sub.__name__)
+    return found
+
+
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 16
+    assert _record_classes() == set(RECORDS)
     assert all(type(build()).__name__ == name
                for name, (build, _) in RECORDS.items())
+
+
+@pytest.mark.parametrize("cls,values", [
+    pytest.param(cls, values, id=cls.__name__) for cls, values in (
+        (SphereSymbol, (4,)), (VerificationReport, (True, 3)), (SumN, (Z, Z)))
+])
+def test_shared_constructor_counts_its_values(cls, values):
+    with pytest.raises(TypeError, match="^%s takes " % cls.__name__):
+        cls(*values)
+
+
+def test_no_record_sets_its_own_fields_by_hand():
+    # The shared constructor in records.py is the one place that sets a
+    # field with object.__setattr__; a cache slot outside _fields may
+    # still be set that way.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "records.py":
+            continue
+        module = importlib.import_module(
+            "cechwedge" if path.stem == "__init__" else "cechwedge." + path.stem)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = getattr(getattr(module, node.name), "_fields", ())
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and ast.unparse(call.func) == "object.__setattr__"
+                        and len(call.args) > 1
+                        and isinstance(call.args[1], ast.Constant)
+                        and call.args[1].value in fields):
+                    found.append("%s:%d %s.%s" % (path.name, call.lineno,
+                                                  node.name, call.args[1].value))
+    assert found == []
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

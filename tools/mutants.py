@@ -41,6 +41,7 @@ GROUPS = "src/cechwedge/groups.py"
 CLI = "src/cechwedge/cli.py"
 HALL = "src/cechwedge/hall.py"
 HILTON = "src/cechwedge/hilton.py"
+RECORDS = "src/cechwedge/records.py"
 WH = "src/cechwedge/whitehead.py"
 
 T_ELEMENTS = "tests/test_elements.py::"
@@ -218,6 +219,11 @@ MUTANTS = [
      "        return tuple((t, sign * c) for t, c in _reduce_root(y, x))",
      "        return tuple((t, c) for t, c in _reduce_root(y, x))",
      ["tests/test_acceptance.py::test_criterion_8_rewriting_soundness"]),
+    # --- the shared record constructor
+    ("record-fields-out-of-order", RECORDS,
+     "        for f, v in zip(fields, values):",
+     "        for f, v in zip(fields, values[::-1]):",
+     ["tests/test_records.py::test_equal_fields_equal_records"]),
 ]
 
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
