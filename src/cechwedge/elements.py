@@ -35,6 +35,9 @@ from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
                         coordinate_tuple, parse_word, project_levels)
 
 
+_HEADER_RE = re.compile(r"element n=(-?\d+) m=(-?\d+)")
+
+
 class UnresolvedGroupError(LookupError):
     """A needed sphere group is not in the table."""
 
@@ -83,11 +86,12 @@ class CoherentElement(Frozen):
         for w, f in self.coords:
             by_letter.setdefault(w.max_letter, []).append((w, f))
         level: dict[HallWord, GroupElement] = {}
+        eps = self.eps if self.eps else None
         for k in range(1, kmax + 1):
             column = {}
-            if self.eps:
+            if eps is not None:
                 for i in range(1, k):
-                    v = self.eps.value(i, k)
+                    v = eps.value(i, k)
                     if v:
                         column[bracket(letter(i), letter(k))] = integer_element(v)
             if k in by_letter:
@@ -230,7 +234,8 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     for any object with fields n, m and a walk(kmax) method, so a
     corrupted list of levels can be checked too.  The levels are walked
     once, and the bonding maps test each word's membership directly,
-    so no Hall set is listed.
+    so no Hall set is listed.  The words of a level are sorted and
+    compared one by one only when the two sides differ.
     """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
@@ -240,9 +245,9 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     actual = next(walk)
     for k, upper in enumerate(walk, start=1):
         pushed = apply_bonding(bonding(e.n, k, grading), upper)
-        for w in sorted(set(pushed) | set(actual)):
-            if pushed.get(w) != actual.get(w):
-                failures.append((k, w))
+        if pushed != actual:
+            failures += ((k, w) for w in sorted(set(pushed) | set(actual))
+                         if pushed.get(w) != actual.get(w))
         actual = upper
     return VerificationReport(not failures, kmax, tuple(failures))
 
@@ -335,8 +340,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
         fields = line.split()
         try:
             if fields[0] == "element":
-                header = re.fullmatch(r"element n=(-?\d+) m=(-?\d+)",
-                                      " ".join(fields))
+                header = _HEADER_RE.fullmatch(" ".join(fields))
                 if n is not None or header is None:
                     raise ValueError("expected one 'element n=<n> m=<m>' header")
                 n, m = int(header[1]), int(header[2])
@@ -352,9 +356,13 @@ def parse_element_file(text: str, table) -> CoherentElement:
                 support.append((lineno, w, _parse_ints(value_text)))
             elif fields[0] == "eps":
                 head, value_text = _split_assignment(line[len("eps"):])
-                i, j = (int(t) for t in head.split())
+                i, j = map(int, head.split())
                 _check_pair(i, j)
-                eps.append((i, j, _parse_ints(value_text)[0]))
+                c = _parse_ints(value_text)
+                if len(c) != 1:
+                    raise ValueError("an eps line takes one value, got %d"
+                                     % len(c))
+                eps.append((i, j, c[0]))
                 eps_lineno = eps_lineno or lineno
             else:
                 raise ValueError("unknown directive %r" % fields[0])
@@ -385,7 +393,7 @@ def _split_assignment(rest: str) -> tuple[str, str]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+    return tuple(map(int, text.split(",")))
 
 
 def render_element_file(e: CoherentElement) -> str:

@@ -139,7 +139,7 @@ class GroupElement:
     __slots__ = ("group", "coords")
 
     def __init__(self, group: FGAbelianGroup, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != group.rank + len(group.torsion):
             raise ValueError(
                 "%s needs %d coordinates, got %d"
@@ -171,7 +171,8 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group == other.group and self.coords == other.coords
+        return ((self.group is other.group or self.group == other.group)
+                and self.coords == other.coords)
 
     def __hash__(self):
         return hash((self.group, self.coords))
@@ -239,7 +240,8 @@ def sort_key(e: GroupExpr):
 
 def normalize(e: GroupExpr) -> GroupExpr:
     """Canonical form: flatten sums, drop zeros, collapse Pow(x, 1),
-    sort direct summands by a fixed structural key."""
+    sort direct summands by a fixed structural key.  A shape already in
+    canonical form comes back as the same object."""
     if isinstance(e, (FGAbelianGroup, SphereSymbol)):
         return e
     if isinstance(e, Pow):
@@ -248,13 +250,13 @@ def normalize(e: GroupExpr) -> GroupExpr:
             return ZERO
         if e.exponent == 1:
             return base
-        return Pow(base, e.exponent)
+        return e if base is e.base else Pow(base, e.exponent)
     if isinstance(e, SumN):
         base = normalize(e.base)
-        return ZERO if base == ZERO else SumN(base)
+        return ZERO if base == ZERO else e if base is e.base else SumN(base)
     if isinstance(e, ProdN):
         base = normalize(e.base)
-        return ZERO if base == ZERO else ProdN(base)
+        return ZERO if base == ZERO else e if base is e.base else ProdN(base)
     if isinstance(e, DirectSum):
         flat: list[GroupExpr] = []
         for part in e.parts:
@@ -270,7 +272,8 @@ def normalize(e: GroupExpr) -> GroupExpr:
         if len(flat) == 1:
             return flat[0]
         flat.sort(key=sort_key)
-        return DirectSum(tuple(flat))
+        parts = tuple(flat)
+        return e if parts == e.parts else DirectSum(parts)
     raise TypeError("not a group shape: %r" % (e,))
 
 

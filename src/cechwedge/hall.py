@@ -77,14 +77,6 @@ class HallWord(NamedTuple):
     def is_letter(self):
         return self.left is None
 
-    def iter_letters(self):
-        """Yield letter indices with multiplicity, left to right."""
-        if self.left is None:
-            yield self.max_letter
-        else:
-            yield from self.left.iter_letters()
-            yield from self.right.iter_letters()
-
     def __str__(self):
         if self.left is None:
             return "a%d" % self.max_letter
@@ -93,20 +85,36 @@ class HallWord(NamedTuple):
     __repr__ = __str__
 
 
+# Builds a named tuple from its fields in order, with no keyword call.
+_new = tuple.__new__
+
+# Bound on each per-word cache below.  The keys are words, and the
+# queries of one computation meet far fewer distinct words than this.
+WORD_CACHE_SIZE = 4096
+
+
 @functools.lru_cache(maxsize=None)
 def letter(i: int) -> HallWord:
     if i < 1:
         raise ValueError("letter indices start at 1")
-    return HallWord(length=1, max_letter=i, left=None, right=None,
-                    min_letter=i)
+    return _new(HallWord, (1, i, None, None, i))
 
 
 def bracket(x: HallWord, y: HallWord) -> HallWord:
     """Free bracket constructor; does not check the Hall conditions."""
-    return HallWord(length=x.length + y.length,
-                    max_letter=max(x.max_letter, y.max_letter),
-                    left=x, right=y,
-                    min_letter=min(x.min_letter, y.min_letter))
+    # conditionals, not max() and min(): this builds every bracket
+    hi, lo = x.max_letter, x.min_letter
+    return _new(HallWord, (x.length + y.length,
+                           hi if hi > y.max_letter else y.max_letter, x, y,
+                           lo if lo < y.min_letter else y.min_letter))
+
+
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def word_letters(w: HallWord) -> tuple[int, ...]:
+    """The letter indices of w with multiplicity, left to right."""
+    if w.left is None:
+        return (w.max_letter,)
+    return word_letters(w.left) + word_letters(w.right)
 
 
 def is_hall(w: HallWord, k: int) -> bool:
@@ -116,6 +124,7 @@ def is_hall(w: HallWord, k: int) -> bool:
     return _hall_conditions(w)
 
 
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _hall_conditions(w: HallWord) -> bool:
     if w.is_letter:
         return True
@@ -298,16 +307,16 @@ class GradingSequence(Frozen):
     __slots__ = _fields = ("prefix", "tail")
 
     def __init__(self, prefix: tuple[int, ...] = (), tail: int = 1):
-        if tail < 1 or any(p < 1 for p in prefix):
-            raise ValueError("grading entries must be >= 1")
         seq = prefix + (tail,)
-        if any(a > b for a, b in zip(seq, seq[1:])):
+        if min(seq) < 1:
+            raise ValueError("grading entries must be >= 1")
+        if any(map(operator.gt, seq, seq[1:])):
             raise ValueError("grading must be monotone nondecreasing")
         super().__init__(prefix, tail)
 
     @classmethod
     def constant(cls, r: int) -> "GradingSequence":
-        return cls(prefix=(), tail=r)
+        return cls((), r)
 
     @classmethod
     def parse(cls, text: str) -> "GradingSequence":
@@ -341,7 +350,7 @@ def height(w: HallWord, grading: GradingSequence) -> int:
     """h(w) = sum of r(i) over the letter occurrences of w."""
     if w.min_letter > len(grading.prefix):
         return grading.tail * w.length
-    return sum(grading.r(i) for i in w.iter_letters())
+    return sum(map(grading.r, word_letters(w)))
 
 
 def _fold(listing: HallListing, leaf, node) -> list:

@@ -141,9 +141,17 @@ def weight_range(n: int, m: int, start: int = 1) -> range:
     if m < 2:
         raise ValueError("need m >= 2")
     weights = range(start, (n - 1) // (m - 1) + 1)
-    check_cap(len(weights), "degree %d on %d-spheres has %d weights",
-              n, m, len(weights))
+    size = _size(weights)
+    check_cap(size, "degree %d on %d-spheres has %d weights", n, m, size)
     return weights
+
+
+def _size(values) -> int:
+    """len(values), counted by arithmetic for a range: len() of a range
+    longer than sys.maxsize raises OverflowError."""
+    if isinstance(values, range):
+        return max(0, -((values.start - values.stop) // values.step))
+    return len(values)
 
 
 def earring_formula(n: int, m: int, table) -> GroupExpr:
@@ -187,7 +195,8 @@ def stabilization_report(s: int, m_range, table) -> StabilizationReport:
     """
     if s < 0:
         raise ValueError("offset must be >= 0")
-    check_cap(len(m_range), "an m-range of %d dimensions", len(m_range))
+    size = _size(m_range)
+    check_cap(size, "an m-range of %d dimensions", size)
     ms = sorted(set(m_range))
     if not ms or ms[0] < 2:
         raise ValueError("need sphere dimensions >= 2")

@@ -1,13 +1,14 @@
 """Plain value records: equality, hash and repr over a field tuple.
 
-A record class names its fields in `_fields` (usually also its
-`__slots__`).  The shared constructor takes one positional value per
-field, in that order; a class that validates or canonicalizes its
-arguments writes its own `__init__` and ends it with
-`super().__init__(...)`.  Two records are equal when they have the
-same class and equal fields, and repr reads `Name(field=value, ...)`.
-A `Frozen` record also hashes its fields and refuses attribute
-assignment; a plain `Record` is mutable and unhashable.
+A record class names its fields in `_fields`, each a slot of the class.
+The shared constructor takes one positional value per field, in that
+order, and stores each through its slot descriptor, looked up once per
+class; a class that validates or canonicalizes its arguments writes
+its own `__init__` and ends it with `super().__init__(...)`.  Two
+records are equal when they have the same class and equal fields, and
+repr reads `Name(field=value, ...)`.  A `Frozen` record also hashes its
+fields and refuses attribute assignment; a plain `Record` is mutable
+and unhashable.
 """
 
 from __future__ import annotations
@@ -28,19 +29,23 @@ def _tuple_getter(fields: tuple[str, ...]):
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls):
         cls._values = staticmethod(_tuple_getter(cls._fields))
+        # each field's slot descriptor sets it around Frozen.__setattr__,
+        # which refuses assignment
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def __init__(self, *values):
-        fields = self._fields
-        if len(values) != len(fields):
+        setters = self._setters
+        if len(values) != len(setters):
+            fields = self._fields
             raise TypeError("%s takes %d values (%s), got %d" % (
                 self.__class__.__qualname__, len(fields), ", ".join(fields),
                 len(values)))
-        for f, v in zip(fields, values):
-            # around Frozen.__setattr__, which refuses assignment
-            object.__setattr__(self, f, v)
+        for set_field, v in zip(setters, values):
+            set_field(self, v)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -37,7 +37,8 @@ import re
 from typing import NamedTuple
 
 from .groups import GroupElement, integer_element
-from .hall import HallWord, bracket, letter, _hall_conditions
+from .hall import (HallWord, _hall_conditions, _new, bracket, letter,
+                   word_letters)
 from .records import Frozen
 
 MAX_TENSOR_WEIGHT = 4
@@ -79,12 +80,12 @@ class BracketMonomial(NamedTuple):
 
     def factors(self) -> tuple["BracketMonomial", "BracketMonomial"]:
         w, cut = self.word, self.word.left.length
-        return (BracketMonomial(w.left, self.degrees[:cut]),
-                BracketMonomial(w.right, self.degrees[cut:]))
+        return (_new(BracketMonomial, (w.left, self.degrees[:cut])),
+                _new(BracketMonomial, (w.right, self.degrees[cut:])))
 
     def bracket(self, other: "BracketMonomial") -> "BracketMonomial":
-        return BracketMonomial(bracket(self.word, other.word),
-                               self.degrees + other.degrees)
+        return _new(BracketMonomial, (bracket(self.word, other.word),
+                                      self.degrees + other.degrees))
 
     def has_square(self) -> bool:
         """Whether some sub-bracket is a self-bracket [x, x]."""
@@ -103,10 +104,10 @@ def _has_square(w: HallWord) -> bool:
 def monomial_of_word(w: HallWord, degrees) -> BracketMonomial:
     """Attach degrees to a bare word; degrees maps letter index to
     degree."""
-    ds = tuple(degrees[i] for i in w.iter_letters())
+    ds = tuple(map(degrees.__getitem__, word_letters(w)))
     if min(ds) < 2:
         raise ValueError("generator degrees must be >= 2")
-    return BracketMonomial(w, ds)
+    return _new(BracketMonomial, (w, ds))
 
 
 class FormalSum:
@@ -217,7 +218,7 @@ def hall_normalize(s):
         if mono.word.length > MAX_TENSOR_WEIGHT:
             raise WeightLimitError("no rewriting above weight %d: %s"
                                    % (MAX_TENSOR_WEIGHT, mono))
-        for i, d in zip(mono.word.iter_letters(), mono.degrees):
+        for i, d in zip(word_letters(mono.word), mono.degrees):
             seen = degree_by_letter.setdefault(i, d)
             if seen != d:
                 raise ValueError("letter a%d carries degrees %d and %d"
@@ -263,9 +264,8 @@ def tensor_expansion(s) -> dict[tuple, int]:
     weight w expands to at most 2**(w - 1) words on any number of
     letters; like hall_normalize, this stops above MAX_TENSOR_WEIGHT.
     """
-    s = expand(s)
     acc: dict[tuple, int] = {}
-    for mono, c in s.items():
+    for mono, c in expand(s)._terms.items():
         if mono.word.length > MAX_TENSOR_WEIGHT:
             raise WeightLimitError("no tensor expansion above weight %d: %s"
                                    % (MAX_TENSOR_WEIGHT, mono))
@@ -278,21 +278,30 @@ def tensor_expansion(s) -> dict[tuple, int]:
 # Text syntax
 
 
-_TOKEN_RE = re.compile(r"a(\d+)|(\d+)|([\[\],+\-*()])")
+# one token: a symbol, a letter a<i> or an integer; no group, so that
+# findall returns the tokens' text
+_TOKEN_RE = re.compile(r"[\[\],+\-*()]|a\d+|\d+")
 # where a scan token by token would stop: a character no token starts
 # with, or an 'a' without its index
 _JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
 
 
-def _tokenize(text: str):
-    """The tokens of text, with whitespace allowed between them, as
-    ("letter", i) for a<i>, ("int", c) and ("sym", s)."""
+def _scan(text: str) -> list[str]:
+    """The tokens of text, with whitespace allowed between them, each
+    as its text: a<i>, the digits of an integer, or one symbol."""
     junk = _JUNK_RE.search(text)
     if junk:
         pos = len(text[:junk.start()].rstrip())
         raise ValueError("bad token at %r" % text[pos:pos + 10])
-    return [("letter", int(i)) if i else ("int", int(c)) if c else ("sym", s)
-            for i, c, s in _TOKEN_RE.findall(text)]
+    return _TOKEN_RE.findall(text)
+
+
+def _shown(token: str) -> int | str | None:
+    """A token as an error message names it: the index of a letter, an
+    integer, a symbol, or None for the empty text past the end."""
+    if token[:1] == "a" or token.isdigit():
+        return int(token.lstrip("a"))
+    return token or None
 
 
 def parse_bracket_expr(text: str, degrees) -> FormalSum:
@@ -303,89 +312,111 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
     a list of (monomial, coefficient) pairs; each open '[' or '(' keeps
     the list it interrupted and its own term's coefficient.  A bracket
     adds up each factor's pairs just before it multiplies them out, so
-    that no monomial of a factor is bracketed twice, and the whole list
-    is added up once at the end.
+    that no monomial of a factor is bracketed twice; a factor of one
+    nonzero term is added up already.  The whole list is added up once
+    at the end.
     """
-    tokens = _tokenize(text) + [(None, None)]
+    tokens = _scan(text)
+    tokens.append("")  # past the end
     pairs: list = []
     # per open '[' or '(': the token that ends its part, the outer
     # pairs, the coefficient of its term and, after ',', the left factor
     stack: list = []
-    letters: dict = {}  # letter index -> its monomial
+    letters: dict = {}  # letter token -> its monomial
     c, i = 1, 0
     while True:
         # one term: signs, then "<int>*" and an atom, a lone 0 or an atom
-        kind, val = tokens[i]
-        while val == "-":
+        tok = tokens[i]
+        while tok == "-":
             c, i = -c, i + 1
-            kind, val = tokens[i]
-        if kind == "int" and tokens[i + 1][1] != "*":
-            if val:
-                raise ValueError("bare integer %d (only 0 stands alone)" % val)
+            tok = tokens[i]
+        if tok.isdigit() and tokens[i + 1] != "*":
+            if int(tok):
+                raise ValueError("bare integer %d (only 0 stands alone)"
+                                 % int(tok))
             i += 1
         else:
-            if kind == "int":
-                c, i = c * val, i + 2
-                kind, val = tokens[i]
-            if kind == "letter":
-                if val not in letters:
-                    letters[val] = monomial_of_word(letter(val), degrees)
-                pairs.append((letters[val], c))
+            if tok.isdigit():
+                c, i = c * int(tok), i + 2
+                tok = tokens[i]
+            mono = letters.get(tok)
+            if mono is None and tok[:1] == "a":
+                mono = letters[tok] = _letter_monomial(int(tok[1:]), degrees)
+            if mono is not None:
+                pairs.append((mono, c))
                 i += 1
-            elif val == "[" or val == "(":
-                stack.append(("," if val == "[" else ")", pairs, c, None))
+            elif tok == "[" or tok == "(":
+                stack.append(("," if tok == "[" else ")", pairs, c, None))
                 pairs, c, i = [], 1, i + 1
                 continue
             else:
                 raise ValueError("expected a letter, bracket, or 0, got %r"
-                                 % (val,))
+                                 % (_shown(tok),))
         # after a term: close what ends here, then read the next term
         while True:
-            kind, val = tokens[i]
+            tok = tokens[i]
             i += 1
-            if val == "+" or val == "-":
-                c = 1 if val == "+" else -1
+            if tok == "+" or tok == "-":
+                c = 1 if tok == "+" else -1
                 break
-            if kind is None:
+            if not tok:
                 if stack:
                     raise ValueError("unexpected end of expression")
                 return FormalSum(pairs)
             if not stack:
-                raise ValueError("trailing input after expression: %r" % (val,))
+                raise ValueError("trailing input after expression: %r"
+                                 % (_shown(tok),))
             end, outer, k, left = stack[-1]
-            if val != end:
-                raise ValueError("expected %r, got %r" % (end, val))
-            if val == ",":
+            if tok != end:
+                raise ValueError("expected %r, got %r" % (end, _shown(tok)))
+            if tok == ",":
                 stack[-1] = ("]", outer, k, pairs)
                 pairs, c = [], 1
                 break
             stack.pop()
-            if val == "]":
-                ys = _summed(pairs).items()
+            if tok == "]":
+                ys = _factor(pairs)
                 pairs = [(x.bracket(y), cx * cy)
-                         for x, cx in _summed(left).items() for y, cy in ys]
-            outer += [(m, k * v) for m, v in pairs]
+                         for x, cx in _factor(left) for y, cy in ys]
+            outer += pairs if k == 1 else [(m, k * v) for m, v in pairs]
             pairs = outer
+
+
+def _letter_monomial(i: int, degrees) -> BracketMonomial:
+    """monomial_of_word(letter(i), degrees), built directly."""
+    w = letter(i)
+    d = degrees[i]
+    if d < 2:
+        raise ValueError("generator degrees must be >= 2")
+    return _new(BracketMonomial, (w, (d,)))
+
+
+def _factor(pairs: list):
+    """The terms of a bracket factor, added up."""
+    if len(pairs) == 1 and pairs[0][1]:
+        return pairs
+    return _summed(pairs).items()
 
 
 def parse_word(text: str) -> HallWord:
     """Parse a bare bracket word: a<i> or [word,word], no sums."""
     stack: list = []  # per open '[': its left factor once read, else None
     word = None       # the word just read, until a ',' or ']' takes it
-    for kind, val in _tokenize(text):
+    for tok in _scan(text):
         if word is None:
-            if kind == "letter":
-                word = letter(val)
-            elif val == "[":
+            if tok[0] == "a":
+                word = letter(int(tok[1:]))
+            elif tok == "[":
                 stack.append(None)
             else:
-                raise ValueError("expected a letter or bracket, got %r" % (val,))
+                raise ValueError("expected a letter or bracket, got %r"
+                                 % (_shown(tok),))
         elif not stack:
-            raise ValueError("trailing input after word: %r" % (val,))
+            raise ValueError("trailing input after word: %r" % (_shown(tok),))
         else:
             end = "," if stack[-1] is None else "]"
-            if val != end:
-                raise ValueError("expected %r, got %r" % (end, val))
+            if tok != end:
+                raise ValueError("expected %r, got %r" % (end, _shown(tok)))
             if end == ",":
                 stack[-1], word = word, None
             else:

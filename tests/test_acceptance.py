@@ -258,6 +258,10 @@ def _t_word(t):
     return bracket(_t_word(t[0]), _t_word(t[1]))
 
 
+def _t_letters(t):
+    return {t} if isinstance(t, int) else _t_letters(t[0]) | _t_letters(t[1])
+
+
 def test_criterion_8_rewriting_soundness(request):
     with _criterion(request, 8, "bracket rewriting is exhaustively sound "
                                 "and idempotent through weight 4; swap "
@@ -269,7 +273,7 @@ def test_criterion_8_rewriting_soundness(request):
                                        (3, (2, 3, 4)), (4, (2, 3))):
             for tree in _trees(3, weight):
                 word = _t_word(tree)
-                used = sorted(set(word.iter_letters()))
+                used = sorted(_t_letters(tree))
                 for degs in itertools.product(degree_choices, repeat=len(used)):
                     degree_of = dict(zip(used, degs))
                     mono = monomial_of_word(word, degree_of)

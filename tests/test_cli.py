@@ -85,6 +85,20 @@ def test_stabilize_refuses_an_m_range_longer_than_the_cap(capsys, monkeypatch):
     assert (rc, out, err) == (0, "stable: Z^N\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("cech", "earring", "-m", "2", "-n", "99999999999999999999"),
+    ("verify", "stabilize", "-s", "0", "--m-range", "2..99999999999999999999"),
+], ids=["earring", "stabilize"])
+def test_sizes_past_a_machine_integer_exit_2(capsys, argv):
+    # len() of these ranges would overflow, so their sizes are counted
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(
+        " 99999999999999999998 %s, cap is %d\n"
+        % ("weights" if argv[0] == "cech" else "dimensions", hall.STRATUM_CAP))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_wedge_mixed_grading(capsys):
     rc, out, _ = run(capsys, "cech", "wedge", "--grading", "1,2;3", "-n", "3")
     assert rc == 0
@@ -680,6 +694,12 @@ def test_verify_stabilize_failure(capsys):
     ("verify", "coherence", "--file", "FILE:# one sphere\nelement n=1 m=2\n"),
     ("verify", "coherence", "--file", "FILE:# one-spheres\nelement n=3 m=1\n"),
     ("verify", "coherence", "--file", "FILE:element n=4 m=2\neps 1 2 = 1\n"),
+    # an eps entry is one integer, not a coordinate tuple
+    ("verify", "edge", "--m", "2", "--levels", "3", "--file",
+     "FILE:element n=3 m=2\neps 1 2 = 3,4\n"),
+    # sizes that len() cannot hold
+    ("cech", "earring", "-m", "2", "-n", "99999999999999999999"),
+    ("verify", "stabilize", "-s", "0", "--m-range", "2..99999999999999999999"),
     # a word with a character no token starts with
     ("verify", "coherence", "--file", "FILE:element n=3 m=2\nsupport [a1,x2] = 1\n"),
     ("verify", "coherence", "--file",

@@ -599,6 +599,17 @@ def test_element_file_errors():
         assert message in str(exc.value)
 
 
+def test_element_file_refuses_an_eps_line_with_several_values():
+    for text, lineno, count in (
+            ("element n=3 m=2\neps 1 2 = 3,4\n", 2, 2),
+            ("element n=3 m=2\neps 1 2 = 1\n\neps 2 3 = 1,0,2\n", 4, 3)):
+        with pytest.raises(ElementFormatError) as exc:
+            parse_element_file(text, TABLE)
+        assert exc.value.lineno == lineno
+        assert str(exc.value) == ("line %d: an eps line takes one value, "
+                                  "got %d" % (lineno, count))
+
+
 def test_element_file_adds_repeated_eps_lines():
     e = parse_element_file("element n=3 m=2\neps 1 2 = 1\neps 2 3 = 4\n"
                            "eps 1 2 = 2\n", TABLE)

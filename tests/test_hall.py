@@ -7,10 +7,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence,
+from cechwedge import hall
+from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                             StratumSizeError, bracket, dimension_truncation,
                             generate, height, height_class_census, heights,
-                            is_hall, labels, letter, necklace_count)
+                            is_hall, labels, letter, necklace_count,
+                            word_letters)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +303,54 @@ _WORDS = st.recursive(
     max_leaves=8)
 
 
+def _letter_walk(w):
+    """The letters of w with multiplicity, left to right, walked here."""
+    if w.left is None:
+        return [w.max_letter]
+    return _letter_walk(w.left) + _letter_walk(w.right)
+
+
 @given(w=_WORDS, prefix=st.lists(st.integers(1, 5), max_size=4),
        tail=st.integers(1, 6))
 def test_height_is_the_letter_walk(w, prefix, tail):
     prefix = tuple(sorted(prefix))
     g = GradingSequence(prefix, max((tail,) + prefix))
-    assert height(w, g) == sum(g.r(i) for i in w.iter_letters())
+    assert height(w, g) == sum(g.r(i) for i in _letter_walk(w))
+
+
+@given(w=_WORDS)
+def test_cached_letters_are_the_letter_walk(w):
+    # the first call may fill the cache, the second reads it
+    assert word_letters(w) == tuple(_letter_walk(w))
+    assert word_letters(w) == tuple(_letter_walk(w))
+
+
+def _by_keyword(w):
+    """w rebuilt bottom up by keyword calls of the HallWord class."""
+    if w.left is None:
+        return HallWord(length=1, max_letter=w.max_letter, left=None,
+                        right=None, min_letter=w.max_letter)
+    x, y = _by_keyword(w.left), _by_keyword(w.right)
+    return HallWord(length=x.length + y.length,
+                    max_letter=max(x.max_letter, y.max_letter), left=x,
+                    right=y, min_letter=min(x.min_letter, y.min_letter))
+
+
+@given(w=_WORDS)
+def test_positional_words_equal_keyword_words(w):
+    k = _by_keyword(w)
+    assert type(w) is HallWord
+    assert k == w and hash(k) == hash(w) and str(k) == str(w)
+    assert (k.length, k.max_letter, k.min_letter) == (
+        w.length, w.max_letter, w.min_letter)
+
+
+@pytest.mark.parametrize("cached", [hall.word_letters, hall._hall_conditions],
+                         ids=lambda f: f.__name__)
+def test_word_caches_are_bounded(cached):
+    maxsize = cached.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and 0 < maxsize <= 10**5
+    assert cached.cache_info().currsize <= maxsize
 
 
 def test_dimension_truncation_examples():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cechwedge import hilton
 from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow, ProdN,
                               SphereSymbol, SumN, Z, ZERO, has_symbol,
                               normalize, render_text)
@@ -304,3 +305,12 @@ def test_stabilization_validation():
 def test_has_symbol_sees_every_shape(wrap):
     assert has_symbol(wrap(SphereSymbol(9, 3)))
     assert not has_symbol(wrap(Z))
+
+
+def test_range_sizes_are_counted_past_len():
+    for r in (range(0), range(3, 3), range(2, 7), range(7, 2), range(1, 10, 4),
+              range(10, 0, -3), range(-5, 5, 2), range(5, -5, -1)):
+        assert hilton._size(r) == len(r), r
+    assert hilton._size(range(2, 10**20)) == 10**20 - 2
+    assert hilton._size(range(10**20, 0, -7)) == -(-10**20 // 7)
+    assert hilton._size([3, 4]) == 2

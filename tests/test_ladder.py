@@ -1,0 +1,51 @@
+"""tools/ladder.py times the library's own calls, and its smallest
+points run fast enough for Tier-1."""
+
+import importlib.util
+import time
+from pathlib import Path
+
+from cechwedge.elements import check_coherence, parse_element_file
+from cechwedge.hilton import cech_decompose, earring_formula
+from cechwedge.whitehead import (hall_normalize, parse_bracket_expr,
+                                 tensor_expansion)
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = {f.__name__: f for f in (
+    parse_bracket_expr, hall_normalize, tensor_expansion, parse_element_file,
+    check_coherence, earring_formula, cech_decompose)}
+
+
+def _load_ladder():
+    spec = importlib.util.spec_from_file_location(
+        "ladder", ROOT / "tools" / "ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_smallest_point_of_every_layer():
+    ladder = _load_ladder()
+    start = time.perf_counter()
+    lib = ladder.library()
+    points = ladder.steps(lib)
+    assert tuple(points) == ladder.LAYERS and set(LIBRARY) == set(points)
+    for layer, pts in points.items():
+        sizes = [size for size, _, _ in pts]
+        assert sizes == sorted(set(sizes)) and len(sizes) >= 3, layer
+        size, fn, args = pts[0]
+        assert fn is LIBRARY[layer], layer
+        cold, best, result = ladder.measure(lib, fn, args, 2)
+        assert 0 < best <= cold
+        assert result == LIBRARY[layer](*args), layer
+    assert time.perf_counter() - start < 2
+
+
+def test_measure_clears_every_cache_first():
+    ladder = _load_ladder()
+    lib = ladder.library()
+    hall = lib["hall"]
+    hall.word_letters(hall.bracket(hall.letter(1), hall.letter(2)))
+    ladder.measure(lib, hall.letter, (3,), 1)
+    assert hall.word_letters.cache_info().currsize == 0
+    assert hall.letter.cache_info().currsize == 1

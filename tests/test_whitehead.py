@@ -273,11 +273,19 @@ _texts = st.one_of(_junk_texts, _well_formed, st.builds(
     _well_formed, st.integers(0, 60), st.sampled_from(_PIECES + _ODD)))
 
 
+def _scanned_tokens(text):
+    """The reader's scan, its tokens' text written as the oracle's
+    ("letter", i), ("int", c) and ("sym", s) tokens."""
+    return [("letter", int(t[1:])) if t[0] == "a" else
+            ("int", int(t)) if t[0] not in "[],+-*()" else ("sym", t)
+            for t in whitehead._scan(text)]
+
+
 @given(text=_texts, ds=st.lists(st.integers(2, 4), min_size=1, max_size=4))
 @settings(max_examples=400)
 def test_text_reader_matches_the_token_by_token_oracle(text, ds):
     # the same tokens or the same refusal, and the same words and sums
-    assert _read(whitehead._tokenize, text) == _read(parse_oracle.tokenize, text)
+    assert _read(_scanned_tokens, text) == _read(parse_oracle.tokenize, text)
     degrees = _CyclicDegrees(ds)
     for new, old, args in ((parse_word, parse_oracle.parse_word, ()),
                            (parse_bracket_expr, parse_oracle.parse_bracket_expr,
@@ -286,6 +294,23 @@ def test_text_reader_matches_the_token_by_token_oracle(text, ds):
         assert got[0] == want[0], (text, got, want)
         if got[0] == "ok":
             assert got == want
+
+
+@given(x=_WORDS, y=_WORDS,
+       ds=st.lists(st.integers(2, 4), min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_positional_monomials_equal_keyword_monomials(x, y, ds):
+    degrees = _CyclicDegrees(ds)
+    mx, my = monomial_of_word(x, degrees), monomial_of_word(y, degrees)
+    xy = mx.bracket(my)
+    for got, word in ((mx, x), (my, y), (xy, bracket(x, y))):
+        # the degrees of the letters as the printed word lists them
+        ds_of_text = tuple(degrees[int(i)]
+                           for i in re.findall(r"a(\d+)", str(word)))
+        by_keyword = BracketMonomial(word=word, degrees=ds_of_text)
+        assert type(got) is BracketMonomial
+        assert got == by_keyword and hash(got) == hash(by_keyword)
+    assert xy.factors() == (mx, my)
 
 
 @given(w=_WORDS, data=st.data())
@@ -308,6 +333,8 @@ def test_parse_word_reads_back_its_text_with_whitespace(w, data):
     ("[a1 + a2, a3 - a3]", 0),
     ("[(a1 + a2) + (a1 - a2), 3*[a2,a3] - [a2,a3] - 2*[a2,a3] + a3]", 3 + 1),
     ("[[a1, 0*a2 + a3 + a3], (a1 - a1) + [a2, a3 + a2 - a2]]", 1 + 1 + 1),
+    # a lone term with coefficient 0 is no term
+    ("[0*a1, a2] + [a3, -0*a2] + [a1, 0]", 0),
 ])
 def test_brackets_multiply_summed_factors(monkeypatch, text, products):
     # A bracket multiplies its factors' distinct nonzero terms, one

@@ -1,0 +1,228 @@
+#!/usr/bin/env python3
+"""Time the library calls of a long-lived session, layer by layer.
+
+    python3 tools/ladder.py [--repeat N]
+    python3 tools/ladder.py --against PATH [--passes P] [--repeat N]
+
+The first form prints one JSON line per (layer, size) point.  A layer
+is one library call: parse_bracket_expr, hall_normalize and
+tensor_expansion on sums of 1 to 16 brackets, parse_element_file on
+weight-2 element files on 2 to 8 letters, check_coherence on an
+element with an infinite band up to 32 levels, and earring_formula and
+cech_decompose up to degree 64.  Before each point every lru_cache of
+the library is cleared; then the call runs N times.  cold_s is the
+first, cache-cold call and best_s the fastest of the N.
+
+The second form compares this tree with a second checkout at PATH.
+Two long-lived worker processes, one importing each tree's src/, run
+whole passes over every point in turn, alternating which goes first.
+It prints one JSON line per layer, and one for all layers, with the
+quartiles of the pass-time ratio this tree / PATH.  A ratio below 1
+means this tree is faster.
+
+Stdlib only, and not part of Tier-1: tests/test_ladder.py runs the
+smallest point of every layer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ("parse_bracket_expr", "hall_normalize", "tensor_expansion",
+          "parse_element_file", "check_coherence", "earring_formula",
+          "cech_decompose")
+MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
+
+
+def library():
+    """The cechwedge modules, as imported from sys.path, by short name."""
+    return {name: importlib.import_module("cechwedge." + name)
+            for name in MODULES}
+
+
+def clear_caches(lib) -> None:
+    for module in lib.values():
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def _bracket_text(rng, letters, weight):
+    if weight == 1:
+        return rng.choice(letters)
+    left = rng.randint(1, weight - 1)
+    return "[%s,%s]" % (_bracket_text(rng, letters, left),
+                        _bracket_text(rng, letters, weight - left))
+
+
+def _expression(terms: int):
+    """A seeded sum of terms brackets of weights 3, 2, 3, ... on three
+    letters, and the letters' degrees."""
+    rng = random.Random(terms)
+    idx = rng.sample(range(1, 7), 3)
+    letters = ["a%d" % i for i in idx]
+    parts = ["%d*%s" % (rng.choice((-2, -1, 2, 3)),
+                        _bracket_text(rng, letters, 3 - t % 2))
+             for t in range(terms)]
+    return " + ".join(parts), {i: rng.randint(2, 4) for i in idx}
+
+
+def _element_file(letters: int) -> str:
+    """A weight-2 element on the given letters: every eps entry and a
+    support line on each [a_i, a_(i+1)]."""
+    rng = random.Random(letters)
+    lines = ["element n=3 m=2"]
+    for j in range(2, letters + 1):
+        lines += ["eps %d %d = %d" % (i, j, rng.choice((-2, -1, 1, 3)))
+                  for i in range(1, j)]
+        lines.append("support [a%d,a%d] = %d" % (j - 1, j, rng.randint(1, 3)))
+    return "\n".join(lines) + "\n"
+
+
+def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
+    """Per layer, its points (size, function, arguments) in growing size."""
+    wh, el, hl = lib["whitehead"], lib["elements"], lib["hilton"]
+    table = lib["spheres"].load_table("seed")
+    exprs = {t: _expression(t) for t in (1, 2, 4, 8, 16)}
+    sums = {t: wh.parse_bracket_expr(*exprs[t]) for t in exprs}
+    band = el.weight_two_element(2, wh.SparseEpsilon((), ((3, 1),)))
+    grading = lib["hall"].GradingSequence.constant(1)
+    return {
+        "parse_bracket_expr": [(t, wh.parse_bracket_expr, exprs[t])
+                               for t in exprs],
+        "hall_normalize": [(t, wh.hall_normalize, (sums[t],)) for t in sums],
+        "tensor_expansion": [(t, wh.tensor_expansion, (sums[t],))
+                             for t in sums],
+        "parse_element_file": [(k, el.parse_element_file,
+                                (_element_file(k), table))
+                               for k in (2, 3, 4, 6, 8)],
+        "check_coherence": [(k, el.check_coherence, (band, k))
+                            for k in (2, 4, 8, 16, 32)],
+        "earring_formula": [(n, hl.earring_formula, (n, 2, table))
+                            for n in (4, 8, 16, 32, 64)],
+        "cech_decompose": [(n, hl.cech_decompose, (n, grading, table))
+                           for n in (4, 8, 16, 32, 64)],
+    }
+
+
+def measure(lib, fn, args, repeat: int):
+    """Clear the caches, then call fn(*args) repeat times: (the first
+    call's seconds, the fastest call's seconds, the last result)."""
+    clear_caches(lib)
+    clock = time.perf_counter
+    times = []
+    for _ in range(repeat):
+        start = clock()
+        result = fn(*args)
+        times.append(clock() - start)
+    return times[0], min(times), result
+
+
+def run_pass(lib, points, repeat: int) -> dict[str, float]:
+    """Seconds per layer: the sum of each point's fastest call."""
+    return {layer: sum(measure(lib, fn, args, repeat)[1]
+                       for _, fn, args in pts)
+            for layer, pts in points.items()}
+
+
+def _worker(args) -> int:
+    """Answer each line "pass" on stdin with one JSON line of run_pass."""
+    lib = library()
+    points = steps(lib)
+    for line in sys.stdin:
+        if line.strip() != "pass":
+            break
+        print(json.dumps(run_pass(lib, points, args.repeat)), flush=True)
+    return 0
+
+
+def _spawn(src: Path, args):
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
+           "--repeat", str(args.repeat)]
+    return subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def _ask(proc) -> dict[str, float]:
+    proc.stdin.write("pass\n")
+    proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError("a worker stopped before answering")
+    return json.loads(line)
+
+
+def _quartiles(values) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return [round(q, 4) for q in statistics.quantiles(values, n=4)]
+
+
+def _paired(args) -> int:
+    other = Path(args.against).resolve()
+    if not (other / "src" / "cechwedge").is_dir():
+        print("error: %s holds no src/cechwedge" % other, file=sys.stderr)
+        return 2
+    here, there = _spawn(ROOT / "src", args), _spawn(other / "src", args)
+    try:
+        _ask(here), _ask(there)  # warm both, untimed
+        ratios: dict[str, list[float]] = {layer: [] for layer in LAYERS}
+        ratios["all"] = []
+        for p in range(args.passes):
+            if p % 2:
+                b, a = _ask(there), _ask(here)
+            else:
+                a, b = _ask(here), _ask(there)
+            for layer in LAYERS:
+                ratios[layer].append(a[layer] / b[layer])
+            ratios["all"].append(sum(a.values()) / sum(b.values()))
+    finally:
+        for proc in (here, there):
+            proc.stdin.close()
+            proc.wait()
+    for layer, rs in ratios.items():
+        print(json.dumps({"layer": layer, "passes": len(rs),
+                          "ratio_quartiles": _quartiles(rs)}))
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=5,
+                    help="calls per point; the fastest is kept (default 5)")
+    ap.add_argument("--against", metavar="PATH",
+                    help="compare with the checkout at PATH")
+    ap.add_argument("--passes", type=int, default=20,
+                    help="timed passes per side with --against (default 20)")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or args.passes < 1:
+        ap.error("--repeat and --passes need at least 1")
+    if args.worker:
+        return _worker(args)
+    if args.against:
+        return _paired(args)
+    sys.path.insert(0, str(ROOT / "src"))
+    lib = library()
+    for layer, pts in steps(lib).items():
+        for size, fn, fargs in pts:
+            cold, best, _ = measure(lib, fn, fargs, args.repeat)
+            print(json.dumps({"layer": layer, "size": size,
+                              "repeat": args.repeat, "cold_s": round(cold, 7),
+                              "best_s": round(best, 7)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

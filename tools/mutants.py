@@ -98,9 +98,14 @@ MUTANTS = [
      "            yield level",
      [T_ELEMENTS + "test_level_returns_a_fresh_dict"]),
     ("coherence-level-with-itself", E,
-     "            if pushed.get(w) != actual.get(w):",
-     "            if actual.get(w) != actual.get(w):",
+     "                         if pushed.get(w) != actual.get(w))",
+     "                         if actual.get(w) != actual.get(w))",
      [T_ELEMENTS + "test_coherence_negative_control"]),
+    ("coherence-equal-skips-check", E,
+     "        if pushed != actual:",
+     "        if False:",
+     [T_ELEMENTS + "test_coherence_negative_control",
+      T_ELEMENTS + "test_coherence_asks_each_level_once"]),
     # --- the one accumulator behind sums, brackets, rewriting and levels
     ("eps-repeats-stop-adding-up", WH,
      "            c = acc.pop(key) + c",
@@ -126,8 +131,12 @@ MUTANTS = [
       T_WH + "test_parse_word_round_trip",
       T_WH + "test_parse_bracket_expr_errors"]),
     ("bracket-right-factor-unsummed", WH,
-     "                ys = _summed(pairs).items()",
+     "                ys = _factor(pairs)",
      "                ys = pairs",
+     [T_WH + "test_brackets_multiply_summed_factors"]),
+    ("one-term-factor-keeps-its-zero", WH,
+     "    if len(pairs) == 1 and pairs[0][1]:",
+     "    if len(pairs) == 1:",
      [T_WH + "test_brackets_multiply_summed_factors"]),
     # --- the weight-2 matrix
     ("eps-band-excludes-its-width", WH,
@@ -140,6 +149,10 @@ MUTANTS = [
      "                             self.bands)",
      [T_WH + "test_band_and_sum_epsilon"]),
     # --- Hall generation and the bonding tower
+    ("letters-reversed", HALL,
+     "    return word_letters(w.left) + word_letters(w.right)",
+     "    return word_letters(w.right) + word_letters(w.left)",
+     ["tests/test_hall.py::test_cached_letters_are_the_letter_walk"]),
     ("hall-word-order-not-canonical", HALL,
      "    max_letter: int\n"
      "    left: HallWord | None\n"
@@ -221,8 +234,8 @@ MUTANTS = [
      ["tests/test_acceptance.py::test_criterion_8_rewriting_soundness"]),
     # --- the shared record constructor
     ("record-fields-out-of-order", RECORDS,
-     "        for f, v in zip(fields, values):",
-     "        for f, v in zip(fields, values[::-1]):",
+     "        for set_field, v in zip(setters, values):",
+     "        for set_field, v in zip(setters, values[::-1]):",
      ["tests/test_records.py::test_equal_fields_equal_records"]),
 ]
 
