@@ -312,9 +312,8 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
     a list of (monomial, coefficient) pairs; each open '[' or '(' keeps
     the list it interrupted and its own term's coefficient.  A bracket
     adds up each factor's pairs just before it multiplies them out, so
-    that no monomial of a factor is bracketed twice; a factor of one
-    nonzero term is added up already.  The whole list is added up once
-    at the end.
+    that no monomial of a factor is bracketed twice, and the whole list
+    is added up once at the end.
     """
     tokens = _scan(text)
     tokens.append("")  # past the end
@@ -341,7 +340,8 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
                 tok = tokens[i]
             mono = letters.get(tok)
             if mono is None and tok[:1] == "a":
-                mono = letters[tok] = _letter_monomial(int(tok[1:]), degrees)
+                mono = letters[tok] = monomial_of_word(letter(int(tok[1:])),
+                                                       degrees)
             if mono is not None:
                 pairs.append((mono, c))
                 i += 1
@@ -375,27 +375,11 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
                 break
             stack.pop()
             if tok == "]":
-                ys = _factor(pairs)
+                ys = _summed(pairs).items()
                 pairs = [(x.bracket(y), cx * cy)
-                         for x, cx in _factor(left) for y, cy in ys]
+                         for x, cx in _summed(left).items() for y, cy in ys]
             outer += pairs if k == 1 else [(m, k * v) for m, v in pairs]
             pairs = outer
-
-
-def _letter_monomial(i: int, degrees) -> BracketMonomial:
-    """monomial_of_word(letter(i), degrees), built directly."""
-    w = letter(i)
-    d = degrees[i]
-    if d < 2:
-        raise ValueError("generator degrees must be >= 2")
-    return _new(BracketMonomial, (w, (d,)))
-
-
-def _factor(pairs: list):
-    """The terms of a bracket factor, added up."""
-    if len(pairs) == 1 and pairs[0][1]:
-        return pairs
-    return _summed(pairs).items()
 
 
 def parse_word(text: str) -> HallWord:
