@@ -38,8 +38,8 @@ import math
 import sys
 
 from .groups import ZERO, render_text, to_machine
-from .hall import (GradingSequence, StratumSizeError, generate, heights,
-                   labels, necklace_count)
+from .hall import (GradingSequence, StratumSizeError, check_cap, generate,
+                   heights, labels, necklace_count)
 from .hilton import (cech_decompose, decompose_wedge, earring_formula,
                      stabilization_report, weight_range, weight_summand)
 from .spheres import load_table
@@ -237,6 +237,7 @@ def _need_levels(args):
     if args.levels < 2:
         raise CommandError("--levels must be >= 2: level 1 alone compares "
                            "nothing")
+    check_cap(args.levels, "a tower of %d levels", args.levels)
 
 
 def _element_from_file(path, table):
@@ -288,6 +289,7 @@ def _verify_random(args, names, draw) -> int:
     on --count pairs of elements, each pair two calls of draw."""
     if args.count < 1:
         raise CommandError("--count must be >= 1")
+    check_cap(args.count, "%d random runs", args.count)
     from .elements import verify_composition_additivity
     failures = []
     for t in range(args.count):

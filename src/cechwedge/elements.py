@@ -32,7 +32,8 @@ from .hilton import (apply_bonding, bonding, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
 from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
-                        coordinate_tuple, parse_word, project_levels)
+                        coordinate_tuple, parse_word, project_levels,
+                        tower_levels)
 
 
 _HEADER_RE = re.compile(r"element n=(-?\d+) m=(-?\d+)")
@@ -77,27 +78,15 @@ class CoherentElement(Frozen):
         1, 2, ..., kmax-sphere stages, each in a fresh dict that the
         caller may change.
 
-        Level k is level k - 1 plus part k: the eps column
-        {[a_i, a_k]: eps_{i,k} : i < k} plus the coordinates on words
-        whose maximal letter is k.  Parts are disjoint, so a walk to
-        kmax builds each part once.
+        The coordinates are the pairs of coords plus eps_{i,j} on each
+        word [a_i, a_j], written directly, with no rewriting.
+        tower_levels files them by maximal letter, so level k is level
+        k - 1 plus the pairs whose maximal letter is k, and the matrix
+        is read once per walk.
         """
-        by_letter: dict[int, list] = {}
-        for w, f in self.coords:
-            by_letter.setdefault(w.max_letter, []).append((w, f))
-        level: dict[HallWord, GroupElement] = {}
-        eps = self.eps if self.eps else None
-        for k in range(1, kmax + 1):
-            column = {}
-            if eps is not None:
-                for i in range(1, k):
-                    v = eps.value(i, k)
-                    if v:
-                        column[bracket(letter(i), letter(k))] = integer_element(v)
-            if k in by_letter:
-                column = add_coordinates(column, by_letter[k])
-            level.update(column)
-            yield dict(level)
+        return tower_levels(itertools.chain(self.coords, (
+            (bracket(letter(i), letter(j)), integer_element(c))
+            for (i, j), c in self.eps.nonzero(kmax).items())), kmax)
 
     def level(self, k: int) -> dict[HallWord, GroupElement]:
         """Coordinates at the k-sphere stage: the last level of

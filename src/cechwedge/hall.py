@@ -93,7 +93,7 @@ _new = tuple.__new__
 WORD_CACHE_SIZE = 4096
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def letter(i: int) -> HallWord:
     if i < 1:
         raise ValueError("letter indices start at 1")

@@ -178,11 +178,6 @@ class StabilizationReport(Frozen):
     __slots__ = _fields = ("offset", "entries", "stable", "stable_value",
                            "warnings")
 
-    def __init__(self, offset: int, entries: tuple[tuple[int, GroupExpr], ...],
-                 stable: bool, stable_value: GroupExpr | None,
-                 warnings: tuple[str, ...] = ()):
-        super().__init__(offset, entries, stable, stable_value, warnings)
-
 
 def stabilization_report(s: int, m_range, table) -> StabilizationReport:
     """Compare the degree-(m+s) closed forms as m runs over m_range.

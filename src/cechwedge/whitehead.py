@@ -37,8 +37,8 @@ import re
 from typing import NamedTuple
 
 from .groups import GroupElement, integer_element
-from .hall import (HallWord, _hall_conditions, _new, bracket, letter,
-                   word_letters)
+from .hall import (WORD_CACHE_SIZE, HallWord, _hall_conditions, _new, bracket,
+                   letter, word_letters)
 from .records import Frozen
 
 MAX_TENSOR_WEIGHT = 4
@@ -95,7 +95,7 @@ class BracketMonomial(NamedTuple):
         return str(self.word)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _has_square(w: HallWord) -> bool:
     return not w.is_letter and (w.left == w.right or _has_square(w.left)
                                 or _has_square(w.right))
@@ -174,7 +174,7 @@ def expand(e) -> FormalSum:
     raise TypeError("cannot expand %r" % (e,))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _reduce(mono: BracketMonomial) -> tuple[tuple[BracketMonomial, int], ...]:
     """Rewrite one monomial into Hall monomials, leaving anything that
     contains a self-bracket untouched."""
@@ -237,7 +237,7 @@ def hall_normalize(s):
 # Tensor expansion oracle
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _tensor_of_monomial(m: BracketMonomial):
     if m.word.is_letter:
         return {((m.word.max_letter, m.degrees[0]),): 1}
@@ -431,8 +431,7 @@ class SparseEpsilon(Frozen):
     matrix equality.  The default is the zero matrix, which is false.
     """
 
-    __slots__ = ("entries", "bands", "_by_pair")
-    _fields = ("entries", "bands")
+    __slots__ = _fields = ("entries", "bands")
 
     def __init__(self, entries: tuple[tuple[int, int, int], ...] = (),
                  bands: tuple[tuple[int, int], ...] = ()):
@@ -441,25 +440,29 @@ class SparseEpsilon(Frozen):
         for w, _ in bands:
             if w < 1:
                 raise ValueError("band width must be >= 1")
-        by_pair = _summed(((i, j), c) for i, j, c in entries)
         super().__init__(
-            tuple(sorted((i, j, c) for (i, j), c in by_pair.items())),
+            tuple(sorted((i, j, c) for (i, j), c in
+                         _summed(((i, j), c) for i, j, c in entries).items())),
             tuple(sorted(_summed(bands).items())))
-        # A slot, not a field: equality, hash and repr see only the
-        # canonical entries and bands.
-        object.__setattr__(self, "_by_pair", by_pair)
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
         return cls(tuple((i, j, c) for (i, j), c in d.items()))
 
+    def nonzero(self, kmax: int) -> dict[tuple[int, int], int]:
+        """The nonzero values at the pairs i < j <= kmax, by pair: each
+        explicit entry plus every band that reaches the pair.  A band of
+        width w reaches (i, j) when j - i <= w."""
+        return _summed(itertools.chain(
+            (((i, j), c) for i, j, c in self.entries if j <= kmax),
+            (((i, j), c) for w, c in self.bands for j in range(2, kmax + 1)
+             for i in range(max(1, j - w), j))))
+
     def value(self, i, j):
+        """The entry at (i, j), read from nonzero(j), so it costs as
+        much as that whole listing."""
         _check_pair(i, j)
-        v = self._by_pair.get((i, j), 0)
-        for w, c in self.bands:
-            if j - i <= w:
-                v += c
-        return v
+        return self.nonzero(j).get((i, j), 0)
 
     def __add__(self, other: "SparseEpsilon") -> "SparseEpsilon":
         return SparseEpsilon(self.entries + other.entries,
@@ -486,54 +489,60 @@ def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
     return tuple(sorted(add_coordinates(*parts).items()))
 
 
+def tower_levels(pairs, kmax: int):
+    """Yield the levels 1, 2, ..., kmax of a sum of (word, value) pairs,
+    each in a fresh dict that the caller may change.
+
+    Level k holds the pairs whose word has maximal letter <= k, repeated
+    words added up.  The pairs are filed by maximal letter once, and
+    level k is level k - 1 plus the sum of the pairs filed under k, whose
+    words no lower level holds.
+    """
+    by_letter: dict[int, list] = {}
+    for w, f in pairs:
+        by_letter.setdefault(w.max_letter, []).append((w, f))
+    level: dict[HallWord, GroupElement] = {}
+    for k in range(1, kmax + 1):
+        if k in by_letter:
+            level.update(add_coordinates(by_letter[k]))
+        yield dict(level)
+
+
 def project_levels(e, kmax: int):
     """Walk an element's two infinite sums down the tower: yield its
     projections to the wedges of 1, 2, ..., kmax spheres, each in a
     fresh dict that the caller may change.
 
     Works for anything with fields n, m, coords and eps, such as a
-    CoherentElement.  At level k the letters beyond k map to zero.
-    The walk adds one letter per level.  Level k is level k - 1 plus
-    column k of the eps part, the bracket sum
-    [sum_{i<k} eps_{i,k} a_i, a_k], expanded by bilinearity into the
-    monomials eps_{i,k} [a_i, a_k] and hall-normalized.  Its
-    coefficients land in Z, the group of every weight-2 word in the
-    degree n = 2m - 1 that an element with a nonzero eps has.  A column
-    whose eps values are all zero normalizes to nothing and is skipped.
-    Level k also gains the terms of the coords part, the composition sum
-    sum_w a_w o f_w, whose word has maximal letter k; that sum needs no
-    rewriting, since a term survives exactly when its word avoids the
-    trivialized letters.  Each column is bracketed and normalized once
-    per walk, so a walk to kmax builds at most kmax(kmax - 1)/2
-    monomials.
+    CoherentElement.  At level k the letters beyond k map to zero, so
+    level k keeps the terms whose word has maximal letter <= k.  The
+    eps part is the double sum of the monomials eps_{i,j} [a_i, a_j];
+    its terms with j <= kmax are bracketed and hall-normalized together,
+    so a walk normalizes once.  Their coefficients land in Z, the group
+    of every weight-2 word in the degree n = 2m - 1 that an element with
+    a nonzero eps has.  The coords part, the composition sum
+    sum_w a_w o f_w, needs no rewriting, since a term survives exactly
+    when its word avoids the trivialized letters.  tower_levels files
+    both parts by maximal letter.
     """
-    by_letter: dict[int, list] = {}
-    for w, f in e.coords:
-        by_letter.setdefault(w.max_letter, []).append((w, f))
-    gens: list[BracketMonomial] = []
-    level: dict[HallWord, GroupElement] = {}
-    for k in range(1, kmax + 1):
-        column: dict[HallWord, int] = {}
-        if e.eps:
-            gens.append(BracketMonomial(letter(k), (e.m,)))
-            left = FormalSum((gens[i - 1], e.eps.value(i, k))
-                             for i in range(1, k))
-            if left:
-                column, residual = hall_normalize(
-                    left.bracket(FormalSum.single(gens[k - 1])))
-                if residual:
-                    raise ResidualBracketError(
-                        "projection left non-Hall monomials: %s" % residual)
-        level.update(add_coordinates(
-            by_letter.get(k, ()),
-            ((w, integer_element(c)) for w, c in column.items())))
-        yield dict(level)
+    hall: dict[HallWord, int] = {}
+    pairs = e.eps.nonzero(kmax)
+    if pairs:
+        gens = {i: _new(BracketMonomial, (letter(i), (e.m,)))
+                for i in set(itertools.chain.from_iterable(pairs))}
+        hall, residual = hall_normalize(FormalSum(
+            (gens[i].bracket(gens[j]), c) for (i, j), c in pairs.items()))
+        if residual:
+            raise ResidualBracketError(
+                "projection left non-Hall monomials: %s" % residual)
+    return tower_levels(itertools.chain(
+        e.coords, ((w, integer_element(c)) for w, c in hall.items())), kmax)
 
 
 def project_level(e, k: int) -> dict[HallWord, GroupElement]:
     """Push an element's two infinite sums down to the k-sphere wedge:
-    the last level of the walk project_levels(e, k), which brackets
-    each eps column 1..k once."""
+    the last level of the walk project_levels(e, k), which normalizes
+    the eps part once."""
     if k < 1:
         raise ValueError("levels start at 1")
     for level in project_levels(e, k):

@@ -86,16 +86,42 @@ def test_stabilize_refuses_an_m_range_longer_than_the_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("cech", "earring", "-m", "2", "-n", "99999999999999999999"),
-    ("verify", "stabilize", "-s", "0", "--m-range", "2..99999999999999999999"),
-], ids=["earring", "stabilize"])
-def test_sizes_past_a_machine_integer_exit_2(capsys, argv):
-    # len() of these ranges would overflow, so their sizes are counted
+    ("verify", "edge", "--random", "--m", "2", "--count", "1", "--levels"),
+    ("verify", "theta", "--random", "--n", "3", "--m", "2", "--count", "1",
+     "--levels"),
+    ("verify", "edge", "--random", "--m", "2", "--levels", "2", "--count"),
+], ids=["edge-levels", "theta-levels", "edge-count"])
+def test_verify_refuses_more_levels_or_runs_than_the_cap(capsys, monkeypatch,
+                                                         argv):
+    # the cap is read when the command runs, before any element is drawn
+    monkeypatch.setattr(hall, "STRATUM_CAP", 50)
+    rc, out, err = run(capsys, *argv, "51")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(", cap is 50\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    rc, out, err = run(capsys, *argv, "50")
+    assert (rc, out, err) == (0, "PASS\n", "")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("cech", "earring", "-m", "2", "-n", "99999999999999999999"),
+     "99999999999999999998 weights"),
+    (("verify", "stabilize", "-s", "0", "--m-range", "2..99999999999999999999"),
+     "99999999999999999998 dimensions"),
+    (("verify", "edge", "--random", "--m", "2",
+      "--levels", "99999999999999999999"),
+     "a tower of 99999999999999999999 levels"),
+    (("verify", "edge", "--random", "--m", "2",
+      "--count", "99999999999999999999"),
+     "99999999999999999999 random runs"),
+], ids=["earring", "stabilize", "levels", "count"])
+def test_sizes_past_a_machine_integer_exit_2(capsys, argv, size):
+    # len() of these ranges would overflow, so their sizes are counted;
+    # a tower or a run count that large would never finish
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(
-        " 99999999999999999998 %s, cap is %d\n"
-        % ("weights" if argv[0] == "cech" else "dimensions", hall.STRATUM_CAP))
+        "%s, cap is %d\n" % (size, hall.STRATUM_CAP))
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

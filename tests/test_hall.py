@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cechwedge import hall
+from cechwedge import hall, whitehead
 from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                             StratumSizeError, bracket, dimension_truncation,
                             generate, height, height_class_census, heights,
@@ -345,8 +345,10 @@ def test_positional_words_equal_keyword_words(w):
         w.length, w.max_letter, w.min_letter)
 
 
-@pytest.mark.parametrize("cached", [hall.word_letters, hall._hall_conditions],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("cached", [
+    hall.letter, hall.word_letters, hall._hall_conditions,
+    whitehead._has_square, whitehead._reduce, whitehead._tensor_of_monomial,
+], ids=lambda f: f.__name__)
 def test_word_caches_are_bounded(cached):
     maxsize = cached.cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and 0 < maxsize <= 10**5

@@ -5,15 +5,20 @@ import importlib.util
 import time
 from pathlib import Path
 
-from cechwedge.elements import check_coherence, parse_element_file
+from cechwedge.elements import (CoherentElement, check_coherence,
+                                parse_element_file,
+                                verify_composition_additivity)
 from cechwedge.hilton import cech_decompose, earring_formula
 from cechwedge.whitehead import (hall_normalize, parse_bracket_expr,
-                                 tensor_expansion)
+                                 project_levels, tensor_expansion)
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = {f.__name__: f for f in (
     parse_bracket_expr, hall_normalize, tensor_expansion, parse_element_file,
-    check_coherence, earring_formula, cech_decompose)}
+    check_coherence, CoherentElement.walk, project_levels,
+    verify_composition_additivity, earring_formula, cech_decompose)}
+# layers whose call is a walk, which the ladder runs to its end
+WALKS = ("walk", "project_levels")
 
 
 def _load_ladder():
@@ -34,10 +39,15 @@ def test_smallest_point_of_every_layer():
         sizes = [size for size, _, _ in pts]
         assert sizes == sorted(set(sizes)) and len(sizes) >= 3, layer
         size, fn, args = pts[0]
-        assert fn is LIBRARY[layer], layer
+        want = LIBRARY[layer](*args)
+        if layer in WALKS:
+            assert fn.__wrapped__ is LIBRARY[layer], layer
+            want = list(want)
+        else:
+            assert fn is LIBRARY[layer], layer
         cold, best, result = ladder.measure(lib, fn, args, 2)
         assert 0 < best <= cold
-        assert result == LIBRARY[layer](*args), layer
+        assert result == want, layer
     assert time.perf_counter() - start < 2
 
 

@@ -73,7 +73,7 @@ HASHABLE = {
                    "BondingMap(n=4, k=2, grading=GradingSequence(prefix=(1, 2), "
                    "tail=3))"),
     "StabilizationReport": (
-        lambda: StabilizationReport(1, ((3, ZERO),), True, ZERO),
+        lambda: StabilizationReport(1, ((3, ZERO),), True, ZERO, ()),
         "StabilizationReport(offset=1, entries=((3, FGAbelianGroup(rank=0, "
         "torsion=())),), stable=True, stable_value=FGAbelianGroup(rank=0, "
         "torsion=()), warnings=())"),

@@ -401,6 +401,19 @@ _matrices = st.builds(
              max_size=3).map(tuple))
 
 
+@given(a=_matrices, kmax=st.integers(0, 7))
+@settings(max_examples=200)
+def test_nonzero_matches_a_scan_of_entries_and_bands(a, kmax):
+    want = {}
+    for j in range(2, kmax + 1):
+        for i in range(1, j):
+            v = (sum(c for p, q, c in a.entries if (p, q) == (i, j))
+                 + sum(c for w, c in a.bands if j - i <= w))
+            if v:
+                want[(i, j)] = v
+    assert a.nonzero(kmax) == want
+
+
 def _agree(a, b):
     """Whether a and b have the same value at every i < j <= N, where
     N lies one diagonal band beyond every explicit index."""
@@ -566,35 +579,48 @@ def test_project_level_refuses_level_zero():
 
 
 def test_walk_brackets_each_column_once(monkeypatch):
-    # One walk normalizes each nonzero eps column once and reads each
-    # entry eps_{i,j}, i < j <= kmax, once; the verifier walks once too.
+    # One walk reads the matrix once and normalizes the whole double sum
+    # up to kmax once, every nonzero column in it; SparseEpsilon.value is
+    # never asked.  The verifier walks the projection and the element's
+    # own levels once each.
     kmax = 12
     eps = SparseEpsilon.from_dict({(1, 2): 1, (2, 5): -2, (3, 5): 1,
                                    (4, 9): 3, (1, 12): 1, (11, 13): 5})
-    nonzero_columns = 4  # columns 2, 5, 9 and 12
     e = weight_two_element(2, eps)
-    counts = {"normalize": 0, "value": 0}
-    normalize, value = whitehead.hall_normalize, SparseEpsilon.value
+    counts = {"normalize": 0, "monomials": 0, "nonzero": 0, "value": 0}
+    normalize = whitehead.hall_normalize
+    nonzero, value = SparseEpsilon.nonzero, SparseEpsilon.value
 
     def counted_normalize(s):
         counts["normalize"] += 1
+        counts["monomials"] += len(s)
         return normalize(s)
+
+    def counted_nonzero(self, k):
+        counts["nonzero"] += 1
+        return nonzero(self, k)
 
     def counted_value(self, i, j):
         counts["value"] += 1
         return value(self, i, j)
 
     monkeypatch.setattr(whitehead, "hall_normalize", counted_normalize)
+    monkeypatch.setattr(SparseEpsilon, "nonzero", counted_nonzero)
     monkeypatch.setattr(SparseEpsilon, "value", counted_value)
     last = list(project_levels(e, kmax))[-1]
-    assert counts["normalize"] <= nonzero_columns
-    assert counts["value"] <= kmax * (kmax - 1) // 2
-    counts.update(normalize=0, value=0)
+    # the five entries with j <= 12, each bracketed once
+    assert counts == {"normalize": 1, "monomials": 5, "nonzero": 1,
+                      "value": 0}
+    counts.update(normalize=0, monomials=0, nonzero=0)
     assert verify_weight2_realization(e, kmax).ok
-    assert counts["normalize"] <= nonzero_columns
-    # the element's own levels read every entry once more
-    assert counts["value"] <= kmax * (kmax - 1)
+    assert counts == {"normalize": 1, "monomials": 5, "nonzero": 2,
+                      "value": 0}
     assert last == _reference_level(e, kmax)
+    # a zero matrix has nothing to normalize
+    counts.update(dict.fromkeys(counts, 0))
+    theta = CoherentElement(3, 2, ((parse_word("[a1,a2]"), integer_element(1)),))
+    assert list(project_levels(theta, kmax))[-1] == theta.level(kmax)
+    assert counts["normalize"] == counts["value"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ The first form prints one JSON line per (layer, size) point.  A layer
 is one library call: parse_bracket_expr, hall_normalize and
 tensor_expansion on sums of 1 to 16 brackets, parse_element_file on
 weight-2 element files on 2 to 8 letters, check_coherence on an
-element with an infinite band up to 32 levels, and earring_formula and
-cech_decompose up to degree 64.  Before each point every lru_cache of
-the library is cleared; then the call runs N times.  cold_s is the
-first, cache-cold call and best_s the fastest of the N.
+element with an infinite band up to 32 levels, CoherentElement.walk,
+project_levels and verify_composition_additivity on elements with
+bands, entries and coordinates from 4 to 32 levels, and
+earring_formula and cech_decompose up to degree 64.  A walk is run to
+its end.  Before each point every lru_cache of the library is cleared;
+then the call runs N times.  cold_s is the first, cache-cold call and
+best_s the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
 Two long-lived worker processes, one importing each tree's src/, run
@@ -27,6 +30,7 @@ smallest point of every layer.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import os
@@ -39,7 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("parse_bracket_expr", "hall_normalize", "tensor_expansion",
-          "parse_element_file", "check_coherence", "earring_formula",
+          "parse_element_file", "check_coherence", "walk", "project_levels",
+          "verify_composition_additivity", "earring_formula",
           "cech_decompose")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
 
@@ -89,6 +94,14 @@ def _element_file(letters: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def run_out(walk):
+    """walk as one call that runs it to its end: the list of its levels."""
+    @functools.wraps(walk)
+    def levels(*args):
+        return list(walk(*args))
+    return levels
+
+
 def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
     """Per layer, its points (size, function, arguments) in growing size."""
     wh, el, hl = lib["whitehead"], lib["elements"], lib["hilton"]
@@ -96,6 +109,11 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
     exprs = {t: _expression(t) for t in (1, 2, 4, 8, 16)}
     sums = {t: wh.parse_bracket_expr(*exprs[t]) for t in exprs}
     band = el.weight_two_element(2, wh.SparseEpsilon((), ((3, 1),)))
+    mixed = (el.weight_two_element(2, wh.SparseEpsilon(((1, 5, 2),),
+                                                       ((2, -1),)))
+             + el.finite_support_element(3, 2, [("[a1,a3]", 1), ("a2", 1)],
+                                         table))
+    levels = (4, 8, 16, 32)
     grading = lib["hall"].GradingSequence.constant(1)
     return {
         "parse_bracket_expr": [(t, wh.parse_bracket_expr, exprs[t])
@@ -108,6 +126,13 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
                                for k in (2, 3, 4, 6, 8)],
         "check_coherence": [(k, el.check_coherence, (band, k))
                             for k in (2, 4, 8, 16, 32)],
+        "walk": [(k, run_out(el.CoherentElement.walk), (mixed, k))
+                 for k in levels],
+        "project_levels": [(k, run_out(el.project_levels), (mixed, k))
+                           for k in levels],
+        "verify_composition_additivity": [
+            (k, el.verify_composition_additivity, (mixed, band, k))
+            for k in levels],
         "earring_formula": [(n, hl.earring_formula, (n, 2, table))
                             for n in (4, 8, 16, 32, 64)],
         "cech_decompose": [(n, hl.cech_decompose, (n, grading, table))

@@ -93,9 +93,9 @@ MUTANTS = [
      "    if False:\n",
      [T_CLI + "test_verify_theta_random_refuses_an_empty_word_pool"]),
     # --- element levels and coherence
-    ("walk-yields-its-running-dict", E,
-     "            yield dict(level)",
-     "            yield level",
+    ("walk-yields-its-running-dict", WH,
+     "        yield dict(level)",
+     "        yield level",
      [T_ELEMENTS + "test_level_returns_a_fresh_dict"]),
     ("coherence-level-with-itself", E,
      "                         if pushed.get(w) != actual.get(w))",
@@ -136,9 +136,10 @@ MUTANTS = [
      [T_WH + "test_brackets_multiply_summed_factors"]),
     # --- the weight-2 matrix
     ("eps-band-excludes-its-width", WH,
-     "            if j - i <= w:",
-     "            if j - i < w:",
+     "             for i in range(max(1, j - w), j))))",
+     "             for i in range(max(1, j - w + 1), j))))",
      [T_WH + "test_band_and_sum_epsilon",
+      T_WH + "test_nonzero_matches_a_scan_of_entries_and_bands",
       T_ELEMENTS + "test_weight2_band_level"]),
     ("eps-sum-drops-other-bands", WH,
      "                             self.bands + other.bands)",
