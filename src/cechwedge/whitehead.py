@@ -459,10 +459,11 @@ class SparseEpsilon(Frozen):
              for i in range(max(1, j - w), j))))
 
     def value(self, i, j):
-        """The entry at (i, j), read from nonzero(j), so it costs as
-        much as that whole listing."""
+        """The entry at (i, j): its explicit entry plus every band that
+        reaches it, read straight from the stored tuples."""
         _check_pair(i, j)
-        return self.nonzero(j).get((i, j), 0)
+        return (sum(c for p, q, c in self.entries if (p, q) == (i, j))
+                + sum(c for w, c in self.bands if j - i <= w))
 
     def __add__(self, other: "SparseEpsilon") -> "SparseEpsilon":
         return SparseEpsilon(self.entries + other.entries,
@@ -528,10 +529,10 @@ def project_levels(e, kmax: int):
     hall: dict[HallWord, int] = {}
     pairs = e.eps.nonzero(kmax)
     if pairs:
-        gens = {i: _new(BracketMonomial, (letter(i), (e.m,)))
-                for i in set(itertools.chain.from_iterable(pairs))}
         hall, residual = hall_normalize(FormalSum(
-            (gens[i].bracket(gens[j]), c) for (i, j), c in pairs.items()))
+            (_new(BracketMonomial, (bracket(letter(i), letter(j)),
+                                    (e.m, e.m))), c)
+            for (i, j), c in pairs.items()))
         if residual:
             raise ResidualBracketError(
                 "projection left non-Hall monomials: %s" % residual)

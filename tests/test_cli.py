@@ -121,7 +121,7 @@ def test_sizes_past_a_machine_integer_exit_2(capsys, argv, size):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(
-        "%s, cap is %d\n" % (size, hall.STRATUM_CAP))
+        " %s, cap is %d\n" % (size, hall.STRATUM_CAP))
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -141,6 +141,10 @@ MUTANTS = [
      [T_WH + "test_band_and_sum_epsilon",
       T_WH + "test_nonzero_matches_a_scan_of_entries_and_bands",
       T_ELEMENTS + "test_weight2_band_level"]),
+    ("eps-value-band-excludes-its-width", WH,
+     "                + sum(c for w, c in self.bands if j - i <= w))",
+     "                + sum(c for w, c in self.bands if j - i < w))",
+     [T_WH + "test_band_and_sum_epsilon"]),
     ("eps-sum-drops-other-bands", WH,
      "                             self.bands + other.bands)",
      "                             self.bands)",
