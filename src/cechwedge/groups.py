@@ -20,46 +20,44 @@ summand is part of the answer.
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_left
+
 from .records import Frozen
 
 
-def _factorint(n: int) -> dict[int, int]:
-    if n < 1:
-        raise ValueError("positive integers only")
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors(orders) -> tuple[int, ...]:
-    """Collapse a list of cyclic orders into the divisibility chain."""
-    primary: dict[int, list[int]] = {}
+    """Collapse a list of cyclic orders into the divisibility chain.
+
+    Z/a (+) Z/b is Z/gcd(a, b) (+) Z/lcm(a, b), so each order t merges
+    into the chain from its largest factor down, and nothing is
+    factored.  The factors t divides keep their value and form one run
+    at the top, which a bisection skips.  The next factor d becomes
+    lcm(d, t) and t carries on as gcd(d, t), skipping its own run, until
+    the carry is 1 or becomes the new smallest factor.  A factor with
+    more digits than the interpreter prints (sys.get_int_max_str_digits())
+    raises ValueError."""
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    chain: list[int] = []  # largest factor first
     for t in orders:
         if t < 1:
             raise ValueError("cyclic orders must be >= 1")
-        for p, e in _factorint(t).items():
-            primary.setdefault(p, []).append(e)
-    if not primary:
-        return ()
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    depth = max(len(exps) for exps in primary.values())
-    chain = []
-    for slot in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            if slot < len(exps):
-                d *= p ** exps[slot]
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
+        i = 0
+        while t > 1:
+            i = bisect_left(chain, True, lo=i, key=lambda d: d % t != 0)
+            if i == len(chain):
+                chain.append(t)
+                break
+            d = chain[i]
+            g = math.gcd(d, t)
+            chain[i] = lcm = d * (t // g)
+            # 10**limit has more than 3 * limit bits
+            if limit and lcm.bit_length() > 3 * limit and lcm >= 10**limit:
+                raise ValueError("an invariant factor has more than %d "
+                                 "digits, too many to print" % limit)
+            t = g
+    return tuple(reversed(chain))
 
 
 class GroupExpr(Frozen):

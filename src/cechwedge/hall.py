@@ -437,8 +437,8 @@ def height_class_census(n: int, grading: GradingSequence):
     tally = Counter(dimension_truncation(usable, n, grading)[1]
                     if usable else ())
     # reachable[s]: some multiset of grading values sums to s; only
-    # s = h - tail <= n - 1 - tail is read, and the class cap bounds that
-    size = n - grading.tail
+    # 0 <= s = h - tail < n - tail is read, and the class cap bounds that
+    size = max(0, n - grading.tail)
     reachable = [True] + [False] * (size - 1)
     for v in set(grading.prefix) | {grading.tail}:
         for s in range(v, size):

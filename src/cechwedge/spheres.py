@@ -12,7 +12,8 @@ Table files are plain text, one entry per line:
     pi 7 4 = Z + Z/12
 
 with groups written as `0` or as `+`-joined terms Z, Z^a, Z/t, (Z/t)^a,
-holding at most MAX_TORSION_FACTORS cyclic torsion factors in all.
+holding at most MAX_TORSION_FACTORS cyclic torsion factors in all and
+no invariant factor longer than the interpreter prints.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class SphereGroupTable(Record):
         return self.entries.get((n, q))
 
 
-# A torsion power (Z/t)^a expands to a cyclic factors, each of which is
-# factored, so loading costs time linear in a.  A group line with more
-# factors than this is refused before any is expanded.
+# A torsion power (Z/t)^a expands to a cyclic factors, each merged into
+# the invariant factors, so loading costs time linear in a.  A group
+# line with more factors than this is refused before any is expanded.
 MAX_TORSION_FACTORS = 10**4
 
 # Z, Z^a, Z/t and (Z/t)^a, each power a >= 1

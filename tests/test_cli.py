@@ -2,7 +2,6 @@
 
 import json
 import random
-import sys
 import time
 
 import pytest
@@ -14,6 +13,7 @@ from cechwedge.hilton import earring_formula
 from cechwedge.spheres import seed_table
 from cechwedge.whitehead import SparseEpsilon, parse_word
 from test_elements import dropping
+from test_spheres import primes_from
 
 
 def run(capsys, *argv):
@@ -125,6 +125,19 @@ def test_sizes_past_a_machine_integer_exit_2(capsys, argv, size):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, small", [
+    (("--grading", "1;99999999999999999999", "-n", "5"),
+     ("--grading", "1;9", "-n", "5")),
+    (("--grading", "99999999999999999999", "-n", "2", "--format", "json"),
+     ("--grading", "9", "-n", "2", "--format", "json")),
+], ids=["text", "json"])
+def test_wedge_tail_past_a_machine_integer(capsys, argv, small):
+    # no class below n reaches a tail >= n, whatever its size
+    want = run(capsys, "cech", "wedge", *small)
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, "cech", "wedge", *argv) == want
+
+
 def test_wedge_mixed_grading(capsys):
     rc, out, _ = run(capsys, "cech", "wedge", "--grading", "1,2;3", "-n", "3")
     assert rc == 0
@@ -153,14 +166,6 @@ def test_hall_with_grading(capsys):
 def test_count(capsys):
     rc, out, _ = run(capsys, "count", "-k", "3", "-j", "3")
     assert rc == 0 and out == "8\n"
-
-
-@pytest.fixture
-def default_digit_limit():
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
 
 
 def test_count_at_the_digit_limit(capsys, default_digit_limit):
@@ -838,6 +843,43 @@ def test_table_line_past_the_torsion_cap_exits_2_quickly(capsys, tmp_path):
     assert rc == 2 and out == ""
     assert err == ("error: line 2: more than %d cyclic torsion factors in "
                    "'(Z/2)^2000000'\n" % spheres.MAX_TORSION_FACTORS)
+
+
+@pytest.mark.parametrize("group, text, torsion", [
+    ("Z/99999999999999999989", "(Z/99999999999999999989)^N (+) Z^N\n",
+     [99999999999999999989]),
+    ("(Z/1000000000039)^10000", "((Z/1000000000039)^10000)^N (+) Z^N\n",
+     [1000000000039] * 10000),
+], ids=["prime", "power"])
+def test_table_groups_print_in_text_and_json(capsys, tmp_path, group, text,
+                                             torsion):
+    p = tmp_path / "table.txt"
+    p.write_text("pi 5 3 = %s\n" % group)
+    argv = ("cech", "earring", "-m", "3", "-n", "5", "--table", str(p))
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (0, text, "")
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0 and err == ""
+    prod = {"kind": "prod_n", "children": [
+        {"kind": "finite", "rank": 0, "torsion": torsion}]}
+    assert json.loads(out)["children"][0] == prod
+
+
+def test_table_line_past_the_digit_limit_exits_2(capsys, tmp_path,
+                                                 default_digit_limit):
+    # the sum of Z/p over the 800 primes above 10**6 has one invariant
+    # factor of about 4,800 digits, which could not be printed
+    p = tmp_path / "table.txt"
+    p.write_text("pi 5 3 = %s\n" % " + ".join(
+        "Z/%d" % q for q in primes_from(10**6, 800)))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "cech", "earring", "-m", "3", "-n", "5",
+                       "--table", str(p))
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (2, "")
+    assert err == ("error: line 1: an invariant factor has more than 4300 "
+                   "digits, too many to print\n")
 
 
 def test_unresolved_groups_stay_symbolic(capsys):

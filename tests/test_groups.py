@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +52,7 @@ def _same_group(orders_a, orders_b):
     return _count_killed_by(orders_a, n) == _count_killed_by(orders_b, n)
 
 
-@given(orders=st.lists(st.integers(2, 24), max_size=6))
+@given(orders=st.lists(st.integers(2, 10**4), max_size=10))
 @settings(max_examples=200)
 def test_invariant_factors_against_counting_oracle(orders):
     factors = invariant_factors(orders)
@@ -68,6 +69,20 @@ def test_invariant_factors_examples():
     assert invariant_factors([2, 2, 3]) == (2, 6)
     assert invariant_factors([1, 1]) == ()
     assert invariant_factors([]) == ()
+
+
+def test_invariant_factors_refuse_a_factor_past_the_digit_limit():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        # 2**639 * 5**640 = 5 * 10**639 has 640 digits, 10**640 has 641
+        assert invariant_factors([2**639, 5**640]) == (2**639 * 5**640,)
+        with pytest.raises(ValueError, match="more than 640 digits"):
+            invariant_factors([2**640, 5**640])
+        sys.set_int_max_str_digits(0)  # no limit
+        assert invariant_factors([2**640, 5**640]) == (10**640,)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_group_constructors_and_render():

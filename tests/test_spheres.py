@@ -1,5 +1,10 @@
 """Sphere group tables: built-in rules, parsing, seed contents."""
 
+import functools
+import math
+import random
+import time
+
 import pytest
 
 from cechwedge.groups import CYCLIC_2, FGAbelianGroup, Z, ZERO
@@ -87,6 +92,47 @@ def test_torsion_factor_cap():
             parse_table("pi 4 2 = Z/2\npi 9 2 = %s\n" % group)
         assert err.value.lineno == 2
         assert "more than %d cyclic torsion factors" % cap in str(err.value)
+
+
+@functools.lru_cache(maxsize=None)
+def primes_from(start, count):
+    """The first count primes >= start."""
+    out, n = [], start
+    while len(out) < count:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize("group, want", [
+    ("Z/99999999999999999989", (99999999999999999989,)),
+    ("(Z/99999999999999999989)^%d" % MAX_TORSION_FACTORS,
+     (99999999999999999989,) * MAX_TORSION_FACTORS),
+    ("(Z/1000000000039)^%d" % MAX_TORSION_FACTORS,
+     (1000000000039,) * MAX_TORSION_FACTORS),
+    ("(Z/2)^5000 + (Z/4)^5000", (2,) * 5000 + (4,) * 5000),
+    (" + ".join("Z/%d" % (2 * p) for p in primes_from(3, 20)),
+     (2,) * 19 + (2 * math.prod(primes_from(3, 20)),)),
+    (" + ".join("Z/%d" % (2 * p) for p in primes_from(3, 4000)), 2),
+    (" + ".join("Z/%d" % t for t in random.Random(18).choices(
+        range(10**17, 10**18), k=MAX_TORSION_FACTORS)), 2),
+    (" + ".join("Z/%d" % p for p in primes_from(10**6, 800)), 2),
+], ids=["prime", "prime-power", "13-digit-power", "two-runs", "2p",
+        "2p-past-the-limit", "18-digit", "800-primes"])
+def test_table_groups_load_in_bounded_time(default_digit_limit, group, want):
+    # no order is factored: a line loads, or is refused with its line
+    # number when an invariant factor passes the digit limit, at once
+    start = time.perf_counter()
+    if isinstance(want, int):
+        with pytest.raises(TableParseError) as err:
+            parse_table("pi 4 2 = Z/2\npi 5 3 = %s\n" % group)
+        assert err.value.lineno == want
+        assert "more than 4300 digits" in str(err.value)
+    else:
+        t = parse_table("pi 5 3 = %s\n" % group)
+        assert t.lookup(5, 3) == FGAbelianGroup(0, want)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_consistency_against_builtin_rules():

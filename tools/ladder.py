@@ -10,11 +10,13 @@ tensor_expansion on sums of 1 to 16 brackets, parse_element_file on
 weight-2 element files on 2 to 8 letters, check_coherence on an
 element with an infinite band up to 32 levels, CoherentElement.walk,
 project_levels and verify_composition_additivity on elements with
-bands, entries and coordinates from 4 to 32 levels, and
-earring_formula and cech_decompose up to degree 64.  A walk is run to
-its end.  Before each point every lru_cache of the library is cleared;
-then the call runs N times.  cold_s is the first, cache-cold call and
-best_s the fastest of the N.
+bands, entries and coordinates from 4 to 32 levels, earring_formula
+and cech_decompose up to degree 64, height_class_census on the grading
+1,1,1,1;2 at degrees 8 to 12, and invariant_factors on 10 to 10,000
+seeded cyclic orders from 2 to 30.  A walk is run to its end.  Before
+each point every lru_cache of the library is cleared; then the call
+runs N times.  cold_s is the first, cache-cold call and best_s the
+fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
 Two long-lived worker processes, one importing each tree's src/, run
@@ -45,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("parse_bracket_expr", "hall_normalize", "tensor_expansion",
           "parse_element_file", "check_coherence", "walk", "project_levels",
           "verify_composition_additivity", "earring_formula",
-          "cech_decompose")
+          "cech_decompose", "height_class_census", "invariant_factors")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
 
 
@@ -114,7 +116,11 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
              + el.finite_support_element(3, 2, [("[a1,a3]", 1), ("a2", 1)],
                                          table))
     levels = (4, 8, 16, 32)
-    grading = lib["hall"].GradingSequence.constant(1)
+    hall = lib["hall"]
+    grading = hall.GradingSequence.constant(1)
+    mixed_grading = hall.GradingSequence.parse("1,1,1,1;2")
+    orders = {k: random.Random(k).choices(range(2, 31), k=k)
+              for k in (10, 100, 1000, 10000)}
     return {
         "parse_bracket_expr": [(t, wh.parse_bracket_expr, exprs[t])
                                for t in exprs],
@@ -137,6 +143,11 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
                             for n in (4, 8, 16, 32, 64)],
         "cech_decompose": [(n, hl.cech_decompose, (n, grading, table))
                            for n in (4, 8, 16, 32, 64)],
+        "height_class_census": [(n, hall.height_class_census,
+                                 (n, mixed_grading))
+                                for n in (8, 9, 10, 11, 12)],
+        "invariant_factors": [(k, lib["groups"].invariant_factors,
+                               (orders[k],)) for k in orders],
     }
 
 

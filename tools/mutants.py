@@ -19,7 +19,7 @@ environment cannot pass for a killed mutant.
 
 Exit 0 when every mutant is killed, 1 when one survives or an old text
 does not occur exactly once.  Stdlib only, and not part of Tier-1: a
-run of every mutant takes about 90 s on a 2-vCPU machine.
+run of every mutant takes about 110 s on a 2-vCPU machine.
 tests/test_mutants.py checks in Tier-1 that every old text still
 occurs exactly once.
 """
@@ -47,6 +47,7 @@ WH = "src/cechwedge/whitehead.py"
 T_ELEMENTS = "tests/test_elements.py::"
 T_CLI = "tests/test_cli.py::"
 T_WH = "tests/test_whitehead.py::"
+T_GROUPS = "tests/test_groups.py::"
 
 MUTANTS = [
     # --- one trivial group, one machine encoding
@@ -57,6 +58,17 @@ MUTANTS = [
      "            return {\"kind\": \"zero\"}",
      [T_CLI + "test_hm_json_encodes_a_trivial_summand_as_zero",
       "tests/test_groups.py::test_machine_format_shape"]),
+    # --- invariant factors: gcd and lcm, each printable
+    ("invariant-carry-keeps-the-lcm", GROUPS,
+     "            t = g\n",
+     "            t = lcm\n",
+     [T_GROUPS + "test_invariant_factors_examples",
+      T_GROUPS + "test_invariant_factors_against_counting_oracle"]),
+    ("invariant-digit-check-skipped", GROUPS,
+     "            if limit and lcm.bit_length() > 3 * limit and lcm >= 10**limit:",
+     "            if False:",
+     [T_CLI + "test_table_line_past_the_digit_limit_exits_2",
+      T_GROUPS + "test_invariant_factors_refuse_a_factor_past_the_digit_limit"]),
     # --- the realization verifiers compare two routes, never one with itself
     ("realization-levels-with-themselves", E,
      "        if got != want:\n"
@@ -178,6 +190,10 @@ MUTANTS = [
      "    check_cap(classes, \"degree %d has %d height classes\", n, classes)\n",
      "",
      [T_CLI + "test_limit_formulas_refuse_more_blocks_than_the_cap[wedge]"]),
+    ("census-table-sized-by-a-tail-past-n", HALL,
+     "    size = max(0, n - grading.tail)",
+     "    size = n - grading.tail",
+     [T_CLI + "test_wedge_tail_past_a_machine_integer"]),
     ("truncation-heights-unfiltered", HALL,
      "    return words.restrict(keep), tuple(itertools.compress(hs, keep))",
      "    return words.restrict(keep), tuple(hs)",
