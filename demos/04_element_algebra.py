@@ -41,9 +41,9 @@ print("after corrupting level 4: %s at %s"
 
 # The matrix is not just bookkeeping: a single mapping-telescope sum
 # realizes it, and projecting that sum to level k reproduces the level-k
-# coordinates.  The verifier compares the projection (bracket expansion,
-# Hall normalization, coefficients in Z) with the element's own level
-# coordinates.
+# coordinates.  The verifier compares the projection (the collapse map:
+# the terms eps_{i,j} [a_i, a_j] with j <= k, already Hall words, with
+# coefficients in Z) with the element's own level coordinates.
 
 print("\nweight-2 realization check: %s"
       % ("PASS" if verify_weight2_realization(

@@ -225,7 +225,7 @@ def _emit_verdict(detail: dict, failures, args) -> int:
     if args.format == "json":
         detail["ok"] = ok
         detail["failures"] = list(failures)
-        print(json.dumps(detail, sort_keys=True))
+        _emit_json(detail)
     else:
         print("PASS" if ok else "FAIL")
         for f in failures:
@@ -368,12 +368,11 @@ def cmd_verify_stabilize(args) -> int:
     for w in rep.warnings:
         print(w, file=sys.stderr)
     if args.format == "json":
-        print(json.dumps({"ok": rep.stable, "offset": rep.offset,
-                          "stable_value": (to_machine(rep.stable_value)
-                                           if rep.stable_value is not None else None),
-                          "entries": [{"m": m, "group": to_machine(g)}
-                                      for m, g in rep.entries]},
-                         sort_keys=True))
+        _emit_json({"ok": rep.stable, "offset": rep.offset,
+                    "stable_value": (to_machine(rep.stable_value)
+                                     if rep.stable_value is not None else None),
+                    "entries": [{"m": m, "group": to_machine(g)}
+                                for m, g in rep.entries]})
     else:
         if rep.stable:
             print("stable: %s" % render_text(rep.stable_value))

@@ -32,8 +32,7 @@ from .hilton import (apply_bonding, bonding, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
 from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
-                        coordinate_tuple, parse_word, project_levels,
-                        tower_levels)
+                        coordinate_tuple, parse_word, project_levels)
 
 
 _HEADER_RE = re.compile(r"element n=(-?\d+) m=(-?\d+)")
@@ -79,14 +78,21 @@ class CoherentElement(Frozen):
         caller may change.
 
         The coordinates are the pairs of coords plus eps_{i,j} on each
-        word [a_i, a_j], written directly, with no rewriting.
-        tower_levels files them by maximal letter, so level k is level
-        k - 1 plus the pairs whose maximal letter is k, and the matrix
-        is read once per walk.
+        word [a_i, a_j], written directly, with no rewriting.  They are
+        filed by maximal letter once, so the matrix is read once per
+        walk, and level k is level k - 1 plus the sum of the pairs filed
+        under k, whose words no lower level holds.
         """
-        return tower_levels(itertools.chain(self.coords, (
-            (bracket(letter(i), letter(j)), integer_element(c))
-            for (i, j), c in self.eps.nonzero(kmax).items())), kmax)
+        by_letter: dict[int, list] = {}
+        for w, f in itertools.chain(self.coords, (
+                (bracket(letter(i), letter(j)), integer_element(c))
+                for (i, j), c in self.eps.nonzero(kmax).items())):
+            by_letter.setdefault(w.max_letter, []).append((w, f))
+        level: dict[HallWord, GroupElement] = {}
+        for k in range(1, kmax + 1):
+            if k in by_letter:
+                level.update(add_coordinates(by_letter[k]))
+            yield dict(level)
 
     def level(self, k: int) -> dict[HallWord, GroupElement]:
         """Coordinates at the k-sphere stage: the last level of

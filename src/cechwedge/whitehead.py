@@ -48,10 +48,6 @@ class WeightLimitError(ValueError):
     """Bracket rewriting and the tensor oracle stop at MAX_TENSOR_WEIGHT."""
 
 
-class ResidualBracketError(ValueError):
-    """A projection ran into a monomial the engine cannot normalize."""
-
-
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
@@ -139,9 +135,6 @@ class FormalSum:
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
@@ -490,60 +483,40 @@ def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
     return tuple(sorted(add_coordinates(*parts).items()))
 
 
-def tower_levels(pairs, kmax: int):
-    """Yield the levels 1, 2, ..., kmax of a sum of (word, value) pairs,
-    each in a fresh dict that the caller may change.
-
-    Level k holds the pairs whose word has maximal letter <= k, repeated
-    words added up.  The pairs are filed by maximal letter once, and
-    level k is level k - 1 plus the sum of the pairs filed under k, whose
-    words no lower level holds.
-    """
-    by_letter: dict[int, list] = {}
-    for w, f in pairs:
-        by_letter.setdefault(w.max_letter, []).append((w, f))
-    level: dict[HallWord, GroupElement] = {}
-    for k in range(1, kmax + 1):
-        if k in by_letter:
-            level.update(add_coordinates(by_letter[k]))
-        yield dict(level)
-
-
 def project_levels(e, kmax: int):
     """Walk an element's two infinite sums down the tower: yield its
     projections to the wedges of 1, 2, ..., kmax spheres, each in a
     fresh dict that the caller may change.
 
     Works for anything with fields n, m, coords and eps, such as a
-    CoherentElement.  At level k the letters beyond k map to zero, so
-    level k keeps the terms whose word has maximal letter <= k.  The
-    eps part is the double sum of the monomials eps_{i,j} [a_i, a_j];
-    its terms with j <= kmax are bracketed and hall-normalized together,
-    so a walk normalizes once.  Their coefficients land in Z, the group
-    of every weight-2 word in the degree n = 2m - 1 that an element with
-    a nonzero eps has.  The coords part, the composition sum
-    sum_w a_w o f_w, needs no rewriting, since a term survives exactly
-    when its word avoids the trivialized letters.  tower_levels files
-    both parts by maximal letter.
+    CoherentElement.  The projection is the collapse map: it sends
+    every letter beyond k to zero, so a term survives at level k
+    exactly when every one of its letters is <= k.  The eps part is the
+    double sum of eps_{i,j} [a_i, a_j]; with i < j each of its words is
+    already a Hall word, so its terms with j <= kmax are the pairs
+    ([a_i, a_j], eps_{i,j}) as they stand, with coefficients in Z, the
+    group of every weight-2 word in the degree n = 2m - 1 that an
+    element with a nonzero eps has.  Both sums are added up once, their
+    terms ordered by largest letter, and level k is level k - 1 plus
+    the terms that level k is the first to keep.
     """
-    hall: dict[HallWord, int] = {}
-    pairs = e.eps.nonzero(kmax)
-    if pairs:
-        hall, residual = hall_normalize(FormalSum(
-            (_new(BracketMonomial, (bracket(letter(i), letter(j)),
-                                    (e.m, e.m))), c)
-            for (i, j), c in pairs.items()))
-        if residual:
-            raise ResidualBracketError(
-                "projection left non-Hall monomials: %s" % residual)
-    return tower_levels(itertools.chain(
-        e.coords, ((w, integer_element(c)) for w, c in hall.items())), kmax)
+    terms = add_coordinates(e.coords, (
+        (bracket(letter(i), letter(j)), integer_element(c))
+        for (i, j), c in e.eps.nonzero(kmax).items()))
+    top = {w: max(word_letters(w)) for w in terms}
+    order = sorted(terms, key=top.__getitem__)
+    kept: dict[HallWord, GroupElement] = {}
+    t = 0
+    for k in range(1, kmax + 1):
+        while t < len(order) and top[order[t]] <= k:
+            kept[order[t]] = terms[order[t]]
+            t += 1
+        yield dict(kept)
 
 
 def project_level(e, k: int) -> dict[HallWord, GroupElement]:
     """Push an element's two infinite sums down to the k-sphere wedge:
-    the last level of the walk project_levels(e, k), which normalizes
-    the eps part once."""
+    the last level of the walk project_levels(e, k)."""
     if k < 1:
         raise ValueError("levels start at 1")
     for level in project_levels(e, k):

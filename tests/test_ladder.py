@@ -7,7 +7,8 @@ from pathlib import Path
 
 from cechwedge.elements import (CoherentElement, check_coherence,
                                 parse_element_file,
-                                verify_composition_additivity)
+                                verify_composition_additivity,
+                                verify_weight2_realization)
 from cechwedge.groups import invariant_factors
 from cechwedge.hall import height_class_census
 from cechwedge.hilton import cech_decompose, earring_formula
@@ -18,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = {f.__name__: f for f in (
     parse_bracket_expr, hall_normalize, tensor_expansion, parse_element_file,
     check_coherence, CoherentElement.walk, project_levels,
-    verify_composition_additivity, earring_formula, cech_decompose,
-    height_class_census, invariant_factors)}
+    verify_weight2_realization, verify_composition_additivity,
+    earring_formula, cech_decompose, height_class_census, invariant_factors)}
 # layers whose call is a walk, which the ladder runs to its end
 WALKS = ("walk", "project_levels")
 

@@ -579,48 +579,43 @@ def test_project_level_refuses_level_zero():
 
 
 def test_walk_brackets_each_column_once(monkeypatch):
-    # One walk reads the matrix once and normalizes the whole double sum
-    # up to kmax once, every nonzero column in it; SparseEpsilon.value is
-    # never asked.  The verifier walks the projection and the element's
-    # own levels once each.
+    # One projection walk reads the matrix once and takes its terms as
+    # they stand: no rewriting, no SparseEpsilon.value and no element
+    # walk, so that it shares no level builder with the levels it is
+    # checked against.  The verifier walks the projection and the
+    # element's own levels once each.
     kmax = 12
     eps = SparseEpsilon.from_dict({(1, 2): 1, (2, 5): -2, (3, 5): 1,
                                    (4, 9): 3, (1, 12): 1, (11, 13): 5})
     e = weight_two_element(2, eps)
-    counts = {"normalize": 0, "monomials": 0, "nonzero": 0, "value": 0}
-    normalize = whitehead.hall_normalize
-    nonzero, value = SparseEpsilon.nonzero, SparseEpsilon.value
-
-    def counted_normalize(s):
-        counts["normalize"] += 1
-        counts["monomials"] += len(s)
-        return normalize(s)
+    reads = []
+    nonzero, walk = SparseEpsilon.nonzero, CoherentElement.walk
 
     def counted_nonzero(self, k):
-        counts["nonzero"] += 1
+        reads.append(k)
         return nonzero(self, k)
 
-    def counted_value(self, i, j):
-        counts["value"] += 1
-        return value(self, i, j)
+    def refused(*args):
+        raise AssertionError("a projection called a refused function")
 
-    monkeypatch.setattr(whitehead, "hall_normalize", counted_normalize)
+    monkeypatch.setattr(whitehead, "hall_normalize", refused)
+    monkeypatch.setattr(SparseEpsilon, "value", refused)
     monkeypatch.setattr(SparseEpsilon, "nonzero", counted_nonzero)
-    monkeypatch.setattr(SparseEpsilon, "value", counted_value)
+    monkeypatch.setattr(CoherentElement, "walk", refused)
     last = list(project_levels(e, kmax))[-1]
-    # the five entries with j <= 12, each bracketed once
-    assert counts == {"normalize": 1, "monomials": 5, "nonzero": 1,
-                      "value": 0}
-    counts.update(normalize=0, monomials=0, nonzero=0)
+    assert reads == [kmax]
+    monkeypatch.setattr(CoherentElement, "walk", walk)
     assert verify_weight2_realization(e, kmax).ok
-    assert counts == {"normalize": 1, "monomials": 5, "nonzero": 2,
-                      "value": 0}
-    assert last == _reference_level(e, kmax)
-    # a zero matrix has nothing to normalize
-    counts.update(dict.fromkeys(counts, 0))
+    assert reads == [kmax] * 3
+    # coordinates alone need no matrix entry either
     theta = CoherentElement(3, 2, ((parse_word("[a1,a2]"), integer_element(1)),))
     assert list(project_levels(theta, kmax))[-1] == theta.level(kmax)
-    assert counts["normalize"] == counts["value"] == 0
+    monkeypatch.undo()
+    # the five entries with j <= 12, each a Hall word as it stands
+    assert last == {bracket(letter(i), letter(j)): integer_element(c)
+                    for (i, j), c in eps.nonzero(kmax).items()}
+    assert len(last) == 5
+    assert last == _reference_level(e, kmax)
 
 
 # ---------------------------------------------------------------------------

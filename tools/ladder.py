@@ -9,14 +9,14 @@ is one library call: parse_bracket_expr, hall_normalize and
 tensor_expansion on sums of 1 to 16 brackets, parse_element_file on
 weight-2 element files on 2 to 8 letters, check_coherence on an
 element with an infinite band up to 32 levels, CoherentElement.walk,
-project_levels and verify_composition_additivity on elements with
-bands, entries and coordinates from 4 to 32 levels, earring_formula
-and cech_decompose up to degree 64, height_class_census on the grading
-1,1,1,1;2 at degrees 8 to 12, and invariant_factors on 10 to 10,000
-seeded cyclic orders from 2 to 30.  A walk is run to its end.  Before
-each point every lru_cache of the library is cleared; then the call
-runs N times.  cold_s is the first, cache-cold call and best_s the
-fastest of the N.
+project_levels, verify_weight2_realization and
+verify_composition_additivity on elements with bands, entries and
+coordinates from 4 to 32 levels, earring_formula and cech_decompose
+up to degree 64, height_class_census on the grading 1,1,1,1;2 at
+degrees 8 to 12, and invariant_factors on 10 to 10,000 seeded cyclic
+orders from 2 to 30.  A walk is run to its end.  Before each point
+every lru_cache of the library is cleared; then the call runs N times.
+cold_s is the first, cache-cold call and best_s the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
 Two long-lived worker processes, one importing each tree's src/, run
@@ -46,8 +46,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("parse_bracket_expr", "hall_normalize", "tensor_expansion",
           "parse_element_file", "check_coherence", "walk", "project_levels",
-          "verify_composition_additivity", "earring_formula",
-          "cech_decompose", "height_class_census", "invariant_factors")
+          "verify_weight2_realization", "verify_composition_additivity",
+          "earring_formula", "cech_decompose", "height_class_census",
+          "invariant_factors")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
 
 
@@ -136,6 +137,8 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
                  for k in levels],
         "project_levels": [(k, run_out(el.project_levels), (mixed, k))
                            for k in levels],
+        "verify_weight2_realization": [
+            (k, el.verify_weight2_realization, (mixed, k)) for k in levels],
         "verify_composition_additivity": [
             (k, el.verify_composition_additivity, (mixed, band, k))
             for k in levels],

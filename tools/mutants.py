@@ -104,10 +104,19 @@ MUTANTS = [
      "    if not pool:\n",
      "    if False:\n",
      [T_CLI + "test_verify_theta_random_refuses_an_empty_word_pool"]),
+    # --- the projection and the element's levels build no level alike
+    ("walk-drops-a-letters-first-pair", E,
+     "                level.update(add_coordinates(by_letter[k]))",
+     "                level.update(add_coordinates(by_letter[k][1:]))",
+     [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
+    ("projection-keeps-a-collapsed-letter", WH,
+     "        while t < len(order) and top[order[t]] <= k:",
+     "        while t < len(order) and top[order[t]] <= k + 1:",
+     [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
     # --- element levels and coherence
-    ("walk-yields-its-running-dict", WH,
-     "        yield dict(level)",
-     "        yield level",
+    ("walk-yields-its-running-dict", E,
+     "            yield dict(level)",
+     "            yield level",
      [T_ELEMENTS + "test_level_returns_a_fresh_dict"]),
     ("coherence-level-with-itself", E,
      "                         if pushed.get(w) != actual.get(w))",
