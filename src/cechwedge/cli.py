@@ -304,9 +304,9 @@ def cmd_verify_edge(args) -> int:
     if args.m < 2:
         raise CommandError("sphere dimension must be >= 2")
     _need_levels(args)
-    table = _table(args)
     if not args.random:
-        return _verify_file(args, table, ("m",),
+        # an eps value is an integer, so the file looks no group up
+        return _verify_file(args, load_table("seed"), ("m",),
                             "a pure weight-2 family (eps lines only)",
                             lambda e: e.eps and not e.coords)
     import random
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--m", type=int, required=True)
     ve.add_argument("--levels", type=int, default=6)
     _add_source(ve)
-    _add_common(ve)
+    _add_common(ve, table=False)
     ve.set_defaults(func=cmd_verify_edge)
 
     vt = vsub.add_parser("theta", help="composition realization identities")

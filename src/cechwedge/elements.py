@@ -27,7 +27,7 @@ import re
 from .groups import (DirectSum, GroupElement, ProdN, SphereSymbol, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
-                   height, letter)
+                   height, letter, word_letters)
 from .hilton import (apply_bonding, bonding, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
@@ -186,9 +186,9 @@ def _family_word(i: int, w) -> HallWord:
         w = parse_word(w)
     if w.length < 2:
         raise ValueError("least-letter families need weight >= 2, got %s" % (w,))
-    if w.min_letter != i:
+    if min(word_letters(w)) != i:
         raise ValueError("word %s has least letter a%d, filed under a%d"
-                         % (w, w.min_letter, i))
+                         % (w, min(word_letters(w)), i))
     return w
 
 

@@ -59,19 +59,17 @@ def check_cap(size: int, message: str, *args) -> None:
 class HallWord(NamedTuple):
     """Immutable binary bracket tree over positive letter indices.
 
-    The fields are laid out so that plain tuple order is the canonical
-    order: weight, maximal letter, then the two factors compared in the
-    same way.  A letter a_i is (1, i, None, None, i).  min_letter is
-    fixed by the factors, so it never decides a comparison, and None is
-    never compared with a word because a letter and a bracket differ in
-    weight.  Build words with letter() and bracket() only.
+    The fields are exactly the canonical order key, so plain tuple order
+    is the canonical order: weight, maximal letter, then the two factors
+    compared in the same way.  A letter a_i is (1, i, None, None).  None
+    is never compared with a word because a letter and a bracket differ
+    in weight.  Build words with letter() and bracket() only.
     """
 
     length: int  # weight: the number of letter occurrences
     max_letter: int
     left: HallWord | None
     right: HallWord | None
-    min_letter: int
 
     @property
     def is_letter(self):
@@ -97,16 +95,15 @@ WORD_CACHE_SIZE = 4096
 def letter(i: int) -> HallWord:
     if i < 1:
         raise ValueError("letter indices start at 1")
-    return _new(HallWord, (1, i, None, None, i))
+    return _new(HallWord, (1, i, None, None))
 
 
 def bracket(x: HallWord, y: HallWord) -> HallWord:
     """Free bracket constructor; does not check the Hall conditions."""
-    # conditionals, not max() and min(): this builds every bracket
-    hi, lo = x.max_letter, x.min_letter
+    # a conditional, not max(): this builds every bracket
+    hi = x.max_letter
     return _new(HallWord, (x.length + y.length,
-                           hi if hi > y.max_letter else y.max_letter, x, y,
-                           lo if lo < y.min_letter else y.min_letter))
+                           hi if hi > y.max_letter else y.max_letter, x, y))
 
 
 @functools.lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -348,7 +345,7 @@ class GradingSequence(Frozen):
 
 def height(w: HallWord, grading: GradingSequence) -> int:
     """h(w) = sum of r(i) over the letter occurrences of w."""
-    if w.min_letter > len(grading.prefix):
+    if not grading.prefix:
         return grading.tail * w.length
     return sum(map(grading.r, word_letters(w)))
 

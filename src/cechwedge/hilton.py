@@ -65,7 +65,9 @@ class WedgeDecomposition(Frozen):
         return sorted(count.items(), key=lambda gc: sort_key(gc[0]))
 
     def total(self) -> GroupExpr:
-        return normalize(DirectSum(tuple(g for _, g in self.summands)))
+        """The direct sum of the summands' groups, one part per summand."""
+        return normalize(DirectSum(tuple(
+            g for g, c in self.total_parts() for _ in range(c))))
 
 
 def decompose_wedge(n: int, k: int, grading: GradingSequence,

@@ -365,6 +365,13 @@ def test_verify_edge_random(capsys):
     assert rc == 0 and out == "PASS\n" and err == ""
 
 
+def test_verifiers_but_edge_take_a_table(capsys):
+    # verify edge refuses --table (test_usage_errors); theta still reads one
+    rc, out, _ = run(capsys, "verify", "theta", "--random", "--n", "4",
+                     "--m", "2", "--count", "1", "--table", "seed")
+    assert rc == 0 and out == "PASS\n"
+
+
 def test_verify_edge_random_catches_a_lossy_matrix_sum(capsys, monkeypatch):
     add = SparseEpsilon.__add__
 
@@ -701,6 +708,9 @@ def test_verify_stabilize_failure(capsys):
     # BINARY stands for a file holding bytes that are not UTF-8
     ("verify", "coherence", "--file", "BINARY"),
     ("cech", "earring", "-m", "2", "-n", "3", "--table", "BINARY"),
+    # edge elements are integer matrices, so verify edge reads no table
+    ("verify", "edge", "--m", "2", "--random", "--table", "seed"),
+    ("verify", "edge", "--m", "2", "--file", "e.txt", "--table", "seed"),
     # edge and theta take exactly one of --random and --file
     ("verify", "edge", "--m", "2", "--random", "--file", "e.txt"),
     ("verify", "theta", "--n", "4", "--m", "2", "--random", "--file", "e.txt"),
@@ -749,6 +759,7 @@ def test_usage_errors(capsys, tmp_path, default_digit_limit, argv):
     # argparse rejects an unknown flag, two exclusive flags, or neither
     # of --random and --file itself
     if ("--annotate" in argv or {"-m", "--grading"} <= set(argv)
+            or argv[1] == "edge" and "--table" in argv
             or argv[1] in ("edge", "theta")
             and ("--random" in argv) == ("--file" in argv)):
         with pytest.raises(SystemExit) as exc:

@@ -203,8 +203,10 @@ def test_is_hall_examples():
 
 def test_hall_word_structure():
     w = bracket(letter(1), bracket(letter(1), letter(2)))
-    assert w.length == 3
-    assert w.min_letter == 1 and w.max_letter == 2
+    assert w.length == 3 and w.max_letter == 2
+    # the fields are the canonical order key and nothing else
+    assert HallWord._fields == ("length", "max_letter", "left", "right")
+    assert tuple(w) == (3, 2, letter(1), bracket(letter(1), letter(2)))
     assert str(w) == "[a1,[a1,a2]]"
     assert w == bracket(letter(1), bracket(letter(1), letter(2)))
     assert letter(3) > w is False or True  # comparisons exist
@@ -329,11 +331,11 @@ def _by_keyword(w):
     """w rebuilt bottom up by keyword calls of the HallWord class."""
     if w.left is None:
         return HallWord(length=1, max_letter=w.max_letter, left=None,
-                        right=None, min_letter=w.max_letter)
+                        right=None)
     x, y = _by_keyword(w.left), _by_keyword(w.right)
     return HallWord(length=x.length + y.length,
                     max_letter=max(x.max_letter, y.max_letter), left=x,
-                    right=y, min_letter=min(x.min_letter, y.min_letter))
+                    right=y)
 
 
 @given(w=_WORDS)
@@ -341,8 +343,7 @@ def test_positional_words_equal_keyword_words(w):
     k = _by_keyword(w)
     assert type(w) is HallWord
     assert k == w and hash(k) == hash(w) and str(k) == str(w)
-    assert (k.length, k.max_letter, k.min_letter) == (
-        w.length, w.max_letter, w.min_letter)
+    assert (k.length, k.max_letter) == (w.length, w.max_letter)
 
 
 @pytest.mark.parametrize("cached", [

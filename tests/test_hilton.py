@@ -82,6 +82,28 @@ def test_a_repeated_decomposition_builds_no_word_again(monkeypatch):
     assert again.summands == first.summands
 
 
+def test_a_stage_total_builds_no_word(monkeypatch):
+    # the total is read off the heights, one part per summand, so it
+    # needs no word of the listing
+    import cechwedge.hall as hall
+    built = []
+    for name in ("letter", "bracket"):
+        def counted(*args, build=getattr(hall, name)):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(hall, name, counted)
+    hall.generate.cache_clear()
+    hall.dimension_truncation.cache_clear()
+    for n, k, spec in ((9, 6, "2"), (8, 4, "1,2;3"), (6, 2, "1"), (2, 3, "4")):
+        dec = decompose_wedge(n, k, GradingSequence.parse(spec), TABLE)
+        total = dec.total()
+        assert built == [], (n, k, spec)
+        assert total == normalize(DirectSum(tuple(g for _, g in dec.summands)))
+        # the control: the summands do build the words
+        assert len(built) == len(dec.listing)
+        built.clear()
+
+
 def test_decompose_wedge_symbol_passthrough():
     dec = decompose_wedge(6, 2, G1, TABLE)
     by_word = {str(w): g for w, g in dec.summands}

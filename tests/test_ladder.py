@@ -10,15 +10,15 @@ from cechwedge.elements import (CoherentElement, check_coherence,
                                 verify_composition_additivity,
                                 verify_weight2_realization)
 from cechwedge.groups import invariant_factors
-from cechwedge.hall import height_class_census
+from cechwedge.hall import generate, height_class_census, heights, labels
 from cechwedge.hilton import cech_decompose, earring_formula
 from cechwedge.whitehead import (hall_normalize, parse_bracket_expr,
                                  project_levels, tensor_expansion)
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = {f.__name__: f for f in (
-    parse_bracket_expr, hall_normalize, tensor_expansion, parse_element_file,
-    check_coherence, CoherentElement.walk, project_levels,
+    generate, parse_bracket_expr, hall_normalize, tensor_expansion,
+    parse_element_file, check_coherence, CoherentElement.walk, project_levels,
     verify_weight2_realization, verify_composition_additivity,
     earring_formula, cech_decompose, height_class_census, invariant_factors)}
 # layers whose call is a walk, which the ladder runs to its end
@@ -43,12 +43,18 @@ def test_smallest_point_of_every_layer():
         sizes = [size for size, _, _ in pts]
         assert sizes == sorted(set(sizes)) and len(sizes) >= 3, layer
         size, fn, args = pts[0]
-        want = LIBRARY[layer](*args)
-        if layer in WALKS:
+        if layer == "generate":
+            # one call lists the words with their heights and labels
+            k, max_weight, grading = args
+            listing = generate(k, max_weight)
+            want = (listing, heights(listing, grading), labels(listing))
+            assert size == len(listing)
+        elif layer in WALKS:
             assert fn.__wrapped__ is LIBRARY[layer], layer
-            want = list(want)
+            want = list(LIBRARY[layer](*args))
         else:
             assert fn is LIBRARY[layer], layer
+            want = LIBRARY[layer](*args)
         cold, best, result = ladder.measure(lib, fn, args, 2)
         assert 0 < best <= cold
         assert result == want, layer

@@ -5,7 +5,10 @@
     python3 tools/ladder.py --against PATH [--passes P] [--repeat N]
 
 The first form prints one JSON line per (layer, size) point.  A layer
-is one library call: parse_bracket_expr, hall_normalize and
+is one library call: generate with the heights and labels of its
+listing on the grading 1,2,3;4, as the hall command makes its rows, on
+2 letters up to weights 12 to 21 and on 4 letters up to weights 6 to
+10, its size the number of words; parse_bracket_expr, hall_normalize and
 tensor_expansion on sums of 1 to 16 brackets, parse_element_file on
 weight-2 element files on 2 to 8 letters, check_coherence on an
 element with an infinite band up to 32 levels, CoherentElement.walk,
@@ -14,16 +17,19 @@ verify_composition_additivity on elements with bands, entries and
 coordinates from 4 to 32 levels, earring_formula and cech_decompose
 up to degree 64, height_class_census on the grading 1,1,1,1;2 at
 degrees 8 to 12, and invariant_factors on 10 to 10,000 seeded cyclic
-orders from 2 to 30.  A walk is run to its end.  Before each point
-every lru_cache of the library is cleared; then the call runs N times.
-cold_s is the first, cache-cold call and best_s the fastest of the N.
+orders from 2 to 30.  A walk is run to its end, and generate skips
+its cache, so each call lists anew.  Before each point every lru_cache
+of the library is cleared; then the call runs N times.  cold_s is the
+first, cache-cold call and best_s the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
-Two long-lived worker processes, one importing each tree's src/, run
-whole passes over every point in turn, alternating which goes first.
-It prints one JSON line per layer, and one for all layers, with the
-quartiles of the pass-time ratio this tree / PATH.  A ratio below 1
-means this tree is faster.
+Two long-lived worker processes, one importing each tree's src/, take
+turns point by point, alternating which goes first, so a burst of host
+load lands on both sides of a point rather than on one side's whole
+pass.  A pass is every point once on each side.  It prints one JSON
+line per layer, and one for all layers, with the quartiles of the
+pass-time ratio this tree / PATH.  A ratio below 1 means this tree is
+faster.
 
 Stdlib only, and not part of Tier-1: tests/test_ladder.py runs the
 smallest point of every layer.
@@ -44,11 +50,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("parse_bracket_expr", "hall_normalize", "tensor_expansion",
-          "parse_element_file", "check_coherence", "walk", "project_levels",
-          "verify_weight2_realization", "verify_composition_additivity",
-          "earring_formula", "cech_decompose", "height_class_census",
-          "invariant_factors")
+LAYERS = ("generate", "parse_bracket_expr", "hall_normalize",
+          "tensor_expansion", "parse_element_file", "check_coherence",
+          "walk", "project_levels", "verify_weight2_realization",
+          "verify_composition_additivity", "earring_formula",
+          "cech_decompose", "height_class_census", "invariant_factors")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
 
 
@@ -105,6 +111,17 @@ def run_out(walk):
     return levels
 
 
+def hall_rows(hall):
+    """generate, heights and labels as one call: the listing, its
+    heights and its labels.  generate's cache is skipped."""
+    make = hall.generate.__wrapped__
+
+    def rows(k, max_weight, grading):
+        listing = make(k, max_weight)
+        return listing, hall.heights(listing, grading), hall.labels(listing)
+    return rows
+
+
 def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
     """Per layer, its points (size, function, arguments) in growing size."""
     wh, el, hl = lib["whitehead"], lib["elements"], lib["hilton"]
@@ -122,7 +139,15 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
     mixed_grading = hall.GradingSequence.parse("1,1,1,1;2")
     orders = {k: random.Random(k).choices(range(2, 31), k=k)
               for k in (10, 100, 1000, 10000)}
+    listings = ([(2, j) for j in range(12, 22)]
+                + [(4, j) for j in range(6, 11)])
+    rows, row_grading = hall_rows(hall), hall.GradingSequence.parse("1,2,3;4")
     return {
+        # sized by the number of words listed
+        "generate": sorted(
+            ((sum(hall.necklace_count(k, i) for i in range(1, j + 1)), rows,
+              (k, j, row_grading)) for k, j in listings),
+            key=lambda point: point[0]),
         "parse_bracket_expr": [(t, wh.parse_bracket_expr, exprs[t])
                                for t in exprs],
         "hall_normalize": [(t, wh.hall_normalize, (sums[t],)) for t in sums],
@@ -167,21 +192,17 @@ def measure(lib, fn, args, repeat: int):
     return times[0], min(times), result
 
 
-def run_pass(lib, points, repeat: int) -> dict[str, float]:
-    """Seconds per layer: the sum of each point's fastest call."""
-    return {layer: sum(measure(lib, fn, args, repeat)[1]
-                       for _, fn, args in pts)
-            for layer, pts in points.items()}
-
-
 def _worker(args) -> int:
-    """Answer each line "pass" on stdin with one JSON line of run_pass."""
+    """Print the layer of every point, in order, as one JSON line; then
+    answer each line holding a point's index with one line holding the
+    fastest of that point's calls, in seconds."""
     lib = library()
-    points = steps(lib)
+    points = [(layer, fn, fargs) for layer, pts in steps(lib).items()
+              for _, fn, fargs in pts]
+    print(json.dumps([layer for layer, _, _ in points]), flush=True)
     for line in sys.stdin:
-        if line.strip() != "pass":
-            break
-        print(json.dumps(run_pass(lib, points, args.repeat)), flush=True)
+        _, fn, fargs = points[int(line)]
+        print(measure(lib, fn, fargs, args.repeat)[1], flush=True)
     return 0
 
 
@@ -193,13 +214,17 @@ def _spawn(src: Path, args):
                             stdout=subprocess.PIPE, text=True)
 
 
-def _ask(proc) -> dict[str, float]:
-    proc.stdin.write("pass\n")
-    proc.stdin.flush()
+def _answer(proc) -> str:
     line = proc.stdout.readline()
     if not line:
         raise RuntimeError("a worker stopped before answering")
-    return json.loads(line)
+    return line
+
+
+def _ask(proc, i: int) -> float:
+    proc.stdin.write("%d\n" % i)
+    proc.stdin.flush()
+    return float(_answer(proc))
 
 
 def _quartiles(values) -> list[float]:
@@ -215,14 +240,22 @@ def _paired(args) -> int:
         return 2
     here, there = _spawn(ROOT / "src", args), _spawn(other / "src", args)
     try:
-        _ask(here), _ask(there)  # warm both, untimed
+        layers = json.loads(_answer(here))
+        if json.loads(_answer(there)) != layers:
+            raise RuntimeError("the two workers list different points")
+        for i in range(len(layers)):  # warm both, untimed
+            _ask(here, i), _ask(there, i)
         ratios: dict[str, list[float]] = {layer: [] for layer in LAYERS}
         ratios["all"] = []
         for p in range(args.passes):
-            if p % 2:
-                b, a = _ask(there), _ask(here)
-            else:
-                a, b = _ask(here), _ask(there)
+            a, b = dict.fromkeys(LAYERS, 0.0), dict.fromkeys(LAYERS, 0.0)
+            for i, layer in enumerate(layers):
+                if (p + i) % 2:
+                    b[layer] += _ask(there, i)
+                    a[layer] += _ask(here, i)
+                else:
+                    a[layer] += _ask(here, i)
+                    b[layer] += _ask(there, i)
             for layer in LAYERS:
                 ratios[layer].append(a[layer] / b[layer])
             ratios["all"].append(sum(a.values()) / sum(b.values()))

@@ -176,17 +176,25 @@ MUTANTS = [
      "    return word_letters(w.right) + word_letters(w.left)",
      ["tests/test_hall.py::test_cached_letters_are_the_letter_walk"]),
     ("hall-word-order-not-canonical", HALL,
-     "    min_letter: int\n\n"
+     "    right: HallWord | None\n\n"
      "    @property\n",
-     "    min_letter: int\n\n"
+     "    right: HallWord | None\n\n"
      "    def __lt__(self, other):\n"
-     "        return ((self.length, self.min_letter, self[1:4])\n"
-     "                < (other.length, other.min_letter, other[1:4]))\n\n"
+     "        return ((self.length, self.left, self.right, self.max_letter)\n"
+     "                < (other.length, other.left, other.right,\n"
+     "                   other.max_letter))\n\n"
      "    def __le__(self, other):\n"
      "        return self == other or self < other\n\n"
      "    @property\n",
      ["tests/test_hall.py::test_generate_matches_brute_force",
       "tests/test_hall.py::test_word_order_is_the_oracle_order"]),
+    ("height-shortcut-ignores-prefix", HALL,
+     "    if not grading.prefix:\n"
+     "        return grading.tail * w.length",
+     "    if grading is not None:\n"
+     "        return grading.tail * w.length",
+     ["tests/test_hall.py::test_height_examples",
+      "tests/test_hall.py::test_height_is_the_letter_walk"]),
     ("height-fold-drops-right-factor", HALL,
      "        values += map(node, map(get, left[lo:hi]), map(get, right[lo:hi]))",
      "        values += map(node, map(get, left[lo:hi]), map(get, left[lo:hi]))",
