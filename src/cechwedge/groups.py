@@ -20,6 +20,7 @@ summand is part of the answer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_left
@@ -87,31 +88,17 @@ class FGAbelianGroup(GroupExpr):
     def from_cyclic(cls, rank: int, orders) -> "FGAbelianGroup":
         return cls(rank, invariant_factors(orders))
 
-    def tokens(self) -> list[tuple[str, int]]:
-        """Base-string / multiplicity pairs, e.g. [("Z", 2), ("Z/2", 1)]."""
-        out: list[tuple[str, int]] = []
-        if self.rank:
-            out.append(("Z", self.rank))
-        i = 0
-        while i < len(self.torsion):
-            j = i
-            while j < len(self.torsion) and self.torsion[j] == self.torsion[i]:
-                j += 1
-            out.append(("Z/%d" % self.torsion[i], j - i))
-            i = j
-        return out
-
     def render(self, joiner: str = " (+) ") -> str:
+        """E.g. "Z^2 (+) Z/2 (+) (Z/4)^3"; the trivial group is "0"."""
         if self == ZERO:
             return "0"
         parts = []
-        for base, mult in self.tokens():
-            if mult == 1:
-                parts.append(base)
-            elif "/" in base:
-                parts.append("(%s)^%d" % (base, mult))
-            else:
-                parts.append("%s^%d" % (base, mult))
+        if self.rank:
+            parts.append("Z" if self.rank == 1 else "Z^%d" % self.rank)
+        for order, run in itertools.groupby(self.torsion):
+            mult = len(list(run))
+            parts.append("Z/%d" % order if mult == 1
+                         else "(Z/%d)^%d" % (order, mult))
         return joiner.join(parts)
 
     def __str__(self):

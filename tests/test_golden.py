@@ -1,80 +1,56 @@
 """Replay the formula and verify workloads' golden corpus in process.
 
 perfbench/golden.json freezes the exit code and stdout sha256 of every
-benchmark operation.  One variant of every slot of the formula and
-verify workloads runs here through cli.main and must match that record.
-Slots beyond the stratum cap must instead exit 2 without a traceback,
-as the benchmark's own check demands.  perfbench/ is only read: its
-workloads module loads without writing bytecode, and generated element
-files go to a temporary directory.
+benchmark operation.  Every variant of every slot of the formula and
+verify workloads runs here through cli.main, by the walk that
+tools/traffic.py drives, and must match that record without a
+traceback on stderr.  Slots beyond the stratum cap must instead exit 2
+without a traceback, as the benchmark's own check demands.  perfbench/
+is only read, and generated element files go to a temporary directory.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-from cechwedge.cli import main
+import traffic
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    write_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-    return module
-
-
-WORKLOADS = _load_workloads()
-GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+WORKLOADS = traffic._load("workloads")
+GOLDEN = json.loads((traffic.ROOT / "perfbench" / "golden.json")
+                    .read_text(encoding="utf-8"))
 SLOTS = WORKLOADS.verify_slots()
 FORMULA_SLOTS = WORKLOADS.formula_slots()
 
 
-def _replay(argv, capsys):
-    """Exit code and stdout sha256 of one in-process CLI run, and
-    whether stderr shows a traceback."""
-    rc = main(argv)
-    captured = capsys.readouterr()
-    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
-    return rc, digest, "Traceback" in captured.err
+def test_slots_name_exactly_the_golden_keys():
+    keys = {WORKLOADS.op_key(argv) for slot in FORMULA_SLOTS + SLOTS
+            for variant in slot.variants for argv in variant}
+    assert keys == set(GOLDEN)
 
 
-@pytest.mark.parametrize("index", range(len(SLOTS)),
-                         ids=[slot.name for slot in SLOTS])
-def test_verify_slot_matches_golden(index, capsys, tmp_path):
-    slot = SLOTS[index]
-    # Rotate through the variants so the slots cover different seeds.
-    (argv,) = slot.variants[index % len(slot.variants)]
-    for name in (a[1:] for a in argv if a.startswith("@")):
-        (tmp_path / name).write_text(slot.files[name], encoding="utf-8")
-    resolved = [str(tmp_path / a[1:]) if a.startswith("@") else a
-                for a in argv]
-    rc, digest, _ = _replay(resolved, capsys)
-    want = GOLDEN[WORKLOADS.op_key(argv)]
-    assert (rc, digest) == (want["exit"], want["sha256"])
+def _mismatches(slot, tmp_path):
+    """Key and (exit code, stdout sha256, traceback?) of every run of
+    slot that differs from its record."""
+    out = []
+    for argv, resolved in traffic.slot_commands(slot, tmp_path, set()):
+        rc, stdout, stderr = traffic.run_cli(resolved)
+        got = (rc, hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+               "Traceback" in stderr)
+        key = WORKLOADS.op_key(argv)
+        rc_want = 2 if slot.expect == "clean_exit_2" else GOLDEN[key]["exit"]
+        if got != (rc_want, GOLDEN[key]["sha256"], False):
+            out.append((key, got))
+    return out
 
 
-@pytest.mark.parametrize("index", range(len(FORMULA_SLOTS)),
+@pytest.mark.parametrize("slot", SLOTS, ids=[slot.name for slot in SLOTS])
+def test_verify_slot_matches_golden(slot, tmp_path):
+    assert _mismatches(slot, tmp_path) == []
+
+
+@pytest.mark.parametrize("slot", FORMULA_SLOTS,
                          ids=["%s-%d" % (slot.name, i)
                               for i, slot in enumerate(FORMULA_SLOTS)])
-def test_formula_slot_matches_golden(index, capsys):
-    slot = FORMULA_SLOTS[index]
-    # Cross-check slots hold two commands; each has its own record.
-    for argv in slot.variants[index % len(slot.variants)]:
-        rc, digest, traceback = _replay(list(argv), capsys)
-        if slot.expect == "clean_exit_2":
-            assert (rc, traceback) == (2, False), argv
-        else:
-            want = GOLDEN[WORKLOADS.op_key(argv)]
-            assert (rc, digest) == (want["exit"], want["sha256"]), argv
+def test_formula_slot_matches_golden(slot, tmp_path):
+    assert _mismatches(slot, tmp_path) == []

@@ -1,10 +1,9 @@
 """tools/ladder.py times the library's own calls, and its smallest
 points run fast enough for Tier-1."""
 
-import importlib.util
 import time
-from pathlib import Path
 
+import ladder
 from cechwedge.elements import (CoherentElement, check_coherence,
                                 parse_element_file,
                                 verify_composition_additivity,
@@ -15,7 +14,6 @@ from cechwedge.hilton import cech_decompose, earring_formula
 from cechwedge.whitehead import (hall_normalize, parse_bracket_expr,
                                  project_levels, tensor_expansion)
 
-ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = {f.__name__: f for f in (
     generate, parse_bracket_expr, hall_normalize, tensor_expansion,
     parse_element_file, check_coherence, CoherentElement.walk, project_levels,
@@ -25,16 +23,7 @@ LIBRARY = {f.__name__: f for f in (
 WALKS = ("walk", "project_levels")
 
 
-def _load_ladder():
-    spec = importlib.util.spec_from_file_location(
-        "ladder", ROOT / "tools" / "ladder.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_smallest_point_of_every_layer():
-    ladder = _load_ladder()
     start = time.perf_counter()
     lib = ladder.library()
     points = ladder.steps(lib)
@@ -62,7 +51,6 @@ def test_smallest_point_of_every_layer():
 
 
 def test_measure_clears_every_cache_first():
-    ladder = _load_ladder()
     lib = ladder.library()
     hall = lib["hall"]
     hall.word_letters(hall.bracket(hall.letter(1), hall.letter(2)))

@@ -1,28 +1,16 @@
 """The line collector behind tools/traffic.py reports what really ran.
 
-The whole traffic run takes about 40 s and stays outside Tier-1; this
+The whole traffic run takes about 17 s and stays outside Tier-1; this
 traces one small command through the same collector and report.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
 
+import traffic
 from cechwedge.cli import main
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_traffic():
-    spec = importlib.util.spec_from_file_location(
-        "traffic", ROOT / "tools" / "traffic.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_collector_sees_count_run_and_hm_not(capsys):
-    traffic = _load_traffic()
     previous = sys.gettrace()
     with traffic.Collector() as collector:
         rc = main(["count", "-k", "2", "-j", "3"])
@@ -30,7 +18,7 @@ def test_collector_sees_count_run_and_hm_not(capsys):
     assert (rc, capsys.readouterr().out) == (0, "2\n")
     rows = {(fname, name): (hit, missing)
             for fname, name, hit, missing in traffic.unreached(collector.ran)}
-    source = (ROOT / "src" / "cechwedge" / "cli.py").read_text(
+    source = (traffic.PACKAGE / "cli.py").read_text(
         encoding="utf-8").splitlines()
 
     def text(lines):

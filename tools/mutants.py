@@ -4,10 +4,10 @@
     python3 tools/mutants.py
 
 A mutant is (name, file, old text, new text, test node ids).  For each
-one the script copies src/, tests/, perfbench/ and pyproject.toml into a
-fresh temporary directory (pyproject.toml carries pythonpath = ["src"],
-so pytest there imports the mutated copy), replaces the old text, which
-must occur exactly once in its file, and runs
+one the script copies src/, tests/, tools/, perfbench/ and pyproject.toml
+into a fresh temporary directory (pyproject.toml carries pythonpath =
+["src", "tools"], so pytest there imports the mutated copy), replaces
+the old text, which must occur exactly once in its file, and runs
 
     python -m pytest -q -x -p no:cacheprovider <test node ids>
 
@@ -19,7 +19,7 @@ environment cannot pass for a killed mutant.
 
 Exit 0 when every mutant is killed, 1 when one survives or an old text
 does not occur exactly once.  Stdlib only, and not part of Tier-1: a
-run of every mutant takes about 110 s on a 2-vCPU machine.
+run of every mutant takes about 70 s on a 2-vCPU machine.
 tests/test_mutants.py checks in Tier-1 that every old text still
 occurs exactly once.
 """
@@ -254,6 +254,12 @@ MUTANTS = [
      "    except (CommandError, StratumSizeError) as exc:",
      "    except CommandError as exc:",
      [T_CLI + "test_usage_errors"]),
+    # --- the limit formulas, replayed over the whole golden corpus
+    ("wedge-trivial-bound-off-by-one", CLI,
+     "_formula_line(expr, args.n <= grading.r(1))",
+     "_formula_line(expr, args.n < grading.r(1))",
+     ["tests/test_golden.py::test_formula_slot_matches_golden[earring=wedge-%d]"
+      % i for i in (5, 6, 7)]),
     # --- bracket rewriting signs
     ("jacobi-first-sign-flipped", WH,
      "    jacobi = ((x.bracket(u).bracket(v), _sign(p + 1)),",
@@ -274,7 +280,7 @@ MUTANTS = [
      ["tests/test_records.py::test_equal_fields_equal_records"]),
 ]
 
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
 
 
 def occurrences() -> list[tuple[str, int]]:
