@@ -28,7 +28,7 @@ from .groups import (DirectSum, GroupElement, ProdN, SphereSymbol, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    height, letter, word_letters)
-from .hilton import (apply_bonding, bonding, decompose_wedge,
+from .hilton import (bonding, check_support, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
 from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
@@ -229,17 +229,23 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     for any object with fields n, m and a walk(kmax) method, so a
     corrupted list of levels can be checked too.  The levels are walked
     once, and the bonding maps test each word's membership directly,
-    so no Hall set is listed.  The words of a level are sorted and
-    compared one by one only when the two sides differ.
+    so no Hall set is listed.  A word a map has accepted is accepted by
+    every later one, so each word is tested once, at the first level
+    that holds it.  The words of a level are sorted and compared one by
+    one only when the two sides differ.
     """
     if kmax < 1:
         raise ValueError("need kmax >= 1")
     grading = GradingSequence.constant(e.m - 1)
     failures = []
+    accepted: set = set()
     walk = e.walk(kmax)
     actual = next(walk)
     for k, upper in enumerate(walk, start=1):
-        pushed = apply_bonding(bonding(e.n, k, grading), upper)
+        check_support(bonding(e.n, k, grading),
+                      [w for w in upper if w not in accepted])
+        accepted.update(upper)
+        pushed = {w: f for w, f in upper.items() if w.max_letter <= k}
         if pushed != actual:
             failures += ((k, w) for w in sorted(set(pushed) | set(actual))
                          if pushed.get(w) != actual.get(w))
@@ -332,35 +338,39 @@ def parse_element_file(text: str, table) -> CoherentElement:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
+        directive = line.split(None, 1)[0]
         try:
-            if fields[0] == "element":
-                header = _HEADER_RE.fullmatch(" ".join(fields))
+            if directive == "element":
+                header = _HEADER_RE.fullmatch(" ".join(line.split()))
                 if n is not None or header is None:
                     raise ValueError("expected one 'element n=<n> m=<m>' header")
                 n, m = int(header[1]), int(header[2])
                 if n < 2 or m < 2:
                     raise ValueError("need n >= 2 and m >= 2")
-            elif fields[0] in ("support", "gtuple"):
-                head, value_text = _split_assignment(line[len(fields[0]):])
-                if fields[0] == "gtuple":
-                    i, head = head.split(None, 1)
-                    w = _family_word(int(i), parse_word(head))
-                else:
-                    w = parse_word(head)
-                support.append((lineno, w, _parse_ints(value_text)))
-            elif fields[0] == "eps":
-                head, value_text = _split_assignment(line[len("eps"):])
+                continue
+            if directive not in _ASSIGNMENTS:
+                raise ValueError("unknown directive %r" % directive)
+            head, eq, value_text = line[len(directive):].partition("=")
+            if not eq:
+                raise ValueError("expected '=' in directive")
+            head = head.strip()
+            if directive == "eps":
                 i, j = map(int, head.split())
                 _check_pair(i, j)
-                c = _parse_ints(value_text)
-                if len(c) != 1:
-                    raise ValueError("an eps line takes one value, got %d"
-                                     % len(c))
-                eps.append((i, j, c[0]))
-                eps_lineno = eps_lineno or lineno
+            elif directive == "gtuple":
+                i, head = head.split(None, 1)
+                w = _family_word(int(i), parse_word(head))
             else:
-                raise ValueError("unknown directive %r" % fields[0])
+                w = parse_word(head)
+            values = tuple(map(int, value_text.strip().split(",")))
+            if directive != "eps":
+                support.append((lineno, w, values))
+                continue
+            if len(values) != 1:
+                raise ValueError("an eps line takes one value, got %d"
+                                 % len(values))
+            eps.append((i, j, values[0]))
+            eps_lineno = eps_lineno or lineno
         except ElementFormatError:
             raise
         except Exception as exc:
@@ -380,15 +390,7 @@ def parse_element_file(text: str, table) -> CoherentElement:
         raise ElementFormatError(eps_lineno, str(exc)) from None
 
 
-def _split_assignment(rest: str) -> tuple[str, str]:
-    if "=" not in rest:
-        raise ValueError("expected '=' in directive")
-    head, _, value = rest.partition("=")
-    return head.strip(), value.strip()
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(map(int, text.split(",")))
+_ASSIGNMENTS = ("support", "gtuple", "eps")
 
 
 def render_element_file(e: CoherentElement) -> str:

@@ -110,6 +110,15 @@ Z = FGAbelianGroup(1)
 CYCLIC_2 = FGAbelianGroup(0, (2,))
 
 
+def is_trivial(e: GroupExpr) -> bool:
+    """Whether the shape e is the trivial group: ZERO itself, or a known
+    group of rank 0 without torsion.  A test of class and fields, where
+    e == ZERO would run the records' == and, for another class, its
+    reflection."""
+    return e is ZERO or (e.__class__ is FGAbelianGroup
+                         and not (e.rank or e.torsion))
+
+
 class AmbientMismatchError(ValueError):
     """Two elements of different ambient groups were combined."""
 
@@ -167,8 +176,11 @@ class GroupElement:
 
 
 def integer_element(c: int) -> GroupElement:
-    """The integer c as an element of Z."""
-    return GroupElement(Z, (c,))
+    """The integer c as an element of Z, which has one coordinate and
+    no residue to reduce, so nothing is checked."""
+    e = object.__new__(GroupElement)
+    e.group, e.coords = Z, (int(c),)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -231,35 +243,45 @@ def normalize(e: GroupExpr) -> GroupExpr:
         return e
     if isinstance(e, Pow):
         base = normalize(e.base)
-        if base == ZERO:
+        if is_trivial(base):
             return ZERO
         if e.exponent == 1:
             return base
         return e if base is e.base else Pow(base, e.exponent)
     if isinstance(e, SumN):
         base = normalize(e.base)
-        return ZERO if base == ZERO else e if base is e.base else SumN(base)
+        return (ZERO if is_trivial(base) else e if base is e.base
+                else SumN(base))
     if isinstance(e, ProdN):
         base = normalize(e.base)
-        return ZERO if base == ZERO else e if base is e.base else ProdN(base)
+        return (ZERO if is_trivial(base) else e if base is e.base
+                else ProdN(base))
     if isinstance(e, DirectSum):
-        flat: list[GroupExpr] = []
-        for part in e.parts:
-            p = normalize(part)
-            if p == ZERO:
-                continue
-            if isinstance(p, DirectSum):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        if not flat:
-            return ZERO
-        if len(flat) == 1:
-            return flat[0]
-        flat.sort(key=sort_key)
-        parts = tuple(flat)
-        return e if parts == e.parts else DirectSum(parts)
+        return canonical_sum(map(normalize, e.parts), e)
     raise TypeError("not a group shape: %r" % (e,))
+
+
+def canonical_sum(parts, same: DirectSum | None = None) -> GroupExpr:
+    """The canonical direct sum of shapes that are each in canonical
+    form: nested sums flattened, trivial parts dropped, the summands
+    sorted by sort_key.  A single summand is itself and none is ZERO.
+    When same is a DirectSum of exactly these summands, it comes back
+    as it is."""
+    flat: list[GroupExpr] = []
+    for p in parts:
+        if isinstance(p, DirectSum):
+            flat.extend(p.parts)
+        elif not is_trivial(p):
+            flat.append(p)
+    if not flat:
+        return ZERO
+    if len(flat) == 1:
+        return flat[0]
+    flat.sort(key=sort_key)
+    parts = tuple(flat)
+    if same is not None and parts == same.parts:
+        return same
+    return DirectSum(parts)
 
 
 def distribute_product_over_sum(e: GroupExpr) -> GroupExpr:

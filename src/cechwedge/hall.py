@@ -38,6 +38,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .records import Frozen
@@ -313,7 +314,7 @@ class GradingSequence(Frozen):
 
     @classmethod
     def constant(cls, r: int) -> "GradingSequence":
-        return cls((), r)
+        return _constant_grading(r)
 
     @classmethod
     def parse(cls, text: str) -> "GradingSequence":
@@ -341,6 +342,12 @@ class GradingSequence(Frozen):
         if i <= len(self.prefix):
             return self.prefix[i - 1]
         return self.tail
+
+
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def _constant_grading(r: int) -> GradingSequence:
+    """The grading r, r, r, ..., one object per value."""
+    return GradingSequence((), r)
 
 
 def height(w: HallWord, grading: GradingSequence) -> int:
@@ -410,12 +417,13 @@ class _CountablyInfinite:
 COUNTABLY_INFINITE = _CountablyInfinite()
 
 
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def height_class_census(n: int, grading: GradingSequence):
     """Cardinality of each height class of Hall words below degree n.
 
-    Returns a map from h in [r(1), n - 1] to the number of Hall words
-    of height h on the full infinite alphabet.  Infinite classes map to
-    COUNTABLY_INFINITE.
+    Returns a read-only map from h in [r(1), n - 1] to the number of
+    Hall words of height h on the full infinite alphabet, kept per
+    (n, grading).  Infinite classes map to COUNTABLY_INFINITE.
 
     A class is infinite exactly when some multiset of letters of total
     grading h uses at least one letter from the constant tail: the tail
@@ -441,7 +449,8 @@ def height_class_census(n: int, grading: GradingSequence):
         for s in range(v, size):
             if reachable[s - v]:
                 reachable[s] = True
-    return {h: (COUNTABLY_INFINITE
-                if h >= grading.tail and reachable[h - grading.tail]
-                else tally.get(h, 0))
-            for h in range(grading.r(1), n)}
+    return MappingProxyType({
+        h: (COUNTABLY_INFINITE
+            if h >= grading.tail and reachable[h - grading.tail]
+            else tally.get(h, 0))
+        for h in range(grading.r(1), n)})

@@ -19,12 +19,15 @@ as separate code paths so they can check each other.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from .groups import (DirectSum, GroupExpr, Pow, ProdN, SphereSymbol, ZERO,
-                     has_symbol, normalize, sort_key)
-from .hall import (COUNTABLY_INFINITE, GradingSequence, HallWord, check_cap,
-                   dimension_truncation, height, height_class_census, is_hall)
+                     canonical_sum, has_symbol, is_trivial, normalize,
+                     sort_key)
+from .hall import (COUNTABLY_INFINITE, WORD_CACHE_SIZE, GradingSequence,
+                   HallWord, check_cap, dimension_truncation, height,
+                   height_class_census, is_hall)
 from .records import Frozen
 
 
@@ -34,7 +37,11 @@ class SupportError(ValueError):
 
 def sphere_group_expr(n: int, q: int, table) -> GroupExpr:
     group = table.lookup(n, q)
-    return SphereSymbol(n, q) if group is None else group
+    return _symbol(n, q) if group is None else group
+
+
+# one symbol per unresolved (n, q): the limit formulas meet each again
+_symbol = functools.lru_cache(maxsize=WORD_CACHE_SIZE)(SphereSymbol)
 
 
 class WedgeDecomposition(Frozen):
@@ -95,6 +102,7 @@ class BondingMap(Frozen):
     __slots__ = _fields = ("n", "k", "grading")
 
 
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def bonding(n: int, k: int, grading: GradingSequence) -> BondingMap:
     """The map from the (k+1)-stage to the k-stage in degree n: identity
     on words avoiding the new letter, zero on words using it."""
@@ -112,11 +120,18 @@ def apply_bonding(b: BondingMap, coords: dict) -> dict:
     word on k + 1 letters with height + 1 <= n; membership is tested
     directly, without listing the stage's Hall set.
     """
-    for w in coords:
+    check_support(b, coords)
+    return {w: f for w, f in coords.items() if w.max_letter <= b.k}
+
+
+def check_support(b: BondingMap, words) -> None:
+    """Raise SupportError unless every word indexes a summand of the
+    source stage of b.  A word that passes at one stage passes at every
+    later stage of the same degree and grading."""
+    for w in words:
         if not (is_hall(w, b.k + 1) and height(w, b.grading) + 1 <= b.n):
             raise SupportError("word %s is not a degree-%d summand at stage %d"
                                % (w, b.n, b.k + 1))
-    return {w: f for w, f in coords.items() if w.max_letter <= b.k}
 
 
 def cech_decompose(n: int, grading: GradingSequence, table) -> GroupExpr:
@@ -162,8 +177,8 @@ def earring_formula(n: int, m: int, table) -> GroupExpr:
     (m - 1) j <= n - 1.  Independent of cech_decompose by design."""
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
-    return normalize(DirectSum(tuple(weight_summand(n, m, j, table)
-                                     for j in weight_range(n, m))))
+    return canonical_sum([weight_summand(n, m, j, table)
+                          for j in weight_range(n, m)])
 
 
 def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
@@ -171,7 +186,8 @@ def weight_summand(n: int, m: int, j: int, table) -> GroupExpr:
     where the sphere S^((m-1)j+1) is above degree n."""
     if j < 1:
         raise ValueError("weights start at 1")
-    return normalize(ProdN(sphere_group_expr(n, (m - 1) * j + 1, table)))
+    group = sphere_group_expr(n, (m - 1) * j + 1, table)
+    return ZERO if is_trivial(group) else ProdN(group)
 
 
 class StabilizationReport(Frozen):

@@ -80,8 +80,14 @@ class BracketMonomial(NamedTuple):
                 _new(BracketMonomial, (w.right, self.degrees[cut:])))
 
     def bracket(self, other: "BracketMonomial") -> "BracketMonomial":
-        return _new(BracketMonomial, (bracket(self.word, other.word),
-                                      self.degrees + other.degrees))
+        # hall.bracket written out: the parser and the rewriting make
+        # every bracket here
+        x, y = self.word, other.word
+        hi = x.max_letter
+        return _new(BracketMonomial, (
+            _new(HallWord, (x.length + y.length,
+                            hi if hi > y.max_letter else y.max_letter, x, y)),
+            self.degrees + other.degrees))
 
     def has_square(self) -> bool:
         """Whether some sub-bracket is a self-bracket [x, x]."""
@@ -106,13 +112,33 @@ def monomial_of_word(w: HallWord, degrees) -> BracketMonomial:
     return _new(BracketMonomial, (w, ds))
 
 
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def _letter_monomial(i: int, d: int) -> BracketMonomial:
+    """The letter a_i of degree d as a monomial."""
+    if d < 2:
+        raise ValueError("generator degrees must be >= 2")
+    return _new(BracketMonomial, (letter(i), (d,)))
+
+
 class FormalSum:
     """An integer combination of finitely many bracket monomials."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        self._terms = _summed(terms.items() if isinstance(terms, dict) else terms)
+        """terms maps monomials to coefficients, or lists (monomial,
+        coefficient) pairs, which may repeat a monomial."""
+        if isinstance(terms, dict):
+            self._terms = {m: c for m, c in terms.items() if c}
+        else:
+            self._terms = _summed(terms)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "FormalSum":
+        """The sum of a dict that holds no zero coefficient, kept as it is."""
+        s = cls.__new__(cls)
+        s._terms = terms
+        return s
 
     @classmethod
     def single(cls, mono: BracketMonomial, c: int = 1) -> "FormalSum":
@@ -122,16 +148,26 @@ class FormalSum:
         return sorted(self._terms.items())
 
     def scale(self, c: int) -> "FormalSum":
-        return FormalSum({m: c * k for m, k in self._terms.items()})
+        if not c:
+            return FormalSum()
+        return FormalSum._of({m: c * k for m, k in self._terms.items()})
 
     def bracket(self, other: "FormalSum") -> "FormalSum":
-        """Bilinear bracket: [sum c_x x, sum c_y y] = sum c_x c_y [x, y]."""
-        return FormalSum((mx.bracket(my), cx * cy) for mx, cx in self._terms.items()
-                         for my, cy in other._terms.items())
+        """Bilinear bracket: [sum c_x x, sum c_y y] = sum c_x c_y [x, y].
+        Distinct pairs (x, y) give distinct monomials [x, y], so nothing
+        adds up."""
+        return FormalSum._of({mx.bracket(my): cx * cy
+                              for mx, cx in self._terms.items()
+                              for my, cy in other._terms.items()})
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(itertools.chain(self._terms.items(),
-                                         other._terms.items()))
+        acc = dict(self._terms)
+        for m, c in other._terms.items():
+            if m in acc:
+                c += acc.pop(m)
+            if c:
+                acc[m] = c
+        return FormalSum._of(acc)
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
@@ -205,9 +241,9 @@ def hall_normalize(s):
     The input equals the sum of both parts modulo the stated relations;
     the tensor expansion can certify this.
     """
-    s = expand(s)
+    terms = expand(s)._terms
     degree_by_letter: dict[int, int] = {}
-    for mono in s._terms:
+    for mono in terms:
         if mono.word.length > MAX_TENSOR_WEIGHT:
             raise WeightLimitError("no rewriting above weight %d: %s"
                                    % (MAX_TENSOR_WEIGHT, mono))
@@ -216,14 +252,19 @@ def hall_normalize(s):
             if seen != d:
                 raise ValueError("letter a%d carries degrees %d and %d"
                                  % (i, seen, d))
-    hall, residual = {}, []
-    for m, c in _summed((m, c * c2) for mono, c in s._terms.items()
-                        for m, c2 in _reduce(mono)).items():
-        if m.has_square():
-            residual.append((m, c))
+    acc: dict[BracketMonomial, int] = {}
+    for mono, c in terms.items():
+        for m, c2 in _reduce(mono):
+            acc[m] = acc.get(m, 0) + c * c2
+    hall, residual = {}, {}
+    for m, c in acc.items():
+        if not c:
+            continue
+        if _has_square(m.word):
+            residual[m] = c
         else:
             hall[m.word] = c
-    return hall, FormalSum(residual)
+    return hall, FormalSum._of(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +322,32 @@ _JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
 
 def _scan(text: str) -> list[str]:
     """The tokens of text, with whitespace allowed between them, each
-    as its text: a<i>, the digits of an integer, or one symbol."""
-    junk = _JUNK_RE.search(text)
-    if junk:
+    as its text: a<i>, the digits of an integer, or one symbol.
+
+    No token holds whitespace, so the tokens cover the text exactly
+    when they are as long as its whitespace-free part; only text they
+    do not cover is searched for where the junk starts."""
+    tokens = _TOKEN_RE.findall(text)
+    covered = len("".join(tokens))
+    if (covered != len(text) - text.count(" ")
+            and covered != sum(map(len, text.split()))):
+        junk = _JUNK_RE.search(text)
         pos = len(text[:junk.start()].rstrip())
         raise ValueError("bad token at %r" % text[pos:pos + 10])
-    return _TOKEN_RE.findall(text)
+    return tokens
+
+
+def _letter_of(tok: str, degrees) -> BracketMonomial:
+    """The monomial of a letter token a<i>: the letter a_i with the
+    degree that degrees gives it."""
+    i = int(tok[1:])
+    if i < 1:
+        raise ValueError("letter indices start at 1")
+    try:
+        d = degrees[i]
+    except LookupError:
+        raise ValueError("letter a%d has no degree" % i) from None
+    return _letter_monomial(i, d)
 
 
 def _shown(token: str) -> int | str | None:
@@ -304,9 +365,10 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
     One walk over the tokens.  The terms of the innermost open sum are
     a list of (monomial, coefficient) pairs; each open '[' or '(' keeps
     the list it interrupted and its own term's coefficient.  A bracket
-    adds up each factor's pairs just before it multiplies them out, so
-    that no monomial of a factor is bracketed twice, and the whole list
-    is added up once at the end.
+    of two single terms makes one product, none when a coefficient is
+    0.  Any other bracket adds up each factor's pairs just before it
+    multiplies them out, so that no monomial of a factor is bracketed
+    twice.  The whole list is added up once at the end.
     """
     tokens = _scan(text)
     tokens.append("")  # past the end
@@ -314,37 +376,37 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
     # per open '[' or '(': the token that ends its part, the outer
     # pairs, the coefficient of its term and, after ',', the left factor
     stack: list = []
-    letters: dict = {}  # letter token -> its monomial
+    letters: dict = {}  # letter token -> its monomial, within this call
     c, i = 1, 0
     while True:
         # one term: signs, then "<int>*" and an atom, a lone 0 or an atom
         tok = tokens[i]
-        while tok == "-":
+        if tok == "-":
             c, i = -c, i + 1
-            tok = tokens[i]
-        if tok.isdigit() and tokens[i + 1] != "*":
-            if int(tok):
-                raise ValueError("bare integer %d (only 0 stands alone)"
-                                 % int(tok))
+            continue
+        if tok.isdigit():
             i += 1
-        else:
-            if tok.isdigit():
-                c, i = c * int(tok), i + 2
-                tok = tokens[i]
-            mono = letters.get(tok)
-            if mono is None and tok[:1] == "a":
-                mono = letters[tok] = monomial_of_word(letter(int(tok[1:])),
-                                                       degrees)
-            if mono is not None:
-                pairs.append((mono, c))
-                i += 1
-            elif tok == "[" or tok == "(":
-                stack.append(("," if tok == "[" else ")", pairs, c, None))
-                pairs, c, i = [], 1, i + 1
-                continue
+            if tokens[i] != "*":
+                if int(tok):
+                    raise ValueError("bare integer %d (only 0 stands alone)"
+                                     % int(tok))
+                tok = None  # a lone 0, no atom
             else:
-                raise ValueError("expected a letter, bracket, or 0, got %r"
-                                 % (_shown(tok),))
+                c, i = c * int(tok), i + 1
+                tok = tokens[i]
+        if tok is not None:
+            mono = letters.get(tok)
+            if mono is None:
+                if tok == "[" or tok == "(":
+                    stack.append(("," if tok == "[" else ")", pairs, c, None))
+                    pairs, c, i = [], 1, i + 1
+                    continue
+                if tok[:1] != "a":
+                    raise ValueError("expected a letter, bracket, or 0, "
+                                     "got %r" % (_shown(tok),))
+                mono = letters[tok] = _letter_of(tok, degrees)
+            pairs.append((mono, c))
+            i += 1
         # after a term: close what ends here, then read the next term
         while True:
             tok = tokens[i]
@@ -368,15 +430,22 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
                 break
             stack.pop()
             if tok == "]":
-                ys = _summed(pairs).items()
-                pairs = [(x.bracket(y), cx * cy)
-                         for x, cx in _summed(left).items() for y, cy in ys]
+                if len(left) == 1 == len(pairs):
+                    (x, cx), (y, cy) = left[0], pairs[0]
+                    pairs = [(x.bracket(y), cx * cy)] if cx and cy else []
+                else:
+                    ys = _summed(pairs).items()
+                    pairs = [(x.bracket(y), cx * cy)
+                             for x, cx in _summed(left).items()
+                             for y, cy in ys]
             outer += pairs if k == 1 else [(m, k * v) for m, v in pairs]
             pairs = outer
 
 
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def parse_word(text: str) -> HallWord:
-    """Parse a bare bracket word: a<i> or [word,word], no sums."""
+    """Parse a bare bracket word: a<i> or [word,word], no sums.  Words
+    recur across element files, so each text is read once."""
     stack: list = []  # per open '[': its left factor once read, else None
     word = None       # the word just read, until a ',' or ']' takes it
     for tok in _scan(text):
@@ -428,15 +497,21 @@ class SparseEpsilon(Frozen):
 
     def __init__(self, entries: tuple[tuple[int, int, int], ...] = (),
                  bands: tuple[tuple[int, int], ...] = ()):
-        for i, j, _ in entries:
+        if not (entries or bands):  # the zero matrix
+            super().__init__((), ())
+            return
+        by_pair: dict = {}
+        for i, j, c in entries:
             _check_pair(i, j)
-        for w, _ in bands:
+            by_pair[i, j] = by_pair.get((i, j), 0) + c
+        by_width: dict = {}
+        for w, c in bands:
             if w < 1:
                 raise ValueError("band width must be >= 1")
+            by_width[w] = by_width.get(w, 0) + c
         super().__init__(
-            tuple(sorted((i, j, c) for (i, j), c in
-                         _summed(((i, j), c) for i, j, c in entries).items())),
-            tuple(sorted(_summed(bands).items())))
+            tuple(sorted((i, j, c) for (i, j), c in by_pair.items() if c)),
+            tuple(sorted((w, c) for w, c in by_width.items() if c)))
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
@@ -473,6 +548,9 @@ class SparseEpsilon(Frozen):
 def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
     """Add coordinate maps word -> group element, each given as a dict or
     as (word, value) pairs; words whose sum is zero drop out."""
+    if len(parts) == 1:
+        p = parts[0]
+        return _summed(p.items() if isinstance(p, dict) else p)
     return _summed(itertools.chain.from_iterable(
         p.items() if isinstance(p, dict) else p for p in parts))
 

@@ -1,12 +1,15 @@
 """Hall word generation against an independent brute-force oracle."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cechwedge
 from cechwedge import hall, whitehead
 from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
                             StratumSizeError, bracket, dimension_truncation,
@@ -346,10 +349,29 @@ def test_positional_words_equal_keyword_words(w):
     assert (k.length, k.max_letter) == (w.length, w.max_letter)
 
 
-@pytest.mark.parametrize("cached", [
-    hall.letter, hall.word_letters, hall._hall_conditions,
-    whitehead._has_square, whitehead._reduce, whitehead._tensor_of_monomial,
-], ids=lambda f: f.__name__)
+def _library_caches():
+    """Every lru_cache in the cechwedge modules, each once, found as
+    tools/ladder.py clear_caches finds them."""
+    caches = {}
+    for info in pkgutil.iter_modules(cechwedge.__path__):
+        module = importlib.import_module("cechwedge." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_parameters", None)):
+                caches[id(value)] = value
+    return sorted(caches.values(), key=lambda f: f.__name__)
+
+
+_CACHES = _library_caches()
+
+
+def test_the_cache_search_finds_the_word_caches():
+    names = {f.__name__ for f in _CACHES}
+    assert {"letter", "word_letters", "_hall_conditions", "_has_square",
+            "_reduce", "_tensor_of_monomial", "parse_word"} <= names
+    assert len(names) == len(_CACHES)  # each id names one cache
+
+
+@pytest.mark.parametrize("cached", _CACHES, ids=lambda f: f.__name__)
 def test_word_caches_are_bounded(cached):
     maxsize = cached.cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and 0 < maxsize <= 10**5

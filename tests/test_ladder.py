@@ -10,7 +10,7 @@ from cechwedge.elements import (CoherentElement, check_coherence,
                                 verify_weight2_realization)
 from cechwedge.groups import invariant_factors
 from cechwedge.hall import generate, height_class_census, heights, labels
-from cechwedge.hilton import cech_decompose, earring_formula
+from cechwedge.hilton import cech_decompose, decompose_wedge, earring_formula
 from cechwedge.whitehead import (hall_normalize, parse_bracket_expr,
                                  project_levels, tensor_expansion)
 
@@ -18,7 +18,8 @@ LIBRARY = {f.__name__: f for f in (
     generate, parse_bracket_expr, hall_normalize, tensor_expansion,
     parse_element_file, check_coherence, CoherentElement.walk, project_levels,
     verify_weight2_realization, verify_composition_additivity,
-    earring_formula, cech_decompose, height_class_census, invariant_factors)}
+    earring_formula, cech_decompose, height_class_census, invariant_factors,
+    decompose_wedge)}
 # layers whose call is a walk, which the ladder runs to its end
 WALKS = ("walk", "project_levels")
 
@@ -41,6 +42,16 @@ def test_smallest_point_of_every_layer():
         elif layer in WALKS:
             assert fn.__wrapped__ is LIBRARY[layer], layer
             want = list(LIBRARY[layer](*args))
+        elif layer == "decompose_wedge":
+            # the tower query: how many summands the wedge splits into
+            assert fn.__wrapped__ is LIBRARY[layer]
+            want = len(decompose_wedge(*args).summands)
+            # weights 1 to 3 on two letters: 2 + 1 + 2 Hall words
+            assert args[1] == 2 and want == 5
+        elif layer == "height_class_census":
+            # the census itself, under its cache
+            assert fn is LIBRARY[layer].__wrapped__
+            want = LIBRARY[layer](*args)
         else:
             assert fn is LIBRARY[layer], layer
             want = LIBRARY[layer](*args)

@@ -212,6 +212,20 @@ def test_parse_bracket_expr_errors():
     for bad, rest in JUNK:
         with pytest.raises(ValueError, match=re.escape("bad token at " + rest)):
             parse_bracket_expr(bad, g)
+    # a letter without a degree is refused by name, after a0 is refused
+    with pytest.raises(ValueError, match="letter a5 has no degree"):
+        parse_bracket_expr("[a1,a5]", {1: 2})
+    with pytest.raises(ValueError, match="letter indices start at 1"):
+        parse_bracket_expr("[a1,a0]", {1: 2})
+
+
+def test_parse_word_refuses_a_text_again():
+    # the reader keeps the words it read, never a refusal
+    for bad in ("[a1,a2", "a0", "a1 x"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_word(bad)
+    assert parse_word("[a1,a2]") is parse_word("[a1,a2]")
 
 
 def test_parse_word_round_trip():
@@ -335,6 +349,8 @@ def test_parse_word_reads_back_its_text_with_whitespace(w, data):
     ("[[a1, 0*a2 + a3 + a3], (a1 - a1) + [a2, a3 + a2 - a2]]", 1 + 1 + 1),
     # a lone term with coefficient 0 is no term
     ("[0*a1, a2] + [a3, -0*a2] + [a1, 0]", 0),
+    # single terms multiply their coefficients once
+    ("[-a1, 3*a2] - 2*[2*[a1,a2], -a3]", 1 + 2),
 ])
 def test_brackets_multiply_summed_factors(monkeypatch, text, products):
     # A bracket multiplies its factors' distinct nonzero terms, one

@@ -16,10 +16,13 @@ project_levels, verify_weight2_realization and
 verify_composition_additivity on elements with bands, entries and
 coordinates from 4 to 32 levels, earring_formula and cech_decompose
 up to degree 64, height_class_census on the grading 1,1,1,1;2 at
-degrees 8 to 12, and invariant_factors on 10 to 10,000 seeded cyclic
-orders from 2 to 30.  A walk is run to its end, and generate skips
-its cache, so each call lists anew.  Before each point every lru_cache
-of the library is cleared; then the call runs N times.  cold_s is the
+degrees 8 to 12, invariant_factors on 10 to 10,000 seeded cyclic
+orders from 2 to 30, and the summand count of decompose_wedge in
+degree 7 on 3-spheres for 2 to 10 wedge spheres, as the tower query
+of a session asks it.  A walk is run to its end, and generate and
+height_class_census skip their caches, so each call lists anew.
+Before each point every lru_cache of the library is cleared; then the
+call runs N times.  cold_s is the
 first, cache-cold call and best_s the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
@@ -54,7 +57,8 @@ LAYERS = ("generate", "parse_bracket_expr", "hall_normalize",
           "tensor_expansion", "parse_element_file", "check_coherence",
           "walk", "project_levels", "verify_weight2_realization",
           "verify_composition_additivity", "earring_formula",
-          "cech_decompose", "height_class_census", "invariant_factors")
+          "cech_decompose", "height_class_census", "invariant_factors",
+          "decompose_wedge")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
 
 
@@ -109,6 +113,20 @@ def run_out(walk):
     def levels(*args):
         return list(walk(*args))
     return levels
+
+
+def uncached(fn):
+    """fn past its lru_cache, if it has one: a tree compared with
+    --against may not cache it."""
+    return getattr(fn, "__wrapped__", fn)
+
+
+def summand_count(decompose_wedge):
+    """decompose_wedge as one call that counts the summands it lists."""
+    @functools.wraps(decompose_wedge)
+    def count(*args):
+        return len(decompose_wedge(*args).summands)
+    return count
 
 
 def hall_rows(hall):
@@ -171,11 +189,14 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
                             for n in (4, 8, 16, 32, 64)],
         "cech_decompose": [(n, hl.cech_decompose, (n, grading, table))
                            for n in (4, 8, 16, 32, 64)],
-        "height_class_census": [(n, hall.height_class_census,
+        "height_class_census": [(n, uncached(hall.height_class_census),
                                  (n, mixed_grading))
                                 for n in (8, 9, 10, 11, 12)],
         "invariant_factors": [(k, lib["groups"].invariant_factors,
                                (orders[k],)) for k in orders],
+        "decompose_wedge": [(k, summand_count(hl.decompose_wedge),
+                             (7, k, hall.GradingSequence.constant(2), table))
+                            for k in range(2, 11)],
     }
 
 

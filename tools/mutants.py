@@ -144,17 +144,31 @@ MUTANTS = [
       T_WH + "test_add_coordinates_cancels_and_wraps_around"]),
     # --- reading bracket text
     ("tokenizer-skips-junk", WH,
-     "    junk = _JUNK_RE.search(text)\n"
-     "    if junk:",
-     "    junk = None\n"
-     "    if junk:",
+     "    if (covered != len(text) - text.count(\" \")\n"
+     "            and covered != sum(map(len, text.split()))):",
+     "    if False:",
      [T_WH + "test_text_reader_matches_the_token_by_token_oracle",
       T_WH + "test_parse_word_round_trip",
       T_WH + "test_parse_bracket_expr_errors"]),
     ("bracket-right-factor-unsummed", WH,
-     "                ys = _summed(pairs).items()",
-     "                ys = pairs",
+     "                    ys = _summed(pairs).items()",
+     "                    ys = pairs",
      [T_WH + "test_brackets_multiply_summed_factors"]),
+    ("bracket-one-product-keeps-a-zero-factor", WH,
+     "                    pairs = [(x.bracket(y), cx * cy)]"
+     " if cx and cy else []",
+     "                    pairs = [(x.bracket(y), cx * cy)]",
+     [T_WH + "test_brackets_multiply_summed_factors"]),
+    ("bracket-one-product-drops-coefficients", WH,
+     "                    pairs = [(x.bracket(y), cx * cy)]"
+     " if cx and cy else []",
+     "                    pairs = [(x.bracket(y), 1)] if cx and cy else []",
+     [T_WH + "test_brackets_multiply_summed_factors"]),
+    ("word-reader-remembers-nothing-it-read", WH,
+     "@functools.lru_cache(maxsize=WORD_CACHE_SIZE)\n"
+     "def parse_word(text: str) -> HallWord:",
+     "def parse_word(text: str) -> HallWord:",
+     [T_WH + "test_parse_word_refuses_a_text_again"]),
     # --- the weight-2 matrix
     ("eps-band-excludes-its-width", WH,
      "             for i in range(max(1, j - w), j))))",
