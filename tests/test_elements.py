@@ -327,6 +327,16 @@ def test_coherence_asks_each_level_once():
     assert rep.failures == ((2, w12), (3, w12), (3, w23), (4, w12), (4, w23))
 
 
+def test_coherence_tests_every_new_word_of_a_level():
+    # a word first held at level 4 is tested there, though the words a
+    # level below held were accepted already
+    e = weight_two_element(2, {(1, 2): 1, (2, 3): 2})
+    levels = list(e.walk(5))
+    levels[3][parse_word("[a1,[a1,a2]]")] = integer_element(1)
+    with pytest.raises(hilton.SupportError, match="summand at stage 4"):
+        check_coherence(_stream(e, levels), 5)
+
+
 def test_coherence_lists_no_hall_set(monkeypatch):
     # Bonding maps test membership word by word, so walking the tower
     # never enumerates a Hall set.  dimension_truncation is cached, so it

@@ -519,6 +519,18 @@ def test_census_countable_classes_have_tail_witnesses():
     assert census[5] is COUNTABLY_INFINITE
 
 
+def test_only_a_small_census_is_kept():
+    g = GradingSequence.constant(1)
+    hall._kept_census.cache_clear()
+    small = height_class_census(hall.CENSUS_CACHE_SIZE + 1, g)
+    assert height_class_census(hall.CENSUS_CACHE_SIZE + 1, g) is small
+    large = height_class_census(hall.CENSUS_CACHE_SIZE + 2, g)
+    assert len(large) == hall.CENSUS_CACHE_SIZE + 1
+    assert hall._kept_census.cache_info().currsize == 1
+    with pytest.raises(TypeError):
+        small[1] = 0  # a kept census is read-only
+
+
 def test_census_table_sized_by_its_classes_not_its_degree():
     # two height classes in degree 10^6 + 2: the table of reachable
     # sums covers h - tail, not every degree below n (16 MB at 8 bytes

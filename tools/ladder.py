@@ -20,10 +20,10 @@ degrees 8 to 12, invariant_factors on 10 to 10,000 seeded cyclic
 orders from 2 to 30, and the summand count of decompose_wedge in
 degree 7 on 3-spheres for 2 to 10 wedge spheres, as the tower query
 of a session asks it.  A walk is run to its end, and generate and
-height_class_census skip their caches, so each call lists anew.
-Before each point every lru_cache of the library is cleared; then the
-call runs N times.  cold_s is the
-first, cache-cold call and best_s the fastest of the N.
+height_class_census skip their caches, so each call lists or counts
+anew.  Before each point every lru_cache of the library is cleared;
+then the call runs N times.  cold_s is the first, cache-cold call and
+best_s the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
 Two long-lived worker processes, one importing each tree's src/, take
@@ -85,11 +85,15 @@ def _bracket_text(rng, letters, weight):
 
 def _expression(terms: int):
     """A seeded sum of terms brackets of weights 3, 2, 3, ... on three
-    letters, and the letters' degrees."""
+    letters, and the letters' degrees.  Every fourth term brackets a
+    sum of two letters with a letter, so that both kinds of bracket,
+    of single terms and of sums, are read."""
     rng = random.Random(terms)
     idx = rng.sample(range(1, 7), 3)
     letters = ["a%d" % i for i in idx]
     parts = ["%d*%s" % (rng.choice((-2, -1, 2, 3)),
+                        "[%s - %s,%s]" % tuple(rng.sample(letters, 3))
+                        if t % 4 == 3 else
                         _bracket_text(rng, letters, 3 - t % 2))
              for t in range(terms)]
     return " + ".join(parts), {i: rng.randint(2, 4) for i in idx}
@@ -115,18 +119,17 @@ def run_out(walk):
     return levels
 
 
-def uncached(fn):
-    """fn past its lru_cache, if it has one: a tree compared with
-    --against may not cache it."""
-    return getattr(fn, "__wrapped__", fn)
-
-
 def summand_count(decompose_wedge):
     """decompose_wedge as one call that counts the summands it lists."""
     @functools.wraps(decompose_wedge)
     def count(*args):
         return len(decompose_wedge(*args).summands)
     return count
+
+
+def uncached_census(hall):
+    """height_class_census past its cache, in a tree that keeps one."""
+    return getattr(hall, "_count_classes", hall.height_class_census)
 
 
 def hall_rows(hall):
@@ -189,7 +192,7 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
                             for n in (4, 8, 16, 32, 64)],
         "cech_decompose": [(n, hl.cech_decompose, (n, grading, table))
                            for n in (4, 8, 16, 32, 64)],
-        "height_class_census": [(n, uncached(hall.height_class_census),
+        "height_class_census": [(n, uncached_census(hall),
                                  (n, mixed_grading))
                                 for n in (8, 9, 10, 11, 12)],
         "invariant_factors": [(k, lib["groups"].invariant_factors,

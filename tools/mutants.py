@@ -127,6 +127,12 @@ MUTANTS = [
      "        if False:",
      [T_ELEMENTS + "test_coherence_negative_control",
       T_ELEMENTS + "test_coherence_asks_each_level_once"]),
+    ("coherence-accepts-before-testing", E,
+     "        pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)\n"
+     "        accepted.update(upper)\n",
+     "        accepted.update(upper)\n"
+     "        pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)\n",
+     [T_ELEMENTS + "test_coherence_tests_every_new_word_of_a_level"]),
     # --- the one accumulator behind sums, brackets, rewriting and levels
     ("eps-repeats-stop-adding-up", WH,
      "            c = acc.pop(key) + c",
@@ -144,25 +150,24 @@ MUTANTS = [
       T_WH + "test_add_coordinates_cancels_and_wraps_around"]),
     # --- reading bracket text
     ("tokenizer-skips-junk", WH,
-     "    if (covered != len(text) - text.count(\" \")\n"
-     "            and covered != sum(map(len, text.split()))):",
-     "    if False:",
+     "    junk = _JUNK_RE.search(text)\n"
+     "    if junk:",
+     "    junk = None\n"
+     "    if junk:",
      [T_WH + "test_text_reader_matches_the_token_by_token_oracle",
       T_WH + "test_parse_word_round_trip",
       T_WH + "test_parse_bracket_expr_errors"]),
     ("bracket-right-factor-unsummed", WH,
-     "                    ys = _summed(pairs).items()",
-     "                    ys = pairs",
+     "                ys = pairs if len(pairs) == 1 else _summed(pairs).items()",
+     "                ys = pairs",
      [T_WH + "test_brackets_multiply_summed_factors"]),
-    ("bracket-one-product-keeps-a-zero-factor", WH,
-     "                    pairs = [(x.bracket(y), cx * cy)]"
-     " if cx and cy else []",
-     "                    pairs = [(x.bracket(y), cx * cy)]",
+    ("bracket-keeps-a-zero-factor", WH,
+     "                        if cx and cy:",
+     "                        if cx or cy:",
      [T_WH + "test_brackets_multiply_summed_factors"]),
-    ("bracket-one-product-drops-coefficients", WH,
-     "                    pairs = [(x.bracket(y), cx * cy)]"
-     " if cx and cy else []",
-     "                    pairs = [(x.bracket(y), 1)] if cx and cy else []",
+    ("bracket-drops-coefficients", WH,
+     "                            pairs.append((x.bracket(y), cx * cy))",
+     "                            pairs.append((x.bracket(y), 1))",
      [T_WH + "test_brackets_multiply_summed_factors"]),
     ("word-reader-remembers-nothing-it-read", WH,
      "@functools.lru_cache(maxsize=WORD_CACHE_SIZE)\n"
@@ -225,6 +230,10 @@ MUTANTS = [
      "    size = max(0, n - grading.tail)",
      "    size = n - grading.tail",
      [T_CLI + "test_wedge_tail_past_a_machine_integer"]),
+    ("census-cache-keeps-a-large-one", HALL,
+     "    if classes > CENSUS_CACHE_SIZE:",
+     "    if False:",
+     ["tests/test_hall.py::test_only_a_small_census_is_kept"]),
     ("truncation-heights-unfiltered", HALL,
      "    return words.restrict(keep), tuple(itertools.compress(hs, keep))",
      "    return words.restrict(keep), tuple(hs)",
