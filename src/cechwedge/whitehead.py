@@ -134,25 +134,8 @@ class FormalSum:
         s._terms = terms
         return s
 
-    @classmethod
-    def single(cls, mono: BracketMonomial, c: int = 1) -> "FormalSum":
-        return cls({mono: c})
-
     def items(self):
         return sorted(self._terms.items())
-
-    def scale(self, c: int) -> "FormalSum":
-        if not c:
-            return FormalSum()
-        return FormalSum._of({m: c * k for m, k in self._terms.items()})
-
-    def bracket(self, other: "FormalSum") -> "FormalSum":
-        """Bilinear bracket: [sum c_x x, sum c_y y] = sum c_x c_y [x, y].
-        Distinct pairs (x, y) give distinct monomials [x, y], so nothing
-        adds up."""
-        return FormalSum._of({mx.bracket(my): cx * cy
-                              for mx, cx in self._terms.items()
-                              for my, cy in other._terms.items()})
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         acc = dict(self._terms)
@@ -162,9 +145,6 @@ class FormalSum:
             if c:
                 acc[m] = c
         return FormalSum._of(acc)
-
-    def __neg__(self) -> "FormalSum":
-        return self.scale(-1)
 
     def __len__(self):
         return len(self._terms)
@@ -193,7 +173,7 @@ def expand(e) -> FormalSum:
     if isinstance(e, FormalSum):
         return e
     if isinstance(e, BracketMonomial):
-        return FormalSum.single(e)
+        return FormalSum({e: 1})
     raise TypeError("cannot expand %r" % (e,))
 
 
@@ -547,27 +527,27 @@ def project_levels(e, kmax: int):
     Works for anything with fields n, m, coords and eps, such as a
     CoherentElement.  The projection is the collapse map: it sends
     every letter beyond k to zero, so a term survives at level k
-    exactly when every one of its letters is <= k.  The eps part is the
-    double sum of eps_{i,j} [a_i, a_j]; with i < j each of its words is
-    already a Hall word, so its terms with j <= kmax are the pairs
-    ([a_i, a_j], eps_{i,j}) as they stand, with coefficients in Z, the
-    group of every weight-2 word in the degree n = 2m - 1 that an
-    element with a nonzero eps has.  Both sums are added up once, their
-    terms ordered by largest letter, and level k is level k - 1 plus
-    the terms that level k is the first to keep.
+    exactly when every one of its letters is <= k.  The terms are read
+    as the element stores them: its coordinates, and eps_{i,j} [a_i, a_j]
+    for each entry (i, j, c) with j <= kmax and each pair that a band
+    (w, c) reaches, j - i <= w.  With i < j each such word is already a
+    Hall word, and its coefficient lies in Z, the group of every weight-2
+    word in the degree n = 2m - 1 of an element with a nonzero eps.
     """
-    terms = add_coordinates(e.coords, (
-        (bracket(letter(i), letter(j)), integer_element(c))
-        for (i, j), c in e.eps.nonzero(kmax).items()))
-    top = {w: max(word_letters(w)) for w in terms}
-    order = sorted(terms, key=top.__getitem__)
-    kept: dict[HallWord, GroupElement] = {}
-    t = 0
+    pairs = [(i, j, c) for i, j, c in e.eps.entries if j <= kmax]
+    pairs += [(i, j, c) for w, c in e.eps.bands for j in range(2, kmax + 1)
+              for i in range(max(1, j - w), j)]
+    # each term under its largest letter: the first level that keeps it
+    by_top: dict[int, dict] = {}
+    for w, f in itertools.chain(e.coords, (
+            (bracket(letter(i), letter(j)), integer_element(c))
+            for i, j, c in pairs)):
+        kept = by_top.setdefault(max(word_letters(w)), {})
+        kept[w] = kept[w] + f if w in kept else f
+    level: dict[HallWord, GroupElement] = {}
     for k in range(1, kmax + 1):
-        while t < len(order) and top[order[t]] <= k:
-            kept[order[t]] = terms[order[t]]
-            t += 1
-        yield dict(kept)
+        level.update((w, f) for w, f in by_top.get(k, {}).items() if f)
+        yield dict(level)
 
 
 def project_level(e, k: int) -> dict[HallWord, GroupElement]:

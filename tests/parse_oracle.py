@@ -7,7 +7,6 @@ loops over the token list; tests/test_whitehead.py checks that both
 accept the same texts and give the same tokens, words and sums.
 """
 
-import itertools
 import re
 
 from cechwedge.hall import HallWord, bracket, letter
@@ -54,42 +53,47 @@ class Parser:
         self.pos += 1
         return tok
 
-    def expr(self, degrees) -> FormalSum:
-        terms = [self.term(degrees)]
+    # Each rule returns its sum as a list of (monomial, coefficient)
+    # pairs, which may repeat a monomial.
+
+    def expr(self, degrees) -> list:
+        pairs = self.term(degrees)
         while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
             _, op = self.take("sym")
             t = self.term(degrees)
-            terms.append(-t if op == "-" else t)
-        return FormalSum(itertools.chain.from_iterable(
-            t.items() for t in terms))
+            pairs += _scaled(t, -1) if op == "-" else t
+        return pairs
 
-    def term(self, degrees) -> FormalSum:
+    def term(self, degrees) -> list:
         kind, val = self.peek()
         if kind == "sym" and val == "-":
             self.take()
-            return -self.term(degrees)
+            return _scaled(self.term(degrees), -1)
         if kind == "int":
             self.take()
             if self.peek() == ("sym", "*"):
                 self.take()
-                return self.atom(degrees).scale(val)
+                return _scaled(self.atom(degrees), val)
             if val == 0:
-                return FormalSum()
+                return []
             raise ValueError("bare integer %d (only 0 stands alone)" % val)
         return self.atom(degrees)
 
-    def atom(self, degrees) -> FormalSum:
+    def atom(self, degrees) -> list:
         kind, val = self.peek()
         if kind == "letter":
             self.take()
-            return FormalSum.single(monomial_of_word(letter(val), degrees))
+            return [(monomial_of_word(letter(val), degrees), 1)]
         if kind == "sym" and val == "[":
             self.take()
             x = self.expr(degrees)
             self.take("sym", ",")
             y = self.expr(degrees)
             self.take("sym", "]")
-            return x.bracket(y)
+            # each factor is added up first, so that a monomial of it is
+            # bracketed once
+            return [(mx.bracket(my), cx * cy) for mx, cx in FormalSum(x).items()
+                    for my, cy in FormalSum(y).items()]
         if kind == "sym" and val == "(":
             self.take()
             e = self.expr(degrees)
@@ -98,12 +102,16 @@ class Parser:
         raise ValueError("expected a letter, bracket, or 0, got %r" % (val,))
 
 
+def _scaled(pairs: list, c: int) -> list:
+    return [(m, c * k) for m, k in pairs]
+
+
 def parse_bracket_expr(text: str, degrees) -> FormalSum:
     parser = Parser(tokenize(text))
-    e = parser.expr(degrees)
+    pairs = parser.expr(degrees)
     if parser.peek()[0] is not None:
         raise ValueError("trailing input after expression: %r" % (parser.peek()[1],))
-    return e
+    return FormalSum(pairs)
 
 
 def parse_word(text: str) -> HallWord:

@@ -529,6 +529,40 @@ def test_verify_edge_file(capsys, tmp_path, monkeypatch):
                    "{[a1,a2]: 2, [a2,a3]: -1}\n")
 
 
+_THREE_ENTRIES = "element n=3 m=2\neps 1 2 = 1\neps 2 3 = -2\neps 1 3 = 4\n"
+
+
+def test_verify_edge_file_keeps_the_second_diagonal(capsys, tmp_path):
+    # [a1,a3] sits on the diagonal j - i = 2, which the projection reads
+    # from the stored entries and the element's walk from the matrix
+    p = tmp_path / "e.txt"
+    p.write_text(_THREE_ENTRIES)
+    rc, out, _ = run(capsys, "verify", "edge", "--m", "2", "--levels", "5",
+                     "--file", str(p))
+    assert rc == 0 and out == "PASS\n"
+
+
+def test_verify_edge_file_catches_a_matrix_reader_that_drops_a_diagonal(
+        capsys, tmp_path, monkeypatch):
+    # a fault in SparseEpsilon.nonzero reaches the element's walk only,
+    # so the projection, which reads the stored entries, still holds
+    # [a1,a3]
+    nonzero = SparseEpsilon.nonzero
+
+    def dropping_diagonal(self, kmax):
+        return {(i, j): c for (i, j), c in nonzero(self, kmax).items()
+                if j - i != 2}
+
+    monkeypatch.setattr(SparseEpsilon, "nonzero", dropping_diagonal)
+    p = tmp_path / "e.txt"
+    p.write_text(_THREE_ENTRIES)
+    rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--levels", "5",
+                       "--file", str(p))
+    assert rc == 1 and out == "FAIL\n"
+    assert "[a1,a3]" in err
+    assert err.count("level ") == 3  # levels 3, 4 and 5
+
+
 def test_verify_edge_file_refuses_a_zero_matrix(capsys, tmp_path):
     # eps lines that cancel describe the zero matrix, which is no
     # weight-2 family: there would be nothing to compare

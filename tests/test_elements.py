@@ -1,6 +1,7 @@
 """Coherent coordinate families, their algebra, and the realizations."""
 
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from cechwedge.whitehead import (SparseEpsilon, parse_word, project_level,
                                  project_levels)
 
 from random_elements import random_element, random_weight_two_element
+from test_hall import _library_caches
 
 TABLE = seed_table()
 
@@ -501,6 +503,49 @@ def test_additivity_fails_on_lossy_coordinates_of_the_sum(monkeypatch):
     assert rep.failures == tuple(
         "level %d: projection {[a1,a2]: 1, [a1,a3]: -1, [a2,a3]: 2} != "
         "coordinates {[a1,a2]: 1, [a2,a3]: 2}" % k for k in (3, 4))
+
+
+def _cechwedge_calls(run):
+    """The cechwedge functions that run() calls, as (module, qualname),
+    each cache of the library cleared first so that a cached function
+    shows up as called."""
+    for cached in _library_caches():
+        cached.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("cechwedge."):
+            called.add((module[len("cechwedge."):], frame.f_code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+@pytest.mark.parametrize("e", [
+    weight_two_element(2, {(1, 2): 1, (2, 3): -2, (1, 3): 4}),
+    min_letter_element(4, 2, {1: [("[a1,[a1,a2]]", 2)],
+                              2: [("[a2,[a2,a3]]", -1)]}, TABLE),
+], ids=["eps", "least-letter"])
+def test_realization_sides_share_only_word_and_group_constructors(e):
+    # The projection and the element's own walk may share the word
+    # constructors and group arithmetic, and no level builder or matrix
+    # reader: a fault there reaches one side only.
+    kmax = 5
+    projection = _cechwedge_calls(lambda: list(project_levels(e, kmax)))
+    walk = _cechwedge_calls(lambda: list(e.walk(kmax)))
+    shared = projection & walk
+    allowed = {("hall", "letter"), ("hall", "bracket"),
+               ("groups", "integer_element")}
+    assert {f for f in shared if f not in allowed
+            and not (f[0] == "groups" and f[1].startswith("GroupElement."))
+            } == set()
+    assert ("whitehead", "project_levels") in projection - walk
+    assert ("elements", "CoherentElement.walk") in walk - projection
 
 
 def test_distinct_gtuples_separate():

@@ -27,8 +27,13 @@ def _mono(text, degrees=DEG2):
     return monomial_of_word(parse_word(text), degrees)
 
 
+def _sum(*terms, degrees=DEG2):
+    """The FormalSum of (bracket text, coefficient) pairs."""
+    return FormalSum([(_mono(text, degrees), c) for text, c in terms])
+
+
 def _single(text, degrees=DEG2):
-    return FormalSum.single(_mono(text, degrees))
+    return _sum((text, 1), degrees=degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +45,7 @@ def _single(text, degrees=DEG2):
 def test_tensor_kills_graded_symmetry(p, q):
     d = {1: p, 2: q}
     sign = -1 if (p * q) % 2 else 1
-    s = _single("[a1,a2]", d) + (-_single("[a2,a1]", d).scale(sign))
+    s = _sum(("[a1,a2]", 1), ("[a2,a1]", -sign), degrees=d)
     assert tensor_expansion(s) == {}
 
 
@@ -49,9 +54,8 @@ def test_tensor_kills_graded_symmetry(p, q):
 def test_tensor_kills_graded_jacobi(p, q, r):
     d = {1: p, 2: q, 3: r}
     sgn = lambda e: -1 if e % 2 else 1
-    s = (_single("[[a1,a2],a3]", d).scale(sgn(p * r))
-         + _single("[[a2,a3],a1]", d).scale(sgn(p * q))
-         + _single("[[a3,a1],a2]", d).scale(sgn(r * q)))
+    s = _sum(("[[a1,a2],a3]", sgn(p * r)), ("[[a2,a3],a1]", sgn(p * q)),
+             ("[[a3,a1],a2]", sgn(r * q)), degrees=d)
     assert tensor_expansion(s) == {}
 
 
@@ -88,13 +92,13 @@ def test_tensor_size_guards():
 
 def test_expand_bilinearity():
     s = expand(parse_bracket_expr("[a1, 2*a2 + a3]", DEG2))
-    assert s == _single("[a1,a2]").scale(2) + _single("[a1,a3]")
+    assert s == _sum(("[a1,a2]", 2), ("[a1,a3]", 1))
 
 
 def test_expand_zero_annihilates():
     assert expand(parse_bracket_expr("[a1, 0]", DEG2)) == FormalSum()
     e = parse_bracket_expr("[3*a1, -a2]", DEG2)
-    assert expand(e) == _single("[a1,a2]").scale(-3)
+    assert expand(e) == _sum(("[a1,a2]", -3))
 
 
 def test_graded_swap_signs():
@@ -142,7 +146,7 @@ def test_normalize_weight_four_golden():
         assert hall == {parse_word("[a2,[a1,[a1,a2]]]"): c}
         square = _mono("[[a1,a2],[a1,a2]]", degrees)
         assert square.has_square()
-        assert residual == FormalSum.single(square, c)
+        assert residual == FormalSum([(square, c)])
     hall, residual = hall_normalize(_single("[[a1,a2],[a1,a3]]"))
     assert hall == {parse_word("[[a1,a2],[a1,a3]]"): 1} and not residual
 
@@ -168,10 +172,7 @@ def test_normalize_rejects_mixed_degrees():
 
 def test_normalize_idempotent_on_hall_output():
     hall, _ = hall_normalize(_single("[a1,[a2,a3]]"))
-    acc = FormalSum()
-    for w, c in hall.items():
-        acc = acc + FormalSum.single(
-            monomial_of_word(w, DEG2)).scale(c)
+    acc = FormalSum([(monomial_of_word(w, DEG2), c) for w, c in hall.items()])
     hall2, residual2 = hall_normalize(acc)
     assert hall2 == hall and not residual2
 
@@ -595,17 +596,19 @@ def test_project_level_refuses_level_zero():
 
 
 def test_walk_brackets_each_column_once(monkeypatch):
-    # One projection walk reads the matrix once and takes its terms as
-    # they stand: no rewriting, no SparseEpsilon.value and no element
-    # walk, so that it shares no level builder with the levels it is
-    # checked against.  The verifier walks the projection and the
-    # element's own levels once each.
+    # One projection walk takes the matrix's stored terms as they stand:
+    # no rewriting, no SparseEpsilon.value or nonzero, no coordinate sum
+    # and no element walk, so that it shares no level builder with the
+    # levels it is checked against.  The verifier then reads the matrix
+    # once, in the element's own walk.
     kmax = 12
     eps = SparseEpsilon.from_dict({(1, 2): 1, (2, 5): -2, (3, 5): 1,
                                    (4, 9): 3, (1, 12): 1, (11, 13): 5})
     e = weight_two_element(2, eps)
+    # coordinates alone need no matrix entry either
+    theta = CoherentElement(3, 2, ((parse_word("[a1,a2]"), integer_element(1)),))
     reads = []
-    nonzero, walk = SparseEpsilon.nonzero, CoherentElement.walk
+    nonzero = SparseEpsilon.nonzero
 
     def counted_nonzero(self, k):
         reads.append(k)
@@ -615,17 +618,19 @@ def test_walk_brackets_each_column_once(monkeypatch):
         raise AssertionError("a projection called a refused function")
 
     monkeypatch.setattr(whitehead, "hall_normalize", refused)
+    monkeypatch.setattr(whitehead, "add_coordinates", refused)
+    monkeypatch.setattr(whitehead, "_summed", refused)
     monkeypatch.setattr(SparseEpsilon, "value", refused)
-    monkeypatch.setattr(SparseEpsilon, "nonzero", counted_nonzero)
+    monkeypatch.setattr(SparseEpsilon, "nonzero", refused)
     monkeypatch.setattr(CoherentElement, "walk", refused)
     last = list(project_levels(e, kmax))[-1]
-    assert reads == [kmax]
-    monkeypatch.setattr(CoherentElement, "walk", walk)
+    theta_last = list(project_levels(theta, kmax))[-1]
+    monkeypatch.undo()
+    assert theta_last == theta.level(kmax)
+    monkeypatch.setattr(SparseEpsilon, "value", refused)
+    monkeypatch.setattr(SparseEpsilon, "nonzero", counted_nonzero)
     assert verify_weight2_realization(e, kmax).ok
-    assert reads == [kmax] * 3
-    # coordinates alone need no matrix entry either
-    theta = CoherentElement(3, 2, ((parse_word("[a1,a2]"), integer_element(1)),))
-    assert list(project_levels(theta, kmax))[-1] == theta.level(kmax)
+    assert reads == [kmax]
     monkeypatch.undo()
     # the five entries with j <= 12, each a Hall word as it stands
     assert last == {bracket(letter(i), letter(j)): integer_element(c)
@@ -650,7 +655,7 @@ def test_formal_sum_str():
     s = FormalSum([(_mono("[a1,a2]"), 1), (_mono("a1"), -1),
                    (_mono("[a1,[a1,a2]]"), 3), (_mono("a2"), -2)])
     assert str(s) == "-a1 - 2*a2 + [a1,a2] + 3*[a1,[a1,a2]]"
-    assert str(-_single("a1")) == "-a1" and str(FormalSum()) == "0"
+    assert str(_sum(("a1", -1))) == "-a1" and str(FormalSum()) == "0"
 
 
 @given(a=_sums, b=_sums, c=_sums)
@@ -658,10 +663,8 @@ def test_formal_sum_str():
 def test_formal_sum_laws(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a + (-a) == FormalSum()
-    assert a.scale(0) == FormalSum()
-    assert a.scale(2) == a + a
-    assert -(-a) == a
+    assert a + FormalSum() == a
+    assert a + FormalSum([(m, -k) for m, k in a.items()]) == FormalSum()
 
 
 @given(pairs=_pair_lists)

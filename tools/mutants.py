@@ -110,9 +110,14 @@ MUTANTS = [
      "                level.update(add_coordinates(by_letter[k][1:]))",
      [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
     ("projection-keeps-a-collapsed-letter", WH,
-     "        while t < len(order) and top[order[t]] <= k:",
-     "        while t < len(order) and top[order[t]] <= k + 1:",
+     "        kept = by_top.setdefault(max(word_letters(w)), {})",
+     "        kept = by_top.setdefault(max(word_letters(w)) - 1, {})",
      [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
+    ("eps-reader-drops-a-diagonal", WH,
+     "            (((i, j), c) for i, j, c in self.entries if j <= kmax),",
+     "            (((i, j), c) for i, j, c in self.entries\n"
+     "             if j <= kmax and j - i != 2),",
+     [T_CLI + "test_verify_edge_file_keeps_the_second_diagonal"]),
     # --- element levels and coherence
     ("walk-yields-its-running-dict", E,
      "            yield dict(level)",
