@@ -17,8 +17,9 @@ from cechwedge.elements import (check_coherence, random_min_letter_elements,
                                 verify_weight2_realization,
                                 weight_one_part_vanishes, weight_two_element)
 from cechwedge.groups import integer_element, render_text
-from cechwedge.hall import (GradingSequence, bracket, generate, is_hall,
-                            letter, necklace_count)
+from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, bracket,
+                            generate, height_class_census, is_hall, letter,
+                            necklace_count)
 from cechwedge.hilton import (cech_decompose, earring_formula,
                               stabilization_report)
 from cechwedge.spheres import seed_table
@@ -162,6 +163,17 @@ def test_criterion_4_two_path_equality(request):
                 direct = earring_formula(n, m, TABLE)
                 census = cech_decompose(n, grading, TABLE)
                 assert direct == census, (n, m)
+
+
+def test_census_is_the_weight_blocks_of_a_constant_grading():
+    # a route beside criterion 4 that runs no group normalization: for
+    # the grading m - 1, class h is a countable product exactly when
+    # m - 1 divides h, the weight-h/(m - 1) block, and empty otherwise
+    grid = [(n, m) for n in range(2, 15) for m in range(2, 7)]
+    for n, m in grid + [(200, m) for m in range(2, 7)]:
+        census = height_class_census(n, GradingSequence.constant(m - 1))
+        assert census == {h: COUNTABLY_INFINITE if h % (m - 1) == 0 else 0
+                          for h in range(m - 1, n)}, (n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import Counter
+
 import cechwedge
 from cechwedge import hall, whitehead
 from cechwedge.hall import (COUNTABLY_INFINITE, GradingSequence, HallWord,
@@ -496,15 +498,96 @@ def test_census_mixed_example():
     assert height_class_census(3, g) == {1: 1, 2: 1}
 
 
-def test_census_matches_truncation_when_finite():
-    g = GradingSequence((1, 2), 9)
-    for n in (2, 3, 4, 5):
-        census = height_class_census(n, g)
-        words = dimension_truncation(2, n, g)[0].words()
-        tally = {}
-        for w in words:
-            tally[height(w, g)] = tally.get(height(w, g), 0) + 1
-        assert {h: c for h, c in census.items() if c} == tally
+def _stage_tally(k, n, g):
+    """Hall words per height below n on the first k letters, listed."""
+    return Counter(dimension_truncation(k, n, g)[1] if k else ())
+
+
+def _usable(n, g):
+    return sum(1 for r in g.prefix if r <= n - 1)
+
+
+def _random_gradings(seed, count, entries, top):
+    """count seeded (grading, n): a prefix of at most `entries` values in
+    1..4, a tail up to 7, and n from 2 to top."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        prefix = tuple(sorted(rng.randint(1, 4)
+                              for _ in range(rng.randint(0, entries))))
+        tail = rng.randint(prefix[-1] if prefix else 1, 7)
+        cases.append((GradingSequence(prefix, tail), rng.randint(2, top)))
+    return cases
+
+
+# the mixed gradings of the benchmark's formula workload
+# (perfbench/workloads.py), copied so the test stands alone
+GRADINGS_MIXED = ["1,1,%d,%d;%d" % (b, c, t) for b, c in
+                  itertools.combinations_with_replacement((1, 2, 3), 2)
+                  for t in (c, c + 1)]
+CENSUS_CASES = {
+    "mixed": [(GradingSequence.parse(g), n) for g in GRADINGS_MIXED
+              for n in range(8, 13)],
+    "named": [(GradingSequence.parse(g), n) for g, n in
+              (("1,1,2,2,3;6", 11), ("1,3;4", 12), ("1,1,1,1;2", 12),
+               ("1,2;9", 2), ("1,2;9", 3), ("1,2;9", 4), ("1,2;9", 5))],
+    "random": _random_gradings(36, 300, 5, 11),
+}
+
+
+@pytest.mark.parametrize("cases", CENSUS_CASES.values(), ids=CENSUS_CASES)
+def test_census_matches_truncation_when_finite(cases):
+    # every finite class counts the Hall words the usable letters list
+    for g, n in cases:
+        tally = _stage_tally(_usable(n, g), n, g)
+        finite = {h: c for h, c in height_class_census(n, g).items()
+                  if c is not COUNTABLY_INFINITE}
+        assert finite == {h: tally[h] for h in finite}, (g, n)
+
+
+def test_census_classes_follow_the_stage_counts():
+    # a route that shares no code with the table of reachable sums: a
+    # finite class counts the same at stages usable and usable + 2, and
+    # an infinite one counts more at stage usable + 2 than at usable + 1,
+    # where a second letter past the usable ones comes in
+    for g, n in _random_gradings(38, 150, 4, 9):
+        k = _usable(n, g)
+        now, one, two = (_stage_tally(k + i, n, g) for i in range(3))
+        for h, c in height_class_census(n, g).items():
+            if c is COUNTABLY_INFINITE:
+                assert two[h] > one[h], (g, n, h)
+            else:
+                assert now[h] == two[h] == c, (g, n, h)
+
+
+@pytest.mark.parametrize("spec,n,letters,divided", [
+    ("1;1000000", 10**6 + 1, {1: 1}, []),
+    ("400000,400001;1000000", 1200000, {400000: 1, 400001: 1, 800001: 1},
+     [1, 2, 400000, 400001, 800000, 800001, 800002]),
+], ids=["one-letter", "far-apart"])
+def test_census_cost_follows_the_heights_reached(monkeypatch, spec, n,
+                                                  letters, divided):
+    # one usable letter is answered at once; two far-apart letters reach
+    # five heights, and divisors are taken once for each of those and
+    # for the weights 1 and 2 the kept stratum refusal checks, never for
+    # every h < n
+    g = GradingSequence.parse(spec)
+    calls = []
+    divisors = hall._divisors
+
+    def counted(j):
+        calls.append(j)
+        if len(calls) > len(divided):
+            raise AssertionError("divisors taken past the heights reached")
+        return divisors(j)
+
+    monkeypatch.setattr(hall, "_divisors", counted)
+    census = height_class_census(n, g)
+    assert sorted(calls) == divided
+    assert (min(census), max(census), len(census)) == (g.r(1), n - 1,
+                                                       n - g.r(1))
+    assert {h: c for h, c in census.items() if c} == {
+        **letters, 10**6: COUNTABLY_INFINITE}
 
 
 def test_census_countable_classes_have_tail_witnesses():
@@ -517,18 +600,6 @@ def test_census_countable_classes_have_tail_witnesses():
     assert census[3] is COUNTABLY_INFINITE      # [a1, a_i]
     assert census[4] is COUNTABLY_INFINITE
     assert census[5] is COUNTABLY_INFINITE
-
-
-def test_only_a_small_census_is_kept():
-    g = GradingSequence.constant(1)
-    hall._kept_census.cache_clear()
-    small = height_class_census(hall.CENSUS_CACHE_SIZE + 1, g)
-    assert height_class_census(hall.CENSUS_CACHE_SIZE + 1, g) is small
-    large = height_class_census(hall.CENSUS_CACHE_SIZE + 2, g)
-    assert len(large) == hall.CENSUS_CACHE_SIZE + 1
-    assert hall._kept_census.cache_info().currsize == 1
-    with pytest.raises(TypeError):
-        small[1] = 0  # a kept census is read-only
 
 
 def test_census_table_sized_by_its_classes_not_its_degree():

@@ -48,10 +48,6 @@ def test_smallest_point_of_every_layer():
             want = len(decompose_wedge(*args).summands)
             # weights 1 to 3 on two letters: 2 + 1 + 2 Hall words
             assert args[1] == 2 and want == 5
-        elif layer == "height_class_census":
-            # the counting, past the census cache
-            assert fn is lib["hall"]._count_classes
-            want = height_class_census(*args)
         else:
             assert fn is LIBRARY[layer], layer
             want = LIBRARY[layer](*args)

@@ -19,11 +19,11 @@ up to degree 64, height_class_census on the grading 1,1,1,1;2 at
 degrees 8 to 12, invariant_factors on 10 to 10,000 seeded cyclic
 orders from 2 to 30, and the summand count of decompose_wedge in
 degree 7 on 3-spheres for 2 to 10 wedge spheres, as the tower query
-of a session asks it.  A walk is run to its end, and generate and
-height_class_census skip their caches, so each call lists or counts
-anew.  Before each point every lru_cache of the library is cleared;
-then the call runs N times.  cold_s is the first, cache-cold call and
-best_s the fastest of the N.
+of a session asks it.  A walk is run to its end, and generate skips
+its cache, so each call lists anew; in a checkout that keeps a census
+cache, height_class_census skips it too.  Before each point every
+lru_cache of the library is cleared; then the call runs N times.
+cold_s is the first, cache-cold call and best_s the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
 Two long-lived worker processes, one importing each tree's src/, take
@@ -128,7 +128,8 @@ def summand_count(decompose_wedge):
 
 
 def uncached_census(hall):
-    """height_class_census past its cache, in a tree that keeps one."""
+    """The uncached census: height_class_census itself, or in a checkout
+    that caches censuses (as --against PATH may name), its counting."""
     return getattr(hall, "_count_classes", hall.height_class_census)
 
 

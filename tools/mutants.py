@@ -235,10 +235,14 @@ MUTANTS = [
      "    size = max(0, n - grading.tail)",
      "    size = n - grading.tail",
      [T_CLI + "test_wedge_tail_past_a_machine_integer"]),
-    ("census-cache-keeps-a-large-one", HALL,
-     "    if classes > CENSUS_CACHE_SIZE:",
-     "    if False:",
-     ["tests/test_hall.py::test_only_a_small_census_is_kept"]),
+    ("census-witt-drops-grade-factor", HALL,
+     "        b[s] = sum(r * c * a[s - r] for r, c in per_grade.items())",
+     "        b[s] = sum(c * a[s - r] for r, c in per_grade.items())",
+     ["tests/test_hall.py::test_census_matches_truncation_when_finite[named]"]),
+    ("census-one-letter-counts-nothing", HALL,
+     "        tally = dict.fromkeys(usable, 1)  # [a1, a1] is no Hall word",
+     "        tally = {}",
+     ["tests/test_hall.py::test_census_cost_follows_the_heights_reached"]),
     ("truncation-heights-unfiltered", HALL,
      "    return words.restrict(keep), tuple(itertools.compress(hs, keep))",
      "    return words.restrict(keep), tuple(hs)",
