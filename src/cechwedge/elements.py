@@ -31,8 +31,8 @@ from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
 from .hilton import (apply_bonding, bonding, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
-from .whitehead import (SparseEpsilon, _check_pair, add_coordinates,
-                        coordinate_tuple, parse_word, project_levels)
+from .whitehead import (SparseEpsilon, _check_pair, _summed, add_coordinates,
+                        parse_word, project_levels)
 
 
 _HEADER_RE = re.compile(r"element n=(-?\d+) m=(-?\d+)")
@@ -70,28 +70,30 @@ class CoherentElement(Frozen):
         if eps and n != 2 * m - 1:
             raise ValueError("weight-2 families live in degree 2m - 1 = %d, "
                              "not %d" % (2 * m - 1, n))
-        super().__init__(n, m, coordinate_tuple(coords), eps)
+        super().__init__(n, m, tuple(sorted(_summed(coords).items())), eps)
 
     def walk(self, kmax: int):
         """Walk the element up the tower: yield its coordinates at the
         1, 2, ..., kmax-sphere stages, each in a fresh dict that the
         caller may change.
 
-        The coordinates are the pairs of coords plus eps_{i,j} on each
-        word [a_i, a_j], written directly, with no rewriting.  They are
-        filed by maximal letter once, so the matrix is read once per
-        walk, and level k is level k - 1 plus the sum of the pairs filed
-        under k, whose words no lower level holds.
+        The coordinates are eps_{i,j} on each word [a_i, a_j], written
+        directly, with no rewriting, plus the pairs of coords added on.
+        All are filed by maximal letter once, so level k is level k - 1
+        plus the words filed under k.
         """
-        by_letter: dict[int, list] = {}
-        for w, f in itertools.chain(self.coords, (
-                (bracket(letter(i), letter(j)), integer_element(c))
-                for (i, j), c in self.eps.nonzero(kmax).items())):
-            by_letter.setdefault(w.max_letter, []).append((w, f))
+        by_letter: dict[int, dict] = {}
+        for (i, j), c in (self.eps.nonzero(kmax).items() if self.eps else ()):
+            by_letter.setdefault(j, {})[bracket(letter(i), letter(j))] = \
+                integer_element(c)
+        for w, f in self.coords:
+            filed = by_letter.setdefault(w.max_letter, {})
+            f = filed.pop(w) + f if w in filed else f
+            if f:
+                filed[w] = f
         level: dict[HallWord, GroupElement] = {}
         for k in range(1, kmax + 1):
-            if k in by_letter:
-                level.update(add_coordinates(by_letter[k]))
+            level.update(by_letter.get(k, ()))
             yield dict(level)
 
     def level(self, k: int) -> dict[HallWord, GroupElement]:
@@ -229,9 +231,10 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     for any object with fields n, m and a walk(kmax) method, so a
     corrupted list of levels can be checked too.  The levels are walked
     once, and the bonding maps test each word's membership directly,
-    so no Hall set is listed.  A word a map has accepted is accepted by
-    every later one, so each word is tested once, at the first level
-    that holds it.  The words of a level are sorted and compared one by
+    so no Hall set is listed.  A word a map has accepted is accepted
+    and kept by every later one, so each word is tested once, at the
+    first level that holds it, and a level of accepted words is pushed
+    as it stands.  The words of a level are sorted and compared one by
     one only when the two sides differ.
     """
     if kmax < 1:
@@ -242,8 +245,10 @@ def check_coherence(e, kmax: int) -> VerificationReport:
     walk = e.walk(kmax)
     actual = next(walk)
     for k, upper in enumerate(walk, start=1):
-        pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)
-        accepted.update(upper)
+        pushed = upper
+        if not upper.keys() <= accepted:
+            pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)
+            accepted.update(upper)
         if pushed != actual:
             failures += ((k, w) for w in sorted(set(pushed) | set(actual))
                          if pushed.get(w) != actual.get(w))

@@ -135,19 +135,18 @@ def apply_bonding(b: BondingMap, coords: dict, accepted=frozenset()) -> dict:
 
 def cech_decompose(n: int, grading: GradingSequence, table) -> GroupExpr:
     """Limit decomposition over all finite stages, via the height-class
-    census: each finite height class contributes a finite power, each
-    countable class a countable product."""
+    census: each nonempty finite class contributes a finite power, each
+    countable class a countable product; no empty class is looked up."""
     if n < 2:
         raise ValueError("degree must be >= 2")
     parts: list[GroupExpr] = []
     census = height_class_census(n, grading)
     for h in sorted(census):
-        expr = sphere_group_expr(n, h + 1, table)
         count = census[h]
-        if count is COUNTABLY_INFINITE:
-            parts.append(ProdN(expr))
-        elif count:
-            parts.append(Pow(expr, count))
+        if count:
+            expr = sphere_group_expr(n, h + 1, table)
+            parts.append(ProdN(expr) if count is COUNTABLY_INFINITE
+                         else Pow(expr, count))
     return normalize(DirectSum(tuple(parts)))
 
 

@@ -99,19 +99,16 @@ def _has_square(w: HallWord) -> bool:
 
 def monomial_of_word(w: HallWord, degrees) -> BracketMonomial:
     """Attach degrees to a bare word; degrees maps letter index to
-    degree."""
-    ds = tuple(map(degrees.__getitem__, word_letters(w)))
+    degree.  A letter without a degree is refused by name."""
+    letters, ds = word_letters(w), []
+    try:
+        ds.extend(map(degrees.__getitem__, letters))
+    except LookupError:  # ds keeps the degrees read before the missing one
+        raise ValueError("letter a%d has no degree"
+                         % letters[len(ds)]) from None
     if min(ds) < 2:
         raise ValueError("generator degrees must be >= 2")
-    return _new(BracketMonomial, (w, ds))
-
-
-@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
-def _letter_monomial(i: int, d: int) -> BracketMonomial:
-    """The letter a_i of degree d as a monomial."""
-    if d < 2:
-        raise ValueError("generator degrees must be >= 2")
-    return _new(BracketMonomial, (letter(i), (d,)))
+    return _new(BracketMonomial, (w, tuple(ds)))
 
 
 class FormalSum:
@@ -289,61 +286,69 @@ def tensor_expansion(s) -> dict[tuple, int]:
 # one token: a symbol, a letter a<i> or an integer; no group, so that
 # findall returns the tokens' text
 _TOKEN_RE = re.compile(r"[\[\],+\-*()]|a\d+|\d+")
+# an expression's tokens, where a '[' and the letters, commas and
+# brackets after it are one run; it never backtracks, so stays linear
+_EXPR_TOKEN_RE = re.compile(r"\[(?:[\[\],]|a\d+|\s+(?=[\[\],a]))*|"
+                            + _TOKEN_RE.pattern)
 # where a scan token by token would stop: a character no token starts
 # with, or an 'a' without its index
 _JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
 
 
-def _scan(text: str) -> list[str]:
+def _scan(text: str, tokens=_TOKEN_RE) -> list[str]:
     """The tokens of text, with whitespace allowed between them, each
-    as its text: a<i>, the digits of an integer, or one symbol."""
+    as its text: a<i>, the digits of an integer, one symbol, or for
+    _EXPR_TOKEN_RE a run."""
     junk = _JUNK_RE.search(text)
     if junk:
         pos = len(text[:junk.start()].rstrip())
         raise ValueError("bad token at %r" % text[pos:pos + 10])
-    return _TOKEN_RE.findall(text)
+    return tokens.findall(text)
 
 
-def _letter_of(tok: str, degrees) -> BracketMonomial:
-    """The monomial of a letter token a<i>: the letter a_i with the
-    degree that degrees gives it."""
-    i = int(tok[1:])
-    if i < 1:
-        raise ValueError("letter indices start at 1")
-    try:
-        d = degrees[i]
-    except LookupError:
-        raise ValueError("letter a%d has no degree" % i) from None
-    return _letter_monomial(i, d)
+def _groups(run: str) -> list[str]:
+    """The tokens of a run, each bracket that closes within it joined
+    with what it holds into one token."""
+    out, opened = [], []  # opened: where each unclosed '[' sits in out
+    for tok in _TOKEN_RE.findall(run):
+        if tok == "]" and opened:
+            k = opened.pop()
+            out[k:] = ["".join(out[k:]) + "]"]
+        else:
+            if tok == "[":
+                opened.append(len(out))
+            out.append(tok)
+    return out
 
 
 def _shown(token: str) -> int | str | None:
     """A token as an error message names it: the index of a letter, an
-    integer, a symbol, or None for the empty text past the end."""
+    integer, a symbol or a run's first, or None for the end of text."""
     if token[:1] == "a" or token.isdigit():
         return int(token.lstrip("a"))
-    return token or None
+    return token[:1] or None
 
 
 def parse_bracket_expr(text: str, degrees) -> FormalSum:
     """Parse the bracket syntax a<i>, [x,y], c*x, x + y, -x, (x), 0 and
     expand it by bilinearity into a FormalSum of monomials.
 
-    One walk over the tokens.  The terms of the innermost open sum are
-    a list of (monomial, coefficient) pairs; each open '[' or '(' keeps
-    the list it interrupted and its own term's coefficient.  A bracket
-    adds up each factor of several pairs just before it multiplies them
-    out, so that no monomial of a factor is bracketed twice; a factor of
-    one pair is multiplied as it is, and a zero coefficient makes no
-    product.  The whole list is added up once at the end.
+    One walk over the tokens, where a bracket word with no sum inside is
+    one token, read whole by parse_word; a run of letters, commas and
+    brackets that is no one word is split into its words and tokens.
+    The terms of the innermost open sum are a list of (monomial,
+    coefficient) pairs; each open '[' or '(' keeps the list it
+    interrupted and its own term's coefficient.  A bracket adds up each
+    factor of several pairs just before it multiplies them out, so that
+    no monomial of a factor is bracketed twice, and a zero coefficient
+    makes no product.  The whole list is added up once at the end.
     """
-    tokens = _scan(text)
+    tokens = _scan(text, _EXPR_TOKEN_RE)
     tokens.append("")  # past the end
     pairs: list = []
     # per open '[' or '(': the token that ends its part, the outer
     # pairs, the coefficient of its term and, after ',', the left factor
     stack: list = []
-    letters: dict = {}  # letter token -> its monomial, within this call
     c, i = 1, 0
     while True:
         # one term: signs, then "<int>*" and an atom, a lone 0 or an atom
@@ -362,17 +367,24 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
                 c, i = c * int(tok), i + 1
                 tok = tokens[i]
         if tok is not None:
-            mono = letters.get(tok)
-            if mono is None:
-                if tok == "[" or tok == "(":
-                    stack.append(("," if tok == "[" else ")", pairs, c, None))
-                    pairs, c, i = [], 1, i + 1
-                    continue
-                if tok[:1] != "a":
-                    raise ValueError("expected a letter, bracket, or 0, "
-                                     "got %r" % (_shown(tok),))
-                mono = letters[tok] = _letter_of(tok, degrees)
-            pairs.append((mono, c))
+            if tok == "[" or tok == "(":
+                stack.append(("," if tok == "[" else ")", pairs, c, None))
+                pairs, c, i = [], 1, i + 1
+                continue
+            if tok[:1] != "a" and tok[:1] != "[":
+                raise ValueError("expected a letter, bracket, or 0, "
+                                 "got %r" % (_shown(tok),))
+            try:  # a letter, or a run that may be one bracket word
+                word = (parse_word(tok) if tok.count("[") == tok.count("]")
+                        else None)
+            except ValueError:
+                if len(_groups(tok)) == 1:  # one bracket and no word
+                    raise
+                word = None
+            if word is None:  # a run that is no one word: its parts
+                tokens[i:i + 1] = _groups(tok)
+                continue
+            pairs.append((monomial_of_word(word, degrees), c))
             i += 1
         # after a term: close what ends here, then read the next term
         while True:
@@ -470,9 +482,9 @@ class SparseEpsilon(Frozen):
             if w < 1:
                 raise ValueError("band width must be >= 1")
         super().__init__(
-            tuple(sorted((i, j, c) for (i, j), c in
-                         _summed(((i, j), c) for i, j, c in entries).items())),
-            tuple(sorted(_summed(bands).items())))
+            tuple(sorted((i, j, c) for (i, j), c in _summed(
+                ((i, j), c) for i, j, c in entries).items())) if entries else (),
+            tuple(sorted(_summed(bands).items())) if bands else ())
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
@@ -511,12 +523,6 @@ def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
     as (word, value) pairs; words whose sum is zero drop out."""
     return _summed(itertools.chain.from_iterable(
         p.items() if isinstance(p, dict) else p for p in parts))
-
-
-def coordinate_tuple(*parts) -> tuple[tuple[HallWord, GroupElement], ...]:
-    """The canonical form of a sum of coordinate maps: (word, value)
-    pairs sorted by word, no zero values."""
-    return tuple(sorted(add_coordinates(*parts).items()))
 
 
 def project_levels(e, kmax: int):

@@ -146,7 +146,10 @@ def _level_cases():
     assert mixed.eps.entries and mixed.eps.bands
     cancel = finite_support_element(3, 2, [("[a1,a3]", -1), ("a2", 1)],
                                     TABLE)
-    return cases + [band, mixed, band + cancel, mixed + (-band) + cancel]
+    # a coordinate that cancels the matrix's value on its word
+    gone = weight_two_element(2, {(1, 3): 1, (2, 3): 2}) + cancel
+    return cases + [band, mixed, band + cancel, mixed + (-band) + cancel,
+                    gone]
 
 
 def test_levels_out_of_order_match_definition():
@@ -337,6 +340,28 @@ def test_coherence_tests_every_new_word_of_a_level():
     levels[3][parse_word("[a1,[a1,a2]]")] = integer_element(1)
     with pytest.raises(hilton.SupportError, match="summand at stage 4"):
         check_coherence(_stream(e, levels), 5)
+
+
+def test_coherence_maps_only_the_levels_with_a_new_word(monkeypatch):
+    # levels 2 and 3 each add a word; levels 1, 4 and 5 add none, and a
+    # level whose words were all accepted below is pushed as it stands
+    e = weight_two_element(2, {(1, 2): 1, (2, 3): 2})
+    built = []
+    bonding = hilton.bonding
+
+    def counted(n, k, grading):
+        built.append(k)
+        return bonding(n, k, grading)
+
+    monkeypatch.setattr(elements_module, "bonding", counted)
+    rep = check_coherence(e, 5)
+    assert rep.ok and rep.checked_levels == 5
+    assert built == [1, 2]
+    # a changed value at a level with no new word is still compared
+    levels = list(e.walk(5))
+    levels[4][parse_word("[a2,a3]")] = integer_element(3)
+    rep = check_coherence(_stream(e, levels), 5)
+    assert rep.failures == ((4, parse_word("[a2,a3]")),)
 
 
 def test_coherence_lists_no_hall_set(monkeypatch):

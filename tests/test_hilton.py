@@ -248,6 +248,24 @@ def test_cech_decompose_mixed_grading():
     assert expr == DirectSum((Z, Z))
 
 
+def test_cech_decompose_looks_up_only_the_nonempty_classes(monkeypatch):
+    # 1,000,000 height classes, of which only h = 1 (the word a1) and
+    # h = 1,000,000 (every other letter) hold a word
+    asked = []
+    lookup = SphereGroupTable.lookup
+
+    def counted(self, n, q):
+        asked.append(q)
+        return lookup(self, n, q)
+
+    monkeypatch.setattr(SphereGroupTable, "lookup", counted)
+    expr = cech_decompose(1000001, GradingSequence.parse("1;1000000"), TABLE)
+    assert asked == [2, 1000001]
+    assert expr == normalize(DirectSum((Pow(SphereSymbol(1000001, 2), 1),
+                                        ProdN(Z))))
+    assert render_text(expr) == "pi_1000001(S^2) (+) Z^N"
+
+
 def test_weight_summand():
     assert render_text(weight_summand(3, 2, 2, TABLE)) == "Z^N"
     assert weight_summand(3, 2, 5, TABLE) == ZERO

@@ -22,13 +22,16 @@ LIBRARY = {f.__name__: f for f in (
     decompose_wedge)}
 # layers whose call is a walk, which the ladder runs to its end
 WALKS = ("walk", "project_levels")
+# layers whose call is a pass of the session client
+SESSIONS = ("session_replay", "session_fresh")
 
 
 def test_smallest_point_of_every_layer():
     start = time.perf_counter()
     lib = ladder.library()
     points = ladder.steps(lib)
-    assert tuple(points) == ladder.LAYERS and set(LIBRARY) == set(points)
+    assert tuple(points) == ladder.LAYERS
+    assert set(LIBRARY) | set(SESSIONS) == set(points)
     for layer, pts in points.items():
         sizes = [size for size, _, _ in pts]
         assert sizes == sorted(set(sizes)) and len(sizes) >= 3, layer
@@ -42,6 +45,13 @@ def test_smallest_point_of_every_layer():
         elif layer in WALKS:
             assert fn.__wrapped__ is LIBRARY[layer], layer
             want = list(LIBRARY[layer](*args))
+        elif layer in SESSIONS:
+            # a pass answers each query of its stream, or raises
+            want = size
+            streams = [args() if callable(args) else args for _ in range(2)]
+            assert [len(s) for s, in streams] == [size, size]
+            # replay repeats stream seed 1, fresh draws a new seed per pass
+            assert (streams[0] == streams[1]) == (layer == "session_replay")
         elif layer == "decompose_wedge":
             # the tower query: how many summands the wedge splits into
             assert fn.__wrapped__ is LIBRARY[layer]

@@ -213,11 +213,31 @@ def test_parse_bracket_expr_errors():
     for bad, rest in JUNK:
         with pytest.raises(ValueError, match=re.escape("bad token at " + rest)):
             parse_bracket_expr(bad, g)
-    # a letter without a degree is refused by name, after a0 is refused
-    with pytest.raises(ValueError, match="letter a5 has no degree"):
-        parse_bracket_expr("[a1,a5]", {1: 2})
-    with pytest.raises(ValueError, match="letter indices start at 1"):
-        parse_bracket_expr("[a1,a0]", {1: 2})
+    # a letter without a degree is refused by name, after a0 is refused;
+    # a bracket word read whole is refused as its tokens were
+    for bad, message in (("[a1,a5]", "letter a5 has no degree"),
+                         ("[a1,a0]", "letter indices start at 1"),
+                         ("[a1,a2", "unexpected end of expression"),
+                         ("[a1,a2]]", "trailing input after expression: ']'"),
+                         ("a1 + [ a1 , a5 ]", "letter a5 has no degree")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            parse_bracket_expr(bad, {1: 2, 2: 2})
+    with pytest.raises(ValueError, match="^letter a5 has no degree$"):
+        monomial_of_word(parse_word("[a1,a5]"), {1: 2})
+    with pytest.raises(ValueError, match="^generator degrees must be >= 2$"):
+        parse_bracket_expr("[a2,a1]", {1: 1, 2: 2})
+
+
+def test_word_span_keeps_the_degrees_of_its_letters_in_order():
+    # a bracket word read whole carries its letters' degrees as the
+    # text lists them, the same monomial as bracketing letter by letter
+    degrees = {1: 2, 2: 3, 3: 4}
+    for text, ds in (("[a1,[a2,a3]]", (2, 3, 4)), ("[[a3,a1],a2]", (4, 2, 3)),
+                     ("[ a3 ,\t[ a2,a1 ] ]", (4, 3, 2))):
+        got = parse_bracket_expr("2*" + text, degrees)
+        word = parse_word(text)
+        assert got == FormalSum({BracketMonomial(word, ds): 2})
+        assert got == parse_oracle.parse_bracket_expr("2*" + text, degrees)
 
 
 def test_parse_word_refuses_a_text_again():
@@ -268,20 +288,38 @@ _PIECES = ("a", "0", "1", "2", "13", "[", "]", ",", "+", "-", "*", "(", ")",
 _ODD = ("#", "b", "!", ".", "\u00a0", "\u0663")
 _junk_texts = st.sampled_from(_ODD).flatmap(lambda odd: st.lists(
     st.sampled_from(_PIECES + (odd,)), max_size=24).map("".join))
-# well formed expressions and words of weight up to 8, and those with
-# one piece more
-_exprs = st.recursive(
-    st.sampled_from(("a1", "a2", "a3", "a12", "0")),
-    lambda sub: st.one_of(
+
+
+def _expr_nodes(sub):
+    """Brackets, sums, coefficients, negations and parentheses of sub."""
+    return st.one_of(
         st.tuples(sub, sub).map(lambda xy: "[%s,%s]" % xy),
         st.tuples(sub, st.sampled_from((" + ", " - ", "+-")), sub).map("".join),
         st.tuples(st.integers(0, 3), sub).map(lambda cx: "%d*%s" % cx),
-        sub.map(lambda x: "-" + x), sub.map(lambda x: "( %s )" % x)),
-    max_leaves=8)
+        sub.map(lambda x: "-" + x), sub.map(lambda x: "( %s )" % x))
+
+
+# well formed expressions, whose leaves are letters, 0 and whole words,
+# and words of weight up to 8, and those with one piece more
 _WORDS = st.recursive(
     st.integers(1, 12).map(letter),
     lambda sub: st.tuples(sub, sub).map(lambda xy: bracket(*xy)),
     max_leaves=8)
+
+
+def _spaced(draw, w) -> str:
+    """The text of w with drawn whitespace around each of its tokens."""
+    tokens = re.findall(r"a\d+|\S", str(w))
+    gaps = draw(st.lists(st.sampled_from(("", " ", "\t", " \t ")),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(map("".join, zip(gaps, tokens))) + gaps[-1]
+
+
+# whole bracket words, with whitespace inside their brackets
+_spaced_words = st.composite(lambda draw: _spaced(draw, draw(_WORDS)))()
+_exprs = st.recursive(
+    st.one_of(st.sampled_from(("a1", "a2", "a3", "a12", "0")), _spaced_words),
+    _expr_nodes, max_leaves=8)
 _well_formed = st.one_of(_exprs, _WORDS.map(str))
 _texts = st.one_of(_junk_texts, _well_formed, st.builds(
     lambda text, at, piece: text[:at] + piece + text[at:],
@@ -301,6 +339,12 @@ def _scanned_tokens(text):
 def test_text_reader_matches_the_token_by_token_oracle(text, ds):
     # the same tokens or the same refusal, and the same words and sums
     assert _read(_scanned_tokens, text) == _read(parse_oracle.tokenize, text)
+    # an expression's runs of letters, commas and brackets hold the
+    # same tokens
+    runs = _read(whitehead._scan, text, whitehead._EXPR_TOKEN_RE)
+    assert _read(whitehead._scan, text)[1] == (
+        [t for run in runs[1] for t in whitehead._TOKEN_RE.findall(run)]
+        if runs[0] == "ok" else runs[1])
     degrees = _CyclicDegrees(ds)
     for new, old, args in ((parse_word, parse_oracle.parse_word, ()),
                            (parse_bracket_expr, parse_oracle.parse_bracket_expr,
@@ -332,11 +376,7 @@ def test_positional_monomials_equal_keyword_monomials(x, y, ds):
 @settings(max_examples=100)
 def test_parse_word_reads_back_its_text_with_whitespace(w, data):
     assert w.length <= 8
-    tokens = re.findall(r"a\d+|\S", str(w))
-    gaps = data.draw(st.lists(st.sampled_from(("", " ", "\t", " \t ")),
-                              min_size=len(tokens) + 1,
-                              max_size=len(tokens) + 1))
-    assert parse_word("".join(map("".join, zip(gaps, tokens))) + gaps[-1]) == w
+    assert parse_word(_spaced(data.draw, w)) == w
     assert parse_word(str(w)) == w
 
 
@@ -346,16 +386,25 @@ def test_parse_word_reads_back_its_text_with_whitespace(w, data):
     ("[a1 + a1 - a1 + a2, [a2 + 2*a3 - a2, a3]]", 1 + 2),
     ("[a1, a2 + a2 - a2]", 1),
     ("[a1 + a2, a3 - a3]", 0),
-    ("[(a1 + a2) + (a1 - a2), 3*[a2,a3] - [a2,a3] - 2*[a2,a3] + a3]", 3 + 1),
+    # the words [a2,a3] are read whole and cancel, so only {a1: 2}
+    # and a3 are multiplied
+    ("[(a1 + a2) + (a1 - a2), 3*[a2,a3] - [a2,a3] - 2*[a2,a3] + a3]", 1),
     ("[[a1, 0*a2 + a3 + a3], (a1 - a1) + [a2, a3 + a2 - a2]]", 1 + 1 + 1),
     # a lone term with coefficient 0 is no term
     ("[0*a1, a2] + [a3, -0*a2] + [a1, 0]", 0),
-    # single terms multiply their coefficients once
-    ("[-a1, 3*a2] - 2*[2*[a1,a2], -a3]", 1 + 2),
+    # single terms multiply their coefficients once; [a1,a2] is whole
+    ("[-a1, 3*a2] - 2*[2*[a1,a2], -a3]", 1 + 1),
+    # a bracket word with no sum inside makes no product at all
+    ("[[a1,a2],[a1,[a1,a3]]] - 2*[ a2 ,[a2,a3] ]", 0),
+    # a word that ends a bracket holding a sum, and two words side by
+    # side in one, are each read whole
+    ("[a1 + a2, [a2,a3]]", 2),
+    ("[-[a1,a2],[a2,a3] + a1]", 2),
 ])
 def test_brackets_multiply_summed_factors(monkeypatch, text, products):
     # A bracket multiplies its factors' distinct nonzero terms, one
-    # monomial bracket per pair, as the recursive parser's sums do.
+    # monomial bracket per pair, as the recursive parser's sums do; a
+    # bracket word with no sum inside is read whole, with no product.
     calls = []
     monomial_bracket = BracketMonomial.bracket
 
@@ -366,9 +415,8 @@ def test_brackets_multiply_summed_factors(monkeypatch, text, products):
     monkeypatch.setattr(BracketMonomial, "bracket", counted)
     got = parse_bracket_expr(text, DEG2)
     assert len(calls) == products
-    del calls[:]
+    monkeypatch.undo()
     assert parse_oracle.parse_bracket_expr(text, DEG2) == got
-    assert len(calls) == products
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,17 @@ up to degree 64, height_class_census on the grading 1,1,1,1;2 at
 degrees 8 to 12, invariant_factors on 10 to 10,000 seeded cyclic
 orders from 2 to 30, and the summand count of decompose_wedge in
 degree 7 on 3-spheres for 2 to 10 wedge spheres, as the tower query
-of a session asks it.  A walk is run to its end, and generate skips
-its cache, so each call lists anew; in a checkout that keeps a census
-cache, height_class_census skips it too.  Before each point every
-lru_cache of the library is cleared; then the call runs N times.
-cold_s is the first, cache-cold call and best_s the fastest of the N.
+of a session asks it.  The session layer is a pass of the benchmark's
+session client (perfbench/session.py) over the first 95, 190 and 380
+queries of a stream from perfbench/workloads.py, both files loaded
+without writing bytecode: session_replay replays stream seed 1 in
+every pass, and session_fresh draws the next unseen stream seed, from
+1000 on, for every pass, outside the timed call.  A walk is run to its
+end, and generate skips its cache, so each call lists anew; in a
+checkout that keeps a census cache, height_class_census skips it too.
+Before each point every lru_cache of the library is cleared; then the
+call runs N times.  cold_s is the first, cache-cold call and best_s
+the fastest of the N.
 
 The second form compares this tree with a second checkout at PATH.
 Two long-lived worker processes, one importing each tree's src/, take
@@ -43,6 +49,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import itertools
 import json
 import os
 import random
@@ -52,14 +59,18 @@ import sys
 import time
 from pathlib import Path
 
+import traffic  # loads perfbench modules without writing bytecode
+
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("generate", "parse_bracket_expr", "hall_normalize",
           "tensor_expansion", "parse_element_file", "check_coherence",
           "walk", "project_levels", "verify_weight2_realization",
           "verify_composition_additivity", "earring_formula",
           "cech_decompose", "height_class_census", "invariant_factors",
-          "decompose_wedge")
+          "decompose_wedge", "session_replay", "session_fresh")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
+SESSION_OPS = (95, 190, 380)  # a quarter, a half and all of a stream
+FRESH_SEED = 1000  # the first stream seed of session_fresh
 
 
 def library():
@@ -133,6 +144,34 @@ def uncached_census(hall):
     return getattr(hall, "_count_classes", hall.height_class_census)
 
 
+def session_layers(lib):
+    """The points of session_replay and session_fresh: (size, one pass
+    of the session client, arguments).  The arguments of a fresh point
+    are a draw, called before each timed call, of the next stream."""
+    workloads, session = traffic._load("workloads"), traffic._load("session")
+    run = session.make_runner(importlib.import_module("cechwedge"),
+                              lib["whitehead"],
+                              lib["spheres"].load_table("seed"))
+
+    def one_pass(stream):
+        """Answer every query of stream; the number answered."""
+        _, errors = session.run_pass(run, stream)
+        if errors:
+            raise RuntimeError("session queries failed: %s" % errors[:3])
+        return len(stream)
+
+    def stream_of(seed):
+        return workloads.session_stream(workloads.rng_for("session", seed))
+
+    replayed, seeds = stream_of(1), itertools.count(FRESH_SEED)
+    return {
+        "session_replay": [(k, one_pass, (replayed[:k],)) for k in SESSION_OPS],
+        "session_fresh": [(k, one_pass,
+                           lambda k=k: (stream_of(next(seeds))[:k],))
+                          for k in SESSION_OPS],
+    }
+
+
 def hall_rows(hall):
     """generate, heights and labels as one call: the listing, its
     heights and its labels.  generate's cache is skipped."""
@@ -201,18 +240,21 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
         "decompose_wedge": [(k, summand_count(hl.decompose_wedge),
                              (7, k, hall.GradingSequence.constant(2), table))
                             for k in range(2, 11)],
+        **session_layers(lib),
     }
 
 
 def measure(lib, fn, args, repeat: int):
     """Clear the caches, then call fn(*args) repeat times: (the first
-    call's seconds, the fastest call's seconds, the last result)."""
+    call's seconds, the fastest call's seconds, the last result).  When
+    args is a function, it draws the arguments of each call, untimed."""
     clear_caches(lib)
     clock = time.perf_counter
     times = []
     for _ in range(repeat):
+        call_args = args() if callable(args) else args
         start = clock()
-        result = fn(*args)
+        result = fn(*call_args)
         times.append(clock() - start)
     return times[0], min(times), result
 

@@ -106,9 +106,18 @@ MUTANTS = [
      [T_CLI + "test_verify_theta_random_refuses_an_empty_word_pool"]),
     # --- the projection and the element's levels build no level alike
     ("walk-drops-a-letters-first-pair", E,
-     "                level.update(add_coordinates(by_letter[k]))",
-     "                level.update(add_coordinates(by_letter[k][1:]))",
+     "            level.update(by_letter.get(k, ()))",
+     "            level.update(list(by_letter.get(k, {}).items())[1:])",
      [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
+    ("walk-coordinate-replaces-the-matrix-value", E,
+     "            f = filed.pop(w) + f if w in filed else f\n",
+     "",
+     [T_ELEMENTS + "test_levels_out_of_order_match_definition"]),
+    ("walk-keeps-a-cancelled-word", E,
+     "            if f:\n"
+     "                filed[w] = f\n",
+     "            filed[w] = f\n",
+     [T_ELEMENTS + "test_levels_out_of_order_match_definition"]),
     ("projection-keeps-a-collapsed-letter", WH,
      "        kept = by_top.setdefault(max(word_letters(w)), {})",
      "        kept = by_top.setdefault(max(word_letters(w)) - 1, {})",
@@ -133,11 +142,16 @@ MUTANTS = [
      [T_ELEMENTS + "test_coherence_negative_control",
       T_ELEMENTS + "test_coherence_asks_each_level_once"]),
     ("coherence-accepts-before-testing", E,
-     "        pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)\n"
-     "        accepted.update(upper)\n",
-     "        accepted.update(upper)\n"
-     "        pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)\n",
+     "            pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)\n"
+     "            accepted.update(upper)\n",
+     "            accepted.update(upper)\n"
+     "            pushed = apply_bonding(bonding(e.n, k, grading), upper, accepted)\n",
      [T_ELEMENTS + "test_coherence_tests_every_new_word_of_a_level"]),
+    ("coherence-maps-no-level", E,
+     "        if not upper.keys() <= accepted:\n",
+     "        if False:\n",
+     [T_ELEMENTS + "test_coherence_tests_every_new_word_of_a_level",
+      T_ELEMENTS + "test_coherence_maps_only_the_levels_with_a_new_word"]),
     # --- the one accumulator behind sums, brackets, rewriting and levels
     ("eps-repeats-stop-adding-up", WH,
      "            c = acc.pop(key) + c",
@@ -174,6 +188,11 @@ MUTANTS = [
      "                            pairs.append((x.bracket(y), cx * cy))",
      "                            pairs.append((x.bracket(y), 1))",
      [T_WH + "test_brackets_multiply_summed_factors"]),
+    ("expr-word-degrees-reversed", WH,
+     "            pairs.append((monomial_of_word(word, degrees), c))",
+     "            mono = monomial_of_word(word, degrees)\n"
+     "            pairs.append((mono._replace(degrees=mono.degrees[::-1]), c))",
+     [T_WH + "test_word_span_keeps_the_degrees_of_its_letters_in_order"]),
     ("word-reader-remembers-nothing-it-read", WH,
      "@functools.lru_cache(maxsize=WORD_CACHE_SIZE)\n"
      "def parse_word(text: str) -> HallWord:",
