@@ -5,15 +5,16 @@ The pieces, bottom to top:
   hall      Hall words, canonical coherent ordering, gradings, censuses
   groups    finitely generated abelian groups, elements, group shapes
   spheres   homotopy-group lookup tables with built-in rules
-  whitehead bracket monomials (Hall words with letter degrees), one
-            Hall rewriting loop, twisted tensor oracle, level projection
   hilton    wedge decompositions, bonding tower, closed limit formulas
-  elements  coherent coordinate families and their verifications
+  elements  word reader, weight-2 matrices, coherent elements, checks
+  whitehead bracket monomials (Hall words with letter degrees), one
+            Hall rewriting loop, twisted tensor oracle, expression reader
   cli       the cechwedge command
 
 The names below are re-exported lazily (PEP 562): the first use of one
 imports its home module, so `import cechwedge` alone loads none of
-them, and a formula command never compiles `whitehead` or `elements`.
+them, a formula command compiles neither `elements` nor `whitehead`,
+and no command compiles `whitehead`.
 """
 
 import importlib
@@ -30,17 +31,17 @@ _HOME = {name: module for module, names in (
               "height_class_census", "is_hall", "letter", "necklace_count")),
     ("spheres", ("SphereGroupTable", "load_table", "parse_group",
                  "parse_table", "seed_table")),
-    ("whitehead", ("FormalSum", "SparseEpsilon", "expand", "hall_normalize",
-                   "parse_bracket_expr", "parse_word", "project_level",
-                   "project_levels", "tensor_expansion")),
+    ("whitehead", ("FormalSum", "expand", "hall_normalize",
+                   "parse_bracket_expr", "tensor_expansion")),
     ("hilton", ("BondingMap", "WedgeDecomposition", "apply_bonding",
                 "bonding", "cech_decompose", "decompose_wedge",
                 "earring_formula", "stabilization_report",
                 "weight_summand")),
-    ("elements", ("CoherentElement", "ElementFormatError", "SubgroupForms",
-                  "VerificationReport", "check_coherence",
+    ("elements", ("CoherentElement", "ElementFormatError", "SparseEpsilon",
+                  "SubgroupForms", "VerificationReport", "check_coherence",
                   "finite_support_element", "min_letter_element",
                   "min_letter_subgroup_expr", "parse_element_file",
+                  "parse_word", "project_level", "project_levels",
                   "random_sparse_epsilon", "render_element_file",
                   "verify_composition_additivity",
                   "verify_weight2_realization", "weight_one_coordinates",

@@ -25,15 +25,14 @@ that the element is realized by its infinite sums, and --random,
 checking that realization adds up on each random pair.  The element
 verifiers need --levels >= 2.
 
-The element commands import `elements`, `whitehead` and `random` where
-they run, so the formula commands never load them.
+The element commands import `elements` and `random` where they run, so
+the formula commands never load them; only `--format json` loads `json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 
@@ -78,6 +77,7 @@ def _grading_of(args) -> GradingSequence:
 
 
 def _emit_json(machine) -> int:
+    import json
     print(json.dumps(machine, sort_keys=True))
     return 0
 
@@ -183,6 +183,7 @@ def cmd_hm(args) -> int:
     table = _table(args)
     dec = decompose_wedge(args.n, args.k, grading, table)
     if args.format == "json":
+        import json
         # What _emit_json prints for the record with its summands as
         # {"word": w, "sphere": h + 1, "group": to_machine(g)} and its
         # total as to_machine(dec.total()), written out in sorted key

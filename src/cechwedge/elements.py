@@ -20,19 +20,17 @@ table when the element is built, so levels never need the table again.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 import re
 
 from .groups import (DirectSum, GroupElement, ProdN, SphereSymbol, SumN, ZERO,
                      distribute_product_over_sum, integer_element, normalize)
-from .hall import (GradingSequence, HallWord, _hall_conditions, bracket,
-                   height, letter, word_letters)
+from .hall import (WORD_CACHE_SIZE, GradingSequence, HallWord,
+                   _hall_conditions, bracket, height, letter, word_letters)
 from .hilton import (apply_bonding, bonding, decompose_wedge,
                      sphere_group_expr, weight_range)
 from .records import Frozen, Record
-from .whitehead import (SparseEpsilon, _check_pair, _summed, add_coordinates,
-                        parse_word, project_levels)
 
 
 _HEADER_RE = re.compile(r"element n=(-?\d+) m=(-?\d+)")
@@ -46,6 +44,88 @@ class ElementFormatError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__("line %d: %s" % (lineno, message))
         self.lineno = lineno
+
+
+def _summed(pairs) -> dict:
+    """Add up the values of repeated keys and drop the zeros, in one pass."""
+    acc: dict = {}
+    for key, c in pairs:
+        if key in acc:
+            c = acc.pop(key) + c
+        if c:
+            acc[key] = c
+    return acc
+
+
+def _check_pair(i, j):
+    if not (1 <= i < j):
+        raise ValueError("epsilon entries need 1 <= i < j, got (%d, %d)" % (i, j))
+
+
+class SparseEpsilon(Frozen):
+    """Upper-triangular integer matrix (epsilon_{i,j})_{i<j}, total.
+
+    Stored in a standard sparse form: finitely many explicit entries
+    (i, j, c), each adding c at (i, j), plus bands (w, c), each adding c
+    to every entry with j - i <= w, as in band-matrix storage.  The
+    constructor adds up repeated pairs and repeated widths, drops zeros
+    and sorts both tuples.  A matrix is its bands' constant diagonals
+    plus a finite correction, so this form is canonical and == is
+    matrix equality.  The default is the zero matrix, which is false.
+    """
+
+    __slots__ = _fields = ("entries", "bands")
+
+    def __init__(self, entries: tuple[tuple[int, int, int], ...] = (),
+                 bands: tuple[tuple[int, int], ...] = ()):
+        acc: dict = {}  # each pair checked and added up in one pass
+        for i, j, c in entries:
+            _check_pair(i, j)
+            acc[i, j] = acc.get((i, j), 0) + c
+        for w, _ in bands:
+            if w < 1:
+                raise ValueError("band width must be >= 1")
+        super().__init__(
+            tuple(sorted([(i, j, c) for (i, j), c in acc.items() if c])),
+            tuple(sorted(_summed(bands).items())) if bands else ())
+
+    @classmethod
+    def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
+        return cls((i, j, c) for (i, j), c in d.items())
+
+    def nonzero(self, kmax: int) -> dict[tuple[int, int], int]:
+        """The nonzero values at the pairs i < j <= kmax, by pair: each
+        explicit entry plus every band that reaches the pair.  A band of
+        width w reaches (i, j) when j - i <= w."""
+        return _summed(itertools.chain(
+            (((i, j), c) for i, j, c in self.entries if j <= kmax),
+            (((i, j), c) for w, c in self.bands for j in range(2, kmax + 1)
+             for i in range(max(1, j - w), j))))
+
+    def value(self, i, j):
+        """The entry at (i, j): its explicit entry plus every band that
+        reaches it, read straight from the stored tuples."""
+        _check_pair(i, j)
+        return (sum(c for p, q, c in self.entries if (p, q) == (i, j))
+                + sum(c for w, c in self.bands if j - i <= w))
+
+    def __add__(self, other: "SparseEpsilon") -> "SparseEpsilon":
+        return SparseEpsilon(self.entries + other.entries,
+                             self.bands + other.bands)
+
+    def __neg__(self) -> "SparseEpsilon":
+        return SparseEpsilon(tuple((i, j, -c) for i, j, c in self.entries),
+                             tuple((w, -c) for w, c in self.bands))
+
+    def __bool__(self):
+        return bool(self.entries or self.bands)
+
+
+def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
+    """Add coordinate maps word -> group element, each given as a dict or
+    as (word, value) pairs; words whose sum is zero drop out."""
+    return _summed(itertools.chain.from_iterable(
+        p.items() if isinstance(p, dict) else p for p in parts))
 
 
 class CoherentElement(Frozen):
@@ -72,16 +152,10 @@ class CoherentElement(Frozen):
                              "not %d" % (2 * m - 1, n))
         super().__init__(n, m, tuple(sorted(_summed(coords).items())), eps)
 
-    def walk(self, kmax: int):
-        """Walk the element up the tower: yield its coordinates at the
-        1, 2, ..., kmax-sphere stages, each in a fresh dict that the
-        caller may change.
-
-        The coordinates are eps_{i,j} on each word [a_i, a_j], written
-        directly, with no rewriting, plus the pairs of coords added on.
-        All are filed by maximal letter once, so level k is level k - 1
-        plus the words filed under k.
-        """
+    def blocks(self, kmax: int) -> dict[int, dict[HallWord, GroupElement]]:
+        """The element's coordinates to the kmax-sphere stage by maximal
+        letter, so level k is the blocks under 1, ..., k: eps_{i,j} on
+        each [a_i, a_j], with no rewriting, plus coords, zeros dropped."""
         by_letter: dict[int, dict] = {}
         for (i, j), c in (self.eps.nonzero(kmax).items() if self.eps else ()):
             by_letter.setdefault(j, {})[bracket(letter(i), letter(j))] = \
@@ -91,6 +165,12 @@ class CoherentElement(Frozen):
             f = filed.pop(w) + f if w in filed else f
             if f:
                 filed[w] = f
+        return by_letter
+
+    def walk(self, kmax: int):
+        """Walk the element up the tower: yield its coordinates at the 1,
+        ..., kmax-sphere stages, each a fresh dict the caller may change."""
+        by_letter = self.blocks(kmax)
         level: dict[HallWord, GroupElement] = {}
         for k in range(1, kmax + 1):
             level.update(by_letter.get(k, ()))
@@ -260,12 +340,63 @@ def check_coherence(e, kmax: int) -> VerificationReport:
 # Realization maps and their verifiers
 
 
-def _compare_levels(projected, own, kmax: int) -> VerificationReport:
-    """Zip a walk of projections with a walk of element levels and
-    record each level where they differ, rendering both sides."""
-    failures = []
-    for k, (got, want) in enumerate(zip(projected, own), start=1):
-        if got != want:
+def project_blocks(e, kmax: int) -> dict[int, dict[HallWord, GroupElement]]:
+    """Push an element's two infinite sums down the tower to kmax, its
+    terms added up, zeros dropped, and filed by largest letter: the
+    collapse map to the wedge of k spheres sends every letter beyond k
+    to zero, so it keeps the terms filed under 1, ..., k.
+
+    Works for anything with fields n, m, coords and eps, such as a
+    CoherentElement.  The terms are its coordinates, and eps_{i,j} on
+    [a_i, a_j] for each entry (i, j, c) with j <= kmax and each pair a
+    band (w, c) reaches, j - i <= w: a Hall word with a value in Z, the
+    group of weight-2 words in the degree 2m - 1 of a nonzero eps.
+    """
+    pairs = [(i, j, c) for i, j, c in e.eps.entries if j <= kmax]
+    pairs += [(i, j, c) for w, c in e.eps.bands for j in range(2, kmax + 1)
+              for i in range(max(1, j - w), j)]
+    # each term under its largest letter: the first level that keeps it
+    by_top: dict[int, dict] = {}
+    for w, f in itertools.chain(e.coords, (
+            (bracket(letter(i), letter(j)), integer_element(c))
+            for i, j, c in pairs)):
+        kept = by_top.setdefault(max(word_letters(w)), {})
+        f = kept.pop(w) + f if w in kept else f
+        if f:
+            kept[w] = f
+    return by_top
+
+
+def project_levels(e, kmax: int):
+    """Walk an element's two infinite sums down the tower: yield its
+    projections to the wedges of 1, ..., kmax spheres, each a fresh dict."""
+    by_top = project_blocks(e, kmax)
+    level: dict[HallWord, GroupElement] = {}
+    for k in range(1, kmax + 1):
+        level.update(by_top.get(k, ()))
+        yield dict(level)
+
+
+def project_level(e, k: int) -> dict[HallWord, GroupElement]:
+    """Push an element's two infinite sums down to the k-sphere wedge:
+    the last level of the walk project_levels(e, k)."""
+    if k < 1:
+        raise ValueError("levels start at 1")
+    for level in project_levels(e, k):
+        pass
+    return level
+
+
+def _compare_blocks(projected, own, kmax: int) -> VerificationReport:
+    """Compare the projection's blocks with the element's up to kmax,
+    each word once: level k agrees exactly when blocks 1, ..., k do.
+    The levels are added up alongside, to render the failing ones."""
+    failures, got, want = [], {}, {}
+    for k in range(1, kmax + 1):
+        block, own_block = projected.get(k, {}), own.get(k, {})
+        got.update(block)
+        want.update(own_block)
+        if block != own_block or failures:
             failures.append("level %d: projection %s != coordinates %s"
                             % (k, _render_coords(got), _render_coords(want)))
     return VerificationReport(not failures, kmax, tuple(failures))
@@ -280,16 +411,17 @@ def verify_weight2_realization(e: CoherentElement, kmax: int) -> VerificationRep
     """Check that projecting any element's two infinite sums gives its
     own coordinates at each level; for a weight-2 family those are the
     double sum of eps_{i,j} [a_i, a_j]."""
-    return _compare_levels(project_levels(e, kmax), e.walk(kmax), kmax)
+    return _compare_blocks(project_blocks(e, kmax), e.blocks(kmax), kmax)
 
 
 def verify_composition_additivity(e1: CoherentElement, e2: CoherentElement,
                                   kmax: int) -> VerificationReport:
     """Check additivity of the realization level by level: the two
     elements' projections must add up to the coordinates of their sum."""
-    added = map(add_coordinates, project_levels(e1, kmax),
-                project_levels(e2, kmax))
-    return _compare_levels(added, (e1 + e2).walk(kmax), kmax)
+    added = project_blocks(e1, kmax)
+    for k, block in project_blocks(e2, kmax).items():
+        added[k] = add_coordinates(added[k], block) if k in added else block
+    return _compare_blocks(added, (e1 + e2).blocks(kmax), kmax)
 
 
 class SubgroupForms(Record):
@@ -318,6 +450,63 @@ def min_letter_subgroup_expr(n: int, m: int, table) -> SubgroupForms:
 
 # ---------------------------------------------------------------------------
 # Element description files
+
+
+# one token: a symbol, a letter a<i> or an integer; no group, so that
+# findall returns the tokens' text
+_TOKEN_RE = re.compile(r"[\[\],+\-*()]|a\d+|\d+")
+# where a scan token by token would stop: a character no token starts
+# with, or an 'a' without its index
+_JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
+
+
+def _scan(text: str, tokens=_TOKEN_RE) -> list[str]:
+    """The tokens of text, with whitespace allowed between them, each
+    as its text: a<i>, the digits of an integer, one symbol, or for
+    whitehead's _EXPR_TOKEN_RE a run."""
+    junk = _JUNK_RE.search(text)
+    if junk:
+        pos = len(text[:junk.start()].rstrip())
+        raise ValueError("bad token at %r" % text[pos:pos + 10])
+    return tokens.findall(text)
+
+
+def _shown(token: str) -> int | str | None:
+    """A token as an error message names it: the index of a letter, an
+    integer, a symbol or a run's first, or None for the end of text."""
+    if token[:1] == "a" or token.isdigit():
+        return int(token.lstrip("a"))
+    return token[:1] or None
+
+
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def parse_word(text: str) -> HallWord:
+    """Parse a bare bracket word: a<i> or [word,word], no sums.  Words
+    recur across element files, so each text is read once."""
+    stack: list = []  # per open '[': its left factor once read, else None
+    word = None       # the word just read, until a ',' or ']' takes it
+    for tok in _scan(text):
+        if word is None:
+            if tok[0] == "a":
+                word = letter(int(tok[1:]))
+            elif tok == "[":
+                stack.append(None)
+            else:
+                raise ValueError("expected a letter or bracket, got %r"
+                                 % (_shown(tok),))
+        elif not stack:
+            raise ValueError("trailing input after word: %r" % (_shown(tok),))
+        else:
+            end = "," if stack[-1] is None else "]"
+            if tok != end:
+                raise ValueError("expected %r, got %r" % (end, _shown(tok)))
+            if end == ",":
+                stack[-1], word = word, None
+            else:
+                word = bracket(stack.pop(), word)
+    if word is None or stack:
+        raise ValueError("unexpected end of word")
+    return word
 
 
 def parse_element_file(text: str, table) -> CoherentElement:
@@ -414,14 +603,14 @@ def render_element_file(e: CoherentElement) -> str:
 
 
 def random_sparse_epsilon(rng: random.Random) -> SparseEpsilon:
-    entries = {}
+    entries = []
     for i in range(1, 6):
         for j in range(i + 1, 7):
             if rng.random() < 0.5:
                 c = rng.randint(-3, 3)
                 if c:
-                    entries[(i, j)] = c
-    return SparseEpsilon.from_dict(entries)
+                    entries.append((i, j, c))
+    return SparseEpsilon(entries)
 
 
 def random_group_element(rng: random.Random, group) -> GroupElement:

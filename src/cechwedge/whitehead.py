@@ -32,14 +32,14 @@ so equal tensor expansions certify equality modulo the relations.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from typing import NamedTuple
 
-from .groups import GroupElement, integer_element
+# SparseEpsilon and project_level: the benchmark's tracer looks them up here
+from .elements import (_TOKEN_RE, SparseEpsilon, _scan, _shown,  # noqa: F401
+                       _summed, parse_word, project_level)
 from .hall import (WORD_CACHE_SIZE, HallWord, _hall_conditions, _new, bracket,
-                   letter, word_letters)
-from .records import Frozen
+                   word_letters)
 
 MAX_TENSOR_WEIGHT = 4
 
@@ -50,17 +50,6 @@ class WeightLimitError(ValueError):
 
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
-
-
-def _summed(pairs) -> dict:
-    """Add up the values of repeated keys and drop the zeros, in one pass."""
-    acc: dict = {}
-    for key, c in pairs:
-        if key in acc:
-            c = acc.pop(key) + c
-        if c:
-            acc[key] = c
-    return acc
 
 
 class BracketMonomial(NamedTuple):
@@ -283,27 +272,10 @@ def tensor_expansion(s) -> dict[tuple, int]:
 # Text syntax
 
 
-# one token: a symbol, a letter a<i> or an integer; no group, so that
-# findall returns the tokens' text
-_TOKEN_RE = re.compile(r"[\[\],+\-*()]|a\d+|\d+")
 # an expression's tokens, where a '[' and the letters, commas and
 # brackets after it are one run; it never backtracks, so stays linear
 _EXPR_TOKEN_RE = re.compile(r"\[(?:[\[\],]|a\d+|\s+(?=[\[\],a]))*|"
                             + _TOKEN_RE.pattern)
-# where a scan token by token would stop: a character no token starts
-# with, or an 'a' without its index
-_JUNK_RE = re.compile(r"[^\s\d\[\],+\-*()a]|a(?!\d)")
-
-
-def _scan(text: str, tokens=_TOKEN_RE) -> list[str]:
-    """The tokens of text, with whitespace allowed between them, each
-    as its text: a<i>, the digits of an integer, one symbol, or for
-    _EXPR_TOKEN_RE a run."""
-    junk = _JUNK_RE.search(text)
-    if junk:
-        pos = len(text[:junk.start()].rstrip())
-        raise ValueError("bad token at %r" % text[pos:pos + 10])
-    return tokens.findall(text)
 
 
 def _groups(run: str) -> list[str]:
@@ -319,14 +291,6 @@ def _groups(run: str) -> list[str]:
                 opened.append(len(out))
             out.append(tok)
     return out
-
-
-def _shown(token: str) -> int | str | None:
-    """A token as an error message names it: the index of a letter, an
-    integer, a symbol or a run's first, or None for the end of text."""
-    if token[:1] == "a" or token.isdigit():
-        return int(token.lstrip("a"))
-    return token[:1] or None
 
 
 def parse_bracket_expr(text: str, degrees) -> FormalSum:
@@ -419,148 +383,3 @@ def parse_bracket_expr(text: str, degrees) -> FormalSum:
                             pairs.append((x.bracket(y), cx * cy))
             outer += pairs if k == 1 else [(m, k * v) for m, v in pairs]
             pairs = outer
-
-
-@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
-def parse_word(text: str) -> HallWord:
-    """Parse a bare bracket word: a<i> or [word,word], no sums.  Words
-    recur across element files, so each text is read once."""
-    stack: list = []  # per open '[': its left factor once read, else None
-    word = None       # the word just read, until a ',' or ']' takes it
-    for tok in _scan(text):
-        if word is None:
-            if tok[0] == "a":
-                word = letter(int(tok[1:]))
-            elif tok == "[":
-                stack.append(None)
-            else:
-                raise ValueError("expected a letter or bracket, got %r"
-                                 % (_shown(tok),))
-        elif not stack:
-            raise ValueError("trailing input after word: %r" % (_shown(tok),))
-        else:
-            end = "," if stack[-1] is None else "]"
-            if tok != end:
-                raise ValueError("expected %r, got %r" % (end, _shown(tok)))
-            if end == ",":
-                stack[-1], word = word, None
-            else:
-                word = bracket(stack.pop(), word)
-    if word is None or stack:
-        raise ValueError("unexpected end of word")
-    return word
-
-
-# ---------------------------------------------------------------------------
-# Weight-2 matrices and the projection of an element to one level
-
-
-def _check_pair(i, j):
-    if not (1 <= i < j):
-        raise ValueError("epsilon entries need 1 <= i < j, got (%d, %d)" % (i, j))
-
-
-class SparseEpsilon(Frozen):
-    """Upper-triangular integer matrix (epsilon_{i,j})_{i<j}, total.
-
-    Stored in a standard sparse form: finitely many explicit entries
-    (i, j, c), each adding c at (i, j), plus bands (w, c), each adding c
-    to every entry with j - i <= w, as in band-matrix storage.  The
-    constructor adds up repeated pairs and repeated widths, drops zeros
-    and sorts both tuples.  A matrix is its bands' constant diagonals
-    plus a finite correction, so this form is canonical and == is
-    matrix equality.  The default is the zero matrix, which is false.
-    """
-
-    __slots__ = _fields = ("entries", "bands")
-
-    def __init__(self, entries: tuple[tuple[int, int, int], ...] = (),
-                 bands: tuple[tuple[int, int], ...] = ()):
-        for i, j, _ in entries:
-            _check_pair(i, j)
-        for w, _ in bands:
-            if w < 1:
-                raise ValueError("band width must be >= 1")
-        super().__init__(
-            tuple(sorted((i, j, c) for (i, j), c in _summed(
-                ((i, j), c) for i, j, c in entries).items())) if entries else (),
-            tuple(sorted(_summed(bands).items())) if bands else ())
-
-    @classmethod
-    def from_dict(cls, d: dict[tuple[int, int], int]) -> "SparseEpsilon":
-        return cls(tuple((i, j, c) for (i, j), c in d.items()))
-
-    def nonzero(self, kmax: int) -> dict[tuple[int, int], int]:
-        """The nonzero values at the pairs i < j <= kmax, by pair: each
-        explicit entry plus every band that reaches the pair.  A band of
-        width w reaches (i, j) when j - i <= w."""
-        return _summed(itertools.chain(
-            (((i, j), c) for i, j, c in self.entries if j <= kmax),
-            (((i, j), c) for w, c in self.bands for j in range(2, kmax + 1)
-             for i in range(max(1, j - w), j))))
-
-    def value(self, i, j):
-        """The entry at (i, j): its explicit entry plus every band that
-        reaches it, read straight from the stored tuples."""
-        _check_pair(i, j)
-        return (sum(c for p, q, c in self.entries if (p, q) == (i, j))
-                + sum(c for w, c in self.bands if j - i <= w))
-
-    def __add__(self, other: "SparseEpsilon") -> "SparseEpsilon":
-        return SparseEpsilon(self.entries + other.entries,
-                             self.bands + other.bands)
-
-    def __neg__(self) -> "SparseEpsilon":
-        return SparseEpsilon(tuple((i, j, -c) for i, j, c in self.entries),
-                             tuple((w, -c) for w, c in self.bands))
-
-    def __bool__(self):
-        return bool(self.entries or self.bands)
-
-
-def add_coordinates(*parts) -> dict[HallWord, GroupElement]:
-    """Add coordinate maps word -> group element, each given as a dict or
-    as (word, value) pairs; words whose sum is zero drop out."""
-    return _summed(itertools.chain.from_iterable(
-        p.items() if isinstance(p, dict) else p for p in parts))
-
-
-def project_levels(e, kmax: int):
-    """Walk an element's two infinite sums down the tower: yield its
-    projections to the wedges of 1, 2, ..., kmax spheres, each in a
-    fresh dict that the caller may change.
-
-    Works for anything with fields n, m, coords and eps, such as a
-    CoherentElement.  The projection is the collapse map: it sends
-    every letter beyond k to zero, so a term survives at level k
-    exactly when every one of its letters is <= k.  The terms are read
-    as the element stores them: its coordinates, and eps_{i,j} [a_i, a_j]
-    for each entry (i, j, c) with j <= kmax and each pair that a band
-    (w, c) reaches, j - i <= w.  With i < j each such word is already a
-    Hall word, and its coefficient lies in Z, the group of every weight-2
-    word in the degree n = 2m - 1 of an element with a nonzero eps.
-    """
-    pairs = [(i, j, c) for i, j, c in e.eps.entries if j <= kmax]
-    pairs += [(i, j, c) for w, c in e.eps.bands for j in range(2, kmax + 1)
-              for i in range(max(1, j - w), j)]
-    # each term under its largest letter: the first level that keeps it
-    by_top: dict[int, dict] = {}
-    for w, f in itertools.chain(e.coords, (
-            (bracket(letter(i), letter(j)), integer_element(c))
-            for i, j, c in pairs)):
-        kept = by_top.setdefault(max(word_letters(w)), {})
-        kept[w] = kept[w] + f if w in kept else f
-    level: dict[HallWord, GroupElement] = {}
-    for k in range(1, kmax + 1):
-        level.update((w, f) for w, f in by_top.get(k, {}).items() if f)
-        yield dict(level)
-
-
-def project_level(e, k: int) -> dict[HallWord, GroupElement]:
-    """Push an element's two infinite sums down to the k-sphere wedge:
-    the last level of the walk project_levels(e, k)."""
-    if k < 1:
-        raise ValueError("levels start at 1")
-    for level in project_levels(e, k):
-        pass
-    return level

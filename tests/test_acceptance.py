@@ -11,7 +11,8 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 from cechwedge.cli import main
-from cechwedge.elements import (check_coherence, random_min_letter_elements,
+from cechwedge.elements import (check_coherence, parse_word, project_level,
+                                random_min_letter_elements,
                                 random_sparse_epsilon,
                                 verify_composition_additivity,
                                 verify_weight2_realization,
@@ -24,8 +25,7 @@ from cechwedge.hilton import (cech_decompose, earring_formula,
                               stabilization_report)
 from cechwedge.spheres import seed_table
 from cechwedge.whitehead import (FormalSum, hall_normalize, monomial_of_word,
-                                 parse_bracket_expr, parse_word, project_level,
-                                 tensor_expansion)
+                                 parse_bracket_expr, tensor_expansion)
 
 from random_elements import random_element
 

@@ -6,12 +6,12 @@ import time
 
 import pytest
 
-from cechwedge import cli, elements, hall, spheres, whitehead
+from cechwedge import cli, elements, hall, spheres
 from cechwedge.cli import main
+from cechwedge.elements import SparseEpsilon, parse_word
 from cechwedge.groups import to_machine
 from cechwedge.hilton import earring_formula
 from cechwedge.spheres import seed_table
-from cechwedge.whitehead import SparseEpsilon, parse_word
 from test_elements import dropping
 from test_spheres import primes_from
 
@@ -406,8 +406,8 @@ def test_verify_edge_random_catches_a_lossy_projection(capsys, monkeypatch):
     # projections of eps and delta no longer add up to the levels of
     # eps + delta in that run alone.
     eps = elements.random_sparse_epsilon(random.Random(7))
-    monkeypatch.setattr(elements, "project_levels", dropping(
-        whitehead.project_levels, parse_word("[a1,a2]"),
+    monkeypatch.setattr(elements, "project_blocks", dropping(
+        elements.project_blocks, parse_word("[a1,a2]"),
         target=elements.weight_two_element(2, eps)))
     rc, out, err = run(capsys, "verify", "edge", "--random", "--seed", "7",
                        "--m", "2", "--levels", "3", "--count", "2")
@@ -418,34 +418,36 @@ def test_verify_edge_random_catches_a_lossy_projection(capsys, monkeypatch):
         "coordinates {[a1,a2]: 1, [a1,a3]: -3, [a2,a3]: -3}\n")
 
 
-def _count_walks(monkeypatch):
-    """Count element walks and projection walks; refuse any level built
-    outside a walk."""
+def _count_block_reads(monkeypatch):
+    """Count the block reads of elements ("walk") and of projections
+    ("project"); refuse any level built as a whole."""
     counts = {"walk": 0, "project": 0}
-    walk, project = elements.CoherentElement.walk, whitehead.project_levels
+    blocks, project = elements.CoherentElement.blocks, elements.project_blocks
 
-    def counted_walk(self, kmax):
+    def counted_blocks(self, kmax):
         counts["walk"] += 1
-        return walk(self, kmax)
+        return blocks(self, kmax)
 
     def counted_project(e, kmax):
         counts["project"] += 1
         return project(e, kmax)
 
-    def refuse(self, k):
-        raise AssertionError("a level was built outside a walk")
+    def refuse(*args):
+        raise AssertionError("a level was built as a whole")
 
-    monkeypatch.setattr(elements.CoherentElement, "walk", counted_walk)
-    monkeypatch.setattr(elements.CoherentElement, "level", refuse)
-    monkeypatch.setattr(elements, "project_levels", counted_project)
-    monkeypatch.setattr(whitehead, "project_levels", counted_project)
+    monkeypatch.setattr(elements.CoherentElement, "blocks", counted_blocks)
+    monkeypatch.setattr(elements, "project_blocks", counted_project)
+    for name in ("walk", "level"):
+        monkeypatch.setattr(elements.CoherentElement, name, refuse)
+    for name in ("project_levels", "project_level"):
+        monkeypatch.setattr(elements, name, refuse)
     return counts
 
 
 def test_verify_edge_random_work_per_run(capsys, monkeypatch):
-    # Per run: one additivity check walks the projections of eps and of
-    # delta and the levels of eps + delta.
-    counts = _count_walks(monkeypatch)
+    # Per run: one additivity check reads the blocks of the projections
+    # of eps and of delta and of the coordinates of eps + delta.
+    counts = _count_block_reads(monkeypatch)
     rc, out, err = run(capsys, "verify", "edge", "--random", "--m", "2",
                        "--levels", "6", "--count", "5")
     assert rc == 0 and out == "PASS\n" and err == ""
@@ -454,7 +456,7 @@ def test_verify_edge_random_work_per_run(capsys, monkeypatch):
 
 def test_verify_theta_random_work_per_run(capsys, monkeypatch):
     # Per run: the same additivity check on two least-letter families.
-    counts = _count_walks(monkeypatch)
+    counts = _count_block_reads(monkeypatch)
     rc, out, err = run(capsys, "verify", "theta", "--random", "--n", "4",
                        "--m", "2", "--levels", "5", "--count", "5")
     assert rc == 0 and out == "PASS\n" and err == ""
@@ -470,8 +472,8 @@ def test_verify_theta_random(capsys):
 def test_verify_theta_random_catches_a_lossy_projection(capsys, monkeypatch):
     # The second element of run 0 is 1 on [a3,[a1,a2]]; its projection
     # loses that word, so the two projections miss it in the sum.
-    monkeypatch.setattr(elements, "project_levels", dropping(
-        whitehead.project_levels, parse_word("[a3,[a1,a2]]")))
+    monkeypatch.setattr(elements, "project_blocks", dropping(
+        elements.project_blocks, parse_word("[a3,[a1,a2]]")))
     rc, out, err = run(capsys, "verify", "theta", "--random", "--seed", "3",
                        "--n", "4", "--m", "2", "--levels", "3", "--count", "2")
     assert rc == 1 and out == "FAIL\n"
@@ -533,8 +535,8 @@ def test_verify_edge_file(capsys, tmp_path, monkeypatch):
                        "family (eps lines only)\n")
     # a projection that loses a word fails the realization check
     p.write_text("element n=3 m=2\neps 1 2 = 2\neps 2 3 = -1\n")
-    monkeypatch.setattr(elements, "project_levels", dropping(
-        whitehead.project_levels, parse_word("[a2,a3]")))
+    monkeypatch.setattr(elements, "project_blocks", dropping(
+        elements.project_blocks, parse_word("[a2,a3]")))
     rc, out, err = run(capsys, "verify", "edge", "--m", "2", "--file", str(p),
                        "--levels", "3")
     assert rc == 1 and out == "FAIL\n"
@@ -620,8 +622,8 @@ def test_verify_theta_file(capsys, tmp_path, monkeypatch):
     # the same realization check as edge: a lossy projection fails it
     p.write_text("element n=4 m=2\ngtuple 1 [a1,[a1,a2]] = 2\n"
                  "gtuple 2 [a2,[a2,a3]] = -1\n")
-    monkeypatch.setattr(elements, "project_levels", dropping(
-        whitehead.project_levels, parse_word("[a1,[a1,a2]]")))
+    monkeypatch.setattr(elements, "project_blocks", dropping(
+        elements.project_blocks, parse_word("[a1,[a1,a2]]")))
     rc, out, err = run(capsys, "verify", "theta", "--n", "4", "--m", "2",
                        "--file", str(p), "--levels", "3", "--format", "json")
     assert rc == 1

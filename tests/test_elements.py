@@ -9,10 +9,11 @@ import pytest
 from cechwedge.groups import (CYCLIC_2, GroupElement, ZERO,
                               integer_element, render_text)
 from cechwedge.elements import (CoherentElement, ElementFormatError,
-                                UnresolvedGroupError, check_coherence,
-                                finite_support_element,
+                                SparseEpsilon, UnresolvedGroupError,
+                                check_coherence, finite_support_element,
                                 min_letter_element, min_letter_subgroup_expr,
-                                parse_element_file,
+                                parse_element_file, parse_word, project_blocks,
+                                project_level, project_levels,
                                 random_min_letter_elements, random_sparse_epsilon,
                                 render_element_file,
                                 verify_composition_additivity,
@@ -22,8 +23,6 @@ from cechwedge.elements import (CoherentElement, ElementFormatError,
 from cechwedge import elements as elements_module, hall, hilton
 from cechwedge.hall import bracket, letter
 from cechwedge.spheres import parse_table, seed_table
-from cechwedge.whitehead import (SparseEpsilon, parse_word, project_level,
-                                 project_levels)
 
 from random_elements import random_element, random_weight_two_element
 from test_hall import _library_caches
@@ -456,14 +455,15 @@ def test_realization_additivity_takes_mixed_elements():
     assert rep.ok and rep.checked_levels == 5
 
 
-def dropping(walk, word, target=None):
-    """A walk like `walk` that loses `word` from every level of the
-    element `target` (of every element when target is None)."""
+def dropping(blocks, word, target=None):
+    """A block reader like `blocks` that loses `word` from the blocks of
+    the element `target` (of every element when target is None)."""
     def lossy(e, kmax):
-        for level in walk(e, kmax):
-            if target is None or e == target:
-                level.pop(word, None)
-            yield level
+        filed = blocks(e, kmax)
+        if target is None or e == target:
+            for block in filed.values():
+                block.pop(word, None)
+        return filed
     return lossy
 
 
@@ -472,8 +472,8 @@ EDGE = weight_two_element(2, {(1, 2): 1, (1, 3): -2, (2, 3): 3})
 
 
 def test_weight2_realization_fails_on_a_lossy_projection(monkeypatch):
-    monkeypatch.setattr(elements_module, "project_levels",
-                        dropping(project_levels, W12))
+    monkeypatch.setattr(elements_module, "project_blocks",
+                        dropping(project_blocks, W12))
     rep = verify_weight2_realization(EDGE, 3)
     assert not rep.ok and rep.checked_levels == 3
     assert rep.failures == (
@@ -483,9 +483,9 @@ def test_weight2_realization_fails_on_a_lossy_projection(monkeypatch):
 
 
 def test_weight2_realization_fails_on_lossy_coordinates(monkeypatch):
-    walk = CoherentElement.walk
-    monkeypatch.setattr(CoherentElement, "walk",
-                        dropping(walk, W23))
+    blocks = CoherentElement.blocks
+    monkeypatch.setattr(CoherentElement, "blocks",
+                        dropping(blocks, W23))
     rep = verify_weight2_realization(EDGE, 3)
     assert rep.failures == (
         "level 3: projection {[a1,a2]: 1, [a1,a3]: -2, [a2,a3]: 3} != "
@@ -500,8 +500,8 @@ def _additivity_pair():
 
 def test_additivity_fails_on_a_lossy_projection_of_one_summand(monkeypatch):
     e1, e2, _ = _additivity_pair()
-    monkeypatch.setattr(elements_module, "project_levels",
-                        dropping(project_levels, W23, target=e1))
+    monkeypatch.setattr(elements_module, "project_blocks",
+                        dropping(project_blocks, W23, target=e1))
     rep = verify_composition_additivity(e1, e2, 3)
     assert not rep.ok and rep.checked_levels == 3
     assert rep.failures == (
@@ -512,8 +512,8 @@ def test_additivity_fails_on_a_lossy_projection_of_one_summand(monkeypatch):
 def test_additivity_fails_on_a_lossy_projection_of_the_second_summand(
         monkeypatch):
     e1, e2, _ = _additivity_pair()
-    monkeypatch.setattr(elements_module, "project_levels",
-                        dropping(project_levels, W13, target=e2))
+    monkeypatch.setattr(elements_module, "project_blocks",
+                        dropping(project_blocks, W13, target=e2))
     rep = verify_composition_additivity(e1, e2, 4)
     assert rep.failures == tuple(
         "level %d: projection {[a1,a2]: 1, [a2,a3]: 2} != coordinates "
@@ -522,12 +522,26 @@ def test_additivity_fails_on_a_lossy_projection_of_the_second_summand(
 
 def test_additivity_fails_on_lossy_coordinates_of_the_sum(monkeypatch):
     e1, e2, s = _additivity_pair()
-    monkeypatch.setattr(CoherentElement, "walk",
-                        dropping(CoherentElement.walk, W13, target=s))
+    monkeypatch.setattr(CoherentElement, "blocks",
+                        dropping(CoherentElement.blocks, W13, target=s))
     rep = verify_composition_additivity(e1, e2, 4)
     assert rep.failures == tuple(
         "level %d: projection {[a1,a2]: 1, [a1,a3]: -1, [a2,a3]: 2} != "
         "coordinates {[a1,a2]: 1, [a2,a3]: 2}" % k for k in (3, 4))
+
+
+def test_additivity_compares_the_new_word_of_the_top_level(monkeypatch):
+    # Only [a3,a4] differs, and it is new at level 4 = kmax, so a compare
+    # that stopped one level short would pass.
+    e1 = weight_two_element(2, {(1, 2): 1, (3, 4): 2})
+    e2 = weight_two_element(2, {(1, 3): -1})
+    assert verify_composition_additivity(e1, e2, 4).ok
+    monkeypatch.setattr(elements_module, "project_blocks", dropping(
+        project_blocks, parse_word("[a3,a4]"), target=e1))
+    rep = verify_composition_additivity(e1, e2, 4)
+    assert rep.failures == (
+        "level 4: projection {[a1,a2]: 1, [a1,a3]: -1} != coordinates "
+        "{[a1,a2]: 1, [a1,a3]: -1, [a3,a4]: 2}",)
 
 
 def _cechwedge_calls(run):
@@ -569,7 +583,7 @@ def test_realization_sides_share_only_word_and_group_constructors(e):
     assert {f for f in shared if f not in allowed
             and not (f[0] == "groups" and f[1].startswith("GroupElement."))
             } == set()
-    assert ("whitehead", "project_levels") in projection - walk
+    assert ("elements", "project_levels") in projection - walk
     assert ("elements", "CoherentElement.walk") in walk - projection
 
 

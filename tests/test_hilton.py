@@ -13,7 +13,7 @@ from cechwedge.hilton import (SupportError, apply_bonding,
                               earring_formula, sphere_group_expr,
                               stabilization_report, weight_summand)
 from cechwedge.spheres import SphereGroupTable, seed_table
-from cechwedge.whitehead import parse_word
+from cechwedge.elements import parse_word
 
 TABLE = seed_table()
 G1 = GradingSequence.constant(1)

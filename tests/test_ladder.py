@@ -5,14 +5,14 @@ import time
 
 import ladder
 from cechwedge.elements import (CoherentElement, check_coherence,
-                                parse_element_file,
+                                parse_element_file, project_levels,
                                 verify_composition_additivity,
                                 verify_weight2_realization)
 from cechwedge.groups import invariant_factors
 from cechwedge.hall import generate, height_class_census, heights, labels
 from cechwedge.hilton import cech_decompose, decompose_wedge, earring_formula
 from cechwedge.whitehead import (hall_normalize, parse_bracket_expr,
-                                 project_levels, tensor_expansion)
+                                 tensor_expansion)
 
 LIBRARY = {f.__name__: f for f in (
     generate, parse_bracket_expr, hall_normalize, tensor_expansion,
@@ -31,7 +31,7 @@ def test_smallest_point_of_every_layer():
     lib = ladder.library()
     points = ladder.steps(lib)
     assert tuple(points) == ladder.LAYERS
-    assert set(LIBRARY) | set(SESSIONS) == set(points)
+    assert set(LIBRARY) | set(SESSIONS) | {"additivity_runs"} == set(points)
     for layer, pts in points.items():
         sizes = [size for size, _, _ in pts]
         assert sizes == sorted(set(sizes)) and len(sizes) >= 3, layer
@@ -52,6 +52,12 @@ def test_smallest_point_of_every_layer():
             assert [len(s) for s, in streams] == [size, size]
             # replay repeats stream seed 1, fresh draws a new seed per pass
             assert (streams[0] == streams[1]) == (layer == "session_replay")
+        elif layer == "additivity_runs":
+            # one call checks every pair of seeded draws at 8 levels
+            assert fn.__wrapped__ is verify_composition_additivity
+            pairs, kmax = args
+            assert len(pairs) == size and kmax == 8
+            want = size  # each pair passes
         elif layer == "decompose_wedge":
             # the tower query: how many summands the wedge splits into
             assert fn.__wrapped__ is LIBRARY[layer]

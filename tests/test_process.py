@@ -4,6 +4,7 @@ sets are checked in fresh interpreters: pytest has already imported the
 whole package here."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -36,14 +37,15 @@ def _python(code, *args):
     return proc.stdout
 
 
-# Runs one command through cli.main, then prints which element modules
-# the process loaded on a line of its own.
-RUN_AND_LIST = (
+# Runs one command through cli.main, then prints which of the given
+# modules the process loaded on a line of its own.
+RUN_AND_LIST_OF = (
     "import sys\n"
     "from cechwedge.cli import main\n"
     "rc = main(sys.argv[1:])\n"
     "print(sorted(m for m in %r if m in sys.modules))\n"
-    "sys.exit(rc)\n" % (ELEMENT_MODULES,))
+    "sys.exit(rc)\n")
+RUN_AND_LIST = RUN_AND_LIST_OF % (ELEMENT_MODULES,)
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,7 +66,40 @@ def test_verify_edge_loads_the_element_code():
     # positive control: the listing above does see an element command
     out = _python(RUN_AND_LIST, "verify", "edge", "--random", "--m", "2",
                   "--levels", "3", "--count", "1")
-    assert out.splitlines() == ["PASS", str(sorted(ELEMENT_MODULES))]
+    assert out.splitlines() == ["PASS", "['cechwedge.elements']"]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("verify", "edge", "--random", "--m", "3", "--levels", "4",
+      "--count", "3"), None),
+    (("verify", "theta", "--n", "4", "--m", "2", "--levels", "3",
+      "--file"), "element n=4 m=2\ngtuple 1 [a1,[a1,a2]] = 1\n"),
+    (("verify", "coherence", "--levels", "3", "--file"),
+     "element n=3 m=2\neps 1 2 = 1\nsupport [a1,a3] = 2\n"),
+], ids=["edge-random", "theta-file", "coherence-file"])
+def test_element_commands_compile_no_rewriting_engine(tmp_path, argv, text):
+    # the verifiers need the word reader and the element code, never
+    # the bracket rewriting of cechwedge.whitehead
+    if text is not None:
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        argv += (str(path),)
+    out = _python(RUN_AND_LIST, *argv)
+    assert out.splitlines() == ["PASS", "['cechwedge.elements']"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "-k", "3", "-j", "4"),
+    ("cech", "earring", "-m", "2", "-n", "4"),
+    ("hall", "-k", "2", "-J", "3"),
+    ("hm", "-n", "4", "-k", "2", "-m", "2"),
+], ids=["count", "cech-earring", "hall", "hm"])
+def test_only_json_output_loads_json(argv):
+    listed = RUN_AND_LIST_OF % (("json",),)
+    assert _python(listed, *argv).splitlines()[-1] == "[]"
+    out = _python(listed, *argv, "--format", "json").splitlines()
+    assert out[-1] == "['json']"
+    json.loads(out[0])  # the positive control printed JSON
 
 
 def test_every_public_name_resolves_to_its_home_module():

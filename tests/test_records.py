@@ -11,15 +11,14 @@ import sys
 
 import pytest
 
-from cechwedge.elements import (CoherentElement, SubgroupForms,
-                                VerificationReport)
+from cechwedge.elements import (CoherentElement, SparseEpsilon,
+                                SubgroupForms, VerificationReport)
 from cechwedge.groups import (CYCLIC_2, DirectSum, FGAbelianGroup, Pow,
                               ProdN, SphereSymbol, SumN, Z, ZERO)
 from cechwedge.hall import GradingSequence, HallListing
 from cechwedge.hilton import BondingMap, StabilizationReport, WedgeDecomposition
 from cechwedge.records import Record
 from cechwedge.spheres import SphereGroupTable
-from cechwedge.whitehead import SparseEpsilon
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cechwedge"

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parse_oracle
-from cechwedge import whitehead
-from cechwedge.elements import (CoherentElement, verify_weight2_realization,
+from cechwedge import elements, whitehead
+from cechwedge.elements import (CoherentElement, SparseEpsilon,
+                                add_coordinates, parse_word, project_level,
+                                project_levels, verify_weight2_realization,
                                 weight_two_element)
 from cechwedge.groups import (CYCLIC_2, FGAbelianGroup, GroupElement, Z,
                               integer_element)
 from cechwedge.hall import bracket, letter
-from cechwedge.whitehead import (BracketMonomial, FormalSum, SparseEpsilon,
-                                 WeightLimitError, add_coordinates, expand,
-                                 hall_normalize, monomial_of_word,
-                                 parse_bracket_expr, parse_word,
-                                 project_level, project_levels,
-                                 tensor_expansion)
+from cechwedge.whitehead import (BracketMonomial, FormalSum, WeightLimitError,
+                                 expand, hall_normalize, monomial_of_word,
+                                 parse_bracket_expr, tensor_expansion)
 
 
 DEG2 = {1: 2, 2: 2, 3: 2}
@@ -331,7 +330,7 @@ def _scanned_tokens(text):
     ("letter", i), ("int", c) and ("sym", s) tokens."""
     return [("letter", int(t[1:])) if t[0] == "a" else
             ("int", int(t)) if t[0] not in "[],+-*()" else ("sym", t)
-            for t in whitehead._scan(text)]
+            for t in elements._scan(text)]
 
 
 @given(text=_texts, ds=st.lists(st.integers(2, 4), min_size=1, max_size=4))
@@ -341,9 +340,9 @@ def test_text_reader_matches_the_token_by_token_oracle(text, ds):
     assert _read(_scanned_tokens, text) == _read(parse_oracle.tokenize, text)
     # an expression's runs of letters, commas and brackets hold the
     # same tokens
-    runs = _read(whitehead._scan, text, whitehead._EXPR_TOKEN_RE)
-    assert _read(whitehead._scan, text)[1] == (
-        [t for run in runs[1] for t in whitehead._TOKEN_RE.findall(run)]
+    runs = _read(elements._scan, text, whitehead._EXPR_TOKEN_RE)
+    assert _read(elements._scan, text)[1] == (
+        [t for run in runs[1] for t in elements._TOKEN_RE.findall(run)]
         if runs[0] == "ok" else runs[1])
     degrees = _CyclicDegrees(ds)
     for new, old, args in ((parse_word, parse_oracle.parse_word, ()),
@@ -666,8 +665,8 @@ def test_walk_brackets_each_column_once(monkeypatch):
         raise AssertionError("a projection called a refused function")
 
     monkeypatch.setattr(whitehead, "hall_normalize", refused)
-    monkeypatch.setattr(whitehead, "add_coordinates", refused)
-    monkeypatch.setattr(whitehead, "_summed", refused)
+    monkeypatch.setattr(elements, "add_coordinates", refused)
+    monkeypatch.setattr(elements, "_summed", refused)
     monkeypatch.setattr(SparseEpsilon, "value", refused)
     monkeypatch.setattr(SparseEpsilon, "nonzero", refused)
     monkeypatch.setattr(CoherentElement, "walk", refused)

@@ -14,7 +14,10 @@ weight-2 element files on 2 to 8 letters, check_coherence on an
 element with an infinite band up to 32 levels, CoherentElement.walk,
 project_levels, verify_weight2_realization and
 verify_composition_additivity on elements with bands, entries and
-coordinates from 4 to 32 levels, earring_formula and cech_decompose
+coordinates from 4 to 32 levels, verify_composition_additivity on 25
+to 200 pairs of weight-2 elements on 3-spheres at 8 levels, each
+matrix drawn by random_sparse_epsilon before the point, as the random
+runs of verify edge check them, earring_formula and cech_decompose
 up to degree 64, height_class_census on the grading 1,1,1,1;2 at
 degrees 8 to 12, invariant_factors on 10 to 10,000 seeded cyclic
 orders from 2 to 30, and the summand count of decompose_wedge in
@@ -65,11 +68,13 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("generate", "parse_bracket_expr", "hall_normalize",
           "tensor_expansion", "parse_element_file", "check_coherence",
           "walk", "project_levels", "verify_weight2_realization",
-          "verify_composition_additivity", "earring_formula",
+          "verify_composition_additivity", "additivity_runs",
+          "earring_formula",
           "cech_decompose", "height_class_census", "invariant_factors",
           "decompose_wedge", "session_replay", "session_fresh")
 MODULES = ("groups", "hall", "hilton", "spheres", "whitehead", "elements")
 SESSION_OPS = (95, 190, 380)  # a quarter, a half and all of a stream
+RUNS = (25, 50, 100, 200)  # pairs checked by one additivity_runs call
 FRESH_SEED = 1000  # the first stream seed of session_fresh
 
 
@@ -128,6 +133,22 @@ def run_out(walk):
     def levels(*args):
         return list(walk(*args))
     return levels
+
+
+def checked_runs(verify):
+    """verify_composition_additivity as one call over a list of pairs,
+    as verify edge --random runs it: the number of pairs that pass."""
+    @functools.wraps(verify)
+    def runs(pairs, kmax):
+        return sum(verify(e1, e2, kmax).ok for e1, e2 in pairs)
+    return runs
+
+
+def random_pairs(el, count: int) -> list:
+    """count seeded pairs of weight-2 elements on 3-spheres."""
+    rng = random.Random(count)
+    return [tuple(el.weight_two_element(3, el.random_sparse_epsilon(rng))
+                  for _ in range(2)) for _ in range(count)]
 
 
 def summand_count(decompose_wedge):
@@ -189,8 +210,8 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
     table = lib["spheres"].load_table("seed")
     exprs = {t: _expression(t) for t in (1, 2, 4, 8, 16)}
     sums = {t: wh.parse_bracket_expr(*exprs[t]) for t in exprs}
-    band = el.weight_two_element(2, wh.SparseEpsilon((), ((3, 1),)))
-    mixed = (el.weight_two_element(2, wh.SparseEpsilon(((1, 5, 2),),
+    band = el.weight_two_element(2, el.SparseEpsilon((), ((3, 1),)))
+    mixed = (el.weight_two_element(2, el.SparseEpsilon(((1, 5, 2),),
                                                        ((2, -1),)))
              + el.finite_support_element(3, 2, [("[a1,a3]", 1), ("a2", 1)],
                                          table))
@@ -228,6 +249,9 @@ def steps(lib) -> dict[str, list[tuple[int, object, tuple]]]:
         "verify_composition_additivity": [
             (k, el.verify_composition_additivity, (mixed, band, k))
             for k in levels],
+        "additivity_runs": [
+            (n, checked_runs(el.verify_composition_additivity),
+             (random_pairs(el, n), 8)) for n in RUNS],
         "earring_formula": [(n, hl.earring_formula, (n, 2, table))
                             for n in (4, 8, 16, 32, 64)],
         "cech_decompose": [(n, hl.cech_decompose, (n, grading, table))

@@ -71,18 +71,23 @@ MUTANTS = [
       T_GROUPS + "test_invariant_factors_refuse_a_factor_past_the_digit_limit"]),
     # --- the realization verifiers compare two routes, never one with itself
     ("realization-levels-with-themselves", E,
-     "        if got != want:\n"
-     "            failures.append(\"level %d: projection %s != coordinates %s\"",
-     "        if want != want:\n"
-     "            failures.append(\"level %d: projection %s != coordinates %s\"",
+     "        if block != own_block or failures:",
+     "        if own_block != own_block or failures:",
      [T_ELEMENTS + "test_weight2_realization_fails_on_a_lossy_projection",
       T_ELEMENTS + "test_weight2_realization_fails_on_lossy_coordinates"]),
     ("additivity-sum-with-itself", E,
-     "    added = map(add_coordinates, project_levels(e1, kmax),\n"
-     "                project_levels(e2, kmax))",
-     "    added = (e1 + e2).walk(kmax)",
+     "    added = project_blocks(e1, kmax)\n"
+     "    for k, block in project_blocks(e2, kmax).items():",
+     "    added = (e1 + e2).blocks(kmax)\n"
+     "    for k, block in {}.items():",
      [T_ELEMENTS + "test_additivity_fails_on_a_lossy_projection_of_one_summand",
       T_ELEMENTS + "test_additivity_fails_on_a_lossy_projection_of_the_second_summand"]),
+    ("block-compare-skips-the-top-level", E,
+     "    for k in range(1, kmax + 1):\n"
+     "        block, own_block = ",
+     "    for k in range(1, kmax):\n"
+     "        block, own_block = ",
+     [T_ELEMENTS + "test_additivity_compares_the_new_word_of_the_top_level"]),
     ("file-checks-nothing", CLI,
      "    return _element_verdict(args, names, rep.failures)",
      "    return _element_verdict(args, names, ())",
@@ -108,7 +113,12 @@ MUTANTS = [
     ("walk-drops-a-letters-first-pair", E,
      "            level.update(by_letter.get(k, ()))",
      "            level.update(list(by_letter.get(k, {}).items())[1:])",
-     [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
+     [T_ELEMENTS + "test_levels_out_of_order_match_definition"]),
+    ("walk-forgets-earlier-blocks", E,
+     "            level.update(by_letter.get(k, ()))\n"
+     "            yield dict(level)",
+     "            yield dict(by_letter.get(k, ()))",
+     [T_ELEMENTS + "test_coherence_all_kinds"]),
     ("walk-coordinate-replaces-the-matrix-value", E,
      "            f = filed.pop(w) + f if w in filed else f\n",
      "",
@@ -118,11 +128,11 @@ MUTANTS = [
      "                filed[w] = f\n",
      "            filed[w] = f\n",
      [T_ELEMENTS + "test_levels_out_of_order_match_definition"]),
-    ("projection-keeps-a-collapsed-letter", WH,
+    ("projection-keeps-a-collapsed-letter", E,
      "        kept = by_top.setdefault(max(word_letters(w)), {})",
      "        kept = by_top.setdefault(max(word_letters(w)) - 1, {})",
      [T_CLI + "test_verify_edge_file", T_CLI + "test_verify_theta_file"]),
-    ("eps-reader-drops-a-diagonal", WH,
+    ("eps-reader-drops-a-diagonal", E,
      "            (((i, j), c) for i, j, c in self.entries if j <= kmax),",
      "            (((i, j), c) for i, j, c in self.entries\n"
      "             if j <= kmax and j - i != 2),",
@@ -153,13 +163,13 @@ MUTANTS = [
      [T_ELEMENTS + "test_coherence_tests_every_new_word_of_a_level",
       T_ELEMENTS + "test_coherence_maps_only_the_levels_with_a_new_word"]),
     # --- the one accumulator behind sums, brackets, rewriting and levels
-    ("eps-repeats-stop-adding-up", WH,
+    ("eps-repeats-stop-adding-up", E,
      "            c = acc.pop(key) + c",
      "            acc.pop(key)",
      [T_ELEMENTS + "test_sparse_epsilon_value_matches_scan",
       T_WH + "test_formal_sum_no_zero_coefficients",
       T_WH + "test_add_coordinates_matches_a_reference_sum"]),
-    ("summed-keeps-zeros", WH,
+    ("summed-keeps-zeros", E,
      "        if c:\n"
      "            acc[key] = c",
      "        if True:\n"
@@ -168,7 +178,7 @@ MUTANTS = [
       T_WH + "test_add_coordinates_matches_a_reference_sum",
       T_WH + "test_add_coordinates_cancels_and_wraps_around"]),
     # --- reading bracket text
-    ("tokenizer-skips-junk", WH,
+    ("tokenizer-skips-junk", E,
      "    junk = _JUNK_RE.search(text)\n"
      "    if junk:",
      "    junk = None\n"
@@ -193,23 +203,23 @@ MUTANTS = [
      "            mono = monomial_of_word(word, degrees)\n"
      "            pairs.append((mono._replace(degrees=mono.degrees[::-1]), c))",
      [T_WH + "test_word_span_keeps_the_degrees_of_its_letters_in_order"]),
-    ("word-reader-remembers-nothing-it-read", WH,
+    ("word-reader-remembers-nothing-it-read", E,
      "@functools.lru_cache(maxsize=WORD_CACHE_SIZE)\n"
      "def parse_word(text: str) -> HallWord:",
      "def parse_word(text: str) -> HallWord:",
      [T_WH + "test_parse_word_refuses_a_text_again"]),
     # --- the weight-2 matrix
-    ("eps-band-excludes-its-width", WH,
+    ("eps-band-excludes-its-width", E,
      "             for i in range(max(1, j - w), j))))",
      "             for i in range(max(1, j - w + 1), j))))",
      [T_WH + "test_band_and_sum_epsilon",
       T_WH + "test_nonzero_matches_a_scan_of_entries_and_bands",
       T_ELEMENTS + "test_weight2_band_level"]),
-    ("eps-value-band-excludes-its-width", WH,
+    ("eps-value-band-excludes-its-width", E,
      "                + sum(c for w, c in self.bands if j - i <= w))",
      "                + sum(c for w, c in self.bands if j - i < w))",
      [T_WH + "test_band_and_sum_epsilon"]),
-    ("eps-sum-drops-other-bands", WH,
+    ("eps-sum-drops-other-bands", E,
      "                             self.bands + other.bands)",
      "                             self.bands)",
      [T_WH + "test_band_and_sum_epsilon"]),
@@ -293,7 +303,7 @@ MUTANTS = [
       "tests/test_hilton.py::test_bonding_membership_matches_enumeration"]),
     ("cli-loads-whitehead-at-import", CLI,
      "from .spheres import load_table\n",
-     "from .spheres import load_table\nfrom .whitehead import project_levels\n",
+     "from .spheres import load_table\nfrom .whitehead import expand\n",
      ["tests/test_process.py::test_formula_commands_load_no_element_code"]),
     ("element-file-read-maps-only-oserror", CLI,
      "    except (OSError, UnicodeDecodeError) as exc:\n"
